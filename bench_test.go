@@ -1,7 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per figure; see EXPERIMENTS.md for the
-// recorded outputs), plus ablation benchmarks for the design choices
-// called out in DESIGN.md §5 and micro-benchmarks of the hot primitives.
+// evaluation (one benchmark per figure, each driving the matching
+// internal/experiments generator), plus ablation benchmarks for the
+// design choices (Combo's DP versus the best single Simple, the three
+// attack engines, the pruning bound) and micro-benchmarks of the hot
+// primitives.
 //
 // Run everything:
 //
@@ -208,7 +210,7 @@ func BenchmarkTheorem1(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5).
+// Ablations of the design choices.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationComboVsSimple quantifies what the DP buys over the
@@ -257,20 +259,20 @@ func BenchmarkAblationAdversary(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, k = 2, 3
-	exact, err := adversary.Exhaustive(pl, s, k)
+	exact, err := adversary.ExhaustiveWith(pl, s, k, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.Exhaustive(pl, s, k); err != nil {
+			if _, err := adversary.ExhaustiveWith(pl, s, k, adversary.SearchOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("branch-and-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.WorstCase(pl, s, k, 0)
+			res, err := adversary.WorstCaseWith(pl, s, k, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -281,7 +283,7 @@ func BenchmarkAblationAdversary(b *testing.B) {
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.Greedy(pl, s, k)
+			res, err := adversary.GreedyWith(pl, s, k, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -305,20 +307,20 @@ func BenchmarkAblationDomainAdversary(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, d = 2, 3
-	exact, err := adversary.DomainExhaustive(pl, topo, s, d)
+	exact, err := adversary.DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.DomainExhaustive(pl, topo, s, d); err != nil {
+			if _, err := adversary.DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("branch-and-bound", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+			res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -329,7 +331,7 @@ func BenchmarkAblationDomainAdversary(b *testing.B) {
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainGreedy(pl, topo, s, d)
+			res, err := adversary.DomainGreedyAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -355,14 +357,14 @@ func BenchmarkDomainWorstCasePar(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, d = 2, 4
-	serial, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+	serial, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+			res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -377,7 +379,7 @@ func BenchmarkDomainWorstCasePar(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var visited int64
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.DomainWorstCasePar(pl, topo, s, d, 0, workers)
+				res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -408,7 +410,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, d = 2, 4
-	plain, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+	plain, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -431,7 +433,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 	b.Run("unit", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCaseWith(pl, topo, s, d, adversary.SearchOpts{ObjWeights: ones})
+			res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{ObjWeights: ones})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -445,7 +447,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 	b.Run("hot", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCaseWith(pl, topo, s, d, adversary.SearchOpts{ObjWeights: hotW})
+			res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{ObjWeights: hotW})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -496,14 +498,14 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 	}
 	pl := zoneConfinedPlacement(b, 1000, 2000, 3, 25, 7)
 	const s, d = 2, 3
-	serial, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+	serial, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCase(pl, topo, s, d, 0)
+			res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -518,7 +520,7 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var visited int64
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.DomainWorstCasePar(pl, topo, s, d, 0, workers)
+				res, err := adversary.DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, adversary.SearchOpts{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -594,20 +596,18 @@ func stealSkewInstance(b *testing.B) *search.HitInstance {
 	return in
 }
 
-// BenchmarkStealSkew contrasts the work-stealing driver against the
-// deprecated top-level sharding on the skewed-survivor instance at 8
-// workers (serial is the scale reference). On a multi-core host the
-// wall-clock gap is the headline: sharding degenerates to one busy
-// worker here (its ns/op pins to serial, as the single dominant branch
-// is one worker's whole shard), while stealing splits that branch's
-// interior across all 8 — an expected ≥2x and up to ~8x. On a
-// single-core runner the three times coincide and the benchmark instead
-// pins the scheduler's overhead (steal ns/op must stay at serial's) and
-// its exactness: damage equality is asserted every run, and the
-// visited-states metrics are deterministic (the greedy seed is optimal,
-// so the incumbent never moves and pruning is schedule-independent —
-// steal matches serial exactly; sharding is one lower, its legacy
-// driver never charged the root) and tracked by make bench-check.
+// BenchmarkStealSkew runs the work-stealing driver on the
+// skewed-survivor instance at 8 workers, with serial as the scale
+// reference. A driver that only shards top-level branches degenerates
+// to one busy worker here, since one branch dominates; stealing splits
+// that branch's interior across all 8, so on a multi-core host an
+// expected ≥2x and up to ~8x. On a single-core runner the two times
+// coincide and the benchmark instead pins the scheduler's overhead
+// (steal ns/op must stay at serial's) and its exactness: damage
+// equality is asserted every run, and the visited-states metrics are
+// deterministic (the greedy seed is optimal, so the incumbent never
+// moves and pruning is schedule-independent — steal matches serial
+// exactly) and tracked by make bench-check.
 func BenchmarkStealSkew(b *testing.B) {
 	probe := stealSkewInstance(b)
 	seed := search.Greedy(probe)
@@ -620,20 +620,6 @@ func BenchmarkStealSkew(b *testing.B) {
 			res := search.BranchAndBoundWith(probe, seed, search.NewBudget(0), search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("serial rerun %d != %d", res.Failed, serial.Failed)
-			}
-			visited = res.Visited
-		}
-		b.ReportMetric(float64(visited), "visited-states")
-	})
-	b.Run("sharded/workers=8", func(b *testing.B) {
-		var visited int64
-		for i := 0; i < b.N; i++ {
-			res, err := search.BranchAndBoundShardedWith(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Failed != serial.Failed {
-				b.Fatalf("sharded %d != serial %d", res.Failed, serial.Failed)
 			}
 			visited = res.Visited
 		}
@@ -688,14 +674,14 @@ func BenchmarkDomainWorstCaseDeep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		want, err := adversary.DomainWorstCase(pl, flat, s, tc.d, 0)
+		want, err := adversary.DomainWorstCaseAtWith(pl, flat, topology.Leaf, s, tc.d, adversary.SearchOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			var visited int64
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.DomainWorstCaseAt(pl, topo, tc.level, s, tc.d, 0)
+				res, err := adversary.DomainWorstCaseAtWith(pl, topo, tc.level, s, tc.d, adversary.SearchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -708,13 +694,13 @@ func BenchmarkDomainWorstCaseDeep(b *testing.B) {
 		})
 	}
 	// The parallel engine at the expensive (rack) level.
-	rackSerial, err := adversary.DomainWorstCaseAt(pl, topo, 2, s, 3, 0)
+	rackSerial, err := adversary.DomainWorstCaseAtWith(pl, topo, 2, s, 3, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("level=rack/workers=8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := adversary.DomainWorstCaseParAt(pl, topo, 2, s, 3, 0, 8)
+			res, err := adversary.DomainWorstCaseAtWith(pl, topo, 2, s, 3, adversary.SearchOpts{Workers: 8})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -757,7 +743,7 @@ func BenchmarkBoundAblation(b *testing.B) {
 		{"uniform-s2-d3", uniform, 2, 3},
 	}
 	for _, tc := range cases {
-		exact, err := adversary.DomainWorstCaseWith(tc.pl, topo, tc.s, tc.d, adversary.SearchOpts{})
+		exact, err := adversary.DomainWorstCaseAtWith(tc.pl, topo, topology.Leaf, tc.s, tc.d, adversary.SearchOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -765,8 +751,7 @@ func BenchmarkBoundAblation(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/bound=%s", tc.name, bound), func(b *testing.B) {
 				var visited int64
 				for i := 0; i < b.N; i++ {
-					res, err := adversary.DomainWorstCaseWith(tc.pl, topo, tc.s, tc.d,
-						adversary.SearchOpts{Bound: bound})
+					res, err := adversary.DomainWorstCaseAtWith(tc.pl, topo, topology.Leaf, tc.s, tc.d, adversary.SearchOpts{Bound: bound})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -793,13 +778,13 @@ func BenchmarkConstrainedWorstCasePar(b *testing.B) {
 		b.Fatal(err)
 	}
 	const s, k, d = 2, 4, 2
-	serial, err := adversary.ConstrainedWorstCase(pl, topo, s, k, d, 0)
+	serial, err := adversary.ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, adversary.SearchOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.ConstrainedWorstCase(pl, topo, s, k, d, 0); err != nil {
+			if _, err := adversary.ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, adversary.SearchOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -807,7 +792,7 @@ func BenchmarkConstrainedWorstCasePar(b *testing.B) {
 	for _, workers := range []int{4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := adversary.ConstrainedWorstCasePar(pl, topo, s, k, d, 0, workers)
+				res, err := adversary.ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, adversary.SearchOpts{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -952,7 +937,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	const s, k = 2, 3
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := adversary.Exhaustive(pl, s, k); err != nil {
+			if _, err := adversary.ExhaustiveWith(pl, s, k, adversary.SearchOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1040,7 +1025,7 @@ func BenchmarkWorstCaseBnB(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adversary.WorstCase(pl, 3, 4, 0); err != nil {
+		if _, err := adversary.WorstCaseWith(pl, 3, 4, adversary.SearchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1111,7 +1096,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 			total, evals = 0, 0
 			want = want[:0]
 			cur := pl.Clone()
-			base, err := adversary.DomainWorstCase(cur, topo, s, d, 0)
+			base, err := adversary.DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1121,7 +1106,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 				if err := cur.MoveReplica(pr.obj, pr.from, pr.to); err != nil {
 					b.Fatal(err)
 				}
-				res, err := adversary.DomainWorstCase(cur, topo, s, d, 0)
+				res, err := adversary.DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1131,7 +1116,7 @@ func BenchmarkIncrementalMove(b *testing.B) {
 				if err := cur.MoveReplica(pr.obj, pr.to, pr.from); err != nil {
 					b.Fatal(err)
 				}
-				back, err := adversary.DomainWorstCase(cur, topo, s, d, 0)
+				back, err := adversary.DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, adversary.SearchOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}

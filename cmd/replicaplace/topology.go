@@ -278,7 +278,7 @@ func cmdTopology(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := adversary.DomainWorstCaseAt(layout.pl, topo, tf.level, mf.s, dl, *budget)
+		res, err := adversary.DomainWorstCaseAtWith(layout.pl, topo, tf.level, mf.s, dl, adversary.SearchOpts{Budget: *budget})
 		if err != nil {
 			return err
 		}
@@ -295,13 +295,13 @@ func cmdTopology(args []string, w io.Writer) error {
 		}
 	}
 
-	nodeRes, err := adversary.WorstCase(combo, mf.s, mf.k, *budget)
+	nodeRes, err := adversary.WorstCaseWith(combo, mf.s, mf.k, adversary.SearchOpts{Budget: *budget})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "node adversary (%d free nodes): fails %d (Avail = %d, %s)\n",
 		mf.k, nodeRes.Failed, nodeRes.Avail(mf.b), exactness(nodeRes.Exact))
-	conRes, err := adversary.ConstrainedWorstCaseAt(aware, topo, tf.level, mf.s, mf.k, dl, *budget)
+	conRes, err := adversary.ConstrainedWorstCaseAtWith(aware, topo, tf.level, mf.s, mf.k, dl, adversary.SearchOpts{Budget: *budget})
 	if err != nil {
 		return err
 	}
@@ -318,7 +318,7 @@ func cmdTopology(args []string, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := adversary.DomainWorstCaseAt(aware, topo, l, mf.s, ld, *budget)
+			res, err := adversary.DomainWorstCaseAtWith(aware, topo, l, mf.s, ld, adversary.SearchOpts{Budget: *budget})
 			if err != nil {
 				return err
 			}

@@ -80,7 +80,7 @@ func run() error {
 	//    (lost objects) and the weighted one (lost weight).
 	fmt.Printf("%-16s  %-16s  %-22s\n", "layout", "objects lost", "weight lost")
 	report := func(name string, layout *repro.Placement) (int, error) {
-		plain, err := repro.WorstDomainAttack(layout, topo, s, d, 0)
+		plain, err := repro.WorstDomainAttack(layout, topo, repro.LeafLevel, s, d, repro.AttackOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -88,7 +88,7 @@ func run() error {
 		if err != nil {
 			return 0, err
 		}
-		weighted, err := repro.WorstDomainAttackWeighted(layout, topo, s, d, 0, objW)
+		weighted, err := repro.WorstDomainAttack(layout, topo, repro.LeafLevel, s, d, repro.AttackOptions{ObjWeights: objW})
 		if err != nil {
 			return 0, err
 		}

@@ -67,34 +67,34 @@ func run() error {
 	}
 	fmt.Printf("%-8s  %-18s  %-18s\n", "level", "oblivious Avail", "aware Avail")
 	for level := 0; level < topo.Levels(); level++ {
-		oblivAvail, _, err := repro.DomainAvailAt(pl, topo, level, s, d, 0)
+		obliv, err := repro.WorstDomainAttack(pl, topo, level, s, d, repro.AttackOptions{})
 		if err != nil {
 			return err
 		}
-		awareAvail, attack, err := repro.DomainAvailAt(aware, topo, level, s, d, 0)
+		attack, err := repro.WorstDomainAttack(aware, topo, level, s, d, repro.AttackOptions{})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-8s  %-18s  %-18s (worst: %v)\n",
 			topo.LevelName(level),
-			fmt.Sprintf("%d of %d", oblivAvail, b),
-			fmt.Sprintf("%d of %d", awareAvail, b),
+			fmt.Sprintf("%d of %d", obliv.Avail(b), b),
+			fmt.Sprintf("%d of %d", attack.Avail(b), b),
 			topo.DomainNamesAt(level, attack.Domains))
 	}
 
 	// 4. The node-level guarantee is untouched: relabeling is invisible
 	//    to the independent adversary.
-	availNode, _, err := repro.Avail(aware, s, k, 0)
+	nodeAttack, err := repro.WorstAttack(aware, s, k, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nnode adversary on the aware layout: %d of %d (guarantee was %d)\n",
-		availNode, b, bound)
+		nodeAttack.Avail(b), b, bound)
 
 	// 5. An attacker with k node failures confined to one region — the
 	//    realistic "big blast radius" threat — is still weaker than the
 	//    free adversary.
-	constrained, err := repro.WorstConstrainedAttackAt(aware, topo, 0, s, k, d, 0)
+	constrained, err := repro.WorstConstrainedAttack(aware, topo, 0, s, k, d, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
@@ -115,11 +115,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cappedAvail, _, err := repro.DomainAvailAt(capped, topo, repro.LeafLevel, s, d, 0)
+	cappedAttack, err := repro.WorstDomainAttack(capped, topo, repro.LeafLevel, s, d, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("with balanced per-rack caps: %d of %d available under the rack adversary\n",
-		cappedAvail, b)
+		cappedAttack.Avail(b), b)
 	return nil
 }

@@ -44,10 +44,11 @@ func run() error {
 
 	// 3. Verify: run the worst-case adversary against the concrete
 	//    placement (branch-and-bound, bounded effort here).
-	avail, attack, err := repro.Avail(pl, s, k, 3_000_000)
+	attack, err := repro.WorstAttack(pl, s, k, repro.AttackOptions{Budget: 3_000_000})
 	if err != nil {
 		return err
 	}
+	avail := attack.Avail(b)
 	mode := "exact"
 	if !attack.Exact {
 		mode = "lower bound"

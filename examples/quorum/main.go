@@ -64,10 +64,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	avail, attack, err := repro.Avail(pl, majority, k, 2_000_000)
+	attack, err := repro.WorstAttack(pl, majority, k, repro.AttackOptions{Budget: 2_000_000})
 	if err != nil {
 		return err
 	}
+	avail := attack.Avail(groups)
 	fmt.Printf("\nmaterialized plan for k=%d: lambdas %v\n", k, spec.Lambdas)
 	fmt.Printf("strongest attack found: %v -> %d/%d groups keep quorum (guarantee: %d)\n",
 		attack.Nodes, avail, groups, bound)

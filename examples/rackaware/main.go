@@ -62,10 +62,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	availOblivious, attack, err := repro.DomainAvail(pl, topo, s, d, 0)
+	attack, err := repro.WorstDomainAttack(pl, topo, repro.LeafLevel, s, d, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
+	availOblivious := attack.Avail(b)
 	fmt.Printf("oblivious: objects span %d-%d racks; losing rack %v leaves %d of %d available\n",
 		stats.MinDomains, stats.MaxDomains, topo.DomainNames(attack.Domains), availOblivious, b)
 
@@ -79,24 +80,26 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	availAware, attack, err := repro.DomainAvail(aware, topo, s, d, 0)
+	attack, err = repro.WorstDomainAttack(aware, topo, repro.LeafLevel, s, d, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
+	availAware := attack.Avail(b)
 	fmt.Printf("aware:     objects span %d-%d racks; losing rack %v leaves %d of %d available\n",
 		stats.MinDomains, stats.MaxDomains, topo.DomainNames(attack.Domains), availAware, b)
 
 	// 5. The node-level guarantee is untouched by the relabeling.
-	availNode, _, err := repro.Avail(aware, s, k, 0)
+	nodeAttack, err := repro.WorstAttack(aware, s, k, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
+	availNode := nodeAttack.Avail(b)
 	fmt.Printf("\nnode adversary on the aware layout: %d of %d (guarantee was %d)\n",
 		availNode, b, bound)
 
 	// 6. An attacker with k node failures but limited blast radius
 	//    (at most d racks) is much weaker than the free adversary.
-	constrained, err := repro.WorstConstrainedAttack(aware, topo, s, k, d, 0)
+	constrained, err := repro.WorstConstrainedAttack(aware, topo, repro.LeafLevel, s, k, d, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}

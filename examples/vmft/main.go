@@ -42,10 +42,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	comboAvail, comboAttack, err := repro.Avail(comboPl, fatality, failures, 0)
+	comboAttack, err := repro.WorstAttack(comboPl, fatality, failures, repro.AttackOptions{})
 	if err != nil {
 		return err
 	}
+	comboAvail := comboAttack.Avail(vms)
 	fmt.Printf("combinatorial placement (lambdas %v):\n", spec.Lambdas)
 	fmt.Printf("  guaranteed survivors: %d/%d\n", bound, vms)
 	fmt.Printf("  actual worst case:    %d/%d (attack on hosts %v)\n\n",
@@ -59,10 +60,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		avail, _, err := repro.Avail(rp, fatality, failures, 0)
+		attack, err := repro.WorstAttack(rp, fatality, failures, repro.AttackOptions{})
 		if err != nil {
 			return err
 		}
+		avail := attack.Avail(vms)
 		if avail < worst {
 			worst = avail
 		}

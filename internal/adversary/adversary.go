@@ -4,13 +4,13 @@
 // (paper Definition 1: Avail(π) is b minus this maximum).
 //
 // The problem generalizes maximum coverage and is NP-hard. Every engine
-// in this package — the node-level trio (Exhaustive, Greedy, WorstCase),
-// the whole-domain trio (DomainExhaustive, DomainGreedy,
-// DomainWorstCase), the constrained k-nodes-in-≤d-domains pair, and the
-// parallel variants — is a thin adapter over the one generic search core
-// in internal/search; see that package (and this package's README) for
-// the shared drivers, the residual-load pruning bound, and the budget
-// semantics:
+// in this package — the node-level trio (ExhaustiveWith, GreedyWith,
+// WorstCaseWith), the whole-domain trio (DomainExhaustiveAtWith,
+// DomainGreedyAtWith, DomainWorstCaseAtWith) and the constrained
+// k-nodes-in-≤d-domains pair — is a thin adapter over the one generic
+// search core in internal/search; see that package (and this package's
+// README) for the shared drivers, the residual-load pruning bound, and
+// the budget semantics:
 //
 //   - Exhaustive: enumerate all C(n, k) subsets. Reference oracle for
 //     tests and tiny instances.
@@ -22,7 +22,8 @@
 //     under SearchOpts{Bound: search.BoundStatic}, the static
 //     replica-counting bound failed(K) <= ⌊(Σ_{nd∈K} load(nd)) / s⌋).
 //     Exact when it completes within its state budget; otherwise it
-//     degrades gracefully and reports Exact = false.
+//     degrades gracefully and reports Exact = false. SearchOpts.Workers
+//     fans it out over the work-stealing parallel driver.
 //
 // Every adapter is a search.HitInstance — one flat CSR hit layout for
 // node-level (C = 1), whole-domain (aggregated C), and constrained
@@ -53,9 +54,8 @@ type Result struct {
 // Avail returns b - Failed for the placement the result was computed on.
 func (r Result) Avail(b int) int { return b - r.Failed }
 
-// SearchOpts tunes how a branch-and-bound engine searches; the zero
-// value — unlimited budget, serial, residual-load pruning — matches the
-// plain engine functions.
+// SearchOpts tunes how an engine searches; the zero value is an
+// unlimited (exact), serial, residual-pruned, unweighted search.
 type SearchOpts struct {
 	// Budget caps the branch-and-bound states visited (<= 0: unlimited,
 	// result exact). One shared pool per logical search: across workers
@@ -115,7 +115,7 @@ func (o SearchOpts) resolveWorkers() int {
 }
 
 // runBranchAndBound is the one greedy-seed → Reset → serial-or-parallel
-// branch-and-bound dispatch shared by the node- and domain-level With
+// branch-and-bound dispatch shared by the node- and domain-level
 // engines (the constrained pair shards domain subsets instead).
 func runBranchAndBound(probe search.Instance, clone func() search.Instance, opts SearchOpts) (search.Result, error) {
 	seed := search.Greedy(probe)
@@ -257,14 +257,10 @@ func (in *nodeInstance) result(res search.Result) Result {
 	}
 }
 
-// Exhaustive enumerates every k-subset of nodes. Cost is C(n, k) times the
-// incremental update cost; use only when that product is small.
-func Exhaustive(pl *placement.Placement, s, k int) (Result, error) {
-	return ExhaustiveWith(pl, s, k, SearchOpts{})
-}
-
-// ExhaustiveWith is Exhaustive with explicit search options; only
-// ObjWeights applies (enumeration has no budget, workers or bound).
+// ExhaustiveWith enumerates every k-subset of nodes. Cost is C(n, k)
+// times the incremental update cost; use only when that product is
+// small. Only opts.ObjWeights applies (enumeration has no budget,
+// workers or bound).
 func ExhaustiveWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, error) {
 	in, err := newInstance(pl, s, k, opts.ObjWeights)
 	if err != nil {
@@ -273,15 +269,10 @@ func ExhaustiveWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result,
 	return in.result(search.Exhaustive(in)), nil
 }
 
-// Greedy picks k nodes by maximum marginal damage, then improves the set
-// with single-swap local search. The result is a valid attack (its damage
-// is a lower bound on the worst case) but is not guaranteed optimal.
-func Greedy(pl *placement.Placement, s, k int) (Result, error) {
-	return GreedyWith(pl, s, k, SearchOpts{})
-}
-
-// GreedyWith is Greedy with explicit search options; only ObjWeights
-// applies.
+// GreedyWith picks k nodes by maximum marginal damage, then improves the
+// set with single-swap local search. The result is a valid attack (its
+// damage is a lower bound on the worst case) but is not guaranteed
+// optimal. Only opts.ObjWeights applies.
 func GreedyWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, error) {
 	in, err := newInstance(pl, s, k, opts.ObjWeights)
 	if err != nil {
@@ -290,18 +281,14 @@ func GreedyWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, err
 	return in.result(search.Greedy(in)), nil
 }
 
-// WorstCase runs branch-and-bound seeded with the greedy incumbent. With
-// budget <= 0 the search is unbounded and the result is exact; otherwise
-// the search stops after visiting budget states and the incumbent is
-// returned with Exact reflecting whether the search completed. (One state
-// = one partial attack set considered; greedy seeding is budget-free —
-// the semantics every engine in this package shares.)
-func WorstCase(pl *placement.Placement, s, k int, budget int64) (Result, error) {
-	return WorstCaseWith(pl, s, k, SearchOpts{Budget: budget})
-}
-
-// WorstCaseWith is WorstCase with explicit search options (budget,
-// worker fan-out, pruning-bound ablation).
+// WorstCaseWith runs branch-and-bound seeded with the greedy incumbent.
+// With opts.Budget <= 0 the search is unbounded and the result is exact;
+// otherwise the search stops after visiting Budget states and the
+// incumbent is returned with Exact reflecting whether the search
+// completed. (One state = one partial attack set considered; greedy
+// seeding is budget-free — the semantics every engine in this package
+// shares.) opts.Workers fans the search out; exact runs return the same
+// result at any worker count.
 func WorstCaseWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, error) {
 	in, err := newInstance(pl, s, k, opts.ObjWeights)
 	if err != nil {
@@ -314,15 +301,4 @@ func WorstCaseWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, 
 	// Candidate order is deterministic, so in translates any worker's
 	// selection.
 	return in.result(res), nil
-}
-
-// Avail computes Avail(π) = b − WorstCase damage. It returns the
-// availability, the witnessing failure set, and whether the value is
-// exact.
-func Avail(pl *placement.Placement, s, k int, budget int64) (int, Result, error) {
-	res, err := WorstCase(pl, s, k, budget)
-	if err != nil {
-		return 0, Result{}, err
-	}
-	return pl.B() - res.Failed, res, nil
 }

@@ -48,7 +48,7 @@ func TestExhaustiveMatchesReference(t *testing.T) {
 		s := 1 + rng.Intn(r)
 		k := s + rng.Intn(n-s-1)
 		pl := randomPlacement(rng, n, r, b)
-		got, err := Exhaustive(pl, s, k)
+		got, err := ExhaustiveWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +83,11 @@ func TestWorstCaseMatchesExhaustive(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		exact, err := Exhaustive(pl, s, k)
+		exact, err := ExhaustiveWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bnb, err := WorstCase(pl, s, k, 0)
+		bnb, err := WorstCaseWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +117,11 @@ func TestGreedyIsValidLowerBound(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		greedy, err := Greedy(pl, s, k)
+		greedy, err := GreedyWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := Exhaustive(pl, s, k)
+		exact, err := ExhaustiveWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +139,11 @@ func TestGreedyIsValidLowerBound(t *testing.T) {
 func TestWorstCaseBudgetDegradesGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pl := randomPlacement(rng, 20, 3, 200)
-	full, err := WorstCase(pl, 2, 5, 0)
+	full, err := WorstCaseWith(pl, 2, 5, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := WorstCase(pl, 2, 5, 10)
+	tiny, err := WorstCaseWith(pl, 2, 5, SearchOpts{Budget: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,16 +163,16 @@ func TestAdversaryParameterValidation(t *testing.T) {
 	if err := pl.Add([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exhaustive(pl, 0, 2); err == nil {
+	if _, err := ExhaustiveWith(pl, 0, 2, SearchOpts{}); err == nil {
 		t.Error("s = 0 accepted")
 	}
-	if _, err := Exhaustive(pl, 3, 2); err == nil {
+	if _, err := ExhaustiveWith(pl, 3, 2, SearchOpts{}); err == nil {
 		t.Error("s > r accepted")
 	}
-	if _, err := WorstCase(pl, 1, 0, 0); err == nil {
+	if _, err := WorstCaseWith(pl, 1, 0, SearchOpts{}); err == nil {
 		t.Error("k = 0 accepted")
 	}
-	if _, err := WorstCase(pl, 1, 5, 0); err == nil {
+	if _, err := WorstCaseWith(pl, 1, 5, SearchOpts{}); err == nil {
 		t.Error("k >= n accepted")
 	}
 }
@@ -185,12 +185,10 @@ func TestFewerLoadedNodesThanK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, engine := range []func(*placement.Placement, int, int) (Result, error){
-		Exhaustive,
-		func(p *placement.Placement, s, k int) (Result, error) { return WorstCase(p, s, k, 0) },
-		Greedy,
+	for _, engine := range []func(*placement.Placement, int, int, SearchOpts) (Result, error){
+		ExhaustiveWith, WorstCaseWith, GreedyWith,
 	} {
-		res, err := engine(pl, 2, 4)
+		res, err := engine(pl, 2, 4, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +225,7 @@ func TestLemma2OnConcretePlacements(t *testing.T) {
 				if tc.x >= s {
 					continue // Lemma 2 applies for x < s
 				}
-				res, err := WorstCase(pl, s, k, 0)
+				res, err := WorstCaseWith(pl, s, k, SearchOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -260,7 +258,7 @@ func TestLemma3OnConcreteCombo(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildCombo(b=%d, k=%d, λ=%v): %v", b, k, spec.Lambdas, err)
 			}
-			res, err := WorstCase(pl, s, k, 0)
+			res, err := WorstCaseWith(pl, s, k, SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,7 +279,7 @@ func TestTheorem1Competitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := WorstCase(pl, s, k, 0)
+	res, err := WorstCaseWith(pl, s, k, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +291,7 @@ func TestTheorem1Competitive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		alt := randomPlacement(rng, n, r, b)
-		altRes, err := WorstCase(alt, s, k, 0)
+		altRes, err := WorstCaseWith(alt, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,8 +314,8 @@ func TestWorstCasePropertyQuick(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		ex, err1 := Exhaustive(pl, s, k)
-		bb, err2 := WorstCase(pl, s, k, 0)
+		ex, err1 := ExhaustiveWith(pl, s, k, SearchOpts{})
+		bb, err2 := WorstCaseWith(pl, s, k, SearchOpts{})
 		return err1 == nil && err2 == nil && ex.Failed == bb.Failed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

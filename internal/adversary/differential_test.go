@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -14,16 +15,16 @@ import (
 )
 
 // This file is the differential safety net for the unified search core:
-// all six engines (plus the parallel variants) against independent
-// brute-force references, across node, domain, and constrained modes,
-// and the node↔domain isomorphism that pins one budget/visited-state
-// semantics for both levels.
+// every exported engine against independent brute-force references,
+// across node, domain, and constrained models, levels, weights, worker
+// counts and budgets, plus the node↔domain isomorphism that pins one
+// budget/visited-state semantics for both levels.
 
-// testWorkerCounts returns the worker counts the parallel engines are
-// exercised with. CI sets ADVERSARY_TEST_WORKERS to force an
-// oversubscribed count under the race detector.
+// testWorkerCounts returns the worker counts the engines are exercised
+// with. CI sets ADVERSARY_TEST_WORKERS to force an oversubscribed count
+// under the race detector.
 func testWorkerCounts(t *testing.T) []int {
-	counts := []int{2, 4}
+	counts := []int{1, 4}
 	if v := os.Getenv("ADVERSARY_TEST_WORKERS"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
@@ -34,113 +35,6 @@ func testWorkerCounts(t *testing.T) []int {
 	return counts
 }
 
-// TestDifferentialNodeEngines: the node trio and its parallel variant
-// versus the independent subset-enumeration reference.
-func TestDifferentialNodeEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	workerCounts := testWorkerCounts(t)
-	for trial := 0; trial < 15; trial++ {
-		n := 7 + rng.Intn(5)
-		r := 2 + rng.Intn(3)
-		b := 8 + rng.Intn(25)
-		s := 1 + rng.Intn(r)
-		k := 1 + rng.Intn(n-2)
-		pl := randomPlacement(rng, n, r, b)
-		want := referenceWorst(pl, s, k)
-
-		ex, err := Exhaustive(pl, s, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bnb, err := WorstCase(pl, s, k, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		greedy, err := Greedy(pl, s, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, res := range map[string]Result{"Exhaustive": ex, "WorstCase": bnb} {
-			if res.Failed != want || !res.Exact {
-				t.Errorf("trial %d (n=%d r=%d b=%d s=%d k=%d): %s = {failed %d, exact %v}, reference %d",
-					trial, n, r, b, s, k, name, res.Failed, res.Exact, want)
-			}
-		}
-		if greedy.Failed > want {
-			t.Errorf("trial %d: Greedy %d exceeds reference %d", trial, greedy.Failed, want)
-		}
-		for _, workers := range workerCounts {
-			par, err := WorstCaseParallel(pl, s, k, 0, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Failed != want || !par.Exact {
-				t.Errorf("trial %d: WorstCaseParallel(%d workers) = {failed %d, exact %v}, reference %d",
-					trial, workers, par.Failed, par.Exact, want)
-			}
-		}
-		// Every witness reproduces its claimed damage.
-		for name, res := range map[string]Result{"Exhaustive": ex, "WorstCase": bnb, "Greedy": greedy} {
-			if f := pl.FailedObjects(combin.NewBitsetFrom(n, res.Nodes), s); f != res.Failed {
-				t.Errorf("trial %d: %s witness reproduces %d, reported %d", trial, name, f, res.Failed)
-			}
-		}
-	}
-}
-
-// TestDifferentialDomainEngines: the domain trio and its parallel
-// variant versus the independent reference, on random topologies.
-func TestDifferentialDomainEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	workerCounts := testWorkerCounts(t)
-	for trial := 0; trial < 15; trial++ {
-		n := 8 + rng.Intn(6)
-		r := 2 + rng.Intn(3)
-		b := 8 + rng.Intn(25)
-		s := 1 + rng.Intn(r)
-		pl := randomPlacement(rng, n, r, b)
-		topo := randomTopology(rng, n)
-		d := 1 + rng.Intn(topo.NumDomains())
-		want := referenceDomainWorst(pl, topo, s, d)
-
-		ex, err := DomainExhaustive(pl, topo, s, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bnb, err := DomainWorstCase(pl, topo, s, d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		greedy, err := DomainGreedy(pl, topo, s, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, res := range map[string]DomainResult{"DomainExhaustive": ex, "DomainWorstCase": bnb} {
-			if res.Failed != want || !res.Exact {
-				t.Errorf("trial %d (n=%d D=%d s=%d d=%d): %s = {failed %d, exact %v}, reference %d",
-					trial, n, topo.NumDomains(), s, d, name, res.Failed, res.Exact, want)
-			}
-		}
-		if greedy.Failed > want {
-			t.Errorf("trial %d: DomainGreedy %d exceeds reference %d", trial, greedy.Failed, want)
-		}
-		for _, workers := range workerCounts {
-			par, err := DomainWorstCasePar(pl, topo, s, d, 0, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Failed != want || !par.Exact {
-				t.Errorf("trial %d: DomainWorstCasePar(%d workers) = {failed %d, exact %v}, reference %d",
-					trial, workers, par.Failed, par.Exact, want)
-			}
-			if f := pl.FailedObjects(topo.FailedSet(par.Domains), s); f != par.Failed {
-				t.Errorf("trial %d: parallel witness %v reproduces %d, reported %d",
-					trial, par.Domains, f, par.Failed)
-			}
-		}
-	}
-}
-
 // referenceConstrainedWorstEff is an independent reference for the
 // constrained engines' documented semantics: for every d-subset of
 // domains the attacker fails min(k, nodes available) nodes inside it
@@ -148,7 +42,7 @@ func TestDifferentialDomainEngines(t *testing.T) {
 // outright, so it only agrees when every d-subset can host k nodes).
 // The decomposition — per-subset node enumeration from scratch — shares
 // no code with the engines' ordered incremental search.
-func referenceConstrainedWorstEff(pl *placement.Placement, topo *topology.Topology, s, k, d int) int {
+func referenceConstrainedWorstEff(pl *placement.Placement, topo *topology.Topology, s, k, d int, w []int64) int {
 	worst := 0
 	combin.ForEachSubset(topo.NumDomains(), d, func(domains []int) bool {
 		allowed := topo.FailedSet(domains).Members(nil)
@@ -161,7 +55,7 @@ func referenceConstrainedWorstEff(pl *placement.Placement, topo *topology.Topolo
 			for i, idx := range idxs {
 				nodes[i] = allowed[idx]
 			}
-			if f := pl.FailedObjects(combin.NewBitsetFrom(pl.N, nodes), s); f > worst {
+			if f := damageOf(pl, nodes, s, w); f > worst {
 				worst = f
 			}
 			return true
@@ -171,56 +65,245 @@ func referenceConstrainedWorstEff(pl *placement.Placement, topo *topology.Topolo
 	return worst
 }
 
-// TestDifferentialConstrainedEngines: the constrained pair and its
-// parallel variant versus the independent filtered-enumeration reference.
-func TestDifferentialConstrainedEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
+// randomTree groups a random rack layout (randomTopology) into two or
+// three non-empty zones: a depth-2 tree to attack at both levels.
+func randomTree(rng *rand.Rand, n int) *topology.Topology {
+	racks := randomTopology(rng, n).Leaves()
+	nz := 2 + rng.Intn(2)
+	if nz > len(racks) {
+		nz = len(racks)
+	}
+	zones := make([]topology.Domain, nz)
+	for i := range zones {
+		zones[i] = topology.Domain{Name: "z" + strconv.Itoa(i), Parent: -1}
+	}
+	leaves := make([]topology.Domain, len(racks))
+	for i, r := range racks {
+		z := i
+		if i >= nz {
+			z = rng.Intn(nz)
+		}
+		leaves[i] = topology.Domain{Name: r.Name, Parent: z, Nodes: append([]int(nil), r.Nodes...)}
+	}
+	topo, err := topology.NewTree(n, [][]topology.Domain{zones, leaves})
+	if err != nil {
+		panic(err)
+	}
+	return topo
+}
+
+// diffCase is one random instance of TestDifferentialEngines: a
+// placement on a depth-2 tree, the node budget k, a domain count d per
+// attack level, and a skewed object-weight vector.
+type diffCase struct {
+	pl   *placement.Placement
+	topo *topology.Topology
+	s, k int
+	d    map[int]int // attack level -> d
+	w    []int64
+}
+
+// diffEngine is one of the package's exported engines, normalized to a
+// DomainResult (node results leave Domains nil).
+type diffEngine struct {
+	name  string
+	model string // "node", "domain" or "constrained"
+	bnb   bool   // branch-and-bound: honors Budget and Workers
+	exact bool   // exact whenever the budget is unlimited
+	leaf  bool   // attacks the leaf level only
+	run   func(c *diffCase, level int, o SearchOpts) (DomainResult, error)
+}
+
+func fromNode(r Result, err error) (DomainResult, error) {
+	return DomainResult{Failed: r.Failed, Nodes: r.Nodes, Exact: r.Exact, Visited: r.Visited}, err
+}
+
+var diffEngines = []diffEngine{
+	{"ExhaustiveWith", "node", false, true, true, func(c *diffCase, _ int, o SearchOpts) (DomainResult, error) {
+		return fromNode(ExhaustiveWith(c.pl, c.s, c.k, o))
+	}},
+	{"GreedyWith", "node", false, false, true, func(c *diffCase, _ int, o SearchOpts) (DomainResult, error) {
+		return fromNode(GreedyWith(c.pl, c.s, c.k, o))
+	}},
+	{"WorstCaseWith", "node", true, true, true, func(c *diffCase, _ int, o SearchOpts) (DomainResult, error) {
+		return fromNode(WorstCaseWith(c.pl, c.s, c.k, o))
+	}},
+	{"DomainExhaustiveAtWith", "domain", false, true, false, func(c *diffCase, l int, o SearchOpts) (DomainResult, error) {
+		return DomainExhaustiveAtWith(c.pl, c.topo, l, c.s, c.d[l], o)
+	}},
+	{"DomainGreedyAtWith", "domain", false, false, false, func(c *diffCase, l int, o SearchOpts) (DomainResult, error) {
+		return DomainGreedyAtWith(c.pl, c.topo, l, c.s, c.d[l], o)
+	}},
+	{"DomainWorstCaseAtWith", "domain", true, true, false, func(c *diffCase, l int, o SearchOpts) (DomainResult, error) {
+		return DomainWorstCaseAtWith(c.pl, c.topo, l, c.s, c.d[l], o)
+	}},
+	{"DomainWorstCaseWith", "domain", true, true, true, func(c *diffCase, _ int, o SearchOpts) (DomainResult, error) {
+		return DomainWorstCaseWith(c.pl, c.topo, c.s, c.d[topology.Leaf], o)
+	}},
+	{"ConstrainedExhaustiveAtWith", "constrained", false, true, false, func(c *diffCase, l int, o SearchOpts) (DomainResult, error) {
+		return ConstrainedExhaustiveAtWith(c.pl, c.topo, l, c.s, c.k, c.d[l], o)
+	}},
+	{"ConstrainedWorstCaseAtWith", "constrained", true, true, false, func(c *diffCase, l int, o SearchOpts) (DomainResult, error) {
+		return ConstrainedWorstCaseAtWith(c.pl, c.topo, l, c.s, c.k, c.d[l], o)
+	}},
+}
+
+// TestDifferentialEngines runs every exported engine over model ×
+// engine × workers × level {leaf, top} × weights {unit, skewed} ×
+// budget {unlimited, small} and checks each result against independent
+// brute force:
+//
+//   - exact engines (exhaustive, unbudgeted branch-and-bound) equal the
+//     brute-force optimum and report Exact, so constrained exhaustive ≡
+//     branch-and-bound ≡ brute force; greedy and budgeted runs never
+//     exceed it, and a run claiming Exact equals it;
+//   - every witness replays to its reported damage and has the model's
+//     shape (k nodes, d domains, or ≤ k nodes inside ≤ d domains);
+//   - worker-count invariance: exact branch-and-bound returns the same
+//     damage at any worker count, and the node and domain drivers the
+//     same witness; exhaustive and greedy ignore Budget and Workers;
+//   - budget semantics: one pool shared across workers and across
+//     constrained subsets, so no run visits more states than its budget
+//     (the sharded constrained driver may overshoot by one state per
+//     worker, see search.Budget.Visit), and a serial run that stopped
+//     short spent exactly the budget.
+func TestDifferentialEngines(t *testing.T) {
+	const smallBudget = 4
+	rng := rand.New(rand.NewSource(61))
 	workerCounts := testWorkerCounts(t)
-	for trial := 0; trial < 10; trial++ {
+	levels := []int{topology.Leaf, 0}
+	for trial := 0; trial < 12; trial++ {
 		n := 8 + rng.Intn(4)
 		r := 2 + rng.Intn(2)
-		b := 8 + rng.Intn(20)
-		s := 1 + rng.Intn(r)
-		pl := randomPlacement(rng, n, r, b)
-		racks := 3 + rng.Intn(2)
-		topo, err := topology.Uniform(n, racks)
-		if err != nil {
-			t.Fatal(err)
+		b := 8 + rng.Intn(14)
+		c := &diffCase{
+			pl:   randomPlacement(rng, n, r, b),
+			topo: randomTree(rng, n),
+			s:    1 + rng.Intn(r),
+			k:    1 + rng.Intn(4),
+			d:    map[int]int{},
+			w:    make([]int64, b),
 		}
-		d := 1 + rng.Intn(racks)
-		k := 1 + rng.Intn(4)
-		want := referenceConstrainedWorstEff(pl, topo, s, k, d)
-
-		ex, err := ConstrainedExhaustive(pl, topo, s, k, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bnb, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, res := range map[string]DomainResult{"ConstrainedExhaustive": ex, "ConstrainedWorstCase": bnb} {
-			if res.Failed != want || !res.Exact {
-				t.Errorf("trial %d (n=%d racks=%d s=%d k=%d d=%d): %s = {failed %d, exact %v}, reference %d",
-					trial, n, racks, s, k, d, name, res.Failed, res.Exact, want)
+		for obj := range c.w {
+			c.w[obj] = 1 + int64(rng.Intn(3))
+			if rng.Intn(4) == 0 {
+				c.w[obj] = 9
 			}
 		}
-		for _, workers := range workerCounts {
-			par, err := ConstrainedWorstCasePar(pl, topo, s, k, d, 0, workers)
+		flats := map[int]*topology.Topology{}
+		for _, level := range levels {
+			flat, err := c.topo.Collapse(level)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if par.Failed != want || !par.Exact {
-				t.Errorf("trial %d: ConstrainedWorstCasePar(%d workers) = {failed %d, exact %v}, reference %d",
-					trial, workers, par.Failed, par.Exact, want)
-			}
-			if len(par.Domains) > d {
-				t.Errorf("trial %d: parallel witness spans %d domains, budget %d", trial, len(par.Domains), d)
-			}
-			if f := pl.FailedObjects(combin.NewBitsetFrom(n, par.Nodes), s); f != par.Failed {
-				t.Errorf("trial %d: parallel witness reproduces %d, reported %d", trial, f, par.Failed)
+			flats[level] = flat
+			c.d[level] = 1 + rng.Intn(min(flat.NumDomains(), 3))
+		}
+		for _, w := range [][]int64{nil, c.w} {
+			for _, level := range levels {
+				flat, d := flats[level], c.d[level]
+				want := map[string]int{
+					"domain":      referenceWeightedDomainWorst(c.pl, flat, c.s, d, unitIfNil(w, b)),
+					"constrained": referenceConstrainedWorstEff(c.pl, flat, c.s, c.k, d, w),
+				}
+				if level == topology.Leaf {
+					want["node"] = referenceWeightedWorst(c.pl, c.s, c.k, unitIfNil(w, b))
+				}
+				for _, e := range diffEngines {
+					if e.leaf && level != topology.Leaf {
+						continue
+					}
+					var base DomainResult // workers 1, unlimited budget
+					for _, workers := range workerCounts {
+						for _, budget := range []int64{0, smallBudget} {
+							label := fmt.Sprintf("trial %d %s level=%d weighted=%v workers=%d budget=%d",
+								trial, e.name, level, w != nil, workers, budget)
+							res, err := e.run(c, level, SearchOpts{Budget: budget, Workers: workers, ObjWeights: w})
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							checkDiffWitness(t, label, e.model, c, flat, d, w, res)
+							opt := want[e.model]
+							if res.Failed > opt || (res.Exact && res.Failed != opt) {
+								t.Errorf("%s: {failed %d, exact %v}, brute force %d", label, res.Failed, res.Exact, opt)
+							}
+							if e.exact && budget == 0 && (!res.Exact || res.Failed != opt) {
+								t.Errorf("%s: {failed %d, exact %v}, want exact %d", label, res.Failed, res.Exact, opt)
+							}
+							if workers == 1 && budget == 0 {
+								base = res
+								continue
+							}
+							switch {
+							case !e.bnb:
+								if !reflect.DeepEqual(res, base) {
+									t.Errorf("%s: %+v, want the unoptioned %+v", label, res, base)
+								}
+							case budget == 0:
+								if e.model != "constrained" && !reflect.DeepEqual(res.Nodes, base.Nodes) {
+									t.Errorf("%s: witness %v, serial %v", label, res.Nodes, base.Nodes)
+								}
+							default:
+								limit := int64(budget)
+								if e.model == "constrained" && workers > 1 {
+									limit += int64(workers)
+								}
+								if res.Visited > limit {
+									t.Errorf("%s: visited %d states, budget %d", label, res.Visited, budget)
+								}
+								if workers == 1 && !res.Exact && res.Visited != budget {
+									t.Errorf("%s: stopped short after %d states, budget %d", label, res.Visited, budget)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
+	}
+}
+
+// unitIfNil returns w, or all-ones weights for b objects when w is nil.
+func unitIfNil(w []int64, b int) []int64 {
+	if w != nil {
+		return w
+	}
+	ones := make([]int64, b)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return ones
+}
+
+// checkDiffWitness checks that a result's witness has its model's shape
+// and replays to the reported damage on the attack level's flat view.
+func checkDiffWitness(t *testing.T, label, model string, c *diffCase, flat *topology.Topology, d int, w []int64, res DomainResult) {
+	t.Helper()
+	nodes := res.Nodes
+	switch model {
+	case "node":
+		if len(nodes) != c.k {
+			t.Errorf("%s: witness %v is not a %d-node attack", label, nodes, c.k)
+		}
+	case "domain":
+		if len(res.Domains) != d {
+			t.Errorf("%s: witness %v is not a %d-domain attack", label, res.Domains, d)
+		}
+		nodes = flat.FailedSet(res.Domains).Members(nil)
+		if !reflect.DeepEqual(nodes, res.Nodes) {
+			t.Errorf("%s: witness nodes %v, domains %v cover %v", label, res.Nodes, res.Domains, nodes)
+		}
+	case "constrained":
+		spanned := domainsOfNodes(flat, nodes)
+		if len(nodes) == 0 || len(nodes) > c.k || len(spanned) > d {
+			t.Errorf("%s: witness %v (domains %v) is not ≤%d nodes in ≤%d domains", label, nodes, spanned, c.k, d)
+		}
+		if !reflect.DeepEqual(spanned, res.Domains) {
+			t.Errorf("%s: witness domains %v, nodes span %v", label, res.Domains, spanned)
+		}
+	}
+	if got := damageOf(c.pl, nodes, c.s, w); got != res.Failed {
+		t.Errorf("%s: witness replays to %d, reported %d", label, got, res.Failed)
 	}
 }
 
@@ -251,15 +334,15 @@ func TestDifferentialBoundAblation(t *testing.T) {
 			exact  int
 			search func(SearchOpts) (int, []int, bool, int64)
 		}
-		nodeRef, err := Exhaustive(pl, s, k)
+		nodeRef, err := ExhaustiveWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		domRef, err := DomainExhaustive(pl, topo, s, d)
+		domRef, err := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conRef, err := ConstrainedExhaustive(pl, topo, s, kc, d)
+		conRef, err := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, kc, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,9 +362,13 @@ func TestDifferentialBoundAblation(t *testing.T) {
 			{"node", nodeRef.Failed,
 				func(o SearchOpts) (int, []int, bool, int64) { return asNode(WorstCaseWith(pl, s, k, o)) }},
 			{"domain", domRef.Failed,
-				func(o SearchOpts) (int, []int, bool, int64) { return asDom(DomainWorstCaseWith(pl, topo, s, d, o)) }},
+				func(o SearchOpts) (int, []int, bool, int64) {
+					return asDom(DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, o))
+				}},
 			{"constrained", conRef.Failed,
-				func(o SearchOpts) (int, []int, bool, int64) { return asDom(ConstrainedWorstCaseWith(pl, topo, s, kc, d, o)) }},
+				func(o SearchOpts) (int, []int, bool, int64) {
+					return asDom(ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, kc, d, o))
+				}},
 		}
 		for _, r := range runs {
 			sFailed, sNodes, sExact, sVisited := r.search(staticOpts())
@@ -338,16 +425,20 @@ func TestNodeDomainIsomorphism(t *testing.T) {
 		}
 		for name, p := range map[string]pair{
 			"exhaustive": {
-				node: func() (Result, error) { return Exhaustive(pl, s, k) },
-				dom:  func() (DomainResult, error) { return DomainExhaustive(pl, topo, s, k) },
+				node: func() (Result, error) { return ExhaustiveWith(pl, s, k, SearchOpts{}) },
+				dom: func() (DomainResult, error) {
+					return DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, k, SearchOpts{})
+				},
 			},
 			"greedy": {
-				node: func() (Result, error) { return Greedy(pl, s, k) },
-				dom:  func() (DomainResult, error) { return DomainGreedy(pl, topo, s, k) },
+				node: func() (Result, error) { return GreedyWith(pl, s, k, SearchOpts{}) },
+				dom:  func() (DomainResult, error) { return DomainGreedyAtWith(pl, topo, topology.Leaf, s, k, SearchOpts{}) },
 			},
 			"worstcase": {
-				node: func() (Result, error) { return WorstCase(pl, s, k, 0) },
-				dom:  func() (DomainResult, error) { return DomainWorstCase(pl, topo, s, k, 0) },
+				node: func() (Result, error) { return WorstCaseWith(pl, s, k, SearchOpts{}) },
+				dom: func() (DomainResult, error) {
+					return DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, k, SearchOpts{})
+				},
 			},
 		} {
 			nres, err := p.node()
@@ -386,7 +477,7 @@ func TestBudgetFrontierParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, k = 2, 5
-	full, err := WorstCase(pl, s, k, 0)
+	full, err := WorstCaseWith(pl, s, k, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +485,11 @@ func TestBudgetFrontierParity(t *testing.T) {
 		t.Fatalf("instance too small to pin a frontier: %d states", full.Visited)
 	}
 	for _, budget := range []int64{1, 10, full.Visited / 2} {
-		nres, err := WorstCase(pl, s, k, budget)
+		nres, err := WorstCaseWith(pl, s, k, SearchOpts{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dres, err := DomainWorstCase(pl, topo, s, k, budget)
+		dres, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, k, SearchOpts{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +506,7 @@ func TestBudgetFrontierParity(t *testing.T) {
 		}
 	}
 	// And the unbudgeted runs agree state-for-state.
-	dfull, err := DomainWorstCase(pl, topo, s, k, 0)
+	dfull, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, k, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

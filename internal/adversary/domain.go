@@ -3,6 +3,7 @@ package adversary
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/combin"
 	"repro/internal/placement"
@@ -15,23 +16,25 @@ import (
 // independent nodes, modeling the hierarchical correlated failure
 // setting of Mills, Chandrasekaran & Mittal (arXiv:1701.01539). Every
 // engine takes the attack level of the topology tree — racks, zones,
-// regions, or any deeper tier — through its At variant (the plain
-// functions attack the leaf level); the level only selects which
-// Collapse of the tree the instance is built from, so all depths run
-// the same generic search core (internal/search) as the node-level
-// trio, with no level-specific search code. Two attack models:
+// regions, or any deeper tier — as its level argument (0 = top,
+// topology.Leaf = racks); the level only selects which Collapse of the
+// tree the instance is built from, so all depths run the same generic
+// search core (internal/search) as the node-level trio, with no
+// level-specific search code. Two attack models:
 //
-//   - d whole-domain failures: DomainExhaustive, DomainGreedy and
-//     DomainWorstCase find the d domains at the attack level whose
-//     combined node set fails the most objects (an object fails once s
-//     of its replicas are covered, as in Definition 1).
+//   - d whole-domain failures: DomainExhaustiveAtWith,
+//     DomainGreedyAtWith and DomainWorstCaseAtWith find the d domains at
+//     the attack level whose combined node set fails the most objects
+//     (an object fails once s of its replicas are covered, as in
+//     Definition 1).
 //   - k node failures confined to at most d domains:
-//     ConstrainedExhaustive and ConstrainedWorstCase bound how much an
-//     attacker with the paper's node budget can gain from correlation.
+//     ConstrainedExhaustiveAtWith and ConstrainedWorstCaseAtWith bound
+//     how much an attacker with the paper's node budget can gain from
+//     correlation.
 
 // DomainResult reports the outcome of a worst-case domain failure
-// search. Domains indexes the topology level the search ran at (leaf
-// domains for the plain engines, Tree[level] for the At variants).
+// search. Domains indexes Tree[level] of the topology level the search
+// ran at.
 // Under SearchOpts.ObjWeights, Failed is the lost weight (see Result).
 type DomainResult struct {
 	Failed  int   // objects (or weight, under ObjWeights) failed by the best attack found
@@ -92,7 +95,7 @@ func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, 
 	nd := topo.NumDomains()
 	// Unlike the node-level k < n, d = NumDomains is allowed: "every
 	// domain fails" is a well-defined (if grim) query, and the placement
-	// side (WorstDomainDamage, SpreadAcrossDomains) accepts it too.
+	// side (SpreadAcrossDomains) accepts it too.
 	if d < 1 || d > nd {
 		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, nd)
 	}
@@ -150,23 +153,12 @@ func (in *domInstance) result(res search.Result) DomainResult {
 	}
 }
 
-// DomainExhaustive enumerates every d-subset of leaf domains. Cost is
+// DomainExhaustiveAtWith enumerates every d-subset of the domains at
+// the given topology level (0 = top, topology.Leaf = racks). Cost is
 // C(D, d) times the incremental update cost; the reference oracle for
 // tests. (newDomInstance pads its candidates with empty domains up to
 // d, and d <= NumDomains, so every engine always has at least d
-// candidates.)
-func DomainExhaustive(pl *placement.Placement, topo *topology.Topology, s, d int) (DomainResult, error) {
-	return DomainExhaustiveAt(pl, topo, topology.Leaf, s, d)
-}
-
-// DomainExhaustiveAt is DomainExhaustive attacking whole domains of the
-// given topology level (0 = top, topology.Leaf = racks).
-func DomainExhaustiveAt(pl *placement.Placement, topo *topology.Topology, level, s, d int) (DomainResult, error) {
-	return DomainExhaustiveAtWith(pl, topo, level, s, d, SearchOpts{})
-}
-
-// DomainExhaustiveAtWith is DomainExhaustiveAt with explicit search
-// options; only ObjWeights applies.
+// candidates.) Only opts.ObjWeights applies.
 func DomainExhaustiveAtWith(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (DomainResult, error) {
 	in, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
@@ -175,22 +167,10 @@ func DomainExhaustiveAtWith(pl *placement.Placement, topo *topology.Topology, le
 	return in.result(search.Exhaustive(in)), nil
 }
 
-// DomainGreedy picks d leaf domains by maximum marginal damage, then
-// improves the set with single-swap local search. The result is a valid
-// correlated attack (a lower bound on the worst case) but not
-// guaranteed optimal.
-func DomainGreedy(pl *placement.Placement, topo *topology.Topology, s, d int) (DomainResult, error) {
-	return DomainGreedyAt(pl, topo, topology.Leaf, s, d)
-}
-
-// DomainGreedyAt is DomainGreedy attacking whole domains of the given
-// topology level.
-func DomainGreedyAt(pl *placement.Placement, topo *topology.Topology, level, s, d int) (DomainResult, error) {
-	return DomainGreedyAtWith(pl, topo, level, s, d, SearchOpts{})
-}
-
-// DomainGreedyAtWith is DomainGreedyAt with explicit search options;
-// only ObjWeights applies.
+// DomainGreedyAtWith picks d domains of the given level by maximum
+// marginal damage, then improves the set with single-swap local search.
+// The result is a valid correlated attack (a lower bound on the worst
+// case) but not guaranteed optimal. Only opts.ObjWeights applies.
 func DomainGreedyAtWith(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (DomainResult, error) {
 	in, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
@@ -199,31 +179,19 @@ func DomainGreedyAtWith(pl *placement.Placement, topo *topology.Topology, level,
 	return in.result(search.Greedy(in)), nil
 }
 
-// DomainWorstCase runs branch-and-bound over leaf domains seeded with
-// the greedy incumbent, pruned with the shared residual-load bound.
-// With budget <= 0 the search is unbounded and the result is exact;
-// otherwise the incumbent is returned with Exact reflecting whether the
-// search completed (same state semantics as the node-level WorstCase —
-// the drivers are shared).
-func DomainWorstCase(pl *placement.Placement, topo *topology.Topology, s, d int, budget int64) (DomainResult, error) {
-	return DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{Budget: budget})
-}
-
-// DomainWorstCaseAt is DomainWorstCase attacking whole domains of the
-// given topology level — the one change needed to fail zones or regions
-// instead of racks; the search itself is identical at every level.
-func DomainWorstCaseAt(pl *placement.Placement, topo *topology.Topology, level, s, d int, budget int64) (DomainResult, error) {
-	return DomainWorstCaseAtWith(pl, topo, level, s, d, SearchOpts{Budget: budget})
-}
-
-// DomainWorstCaseWith is DomainWorstCase with explicit search options
-// (budget, worker fan-out, pruning-bound ablation).
+// DomainWorstCaseWith is DomainWorstCaseAtWith at the leaf level. It is
+// kept only because the benchmark program (perfbench) calls it; new
+// callers pass topology.Leaf to DomainWorstCaseAtWith.
 func DomainWorstCaseWith(pl *placement.Placement, topo *topology.Topology, s, d int, opts SearchOpts) (DomainResult, error) {
 	return DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, opts)
 }
 
-// DomainWorstCaseAtWith is DomainWorstCaseAt with explicit search
-// options (budget, worker fan-out, pruning-bound ablation).
+// DomainWorstCaseAtWith runs branch-and-bound over the domains of the
+// given topology level, seeded with the greedy incumbent and pruned
+// with the shared residual-load bound — the one change needed to fail
+// zones or regions instead of racks; the search itself is identical at
+// every level. Budget, workers and bound follow WorstCaseWith (the
+// drivers are shared).
 func DomainWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (DomainResult, error) {
 	in, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
@@ -234,22 +202,6 @@ func DomainWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, lev
 		return DomainResult{}, err
 	}
 	return in.result(res), nil
-}
-
-// DomainAvail computes b − (worst d-domain damage): the availability
-// guarantee under the correlated adversary, with its witnessing attack.
-func DomainAvail(pl *placement.Placement, topo *topology.Topology, s, d int, budget int64) (int, DomainResult, error) {
-	return DomainAvailAt(pl, topo, topology.Leaf, s, d, budget)
-}
-
-// DomainAvailAt is DomainAvail with the adversary attacking whole
-// domains of the given topology level.
-func DomainAvailAt(pl *placement.Placement, topo *topology.Topology, level, s, d int, budget int64) (int, DomainResult, error) {
-	res, err := DomainWorstCaseAt(pl, topo, level, s, d, budget)
-	if err != nil {
-		return 0, DomainResult{}, err
-	}
-	return pl.B() - res.Failed, res, nil
 }
 
 // constrainedShared is the subset-independent preprocessing of a
@@ -360,112 +312,118 @@ func (sh *constrainedShared) subsetInstance(domains []int, sc *constrainedScratc
 	return &nodeInstance{HitInstance: sc.inst, candidates: sc.cands}
 }
 
+// constrainedRun is one constrained search in flight: the shared
+// preprocessing, the one state budget every per-subset search draws
+// from, and the best attack so far (guarded by mu, which only the
+// parallel driver contends).
+type constrainedRun struct {
+	sh    *constrainedShared
+	bud   *search.Budget
+	bound search.Bound
+	mu    sync.Mutex
+	best  DomainResult
+}
+
+// searchSubset is the per-subset branch-and-bound step both drivers
+// share: seed greedy, lift the shared incumbent into the seed so the
+// bound prunes across subsets (and workers) — budget isn't wasted on
+// dominated states — then branch-and-bound and merge into the best.
+func (cr *constrainedRun) searchSubset(domains []int, sc *constrainedScratch) {
+	in := cr.sh.subsetInstance(domains, sc)
+	seed := search.Greedy(in)
+	in.Reset()
+	cr.mu.Lock()
+	global := cr.best.Failed
+	cr.mu.Unlock()
+	if global > seed.Failed {
+		seed = search.Result{Failed: global}
+	}
+	cr.merge(in.result(search.BranchAndBoundWith(in, seed, cr.bud, cr.bound)))
+}
+
+// merge folds one subset's result into the best attack.
+func (cr *constrainedRun) merge(res Result) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	if res.Failed > cr.best.Failed {
+		cr.best.Failed = res.Failed
+		cr.best.Nodes = res.Nodes
+		cr.best.Domains = domainsOfNodes(cr.sh.topo, res.Nodes)
+	}
+	if !res.Exact {
+		cr.best.Exact = false
+	}
+}
+
 // constrainedSearch finds the worst k node failures confined to at most d
 // domains, running the core search (branch-and-bound when bnb, else
 // exhaustive enumeration) within every d-subset of domains. The budget,
 // when positive, is shared across the whole search — every per-subset
 // branch-and-bound draws states from the same pool, matching the
-// unconstrained engines' semantics.
-func constrainedSearch(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, budget int64, bnb bool, bound search.Bound, w []int64) (DomainResult, error) {
-	sh, err := newConstrainedShared(pl, topo, level, s, k, d, w)
+// unconstrained engines' semantics. Branch-and-bound with more than one
+// worker shards the subsets (see searchPar).
+func constrainedSearch(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, opts SearchOpts, bnb bool) (DomainResult, error) {
+	sh, err := newConstrainedShared(pl, topo, level, s, k, d, opts.ObjWeights)
 	if err != nil {
 		return DomainResult{}, err
 	}
-	sc := sh.newScratch()
-	bud := search.NewBudget(budget)
-	best := DomainResult{Failed: -1, Exact: true}
-	var exhaustiveVisited int64
-	combin.ForEachSubset(sh.topo.NumDomains(), d, func(domains []int) bool {
-		// A drained budget ends the whole search — skipped subsets make
-		// the result inexact, and running their budget-free greedy
-		// seeding anyway would leave the budget unable to bound runtime
-		// (and diverge from the parallel engine, which aborts too).
-		if bnb && bud.Exhausted() {
-			best.Exact = false
-			return false
-		}
-		in := sh.subsetInstance(domains, sc)
-		var sub search.Result
-		if bnb {
-			seed := search.Greedy(in)
-			in.Reset()
-			// Lift the cross-subset incumbent into the seed so the
-			// bound prunes across subsets, exactly as the parallel
-			// engine does — budget isn't wasted on dominated states.
-			if best.Failed > seed.Failed {
-				seed = search.Result{Failed: best.Failed}
-			}
-			sub = search.BranchAndBoundWith(in, seed, bud, bound)
-		} else {
-			sub = search.Exhaustive(in)
-			exhaustiveVisited += sub.Visited
-		}
-		res := in.result(sub)
-		if res.Failed > best.Failed {
-			best.Failed = res.Failed
-			best.Nodes = res.Nodes
-			best.Domains = domainsOfNodes(sh.topo, res.Nodes)
-		}
-		if !res.Exact {
-			best.Exact = false
-		}
-		return true
-	})
-	if bnb {
-		best.Visited = bud.Used()
+	cr := &constrainedRun{
+		sh:    sh,
+		bud:   search.NewBudget(opts.Budget),
+		bound: opts.Bound,
+		best:  DomainResult{Failed: -1, Exact: true},
+	}
+	if workers := opts.resolveWorkers(); bnb && workers > 1 {
+		cr.searchPar(workers)
 	} else {
-		best.Visited = exhaustiveVisited
+		sc := sh.newScratch()
+		combin.ForEachSubset(sh.topo.NumDomains(), d, func(domains []int) bool {
+			if !bnb {
+				in := sh.subsetInstance(domains, sc)
+				sub := search.Exhaustive(in)
+				cr.best.Visited += sub.Visited
+				cr.merge(in.result(sub))
+				return true
+			}
+			// A drained budget ends the whole search — skipped subsets
+			// make the result inexact, and running their budget-free
+			// greedy seeding anyway would leave the budget unable to
+			// bound runtime (and diverge from the parallel driver,
+			// which aborts too).
+			if cr.bud.Exhausted() {
+				cr.best.Exact = false
+				return false
+			}
+			cr.searchSubset(domains, sc)
+			return true
+		})
 	}
-	return best, nil
+	if bnb {
+		cr.best.Visited = cr.bud.Used()
+	}
+	if cr.best.Failed < 0 {
+		cr.best.Failed = 0
+	}
+	return cr.best, nil
 }
 
-// ConstrainedExhaustive finds the exact worst k node failures spanning at
-// most d leaf domains by full enumeration. Reference oracle for tests.
-func ConstrainedExhaustive(pl *placement.Placement, topo *topology.Topology, s, k, d int) (DomainResult, error) {
-	return ConstrainedExhaustiveAt(pl, topo, topology.Leaf, s, k, d)
-}
-
-// ConstrainedExhaustiveAt is ConstrainedExhaustive with the blast
-// radius counted in whole domains of the given topology level.
-func ConstrainedExhaustiveAt(pl *placement.Placement, topo *topology.Topology, level, s, k, d int) (DomainResult, error) {
-	return ConstrainedExhaustiveAtWith(pl, topo, level, s, k, d, SearchOpts{})
-}
-
-// ConstrainedExhaustiveAtWith is ConstrainedExhaustiveAt with explicit
-// search options; only ObjWeights applies.
+// ConstrainedExhaustiveAtWith finds the exact worst k node failures
+// spanning at most d domains of the given topology level by full
+// enumeration. Reference oracle for tests; only opts.ObjWeights
+// applies.
 func ConstrainedExhaustiveAtWith(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, opts SearchOpts) (DomainResult, error) {
-	return constrainedSearch(pl, topo, level, s, k, d, 0, false, search.BoundResidual, opts.ObjWeights)
+	return constrainedSearch(pl, topo, level, s, k, d, SearchOpts{ObjWeights: opts.ObjWeights}, false)
 }
 
-// ConstrainedWorstCase finds the worst k node failures spanning at most
-// d leaf domains via per-subset branch-and-bound. budget, when
-// positive, bounds the state total across all subsets (one shared pool,
-// the package-wide semantics); Exact reports whether every subset
-// completed.
-func ConstrainedWorstCase(pl *placement.Placement, topo *topology.Topology, s, k, d int, budget int64) (DomainResult, error) {
-	return ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{Budget: budget})
-}
-
-// ConstrainedWorstCaseAt is ConstrainedWorstCase with the blast radius
-// counted in whole domains of the given topology level (k nodes inside
-// at most d zones, regions, ...).
-func ConstrainedWorstCaseAt(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, budget int64) (DomainResult, error) {
-	return ConstrainedWorstCaseAtWith(pl, topo, level, s, k, d, SearchOpts{Budget: budget})
-}
-
-// ConstrainedWorstCaseWith is ConstrainedWorstCase with explicit search
-// options (budget, worker fan-out, pruning-bound ablation).
-func ConstrainedWorstCaseWith(pl *placement.Placement, topo *topology.Topology, s, k, d int, opts SearchOpts) (DomainResult, error) {
-	return ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, opts)
-}
-
-// ConstrainedWorstCaseAtWith is ConstrainedWorstCaseAt with explicit
-// search options (budget, worker fan-out, pruning-bound ablation).
+// ConstrainedWorstCaseAtWith finds the worst k node failures spanning at
+// most d domains of the given topology level (k nodes inside at most d
+// racks, zones, regions, ...) via per-subset branch-and-bound.
+// opts.Budget, when positive, bounds the state total across all subsets
+// (one shared pool, the package-wide semantics); Exact reports whether
+// every subset completed. opts.Workers shards the C(D, d) subsets
+// across goroutines sharing the incumbent and the budget.
 func ConstrainedWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, opts SearchOpts) (DomainResult, error) {
-	if workers := opts.resolveWorkers(); workers > 1 {
-		return constrainedSearchPar(pl, topo, level, s, k, d, opts.Budget, workers, opts.Bound, opts.ObjWeights)
-	}
-	return constrainedSearch(pl, topo, level, s, k, d, opts.Budget, true, opts.Bound, opts.ObjWeights)
+	return constrainedSearch(pl, topo, level, s, k, d, opts, true)
 }
 
 // domainsOfNodes returns the sorted, deduplicated domain indices touched

@@ -85,7 +85,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 		d := 1 + rng.Intn(topo.NumDomains()-1)
 
 		want := referenceDomainWorst(pl, topo, s, d)
-		ex, err := DomainExhaustive(pl, topo, s, d)
+		ex, err := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 			t.Errorf("witness has %d domains, want %d", len(ex.Domains), d)
 		}
 
-		bnb, err := DomainWorstCase(pl, topo, s, d, 0)
+		bnb, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestDomainEnginesCrossCheck(t *testing.T) {
 			t.Errorf("B&B visited %d > exhaustive %d: pruning is not working", bnb.Visited, ex.Visited)
 		}
 
-		greedy, err := DomainGreedy(pl, topo, s, d)
+		greedy, err := DomainGreedyAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestConstrainedEnginesCrossCheck(t *testing.T) {
 		}
 
 		want := referenceConstrainedWorst(pl, topo, s, k, d)
-		ex, err := ConstrainedExhaustive(pl, topo, s, k, d)
+		ex, err := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestConstrainedEnginesCrossCheck(t *testing.T) {
 			t.Errorf("trial %d (n=%d r=%d b=%d s=%d k=%d racks=%d d=%d): ConstrainedExhaustive = %d, reference = %d",
 				trial, n, r, b, s, k, racks, d, ex.Failed, want)
 		}
-		bnb, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+		bnb, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,13 +193,13 @@ func TestConstrainedBracketsNodeAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, k = 2, 4
-	free, err := WorstCase(pl, s, k, 0)
+	free, err := WorstCaseWith(pl, s, k, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := -1
 	for d := 1; d <= topo.NumDomains(); d++ {
-		res, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+		res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,20 +226,20 @@ func TestDomainAdversaryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DomainExhaustive(pl, topo, 0, 1); err == nil {
+	if _, err := DomainExhaustiveAtWith(pl, topo, topology.Leaf, 0, 1, SearchOpts{}); err == nil {
 		t.Error("s = 0 accepted")
 	}
-	if _, err := DomainExhaustive(pl, topo, 3, 1); err == nil {
+	if _, err := DomainExhaustiveAtWith(pl, topo, topology.Leaf, 3, 1, SearchOpts{}); err == nil {
 		t.Error("s > r accepted")
 	}
-	if _, err := DomainWorstCase(pl, topo, 1, 0, 0); err == nil {
+	if _, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 1, 0, SearchOpts{}); err == nil {
 		t.Error("d = 0 accepted")
 	}
-	if _, err := DomainWorstCase(pl, topo, 1, 4, 0); err == nil {
+	if _, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 1, 4, SearchOpts{}); err == nil {
 		t.Error("d > NumDomains accepted")
 	}
 	// d = NumDomains is the "everything fails" query and must work.
-	all, err := DomainWorstCase(pl, topo, 1, 3, 0)
+	all, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 1, 3, SearchOpts{})
 	if err != nil {
 		t.Fatalf("d = NumDomains rejected: %v", err)
 	}
@@ -250,13 +250,13 @@ func TestDomainAdversaryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DomainGreedy(pl, other, 1, 1); err == nil {
+	if _, err := DomainGreedyAtWith(pl, other, topology.Leaf, 1, 1, SearchOpts{}); err == nil {
 		t.Error("mismatched topology size accepted")
 	}
-	if _, err := ConstrainedWorstCase(pl, topo, 1, 6, 2, 0); err == nil {
+	if _, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 1, 6, 2, SearchOpts{}); err == nil {
 		t.Error("k >= n accepted")
 	}
-	if _, err := ConstrainedWorstCase(pl, topo, 1, 2, 4, 0); err == nil {
+	if _, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 1, 2, 4, SearchOpts{}); err == nil {
 		t.Error("d > NumDomains accepted")
 	}
 }
@@ -274,9 +274,13 @@ func TestDomainFewerLoadedDomainsThanD(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() (DomainResult, error){
-		"exhaustive": func() (DomainResult, error) { return DomainExhaustive(pl, topo, 2, 2) },
-		"greedy":     func() (DomainResult, error) { return DomainGreedy(pl, topo, 2, 2) },
-		"bnb":        func() (DomainResult, error) { return DomainWorstCase(pl, topo, 2, 2, 0) },
+		"exhaustive": func() (DomainResult, error) {
+			return DomainExhaustiveAtWith(pl, topo, topology.Leaf, 2, 2, SearchOpts{})
+		},
+		"greedy": func() (DomainResult, error) { return DomainGreedyAtWith(pl, topo, topology.Leaf, 2, 2, SearchOpts{}) },
+		"bnb": func() (DomainResult, error) {
+			return DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 2, SearchOpts{})
+		},
 	} {
 		res, err := run()
 		if err != nil {
@@ -299,11 +303,11 @@ func TestDomainBudgetDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := DomainWorstCase(pl, topo, 2, 4, 0)
+	full, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 4, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := DomainWorstCase(pl, topo, 2, 4, 3)
+	tiny, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 4, SearchOpts{Budget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,16 +333,16 @@ func TestDomainVsNodeAdversary(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, d = 2, 2
-	dom, err := DomainWorstCase(pl, topo, s, d, 0)
+	dom, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodesCovered := len(dom.Nodes)
-	few, err := WorstCase(pl, s, d, 0) // d free nodes
+	few, err := WorstCaseWith(pl, s, d, SearchOpts{}) // d free nodes
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := WorstCase(pl, s, nodesCovered, 0) // as many free nodes as the racks held
+	many, err := WorstCaseWith(pl, s, nodesCovered, SearchOpts{}) // as many free nodes as the racks held
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestForkIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := DomainWorstCase(cur, topo, s, d, 0)
+		cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestForkIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := DomainWorstCase(parentCur, topo, s, d, 0)
+		cold, err := DomainWorstCaseAtWith(parentCur, topo, topology.Leaf, s, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestProbeMovesDeterministic(t *testing.T) {
 					}
 					continue
 				}
-				cold, err := DomainWorstCase(cur, topo, s, d, 0)
+				cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, SearchOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -63,19 +63,19 @@ func TestSingletonLevelParity(t *testing.T) {
 		type engine func(topo *topology.Topology, level, d int) (DomainResult, error)
 		engines := map[string]engine{
 			"exhaustive": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainExhaustiveAt(pl, topo, level, s, d)
+				return DomainExhaustiveAtWith(pl, topo, level, s, d, SearchOpts{})
 			},
 			"greedy": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainGreedyAt(pl, topo, level, s, d)
+				return DomainGreedyAtWith(pl, topo, level, s, d, SearchOpts{})
 			},
 			"worstcase": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainWorstCaseAt(pl, topo, level, s, d, 0)
+				return DomainWorstCaseAtWith(pl, topo, level, s, d, SearchOpts{})
 			},
 			"worstcase-par": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return DomainWorstCaseParAt(pl, topo, level, s, d, 0, 4)
+				return DomainWorstCaseAtWith(pl, topo, level, s, d, SearchOpts{Workers: 4})
 			},
 			"constrained": func(topo *topology.Topology, level, d int) (DomainResult, error) {
-				return ConstrainedWorstCaseAt(pl, topo, level, s, k, d, 0)
+				return ConstrainedWorstCaseAtWith(pl, topo, level, s, k, d, SearchOpts{})
 			},
 		}
 		for name, run := range engines {
@@ -133,22 +133,22 @@ func TestLevelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, level := range []int{2, 5, -2} {
-		if _, err := DomainWorstCaseAt(pl, topo, level, 2, 1, 0); err == nil {
+		if _, err := DomainWorstCaseAtWith(pl, topo, level, 2, 1, SearchOpts{}); err == nil {
 			t.Errorf("level %d accepted on a depth-2 topology", level)
 		}
-		if _, err := ConstrainedWorstCaseAt(pl, topo, level, 2, 2, 1, 0); err == nil {
+		if _, err := ConstrainedWorstCaseAtWith(pl, topo, level, 2, 2, 1, SearchOpts{}); err == nil {
 			t.Errorf("constrained level %d accepted on a depth-2 topology", level)
 		}
 	}
-	plain, err := DomainWorstCase(pl, topo, 2, 2, 0)
+	plain, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 2, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, err := DomainWorstCaseAt(pl, topo, topology.Leaf, 2, 2, 0)
+	leaf, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 2, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := DomainWorstCaseAt(pl, topo, 1, 2, 2, 0)
+	explicit, err := DomainWorstCaseAtWith(pl, topo, 1, 2, 2, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestLevelValidation(t *testing.T) {
 	// d is validated against the attacked level's domain count: level 0
 	// has 2 zones, so d = 4 must be rejected there even though the leaf
 	// level's 6 racks accept it.
-	if _, err := DomainWorstCaseAt(pl, topo, 0, 2, 4, 0); err == nil {
+	if _, err := DomainWorstCaseAtWith(pl, topo, 0, 2, 4, SearchOpts{}); err == nil {
 		t.Error("d = 4 accepted at a 2-domain level")
 	}
 	// Attacking the top level ≡ attacking the same partition directly.
-	top, err := DomainWorstCaseAt(pl, topo, 0, 2, 1, 0)
+	top, err := DomainWorstCaseAtWith(pl, topo, 0, 2, 1, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestLevelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := DomainWorstCase(pl, flat, 2, 1, 0)
+	direct, err := DomainWorstCaseAtWith(pl, flat, topology.Leaf, 2, 1, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

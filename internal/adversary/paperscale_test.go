@@ -42,7 +42,7 @@ func TestLemma3AtPaperScaleN31(t *testing.T) {
 		if err := pl.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := adversary.WorstCaseParallel(pl, tc.s, tc.k, 0, 0)
+		res, err := adversary.WorstCaseWith(pl, tc.s, tc.k, adversary.SearchOpts{Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestComboBeatsRandomAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comboRes, err := adversary.WorstCaseParallel(combo, s, k, 0, 0)
+	comboRes, err := adversary.WorstCaseWith(combo, s, k, adversary.SearchOpts{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestComboBeatsRandomAtPaperScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		randomRes, err := adversary.WorstCaseParallel(rp, s, k, 0, 0)
+		randomRes, err := adversary.WorstCaseWith(rp, s, k, adversary.SearchOpts{Workers: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,92 +1,28 @@
 package adversary
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/combin"
-	"repro/internal/placement"
-	"repro/internal/search"
-	"repro/internal/topology"
 )
 
-// This file fans the branch-and-bound engines out over worker
-// goroutines. The node- and domain-level parallel engines ride the same
-// core driver (search.BranchAndBoundParallelWith — a work-stealing
-// scheduler over explicit {prefix, sibling-range} frontier tasks, so
-// skewed trees rebalance instead of starving workers) through the With
-// variants in adversary.go and domain.go; the constrained pair is
-// already task-parallel by construction and shards the domain-subset
-// enumeration here. In every case workers share the incumbent bound, so
-// a strong attack found by one worker prunes the others, and they share
-// the state budget — consumed in leased chunks that are settled at
-// exit, keeping the package-wide one-state-per-partial-attack
-// accounting exact.
+// This file fans the constrained search out over worker goroutines. The
+// node- and domain-level engines need nothing here: SearchOpts.Workers
+// routes them to the core's work-stealing driver
+// (search.BranchAndBoundParallelWith — a scheduler over explicit
+// {prefix, sibling-range} frontier tasks, so skewed trees rebalance
+// instead of starving workers) through runBranchAndBound. The
+// constrained search is already task-parallel by construction and
+// shards the domain-subset enumeration instead. In every case workers
+// share the incumbent bound, so a strong attack found by one worker
+// prunes the others, and they share the state budget — consumed in
+// leased chunks that are settled at exit, keeping the package-wide
+// one-state-per-partial-attack accounting exact.
 
-// WorstCaseParallel is WorstCase fanned out over work-stealing worker
-// goroutines. workers <= 0 selects GOMAXPROCS; workers == 1 is exactly
-// the serial engine. The budget, when positive, is shared across the
-// whole search.
-//
-// Exact runs return byte-identical results to WorstCase; with a budget,
-// the set of states visited differs between runs, so budgeted results
-// may vary (each is still a valid attack and lower bound on the damage).
-func WorstCaseParallel(pl *placement.Placement, s, k int, budget int64, workers int) (Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
-	}
-	return WorstCaseWith(pl, s, k, SearchOpts{Budget: budget, Workers: workers})
-}
-
-// DomainWorstCasePar is DomainWorstCase fanned out over worker
-// goroutines, mirroring WorstCaseParallel at the whole-domain level;
-// needed once topologies reach hundreds of domains. workers <= 0 selects
-// GOMAXPROCS; workers == 1 is exactly the serial engine. Exact runs
-// return the same DomainResult damage as DomainWorstCase.
-func DomainWorstCasePar(pl *placement.Placement, topo *topology.Topology, s, d int, budget int64, workers int) (DomainResult, error) {
-	return DomainWorstCaseParAt(pl, topo, topology.Leaf, s, d, budget, workers)
-}
-
-// DomainWorstCaseParAt is DomainWorstCasePar attacking whole domains of
-// the given topology level (0 = top, topology.Leaf = racks).
-func DomainWorstCaseParAt(pl *placement.Placement, topo *topology.Topology, level, s, d int, budget int64, workers int) (DomainResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
-	}
-	return DomainWorstCaseAtWith(pl, topo, level, s, d, SearchOpts{Budget: budget, Workers: workers})
-}
-
-// ConstrainedWorstCasePar is ConstrainedWorstCase with the C(D, d)
-// domain subsets sharded across worker goroutines; each worker runs the
-// per-subset branch-and-bound serially with its own reusable scratch
+// searchPar is the sharded constrained search: each worker runs the
+// per-subset step (searchSubset) serially with its own reusable scratch
 // instance, while the incumbent damage and the state budget are shared.
-// workers <= 0 selects GOMAXPROCS; workers == 1 is exactly the serial
-// engine.
-func ConstrainedWorstCasePar(pl *placement.Placement, topo *topology.Topology, s, k, d int, budget int64, workers int) (DomainResult, error) {
-	return ConstrainedWorstCaseParAt(pl, topo, topology.Leaf, s, k, d, budget, workers)
-}
-
-// ConstrainedWorstCaseParAt is ConstrainedWorstCasePar with the blast
-// radius counted in whole domains of the given topology level.
-func ConstrainedWorstCaseParAt(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, budget int64, workers int) (DomainResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
-	}
-	return ConstrainedWorstCaseAtWith(pl, topo, level, s, k, d, SearchOpts{Budget: budget, Workers: workers})
-}
-
-// constrainedSearchPar is the sharded constrained search behind
-// ConstrainedWorstCaseWith for workers > 1.
-func constrainedSearchPar(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, budget int64, workers int, bound search.Bound, w []int64) (DomainResult, error) {
-	sh, err := newConstrainedShared(pl, topo, level, s, k, d, w)
-	if err != nil {
-		return DomainResult{}, err
-	}
-	bud := search.NewBudget(budget)
-	var (
-		mu   sync.Mutex
-		best = DomainResult{Failed: -1, Exact: true}
-	)
+func (cr *constrainedRun) searchPar(workers int) {
 	// One producer enumerates the C(D, d) subsets; workers steal them
 	// from the channel, so expensive subsets don't serialize behind a
 	// static partition. A drained budget aborts the enumeration; the
@@ -98,8 +34,8 @@ func constrainedSearchPar(pl *placement.Placement, topo *topology.Topology, leve
 	aborted := false
 	go func() {
 		defer close(jobs)
-		combin.ForEachSubset(sh.topo.NumDomains(), d, func(domains []int) bool {
-			if bud.Exhausted() {
+		combin.ForEachSubset(cr.sh.topo.NumDomains(), cr.sh.d, func(domains []int) bool {
+			if cr.bud.Exhausted() {
 				aborted = true
 				return false
 			}
@@ -112,41 +48,14 @@ func constrainedSearchPar(pl *placement.Placement, topo *topology.Topology, leve
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := sh.newScratch()
+			sc := cr.sh.newScratch()
 			for domains := range jobs {
-				in := sh.subsetInstance(domains, sc)
-				seed := search.Greedy(in)
-				in.Reset()
-				// Lift the shared incumbent into this subset's seed so
-				// the bound prunes across subsets and workers alike.
-				mu.Lock()
-				global := best.Failed
-				mu.Unlock()
-				if global > seed.Failed {
-					seed = search.Result{Failed: global}
-				}
-				sub := search.BranchAndBoundWith(in, seed, bud, bound)
-				res := in.result(sub)
-				mu.Lock()
-				if res.Failed > best.Failed {
-					best.Failed = res.Failed
-					best.Nodes = res.Nodes
-					best.Domains = domainsOfNodes(sh.topo, res.Nodes)
-				}
-				if !res.Exact {
-					best.Exact = false
-				}
-				mu.Unlock()
+				cr.searchSubset(domains, sc)
 			}
 		}()
 	}
 	wg.Wait()
 	if aborted {
-		best.Exact = false
+		cr.best.Exact = false
 	}
-	if best.Failed < 0 {
-		best.Failed = 0
-	}
-	best.Visited = bud.Used()
-	return best, nil
 }

@@ -21,12 +21,12 @@ func TestWorstCaseParallelMatchesSequential(t *testing.T) {
 			k = n - 1
 		}
 		pl := randomPlacement(rng, n, r, b)
-		seq, err := WorstCase(pl, s, k, 0)
+		seq, err := WorstCaseWith(pl, s, k, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4} {
-			par, err := WorstCaseParallel(pl, s, k, 0, workers)
+			par, err := WorstCaseWith(pl, s, k, SearchOpts{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestWorstCaseParallelMatchesSequential(t *testing.T) {
 func TestWorstCaseParallelBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pl := randomPlacement(rng, 24, 3, 300)
-	res, err := WorstCaseParallel(pl, 2, 5, 50, 2)
+	res, err := WorstCaseWith(pl, 2, 5, SearchOpts{Budget: 50, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWorstCaseParallelBudget(t *testing.T) {
 	if res.Failed <= 0 {
 		t.Error("budgeted parallel search lost the greedy incumbent")
 	}
-	exact, err := WorstCase(pl, 2, 5, 0)
+	exact, err := WorstCaseWith(pl, 2, 5, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +76,15 @@ func TestWorstCaseParallelDegenerate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := WorstCaseParallel(pl, 2, 4, 0, 3)
+	res, err := WorstCaseWith(pl, 2, 4, SearchOpts{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Failed != 3 {
 		t.Errorf("Failed = %d, want 3", res.Failed)
 	}
-	// Single worker delegates to WorstCase.
-	res, err = WorstCaseParallel(pl, 2, 4, 0, 1)
+	// A single worker runs the serial driver.
+	res, err = WorstCaseWith(pl, 2, 4, SearchOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDomainWorstCaseParBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DomainWorstCasePar(pl, topo, 2, 4, 10, 2)
+	res, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 4, SearchOpts{Budget: 10, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDomainWorstCaseParBudget(t *testing.T) {
 	if res.Failed <= 0 {
 		t.Error("budgeted parallel domain search lost the greedy incumbent")
 	}
-	exact, err := DomainWorstCase(pl, topo, 2, 4, 0)
+	exact, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 4, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDomainWorstCaseParDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		res, err := DomainWorstCasePar(pl, topo, 2, 2, 0, workers)
+		res, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, 2, 2, SearchOpts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,15 +152,19 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ConstrainedWorstCase(pl, topo, 2, 5, 2, 0)
+	exact, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Serial and parallel share the abort semantics: a drained budget
 	// ends the subset sweep with the incumbent so far, inexactly.
 	for name, run := range map[string]func() (DomainResult, error){
-		"serial":   func() (DomainResult, error) { return ConstrainedWorstCase(pl, topo, 2, 5, 2, 20) },
-		"parallel": func() (DomainResult, error) { return ConstrainedWorstCasePar(pl, topo, 2, 5, 2, 20, 3) },
+		"serial": func() (DomainResult, error) {
+			return ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20})
+		},
+		"parallel": func() (DomainResult, error) {
+			return ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20, Workers: 3})
+		},
 	} {
 		res, err := run()
 		if err != nil {
@@ -189,7 +193,7 @@ func TestBudgetedParallelAlwaysValidAttack(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	pl := randomPlacement(rng, 24, 3, 300)
 	const s, k = 2, 5
-	exact, err := WorstCase(pl, s, k, 0)
+	exact, err := WorstCaseWith(pl, s, k, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +201,12 @@ func TestBudgetedParallelAlwaysValidAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactDom, err := DomainWorstCase(pl, topo, s, 3, 0)
+	exactDom, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, 3, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 6; run++ {
-		res, err := WorstCaseParallel(pl, s, k, 60, 4)
+		res, err := WorstCaseWith(pl, s, k, SearchOpts{Budget: 60, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +224,7 @@ func TestBudgetedParallelAlwaysValidAttack(t *testing.T) {
 			t.Fatalf("run %d: claims exact with damage %d, optimum is %d", run, res.Failed, exact.Failed)
 		}
 
-		dom, err := DomainWorstCasePar(pl, topo, s, 3, 60, 4)
+		dom, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, 3, SearchOpts{Budget: 60, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,11 +248,11 @@ func TestWorstCaseParallelOnStructuredPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := WorstCase(pl, 2, 4, 0)
+	seq, err := WorstCaseWith(pl, 2, 4, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := WorstCaseParallel(pl, 2, 4, 0, 0) // 0 => GOMAXPROCS
+	par, err := WorstCaseWith(pl, 2, 4, SearchOpts{Workers: -1}) // -1 => GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}

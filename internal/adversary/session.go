@@ -143,7 +143,7 @@ func NewNodeSession(pl *placement.Placement, s, k int, opts SearchOpts) (*Sessio
 }
 
 // NewDomainSession opens an incremental session for the whole-domain
-// adversary (the DomainWorstCase family) at the given topology level:
+// adversary (DomainWorstCaseAtWith) at the given topology level:
 // d whole-domain failures per evaluation.
 func NewDomainSession(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (*Session, error) {
 	if err := pl.Validate(); err != nil {

@@ -79,14 +79,14 @@ func TestSessionNodeMatchesEngines(t *testing.T) {
 			if got.Failed != cold.Failed {
 				t.Fatalf("move %d: session damage %d, cold engine %d", mv, got.Failed, cold.Failed)
 			}
-			exh, err := Exhaustive(cur, s, k)
+			exh, err := ExhaustiveWith(cur, s, k, SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Failed != exh.Failed {
 				t.Fatalf("move %d: session damage %d, exhaustive %d", mv, got.Failed, exh.Failed)
 			}
-			gr, err := Greedy(cur, s, k)
+			gr, err := GreedyWith(cur, s, k, SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,8 +99,8 @@ func TestSessionNodeMatchesEngines(t *testing.T) {
 
 // TestSessionDomainMatchesEngines is the domain-mode differential:
 // move chains through sessions at the rack and zone levels, unweighted
-// and weighted, against the DomainWorstCase and DomainExhaustive
-// engines on the moved placement.
+// and weighted, against the DomainWorstCaseAtWith and
+// DomainExhaustiveAtWith engines on the moved placement.
 func TestSessionDomainMatchesEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 4; trial++ {
@@ -274,7 +274,7 @@ func TestSessionNoopMove(t *testing.T) {
 		if got.Failed != base.Failed || !got.Exact {
 			t.Fatalf("same-rack move changed the reported worst case: %d → %d", base.Failed, got.Failed)
 		}
-		cold, err := DomainWorstCase(cur, topo, 2, 2, 0)
+		cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, 2, 2, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,11 +377,11 @@ func TestConstrainedPairAfterMoves(t *testing.T) {
 			}
 		}
 		s, k, d := 2, 3, 2
-		bb, err := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+		bb, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exh, err := ConstrainedExhaustive(pl, topo, s, k, d)
+		exh, err := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

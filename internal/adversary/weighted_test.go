@@ -230,17 +230,17 @@ func TestWeightedUnitParity(t *testing.T) {
 		}
 
 		{
-			a, aerr := Exhaustive(pl, s, k)
+			a, aerr := ExhaustiveWith(pl, s, k, SearchOpts{})
 			b2, berr := ExhaustiveWith(pl, s, k, wopts)
 			checkNode("Exhaustive", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := Greedy(pl, s, k)
+			a, aerr := GreedyWith(pl, s, k, SearchOpts{})
 			b2, berr := GreedyWith(pl, s, k, wopts)
 			checkNode("Greedy", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := WorstCase(pl, s, k, 0)
+			a, aerr := WorstCaseWith(pl, s, k, SearchOpts{})
 			b2, berr := WorstCaseWith(pl, s, k, wopts)
 			checkNode("WorstCase", a, aerr, b2, berr)
 			if len(a.Nodes) != len(b2.Nodes) {
@@ -255,27 +255,27 @@ func TestWeightedUnitParity(t *testing.T) {
 			}
 		}
 		{
-			a, aerr := DomainExhaustive(pl, topo, s, d)
+			a, aerr := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 			b2, berr := DomainExhaustiveAtWith(pl, topo, topology.Leaf, s, d, wopts)
 			checkDomain("DomainExhaustive", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := DomainGreedy(pl, topo, s, d)
+			a, aerr := DomainGreedyAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 			b2, berr := DomainGreedyAtWith(pl, topo, topology.Leaf, s, d, wopts)
 			checkDomain("DomainGreedy", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := DomainWorstCase(pl, topo, s, d, 0)
+			a, aerr := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, SearchOpts{})
 			b2, berr := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, wopts)
 			checkDomain("DomainWorstCase", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := ConstrainedExhaustive(pl, topo, s, k, d)
+			a, aerr := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 			b2, berr := ConstrainedExhaustiveAtWith(pl, topo, topology.Leaf, s, k, d, wopts)
 			checkDomain("ConstrainedExhaustive", a, aerr, b2, berr)
 		}
 		{
-			a, aerr := ConstrainedWorstCase(pl, topo, s, k, d, 0)
+			a, aerr := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{})
 			b2, berr := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, wopts)
 			checkDomain("ConstrainedWorstCase", a, aerr, b2, berr)
 		}

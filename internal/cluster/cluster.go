@@ -355,5 +355,5 @@ func (c *Cluster) WorstCase(k int, budget int64) (adversary.Result, error) {
 	if pl.B() == 0 {
 		return adversary.Result{Exact: true}, nil
 	}
-	return adversary.WorstCase(pl, c.cfg.FatalityThreshold, k, budget)
+	return adversary.WorstCaseWith(pl, c.cfg.FatalityThreshold, k, adversary.SearchOpts{Budget: budget})
 }

@@ -136,7 +136,8 @@ type Options struct {
 	// Sleep replaces time.Sleep between retries (tests inject a
 	// no-op); nil uses time.Sleep.
 	Sleep func(time.Duration)
-	// Search configures the adversary session. Leave Budget 0: the
+	// Search configures the adversary session. Budget must be 0 (New
+	// and Load reject a budget with a *BudgetedSearchError): the
 	// invariant is only a proof when evaluations are exact.
 	Search adversary.SearchOpts
 	// CandTargets bounds the target nodes probed per source replica
@@ -152,6 +153,27 @@ type Options struct {
 	// tie-break are preserved, so step reports are byte-identical to
 	// the serial scan's. 0 or 1 probes serially.
 	ProbeWorkers int
+}
+
+// BudgetedSearchError is the error New and Load return when
+// Options.Search sets a state budget. A budgeted probe can under-report
+// a move's damage, which would let a step break the never-degrade
+// invariant without any error, so the controller runs exact searches
+// only.
+type BudgetedSearchError struct {
+	Budget int64
+}
+
+func (e *BudgetedSearchError) Error() string {
+	return fmt.Sprintf("controller: Options.Search.Budget = %d: the never-degrade invariant needs exact searches (Budget 0)", e.Budget)
+}
+
+// checkExact fails closed on a budgeted search configuration.
+func (o Options) checkExact() error {
+	if o.Search.Budget > 0 {
+		return &BudgetedSearchError{Budget: o.Search.Budget}
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -227,6 +249,9 @@ func New(pl *placement.Placement, cfg Config) (*Controller, error) {
 	if cfg.MaxMoves < 1 {
 		return nil, fmt.Errorf("controller: MaxMoves = %d must be >= 1", cfg.MaxMoves)
 	}
+	if err := cfg.Opts.checkExact(); err != nil {
+		return nil, err
+	}
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,6 +297,9 @@ func New(pl *placement.Placement, cfg Config) (*Controller, error) {
 func Load(path string, act Actuator, opts Options) (*Controller, error) {
 	if act == nil {
 		return nil, fmt.Errorf("controller: actuator is required")
+	}
+	if err := opts.checkExact(); err != nil {
+		return nil, err
 	}
 	ck, err := LoadCheckpoint(path)
 	if err != nil {

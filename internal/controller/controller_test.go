@@ -457,6 +457,49 @@ func TestControllerMutationErrors(t *testing.T) {
 	}
 }
 
+// TestControllerRejectsBudgetedSearch: New fails closed on a budgeted
+// adversary, whose probes could under-report damage.
+func TestControllerRejectsBudgetedSearch(t *testing.T) {
+	topo, err := topology.Uniform(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := ringPlacement(t, 8, 3, 12)
+	opts := testOpts()
+	opts.Search.Budget = 1000
+	_, err = New(pl, Config{
+		Topo:     topo,
+		Level:    topology.Leaf,
+		S:        2,
+		DFail:    1,
+		MaxMoves: 2,
+		Actuator: NewMemActuator(pl),
+		Opts:     opts,
+	})
+	var be *BudgetedSearchError
+	if !errors.As(err, &be) || be.Budget != 1000 {
+		t.Fatalf("New with Budget 1000: err = %v, want *BudgetedSearchError{1000}", err)
+	}
+}
+
+// TestLoadRejectsBudgetedSearch: Load fails closed the same way, even
+// on a valid journal.
+func TestLoadRejectsBudgetedSearch(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "ck.json")
+	mem := NewMemActuator(ringPlacement(t, 8, 3, 12))
+	newTestController(t, mem, 2, journal)
+	opts := testOpts()
+	opts.Search.Budget = 1
+	_, err := Load(journal, mem, opts)
+	var be *BudgetedSearchError
+	if !errors.As(err, &be) || be.Budget != 1 {
+		t.Fatalf("Load with Budget 1: err = %v, want *BudgetedSearchError{1}", err)
+	}
+	if _, err := Load(journal, mem, testOpts()); err != nil {
+		t.Fatalf("Load with an exact search: %v", err)
+	}
+}
+
 func TestControllerJournalRoundTrip(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "ck.json")
 	mem := NewMemActuator(ringPlacement(t, 8, 3, 12))

@@ -111,7 +111,8 @@ func TestBuildSteinerUnconstructible(t *testing.T) {
 
 func TestBestOrders(t *testing.T) {
 	// Paper Fig. 4 orders (catalog view), with the 70 -> 64 substitution
-	// for (n=71, r=4, x=1) documented in DESIGN.md.
+	// for (n=71, r=4, x=1): a 2-(v, 4, 1) design needs v ≡ 1 or 4
+	// (mod 12), which 70 violates and 64 satisfies.
 	tests := []struct {
 		t_, k, maxV, want int
 	}{

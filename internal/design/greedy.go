@@ -15,7 +15,8 @@ import (
 // generally below the design bound of Lemma 1.
 //
 // This is the documented fallback for Steiner orders with no implemented
-// algebraic construction (see DESIGN.md §4). maxBlocks <= 0 means
+// algebraic construction (orders SteinerExists accepts but the
+// constructible catalog lacks, see catalog.go). maxBlocks <= 0 means
 // unbounded.
 func GreedyPacking(t, v, k, lambda int, seed int64, maxBlocks int64) (*Packing, error) {
 	if t < 1 || k < t || v < k || lambda < 1 {

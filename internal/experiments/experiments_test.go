@@ -17,12 +17,13 @@ func TestFig9ReproducesPaperCells(t *testing.T) {
 	}
 	// The paper prints truncated integer percentages; allow ±1 for the
 	// truncation convention. r = 4 cells are excluded: the paper's
-	// (n=71, r=4, x=1) order n_1 = 70 violates divisibility and this
-	// repository substitutes 64 (see DESIGN.md).
+	// (n=71, r=4, x=1) order n_1 = 70 violates divisibility (a
+	// 2-(v, 4, 1) design needs v ≡ 1 or 4 mod 12) and this repository
+	// substitutes 64.
 	// Cells where b − prAvail is large reproduce to ±1 point (the
 	// paper truncates to integers). Cells with b − prAvail of only a few
 	// objects amplify a ±1 difference in the Vuln crossing into tens of
-	// points and carry a wider tolerance (see EXPERIMENTS.md).
+	// points and carry a wider tolerance.
 	checks := []struct {
 		r, s, k, b int
 		want, tol  float64

@@ -83,7 +83,7 @@ func Fig2(opts Fig2Opts) ([]Fig2Point, error) {
 		}
 		for _, sk := range opts.SKs {
 			s, k := sk[0], sk[1]
-			res, err := adversary.WorstCaseParallel(pl, s, k, opts.Budget, 0)
+			res, err := adversary.WorstCaseWith(pl, s, k, adversary.SearchOpts{Budget: opts.Budget, Workers: -1})
 			if err != nil {
 				return nil, err
 			}

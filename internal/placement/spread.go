@@ -101,7 +101,7 @@ func DomainSpread(pl *Placement, topo *topology.Topology) (SpreadStats, error) {
 // inside the domain) hits of pl in ascending object order, plus each
 // domain's total replica load. It is the one construction both domain
 // search adapters — package adversary's engine instance and this
-// package's never-worse evaluator — build their candidates from.
+// package's spread-scoring session — build their candidates from.
 func DomainHits(pl *Placement, topo *topology.Topology) ([][]search.Hit, []int64) {
 	nd := topo.NumDomains()
 	perDomain := make([]map[int32]int32, nd)
@@ -130,111 +130,10 @@ func DomainHits(pl *Placement, topo *topology.Topology) ([][]search.Hit, []int64
 	return hits, loads
 }
 
-// newDomainDamage adapts a placement and topology to the unified search
-// core so the never-worse check runs on the very code the adversary
-// engines run (package adversary cannot be imported here — it depends on
-// placement). Candidates are all D domains in descending replica-load
-// order (weighted load under a non-nil per-object weight vector w);
-// object j fails once s of its replicas lie in the chosen domains. The
-// exhaustive driver never consults the index→domain mapping, so none is
-// kept.
-func newDomainDamage(pl *Placement, topo *topology.Topology, s, d int, w []int64) *search.HitInstance {
-	byDomain, loads := DomainHits(pl, topo)
-	nd := topo.NumDomains()
-	if w != nil {
-		for di, hl := range byDomain {
-			var sum int64
-			for _, h := range hl {
-				sum += int64(h.C) * w[h.Obj]
-			}
-			loads[di] = sum
-		}
-	}
-	order := make([]int, nd)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if loads[order[a]] != loads[order[b]] {
-			return loads[order[a]] > loads[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	hitLists := make([][]search.Hit, nd)
-	ordered := make([]int64, nd)
-	for i, di := range order {
-		hitLists[i] = byDomain[di]
-		ordered[i] = loads[di]
-	}
-	in := search.NewHitInstance(s, pl.B())
-	in.Reinit(d, hitLists, ordered)
-	in.SetWeights(w)
-	return in
-}
-
-// WorstDomainDamage returns the exact number of objects failed by the
-// worst d-whole-domain failure, evaluated by the unified search core's
-// exhaustive driver over all C(D, d) domain subsets. It is the
-// placement-side evaluator behind SpreadAcrossDomains' never-worse
-// guarantee and always returns the same damage as package adversary's
-// DomainExhaustive (the candidate sets differ — this adapter keeps
-// unloaded domains, the adversary prunes them — so only the result,
-// not the visited-state count, is comparable).
-func WorstDomainDamage(pl *Placement, topo *topology.Topology, s, d int) (int, error) {
-	return WorstDomainDamageWeighted(pl, topo, s, d, nil)
-}
-
-// WorstDomainDamageWeighted is WorstDomainDamage scoring lost weight:
-// the exact maximum Σ w[obj] over the objects failed by any d-domain
-// failure. w is a per-object weight vector (len b, entries >= 0); nil
-// reduces to WorstDomainDamage. Derive w from a topology's node weights
-// with ObjectWeights.
-func WorstDomainDamageWeighted(pl *Placement, topo *topology.Topology, s, d int, w []int64) (int, error) {
-	if w != nil {
-		if len(w) != pl.B() {
-			return 0, fmt.Errorf("placement: %d object weights for %d objects", len(w), pl.B())
-		}
-		for obj, v := range w {
-			if v < 0 {
-				return 0, fmt.Errorf("placement: object %d weight %d negative", obj, v)
-			}
-		}
-	}
-	if err := pl.Validate(); err != nil {
-		return 0, err
-	}
-	if topo.N != pl.N {
-		return 0, fmt.Errorf("placement: topology covers %d nodes, placement has %d", topo.N, pl.N)
-	}
-	if s < 1 || s > pl.R {
-		return 0, fmt.Errorf("placement: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if d < 1 || d > topo.NumDomains() {
-		return 0, fmt.Errorf("placement: d = %d must satisfy 1 <= d <= domains = %d", d, topo.NumDomains())
-	}
-	return search.Exhaustive(newDomainDamage(pl, topo, s, d, w)).Failed, nil
-}
-
 // maxExactSpreadSubsets caps the C(D, d) enumeration inside
 // SpreadAcrossDomains; beyond it, candidates are ranked by the
 // top-loaded-domains proxy instead of the exact worst case.
 const maxExactSpreadSubsets = 200_000
-
-// WorstDomainDamageAt is WorstDomainDamage with the adversary failing
-// whole domains of the given topology level (0 = top, topology.Leaf =
-// the leaves), evaluated on the flat Collapse of that level.
-func WorstDomainDamageAt(pl *Placement, topo *topology.Topology, level, s, d int) (int, error) {
-	l, err := topo.ResolveLevel(level)
-	if err != nil {
-		return 0, fmt.Errorf("placement: %w", err)
-	}
-	if l != topo.Levels()-1 {
-		if topo, err = topo.Collapse(l); err != nil {
-			return 0, err
-		}
-	}
-	return WorstDomainDamage(pl, topo, s, d)
-}
 
 // SpreadOpts tunes SpreadAcrossDomainsWith; the zero value matches
 // SpreadAcrossDomains.

@@ -12,6 +12,14 @@ import (
 	"repro/internal/topology"
 )
 
+// worstDomainDamage is the never-worse oracle: the exact worst
+// d-domain damage (lost weight under a non-nil w) at the given level,
+// computed by the real domain adversary's exhaustive engine.
+func worstDomainDamage(pl *placement.Placement, topo *topology.Topology, level, s, d int, w []int64) (int, error) {
+	res, err := adversary.DomainExhaustiveAtWith(pl, topo, level, s, d, adversary.SearchOpts{ObjWeights: w})
+	return res.Failed, err
+}
+
 func randomSpreadPlacement(rng *rand.Rand, n, r, b int) *placement.Placement {
 	pl := placement.NewPlacement(n, r)
 	nodes := make([]int, r)
@@ -97,7 +105,7 @@ func TestSpreadPerfectOnBlockAlignedRacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, d = 2, 1
-	before, err := placement.WorstDomainDamage(pl, topo, s, d)
+	before, err := worstDomainDamage(pl, topo, topology.Leaf, s, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestSpreadPerfectOnBlockAlignedRacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := placement.WorstDomainDamage(aware, topo, s, d)
+	after, err := worstDomainDamage(aware, topo, topology.Leaf, s, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +165,11 @@ func TestSpreadNeverWorseProperty(t *testing.T) {
 		if len(mapping) != n {
 			t.Fatalf("trial %d: mapping has %d entries, want %d", trial, len(mapping), n)
 		}
-		before, err := placement.WorstDomainDamage(pl, topo, s, d)
+		before, err := worstDomainDamage(pl, topo, topology.Leaf, s, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := placement.WorstDomainDamage(aware, topo, s, d)
+		after, err := worstDomainDamage(aware, topo, topology.Leaf, s, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,11 +213,11 @@ func TestSpreadNeverWorseUnderAdversaryEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obliv, err := adversary.DomainWorstCase(combo, topo, tc.s, tc.d, 0)
+		obliv, err := adversary.DomainWorstCaseAtWith(combo, topo, topology.Leaf, tc.s, tc.d, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		awareRes, err := adversary.DomainWorstCase(aware, topo, tc.s, tc.d, 0)
+		awareRes, err := adversary.DomainWorstCaseAtWith(aware, topo, topology.Leaf, tc.s, tc.d, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,11 +225,11 @@ func TestSpreadNeverWorseUnderAdversaryEngine(t *testing.T) {
 			t.Errorf("%+v: aware Avail %d < oblivious %d", tc, awareRes.Avail(tc.b), obliv.Avail(tc.b))
 		}
 		// Spreading is label-only: the node-level worst case is unchanged.
-		nodeObliv, err := adversary.WorstCase(combo, tc.s, tc.k, 0)
+		nodeObliv, err := adversary.WorstCaseWith(combo, tc.s, tc.k, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodeAware, err := adversary.WorstCase(aware, tc.s, tc.k, 0)
+		nodeAware, err := adversary.WorstCaseWith(aware, tc.s, tc.k, adversary.SearchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,40 +264,6 @@ func TestSpreadValidation(t *testing.T) {
 	}
 	if _, _, err := placement.SpreadAcrossDomains(pl, other, 1, 1); err == nil {
 		t.Error("mismatched topology accepted")
-	}
-	if _, err := placement.WorstDomainDamage(pl, other, 1, 1); err == nil {
-		t.Error("WorstDomainDamage with mismatched topology accepted")
-	}
-}
-
-// TestWorstDomainDamageAt pins the level plumbing: damage at a level
-// equals damage on that level's flat Collapse, and bad levels error.
-func TestWorstDomainDamageAt(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	pl := randomSpreadPlacement(rng, 12, 3, 20)
-	topo, err := topology.UniformTree(12, 2, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for level := 0; level < topo.Levels(); level++ {
-		flat, err := topo.Collapse(level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := placement.WorstDomainDamage(pl, flat, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := placement.WorstDomainDamageAt(pl, topo, level, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("level %d: WorstDomainDamageAt = %d, Collapse damage = %d", level, got, want)
-		}
-	}
-	if _, err := placement.WorstDomainDamageAt(pl, topo, 3, 2, 1); err == nil {
-		t.Error("level 3 accepted on a depth-3 topology")
 	}
 }
 
@@ -328,11 +302,11 @@ func TestSpreadHierarchicalNeverWorseEveryLevel(t *testing.T) {
 			if dl > nd {
 				dl = nd
 			}
-			before, err := placement.WorstDomainDamageAt(pl, topo, level, s, dl)
+			before, err := worstDomainDamage(pl, topo, level, s, dl, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := placement.WorstDomainDamageAt(aware, topo, level, s, dl)
+			after, err := worstDomainDamage(aware, topo, level, s, dl, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +334,7 @@ func TestSpreadHierarchicalSeparatesZones(t *testing.T) {
 		t.Fatal(err)
 	}
 	const s, d = 2, 1
-	beforeZone, err := placement.WorstDomainDamageAt(pl, topo, 0, s, d)
+	beforeZone, err := worstDomainDamage(pl, topo, 0, s, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +345,11 @@ func TestSpreadHierarchicalSeparatesZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterRack, err := placement.WorstDomainDamageAt(aware, topo, topology.Leaf, s, d)
+	afterRack, err := worstDomainDamage(aware, topo, topology.Leaf, s, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterZone, err := placement.WorstDomainDamageAt(aware, topo, 0, s, d)
+	afterZone, err := worstDomainDamage(aware, topo, 0, s, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +464,7 @@ func TestSpreadUnlimitedCapsStillSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterZone, err := placement.WorstDomainDamageAt(aware, topo, 0, 2, 1)
+	afterZone, err := worstDomainDamage(aware, topo, 0, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +488,7 @@ func TestSpreadUnlimitedCapsStillSpread(t *testing.T) {
 
 // TestSpreadSessionMatchesOneShotEvaluator pins the candidate-scoring
 // rewrite: scoring through the reused warm-started session must pick
-// the same mapping a per-candidate WorstDomainDamageWeighted rebuild
+// the same mapping a per-candidate one-shot exhaustive evaluation
 // would (the session is exact, so the damage vectors are identical),
 // and the telemetry must account for every evaluation.
 func TestSpreadSessionMatchesOneShotEvaluator(t *testing.T) {
@@ -539,11 +513,11 @@ func TestSpreadSessionMatchesOneShotEvaluator(t *testing.T) {
 		// The winner's damage at every level equals the one-shot
 		// evaluator on the same relabeled placement.
 		for _, lv := range []struct{ level, d int }{{topology.Leaf, 2}, {0, 2}} {
-			want, err := placement.WorstDomainDamageAt(spread, topo, lv.level, 2, lv.d)
+			want, err := worstDomainDamage(spread, topo, lv.level, 2, lv.d, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := adversary.DomainWorstCaseAt(spread, topo, lv.level, 2, lv.d, 0)
+			res, err := adversary.DomainWorstCaseAtWith(spread, topo, lv.level, 2, lv.d, adversary.SearchOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

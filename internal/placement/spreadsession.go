@@ -100,8 +100,9 @@ func (ss *spreadSession) memoize(sig Sig, damage int) {
 }
 
 // damage returns the exact worst d-domain damage of pl under flat —
-// the same number WorstDomainDamageWeighted computes — via memo or
-// warm-seeded exact branch-and-bound on the reused instance.
+// the same number package adversary's domain engines compute (lost
+// weight under a non-nil w) — via memo or warm-seeded exact
+// branch-and-bound on the reused instance.
 func (ss *spreadSession) damage(pl *Placement, flat *topology.Topology, w []int64) int {
 	ss.tel.Evals++
 	sig := WeightSignature(Signature(pl), w)

@@ -54,46 +54,6 @@ func TestObjectWeights(t *testing.T) {
 	}
 }
 
-// TestWeightedWorstDomainDamage pins the weighted evaluator against a
-// direct computation and the unit reduction.
-func TestWeightedWorstDomainDamage(t *testing.T) {
-	pl := placement.NewPlacement(6, 2)
-	for _, obj := range [][]int{{0, 1}, {2, 3}, {4, 5}, {0, 2}} {
-		if err := pl.Add(obj); err != nil {
-			t.Fatal(err)
-		}
-	}
-	topo, err := topology.Uniform(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rack0 = {0,1}: failing it kills objects 0 (both replicas, s=2? no:
-	// s=1 means one replica suffices). With s = 1, rack0 covers objects
-	// 0 and 3; rack1 covers 1 and 3; rack2 covers 2.
-	w := []int64{10, 1, 1, 1}
-	got, err := placement.WorstDomainDamageWeighted(pl, topo, 1, 1, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 11 { // rack0: objects 0 (10) + 3 (1)
-		t.Errorf("weighted damage = %d, want 11", got)
-	}
-	unit, err := placement.WorstDomainDamage(pl, topo, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaNil, err := placement.WorstDomainDamageWeighted(pl, topo, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unit != viaNil {
-		t.Errorf("nil weights diverge: %d vs %d", viaNil, unit)
-	}
-	if _, err := placement.WorstDomainDamageWeighted(pl, topo, 1, 1, []int64{1}); err == nil {
-		t.Error("short weight vector accepted")
-	}
-}
-
 // TestWeightedSpreadNeverWorse is the weighted analogue of the spread
 // guarantee: with Weighted scoring on a hot-node topology, the spread
 // placement never loses more WEIGHT than the oblivious layout at any
@@ -158,11 +118,11 @@ func TestWeightedSpreadNeverWorse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, err := placement.WorstDomainDamageWeighted(pl, flat, s, dl, oblivW)
+			before, err := worstDomainDamage(pl, flat, topology.Leaf, s, dl, oblivW)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, err := placement.WorstDomainDamageWeighted(aware, flat, s, dl, awareW)
+			after, err := worstDomainDamage(aware, flat, topology.Leaf, s, dl, awareW)
 			if err != nil {
 				t.Fatal(err)
 			}

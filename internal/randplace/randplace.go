@@ -152,8 +152,8 @@ func PrAvail(p placement.Params) (int, error) {
 // Reproduction finding: reverse-engineering the published Fig. 9a cells
 // (e.g. r=3, s=3, k=3, b=600 prints 66%, which forces prAvail = 597,
 // while Definition 6 with the Theorem 2 limit yields 598) shows the
-// authors' implementation used this convention consistently; see
-// EXPERIMENTS.md.
+// authors' implementation used this convention consistently;
+// TestPrAvailTableConvention pins that cell.
 func PrAvailTable(p placement.Params) (int, error) {
 	v, err := PrAvail(p)
 	if err != nil {
@@ -202,7 +202,7 @@ func AvgAvail(p placement.Params, trials int, seed int64, budget int64) (AvgAvai
 		if l := pl.MaxLoad(); l > res.Busiest {
 			res.Busiest = l
 		}
-		attack, err := adversary.WorstCase(pl, p.S, p.K, budget)
+		attack, err := adversary.WorstCaseWith(pl, p.S, p.K, adversary.SearchOpts{Budget: budget})
 		if err != nil {
 			return AvgAvailResult{}, err
 		}

@@ -682,7 +682,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 // preprocessing: the CSR arrays, loads, duplicate flags and inverted
 // index are shared (read-only during search), only the mutable failure
 // and residual state is fresh — the cheap way to stamp out per-worker
-// instances for BranchAndBoundParallel. The receiver must be clean
+// instances for BranchAndBoundParallelWith. The receiver must be clean
 // (Reset), as the clone starts clean.
 func (in *HitInstance) Clone() *HitInstance {
 	cp := *in

@@ -347,10 +347,10 @@ func TestReinitReuse(t *testing.T) {
 
 		wantSeed := Greedy(fresh)
 		fresh.Reset()
-		want := BranchAndBound(fresh, wantSeed, NewBudget(0))
+		want := BranchAndBoundWith(fresh, wantSeed, NewBudget(0), BoundResidual)
 		gotSeed := Greedy(scratch)
 		scratch.Reset()
-		got := BranchAndBound(scratch, gotSeed, NewBudget(0))
+		got := BranchAndBoundWith(scratch, gotSeed, NewBudget(0), BoundResidual)
 		if got.Failed != want.Failed || got.Visited != want.Visited || !reflect.DeepEqual(got.Sel, want.Sel) {
 			t.Errorf("trial %d: reused scratch {failed %d visited %d sel %v} != fresh {failed %d visited %d sel %v}",
 				trial, got.Failed, got.Visited, got.Sel, want.Failed, want.Visited, want.Sel)

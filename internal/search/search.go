@@ -13,9 +13,10 @@
 //   - Exhaustive: enumerate every K-subset. Reference oracle.
 //   - Greedy: marginal-gain selection plus single-swap local search. A
 //     valid attack, hence a lower bound on the damage.
-//   - BranchAndBound (and its parallel twin): depth-first search in
-//     candidate order, seeded with an incumbent and pruned by one or two
-//     admissible damage bounds selected by a Bound mode (see below).
+//   - BranchAndBoundWith (and its parallel twin,
+//     BranchAndBoundParallelWith): depth-first search in candidate order,
+//     seeded with an incumbent and pruned by one or two admissible damage
+//     bounds selected by a Bound mode (see below).
 //
 // # Pruning bounds
 //
@@ -387,16 +388,11 @@ func Greedy(in Instance) Result {
 	}
 }
 
-// BranchAndBound runs the depth-first search seeded with an incumbent
-// (conventionally Greedy's result on the same instance, after Reset),
-// pruning with the default BoundResidual discipline.
-func BranchAndBound(in Instance, seed Result, bud *Budget) Result {
-	return BranchAndBoundWith(in, seed, bud, BoundResidual)
-}
-
-// BranchAndBoundWith is BranchAndBound with an explicit pruning bound
-// (the -bound ablation switch). The instance's failure counters must be
-// clean. Every state entered consumes one unit of bud; when bud runs
+// BranchAndBoundWith runs the depth-first search seeded with an
+// incumbent (conventionally Greedy's result on the same instance, after
+// Reset), pruning with the given bound (BoundResidual, the default, or
+// the BoundStatic ablation baseline behind the -bound switch). The
+// instance's failure counters must be clean. Every state entered consumes one unit of bud; when bud runs
 // dry the incumbent so far is returned with Exact = false. Visited
 // reports bud's total consumption, so searches sharing a Budget report
 // the shared count.

@@ -159,21 +159,21 @@ func TestDriversAgreeOnRandomInstances(t *testing.T) {
 		}
 		in.Reset()
 
-		bnb := BranchAndBound(in, greedy, NewBudget(0))
+		bnb := BranchAndBoundWith(in, greedy, NewBudget(0), BoundResidual)
 		if bnb.Failed != want {
-			t.Errorf("trial %d: BranchAndBound = %d, brute force = %d", trial, bnb.Failed, want)
+			t.Errorf("trial %d: BranchAndBoundWith = %d, brute force = %d", trial, bnb.Failed, want)
 		}
 		if !bnb.Exact {
-			t.Error("unbounded BranchAndBound must be exact")
+			t.Error("unbounded BranchAndBoundWith must be exact")
 		}
 		if bnb.Visited > ex.Visited {
 			t.Errorf("trial %d: B&B visited %d > exhaustive %d: pruning broken",
 				trial, bnb.Visited, ex.Visited)
 		}
 
-		par, err := BranchAndBoundParallel(newCoverInstance(m, k, s, members), func() (Instance, error) {
+		par, err := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), func() (Instance, error) {
 			return newCoverInstance(m, k, s, members), nil
-		}, greedy, NewBudget(0), 4)
+		}, greedy, NewBudget(0), 4, BoundResidual)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestBudgetSemantics(t *testing.T) {
 	in := mk()
 	seed := Greedy(in)
 	in.Reset()
-	full := BranchAndBound(in, seed, NewBudget(0))
+	full := BranchAndBoundWith(in, seed, NewBudget(0), BoundResidual)
 	if !full.Exact {
 		t.Fatal("unbounded search not exact")
 	}
@@ -202,7 +202,7 @@ func TestBudgetSemantics(t *testing.T) {
 		seed := Greedy(in)
 		in.Reset()
 		bud := NewBudget(limit)
-		res := BranchAndBound(in, seed, bud)
+		res := BranchAndBoundWith(in, seed, bud, BoundResidual)
 		if res.Exact {
 			t.Errorf("budget %d: search claims exactness", limit)
 		}
@@ -223,12 +223,12 @@ func TestBudgetSemantics(t *testing.T) {
 	// the first left off.
 	bud := NewBudget(10)
 	in1, in2 := mk(), mk()
-	BranchAndBound(in1, Result{}, bud)
+	BranchAndBoundWith(in1, Result{}, bud, BoundResidual)
 	first := bud.Used()
 	if first != 10 {
 		t.Fatalf("first search consumed %d of 10", first)
 	}
-	res := BranchAndBound(in2, Result{}, bud)
+	res := BranchAndBoundWith(in2, Result{}, bud, BoundResidual)
 	if res.Exact || bud.Used() != 10 {
 		t.Errorf("drained budget allowed more work: exact=%v used=%d", res.Exact, bud.Used())
 	}

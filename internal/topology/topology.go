@@ -535,16 +535,6 @@ func (t *Topology) Collapse(level int) (*Topology, error) {
 	return flat, nil
 }
 
-// ZoneLevel collapses a hierarchical topology to the level above the
-// racks (its zones, in a depth-2 tree). It errors on an already-flat
-// topology. Deprecated in favor of Collapse, which reaches any level.
-func (t *Topology) ZoneLevel() (*Topology, error) {
-	if t.Levels() < 2 {
-		return nil, fmt.Errorf("topology: no zones to collapse to")
-	}
-	return t.Collapse(t.Levels() - 2)
-}
-
 // MaxDomainSize returns the node count of the largest leaf domain.
 func (t *Topology) MaxDomainSize() int {
 	maxSize := 0

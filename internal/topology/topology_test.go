@@ -72,21 +72,6 @@ func TestUniformHierarchy(t *testing.T) {
 			t.Errorf("domain %d has %d nodes, want 4", i, len(d.Nodes))
 		}
 	}
-	zl, err := topo.ZoneLevel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zl.Levels() != 1 || zl.NumDomains() != 3 {
-		t.Fatalf("zone level has %d levels, %d domains, want 1, 3", zl.Levels(), zl.NumDomains())
-	}
-	for _, d := range zl.Leaves() {
-		if len(d.Nodes) != 8 {
-			t.Errorf("zone %q has %d nodes, want 8", d.Name, len(d.Nodes))
-		}
-	}
-	if _, err := zl.ZoneLevel(); err == nil {
-		t.Error("ZoneLevel on a flat topology accepted")
-	}
 }
 
 // TestUniformTreeBackwardCompatible pins the satellite constructors'
@@ -220,6 +205,24 @@ func TestCollapse(t *testing.T) {
 	}
 	if leaf.NumDomains() != topo.NumDomains() {
 		t.Errorf("Collapse(Leaf) has %d domains, want %d", leaf.NumDomains(), topo.NumDomains())
+	}
+	// The level above the racks of a zone→rack tree is its zones, each
+	// holding its racks' nodes.
+	hier, err := UniformHierarchy(24, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zl, err := hier.Collapse(hier.Levels() - 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zl.Levels() != 1 || zl.NumDomains() != 3 {
+		t.Fatalf("zone level has %d levels, %d domains, want 1, 3", zl.Levels(), zl.NumDomains())
+	}
+	for _, d := range zl.Leaves() {
+		if len(d.Nodes) != 8 {
+			t.Errorf("zone %q has %d nodes, want 8", d.Name, len(d.Nodes))
+		}
 	}
 }
 

@@ -24,8 +24,9 @@
 //   - failure-domain topologies of any depth (flat racks, zone→rack,
 //     region→zone→rack and deeper, as level-indexed trees), a
 //     domain-correlated adversary that fails whole domains of any
-//     chosen level (the At variants; Topology.Collapse projects a level
-//     to the flat view the shared search core runs on), and a
+//     chosen level (WorstDomainAttack's level argument; Topology.Collapse
+//     projects a level to the flat view the shared search core runs
+//     on), and a
 //     hierarchical domain-aware spreading post-pass
 //     (SpreadAcrossDomains) that maps abstract node ids onto physical
 //     nodes — optionally under per-rack replica caps — without ever
@@ -37,11 +38,17 @@
 //
 //	spec, bound, _ := repro.PlanCombo(71, 3, 2, 4, 600)   // n, r, s, k, b
 //	pl, _ := repro.Materialize(71, 3, spec, 600)
-//	avail, _, _ := repro.Avail(pl, 2, 4, 0)               // exact worst case
-//	fmt.Println(bound <= int64(avail))                     // always true
+//	res, _ := repro.WorstAttack(pl, 2, 4, repro.AttackOptions{}) // exact worst case
+//	fmt.Println(bound <= int64(res.Avail(600)))            // always true
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every figure.
+// Three attack entry points cover the three adversary models —
+// WorstAttack (any k nodes), WorstDomainAttack (any d whole domains of
+// one topology level) and WorstConstrainedAttack (k nodes inside at most
+// d domains) — each taking AttackOptions for the state budget, worker
+// fan-out, pruning bound and object weights. See README.md for the
+// start points into the packages; internal/experiments regenerates
+// every figure of the paper's evaluation (replicaplace experiment
+// prints them).
 package repro
 
 import (
@@ -101,8 +108,8 @@ type (
 	// AttackSessionStats are an AttackSession's lifetime counters.
 	AttackSessionStats = adversary.SessionStats
 	// AttackOptions are the explicit search options (budget, worker
-	// fan-out, pruning bound, object weights) sessions and the With
-	// engine variants take.
+	// fan-out, pruning bound, object weights) the attack functions and
+	// sessions take; the zero value is an exact, serial search.
 	AttackOptions = adversary.SearchOpts
 	// Controller is the continuous-operation reconcile loop: it owns a
 	// placement, consumes topology mutations, and re-plans under a
@@ -140,7 +147,7 @@ const (
 )
 
 // LeafLevel selects the leaf (finest) level of a topology wherever an
-// attack level is taken — the default the level-less functions use.
+// attack level is taken.
 const LeafLevel = topology.Leaf
 
 // PlanCombo chooses the availability-optimal Combo configuration ⟨λx⟩ for
@@ -185,27 +192,15 @@ func RandomPlacement(p Params, seed int64) (*Placement, error) {
 	return randplace.Generate(p, seed)
 }
 
-// Avail computes Avail(π) = b minus the worst-case number of objects an
-// adversary can fail with k node failures (Definition 1), via
-// branch-and-bound. budget <= 0 searches exhaustively (exact); a positive
-// budget bounds the search and the result reports whether it stayed
-// exact.
-func Avail(pl *Placement, s, k int, budget int64) (int, AttackResult, error) {
-	return adversary.Avail(pl, s, k, budget)
-}
-
 // WorstAttack returns the most damaging k-node failure found for the
-// placement (see Avail for the budget semantics).
-func WorstAttack(pl *Placement, s, k int, budget int64) (AttackResult, error) {
-	return adversary.WorstCase(pl, s, k, budget)
-}
-
-// WorstAttackParallel is WorstAttack fanned out over worker goroutines
-// (workers <= 0 selects GOMAXPROCS); workers share the incumbent bound,
-// so exact searches often finish super-linearly faster on structured
-// placements.
-func WorstAttackParallel(pl *Placement, s, k int, budget int64, workers int) (AttackResult, error) {
-	return adversary.WorstCaseParallel(pl, s, k, budget, workers)
+// placement (Definition 1: Avail(π) = b − Failed, see AttackResult.Avail).
+// The zero AttackOptions searches exactly; a positive Budget bounds the
+// branch-and-bound search and the result reports whether it stayed
+// exact. Workers fans the search out (< 0 selects GOMAXPROCS); exact
+// searches return the same damage at any worker count. ObjWeights
+// scores lost weight instead of lost objects — pair it with SumWeights.
+func WorstAttack(pl *Placement, s, k int, opts AttackOptions) (AttackResult, error) {
+	return adversary.WorstCaseWith(pl, s, k, opts)
 }
 
 // LowerBoundSimple returns lbAvail_si(x, λ) (Lemma 2): a floor on
@@ -240,8 +235,9 @@ func HierarchicalTopology(n, zones, racksPerZone int) (*Topology, error) {
 // TreeTopology builds a uniform failure hierarchy of any depth:
 // branching is the fan-out per level from the top down, so
 // TreeTopology(n, 2, 3, 4) is 2 regions × 3 zones × 4 racks. Use
-// Topology.Collapse(level) for the flat view of any level, and the At
-// functions below to attack one.
+// Topology.Collapse(level) for the flat view of any level, and the
+// level argument of WorstDomainAttack or WorstConstrainedAttack to
+// attack one.
 func TreeTopology(n int, branching ...int) (*Topology, error) {
 	return topology.UniformTree(n, branching...)
 }
@@ -301,81 +297,22 @@ func SumWeights(w []int64, b int) int64 {
 	return placement.SumWeights(w, b)
 }
 
-// WorstDomainAttackWeighted is WorstDomainAttack scoring lost WEIGHT:
-// the adversary fails the d whole domains maximizing the failed
-// objects' total weight under w (nil = unit weights, reducing to
-// WorstDomainAttack). The result's Failed field is lost weight; pair it
-// with SumWeights for weighted availability.
-func WorstDomainAttackWeighted(pl *Placement, topo *Topology, s, d int, budget int64, w []int64) (DomainAttackResult, error) {
-	return adversary.DomainWorstCaseWith(pl, topo, s, d, adversary.SearchOpts{Budget: budget, ObjWeights: w})
-}
-
-// WorstAttackWeighted is WorstAttack scoring lost weight (see
-// WorstDomainAttackWeighted).
-func WorstAttackWeighted(pl *Placement, s, k int, budget int64, w []int64) (AttackResult, error) {
-	return adversary.WorstCaseWith(pl, s, k, adversary.SearchOpts{Budget: budget, ObjWeights: w})
-}
-
-// DomainAvail computes availability under the worst d whole-domain
-// failures (exact when budget <= 0), with its witnessing attack.
-func DomainAvail(pl *Placement, topo *Topology, s, d int, budget int64) (int, DomainAttackResult, error) {
-	return adversary.DomainAvail(pl, topo, s, d, budget)
-}
-
-// DomainAvailAt is DomainAvail with the adversary failing whole domains
-// of the given topology level (0 = top, LeafLevel = racks).
-func DomainAvailAt(pl *Placement, topo *Topology, level, s, d int, budget int64) (int, DomainAttackResult, error) {
-	return adversary.DomainAvailAt(pl, topo, level, s, d, budget)
-}
-
-// WorstDomainAttack returns the most damaging d-whole-domain failure
-// found (see DomainAvail for budget semantics).
-func WorstDomainAttack(pl *Placement, topo *Topology, s, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.DomainWorstCase(pl, topo, s, d, budget)
-}
-
-// WorstDomainAttackAt is WorstDomainAttack against whole domains of the
-// given topology level — fail zones or regions instead of racks with no
-// other change; the search core is identical at every level.
-func WorstDomainAttackAt(pl *Placement, topo *Topology, level, s, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.DomainWorstCaseAt(pl, topo, level, s, d, budget)
-}
-
-// WorstDomainAttackParallel is WorstDomainAttack fanned out over worker
-// goroutines (workers <= 0 selects GOMAXPROCS, 1 is exactly the serial
-// engine); workers share the incumbent bound and budget, so exact
-// searches return the same damage as the serial engine, faster — the
-// path to take once topologies reach hundreds of domains.
-func WorstDomainAttackParallel(pl *Placement, topo *Topology, s, d int, budget int64, workers int) (DomainAttackResult, error) {
-	return adversary.DomainWorstCasePar(pl, topo, s, d, budget, workers)
-}
-
-// WorstDomainAttackParallelAt is WorstDomainAttackParallel against
-// whole domains of the given topology level.
-func WorstDomainAttackParallelAt(pl *Placement, topo *Topology, level, s, d int, budget int64, workers int) (DomainAttackResult, error) {
-	return adversary.DomainWorstCaseParAt(pl, topo, level, s, d, budget, workers)
+// WorstDomainAttack returns the most damaging failure of d whole
+// domains of the given topology level (0 = top, LeafLevel = racks) —
+// fail zones or regions instead of racks with no other change; the
+// search core is identical at every level. Options as for WorstAttack;
+// DomainAttackResult.Avail gives the availability.
+func WorstDomainAttack(pl *Placement, topo *Topology, level, s, d int, opts AttackOptions) (DomainAttackResult, error) {
+	return adversary.DomainWorstCaseAtWith(pl, topo, level, s, d, opts)
 }
 
 // WorstConstrainedAttack returns the most damaging k-node failure
-// confined to at most d failure domains — the paper's adversary with a
-// correlation budget.
-func WorstConstrainedAttack(pl *Placement, topo *Topology, s, k, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.ConstrainedWorstCase(pl, topo, s, k, d, budget)
-}
-
-// WorstConstrainedAttackAt is WorstConstrainedAttack with the blast
-// radius counted in whole domains of the given topology level (k node
-// failures inside at most d zones, regions, ...).
-func WorstConstrainedAttackAt(pl *Placement, topo *Topology, level, s, k, d int, budget int64) (DomainAttackResult, error) {
-	return adversary.ConstrainedWorstCaseAt(pl, topo, level, s, k, d, budget)
-}
-
-// WorstConstrainedAttackParallel is WorstConstrainedAttack with the
-// domain subsets sharded across worker goroutines (workers <= 0 selects
-// GOMAXPROCS, 1 is exactly the serial engine), sharing the incumbent
-// and budget.
-func WorstConstrainedAttackParallel(pl *Placement, topo *Topology, s, k, d int, budget int64, workers int) (DomainAttackResult, error) {
-	return adversary.ConstrainedWorstCasePar(pl, topo, s, k, d, budget, workers)
+// confined to at most d domains of the given topology level — the
+// paper's adversary with a correlation budget. Options as for
+// WorstAttack; a positive Budget is one pool shared across every domain
+// subset, and Workers shards the subsets.
+func WorstConstrainedAttack(pl *Placement, topo *Topology, level, s, k, d int, opts AttackOptions) (DomainAttackResult, error) {
+	return adversary.ConstrainedWorstCaseAtWith(pl, topo, level, s, k, d, opts)
 }
 
 // NewAttackSession opens an incremental node-level adversary session on

@@ -23,14 +23,14 @@ func TestPlanMaterializeAttackRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avail, attack, err := repro.Avail(pl, s, k, 0)
+	attack, err := repro.WorstAttack(pl, s, k, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !attack.Exact {
 		t.Error("exact search expected at this size")
 	}
-	if int64(avail) < bound {
+	if avail := attack.Avail(b); int64(avail) < bound {
 		t.Errorf("Avail = %d below the guaranteed bound %d", avail, bound)
 	}
 }
@@ -53,11 +53,11 @@ func TestComboGuaranteeBeatsRandomEmpirically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		avail, _, err := repro.Avail(rp, s, k, 0)
+		attack, err := repro.WorstAttack(rp, s, k, repro.AttackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if avail < worstRandom {
+		if avail := attack.Avail(b); avail < worstRandom {
 			worstRandom = avail
 		}
 	}
@@ -74,11 +74,11 @@ func TestBuildSimpleAndParallelAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := repro.WorstAttack(pl, 2, 3, 0)
+	seq, err := repro.WorstAttack(pl, 2, 3, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := repro.WorstAttackParallel(pl, 2, 3, 0, 2)
+	par, err := repro.WorstAttack(pl, 2, 3, repro.AttackOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestMultiRegionFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for level := 0; level < topo.Levels(); level++ {
-		obliv, err := repro.WorstDomainAttackAt(pl, topo, level, s, 1, 0)
+		obliv, err := repro.WorstDomainAttack(pl, topo, level, s, 1, repro.AttackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spreadRes, err := repro.WorstDomainAttackAt(aware, topo, level, s, 1, 0)
+		spreadRes, err := repro.WorstDomainAttack(aware, topo, level, s, 1, repro.AttackOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestMultiRegionFacade(t *testing.T) {
 			t.Errorf("level %d: aware fails %d > oblivious %d", level, spreadRes.Failed, obliv.Failed)
 		}
 		// The parallel engine agrees with the serial one at every level.
-		par, err := repro.WorstDomainAttackParallelAt(pl, topo, level, s, 1, 0, 4)
+		par, err := repro.WorstDomainAttack(pl, topo, level, s, 1, repro.AttackOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +206,11 @@ func TestMultiRegionFacade(t *testing.T) {
 		}
 	}
 	// Constrained at region level: k nodes inside one region.
-	conRes, err := repro.WorstConstrainedAttackAt(aware, topo, 0, s, k, 1, 0)
+	conRes, err := repro.WorstConstrainedAttack(aware, topo, 0, s, k, 1, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := repro.WorstAttack(aware, s, k, 0)
+	free, err := repro.WorstAttack(aware, s, k, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestMultiRegionFacade(t *testing.T) {
 	if spreadStats.MinDomains < 1 {
 		t.Errorf("capped spread min domains = %d", spreadStats.MinDomains)
 	}
-	availAt, _, err := repro.DomainAvailAt(capped, topo, repro.LeafLevel, s, 1, 0)
+	cappedRes, err := repro.WorstDomainAttack(capped, topo, repro.LeafLevel, s, 1, repro.AttackOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if availAt < 0 || availAt > b {
-		t.Errorf("DomainAvailAt out of range: %d", availAt)
+	if availAt := cappedRes.Avail(b); availAt < 0 || availAt > b {
+		t.Errorf("leaf-level availability out of range: %d", availAt)
 	}
 }
