@@ -92,7 +92,7 @@ func randomTree(rng *rand.Rand, n int) *topology.Topology {
 	return topo
 }
 
-// diffCase is one random instance of TestDifferentialEngines: a
+// diffCase is one random instance of testDifferential: a
 // placement on a depth-2 tree, the node budget k, a domain count d per
 // attack level, and a skewed object-weight vector.
 type diffCase struct {
@@ -148,14 +148,27 @@ var diffEngines = []diffEngine{
 	}},
 }
 
-// TestDifferentialEngines runs every exported engine over model ×
+// TestDifferentialNodeEngines: exhaustive, greedy and branch-and-bound
+// node engines against brute force (see testDifferential).
+func TestDifferentialNodeEngines(t *testing.T) { testDifferential(t, "node") }
+
+// TestDifferentialDomainEngines: the domain engines at the leaf and top
+// level of a random tree against brute force (see testDifferential).
+func TestDifferentialDomainEngines(t *testing.T) { testDifferential(t, "domain") }
+
+// TestDifferentialConstrainedEngines: constrained exhaustive ≡
+// branch-and-bound ≡ brute force, witnesses within d domains (see
+// testDifferential).
+func TestDifferentialConstrainedEngines(t *testing.T) { testDifferential(t, "constrained") }
+
+// testDifferential runs every exported engine of one attack model over
 // engine × workers × level {leaf, top} × weights {unit, skewed} ×
 // budget {unlimited, small} and checks each result against independent
 // brute force:
 //
 //   - exact engines (exhaustive, unbudgeted branch-and-bound) equal the
-//     brute-force optimum and report Exact, so constrained exhaustive ≡
-//     branch-and-bound ≡ brute force; greedy and budgeted runs never
+//     brute-force optimum and report Exact (so, per model, exhaustive ≡
+//     branch-and-bound ≡ brute force); greedy and budgeted runs never
 //     exceed it, and a run claiming Exact equals it;
 //   - every witness replays to its reported damage and has the model's
 //     shape (k nodes, d domains, or ≤ k nodes inside ≤ d domains);
@@ -167,7 +180,7 @@ var diffEngines = []diffEngine{
 //     (the sharded constrained driver may overshoot by one state per
 //     worker, see search.Budget.Visit), and a serial run that stopped
 //     short spent exactly the budget.
-func TestDifferentialEngines(t *testing.T) {
+func testDifferential(t *testing.T, model string) {
 	const smallBudget = 4
 	rng := rand.New(rand.NewSource(61))
 	workerCounts := testWorkerCounts(t)
@@ -202,15 +215,20 @@ func TestDifferentialEngines(t *testing.T) {
 		for _, w := range [][]int64{nil, c.w} {
 			for _, level := range levels {
 				flat, d := flats[level], c.d[level]
-				want := map[string]int{
-					"domain":      referenceWeightedDomainWorst(c.pl, flat, c.s, d, unitIfNil(w, b)),
-					"constrained": referenceConstrainedWorstEff(c.pl, flat, c.s, c.k, d, w),
+				if model == "node" && level != topology.Leaf {
+					continue
 				}
-				if level == topology.Leaf {
-					want["node"] = referenceWeightedWorst(c.pl, c.s, c.k, unitIfNil(w, b))
+				var opt int
+				switch model {
+				case "node":
+					opt = referenceWeightedWorst(c.pl, c.s, c.k, unitIfNil(w, b))
+				case "domain":
+					opt = referenceWeightedDomainWorst(c.pl, flat, c.s, d, unitIfNil(w, b))
+				case "constrained":
+					opt = referenceConstrainedWorstEff(c.pl, flat, c.s, c.k, d, w)
 				}
 				for _, e := range diffEngines {
-					if e.leaf && level != topology.Leaf {
+					if e.model != model || (e.leaf && level != topology.Leaf) {
 						continue
 					}
 					var base DomainResult // workers 1, unlimited budget
@@ -223,7 +241,6 @@ func TestDifferentialEngines(t *testing.T) {
 								t.Fatalf("%s: %v", label, err)
 							}
 							checkDiffWitness(t, label, e.model, c, flat, d, w, res)
-							opt := want[e.model]
 							if res.Failed > opt || (res.Exact && res.Failed != opt) {
 								t.Errorf("%s: {failed %d, exact %v}, brute force %d", label, res.Failed, res.Exact, opt)
 							}
