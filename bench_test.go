@@ -613,7 +613,7 @@ func BenchmarkStealSkew(b *testing.B) {
 	seed := search.Greedy(probe)
 	probe.Reset()
 	serial := search.BranchAndBoundWith(probe, seed, search.NewBudget(0), search.BoundResidual)
-	newInst := func() (search.Instance, error) { return probe.Clone(), nil }
+	newInst := func() search.Instance { return probe.Clone() }
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
@@ -628,10 +628,7 @@ func BenchmarkStealSkew(b *testing.B) {
 	b.Run("steal/workers=8", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res, err := search.BranchAndBoundParallelWith(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := search.BranchAndBoundParallelWith(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("steal %d != serial %d", res.Failed, serial.Failed)
 			}

@@ -92,6 +92,21 @@ func parse(r io.Reader) (Report, error) {
 	return report, sc.Err()
 }
 
+// trimProcs strips the `-N` GOMAXPROCS suffix go test appends to a
+// benchmark name when GOMAXPROCS > 1, so rows recorded on any core
+// count share one key (BenchmarkFig2-2 and BenchmarkFig2 are the same
+// row). Only a trailing all-digit segment goes: sub-benchmark names
+// such as partition-s1-d10 or workers=8 come through intact, and no
+// tracked benchmark name may itself end in -<digits>.
+func trimProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if _, err := strconv.ParseUint(name[i+1:], 10, 0); err == nil {
+			return name[:i]
+		}
+	}
+	return name
+}
+
 // parseBenchLine parses one result row: `BenchmarkName-8  N  v1 u1  v2 u2 ...`.
 // Non-result lines starting with "Benchmark" (e.g. a bare name echoed by
 // -v) report ok = false rather than an error.
@@ -104,7 +119,7 @@ func parseBenchLine(line string) (Benchmark, bool, error) {
 	if err != nil {
 		return Benchmark{}, false, nil
 	}
-	b := Benchmark{Name: fields[0], Iterations: iters}
+	b := Benchmark{Name: trimProcs(fields[0]), Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		value, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

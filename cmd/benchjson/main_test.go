@@ -69,3 +69,35 @@ func TestParseSkipsNonResultLines(t *testing.T) {
 		t.Errorf("parsed %d benchmarks from junk, want 0", len(report.Benchmarks))
 	}
 }
+
+// TestParseTrimsProcsSuffix pins the row key: the -N GOMAXPROCS suffix
+// go test adds on multi-core hosts is stripped, so the rows match a
+// baseline recorded at GOMAXPROCS=1, while dashes and digits inside
+// sub-benchmark names survive.
+func TestParseTrimsProcsSuffix(t *testing.T) {
+	in := `BenchmarkFig2-2	1	10 ns/op
+BenchmarkBoundAblation/partition-s1-d10/bound=residual-16	1	10 ns/op
+BenchmarkDomainWorstCasePar/workers=8-2	1	10 ns/op
+BenchmarkBoundAblation/partition-s1-d10	1	10 ns/op
+BenchmarkDomainWorstCasePar/workers=8	1	10 ns/op
+`
+	report, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"BenchmarkFig2",
+		"BenchmarkBoundAblation/partition-s1-d10/bound=residual",
+		"BenchmarkDomainWorstCasePar/workers=8",
+		"BenchmarkBoundAblation/partition-s1-d10",
+		"BenchmarkDomainWorstCasePar/workers=8",
+	}
+	if len(report.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d rows, want %d", len(report.Benchmarks), len(want))
+	}
+	for i, b := range report.Benchmarks {
+		if b.Name != want[i] {
+			t.Errorf("row %d: name %q, want %q", i, b.Name, want[i])
+		}
+	}
+}

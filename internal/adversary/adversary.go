@@ -70,14 +70,6 @@ type SearchOpts struct {
 	// default) or search.BoundStatic (the ablation baseline). Both
 	// return identical results; residual visits no more states.
 	Bound search.Bound
-	// MemoCap bounds the damage memo of incremental Sessions (the
-	// one-shot engines keep no memo): total memoized results across
-	// the memo's shards, evicted FIFO past the cap. 0 picks a default
-	// large enough that bounded workloads never evict (1<<16); < 0 is
-	// unlimited. Parallel probing (Session.ProbeMoves) is visit-count
-	// deterministic only while the cap is unreached — see the session
-	// docs — so leave it at the default unless memory is the concern.
-	MemoCap int
 	// ObjWeights switches every engine to weighted damage: object obj
 	// is worth ObjWeights[obj] (>= 0) and the adversary maximizes the
 	// total weight of the failed objects instead of their count —
@@ -87,20 +79,10 @@ type SearchOpts struct {
 	// reproduces the unweighted search byte for byte: same damage, same
 	// witness, same visited-state count. nil means unit weights. Derive
 	// per-object weights from a topology's node weights with
-	// placement.ObjectWeights.
+	// placement.ObjectWeights. A vector whose weighted replica total
+	// r·Σw overflows int64 is rejected with a
+	// *placement.WeightOverflowError.
 	ObjWeights []int64
-}
-
-// resolveMemoCap maps the SearchOpts convention onto a concrete cap
-// for newSessionMemo (0 there = unlimited).
-func (o SearchOpts) resolveMemoCap() int {
-	if o.MemoCap < 0 {
-		return 0
-	}
-	if o.MemoCap == 0 {
-		return defaultMemoCap
-	}
-	return o.MemoCap
 }
 
 // resolveWorkers maps the SearchOpts convention onto a concrete count.
@@ -114,19 +96,15 @@ func (o SearchOpts) resolveWorkers() int {
 	return o.Workers
 }
 
-// runBranchAndBound is the one greedy-seed → Reset → serial-or-parallel
-// branch-and-bound dispatch shared by the node- and domain-level
-// engines (the constrained pair shards domain subsets instead).
-func runBranchAndBound(probe search.Instance, clone func() search.Instance, opts SearchOpts) (search.Result, error) {
-	seed := search.Greedy(probe)
-	probe.Reset()
-	bud := search.NewBudget(opts.Budget)
-	if workers := opts.resolveWorkers(); workers > 1 {
-		return search.BranchAndBoundParallelWith(probe, func() (search.Instance, error) {
-			return clone(), nil
-		}, seed, bud, workers, opts.Bound)
-	}
-	return search.BranchAndBoundWith(probe, seed, bud, opts.Bound), nil
+// runBranchAndBound is the one serial-or-parallel branch-and-bound
+// dispatch from a seed (search.WarmSeed's) shared by the node- and
+// domain-level engines and the Session (the constrained pair shards
+// domain subsets instead). Parallel workers search clones of in; the
+// work-stealing driver unwinds in before its workers exit, so in comes
+// back clean.
+func runBranchAndBound(in *search.HitInstance, seed search.Result, opts SearchOpts) search.Result {
+	return search.BranchAndBoundParallelWith(in, func() search.Instance { return in.Clone() },
+		seed, search.NewBudget(opts.Budget), opts.resolveWorkers(), opts.Bound)
 }
 
 // nodeInstance adapts a placement to search.HitInstance with individual
@@ -138,39 +116,21 @@ type nodeInstance struct {
 }
 
 // checkObjWeights validates an optional per-object weight vector
-// against a placement's object count.
-func checkObjWeights(w []int64, b int) error {
+// against a placement: one non-negative weight per object, with a
+// weighted replica total that fits the int64 loads.
+func checkObjWeights(w []int64, pl *placement.Placement) error {
 	if w == nil {
 		return nil
 	}
-	if len(w) != b {
-		return fmt.Errorf("adversary: %d object weights for %d objects", len(w), b)
+	if len(w) != pl.B() {
+		return fmt.Errorf("adversary: %d object weights for %d objects", len(w), pl.B())
 	}
 	for obj, v := range w {
 		if v < 0 {
 			return fmt.Errorf("adversary: object %d weight %d negative", obj, v)
 		}
 	}
-	return nil
-}
-
-// weightedLoads maps per-candidate hit lists to their weighted loads
-// Σ C·w[obj] — the load contract of a SetWeights instance. With w nil
-// it returns the plain replica counts.
-func weightedLoads(hitLists [][]search.Hit, w []int64) []int64 {
-	loads := make([]int64, len(hitLists))
-	for i, hl := range hitLists {
-		var sum int64
-		for _, h := range hl {
-			c := int64(h.C)
-			if w != nil {
-				c *= w[h.Obj]
-			}
-			sum += c
-		}
-		loads[i] = sum
-	}
-	return loads
+	return placement.CheckWeightTotal(w, pl.R)
 }
 
 func newInstance(pl *placement.Placement, s, k int, w []int64) (*nodeInstance, error) {
@@ -183,24 +143,19 @@ func newInstance(pl *placement.Placement, s, k int, w []int64) (*nodeInstance, e
 	if k < 1 || k >= pl.N {
 		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
 	}
-	if err := checkObjWeights(w, pl.B()); err != nil {
+	if err := checkObjWeights(w, pl); err != nil {
 		return nil, err
 	}
 	perNode := nodeHits(pl)
 	loadsByNode := pl.NodeLoads()
-	wloads := weightedLoads(perNode, w)
+	wloads := search.WeightedLoads(perNode, w)
 	var candidates []int
 	for nd, l := range loadsByNode {
 		if l > 0 {
 			candidates = append(candidates, nd)
 		}
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if wloads[candidates[i]] != wloads[candidates[j]] {
-			return wloads[candidates[i]] > wloads[candidates[j]]
-		}
-		return candidates[i] < candidates[j]
-	})
+	search.CanonicalOrder(candidates, wloads)
 	// If fewer than k nodes carry load, pad with empty nodes (they do no
 	// harm, but the attack set must have k members; k < n guarantees
 	// enough nodes exist).
@@ -233,13 +188,6 @@ func nodeHits(pl *placement.Placement) [][]search.Hit {
 		}
 	}
 	return perNode
-}
-
-// clone returns an independent searcher sharing the immutable
-// preprocessing (CSR hits, candidate order, loads) with fresh counters —
-// how the parallel driver stamps out per-worker instances.
-func (in *nodeInstance) clone() *nodeInstance {
-	return &nodeInstance{HitInstance: in.HitInstance.Clone(), candidates: in.candidates}
 }
 
 // result translates a core result from candidate-index space to node ids.
@@ -294,11 +242,8 @@ func WorstCaseWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runBranchAndBound(in, func() search.Instance { return in.clone() }, opts)
-	if err != nil {
-		return Result{}, err
-	}
+	seed, _ := search.WarmSeed(in, nil, nil)
 	// Candidate order is deterministic, so in translates any worker's
 	// selection.
-	return in.result(res), nil
+	return in.result(runBranchAndBound(in.HitInstance, seed, opts)), nil
 }

@@ -89,7 +89,7 @@ func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, 
 	if s < 1 || s > pl.R {
 		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
 	}
-	if err := checkObjWeights(w, pl.B()); err != nil {
+	if err := checkObjWeights(w, pl); err != nil {
 		return nil, err
 	}
 	nd := topo.NumDomains()
@@ -101,18 +101,13 @@ func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, 
 	}
 	in := &domInstance{HitInstance: search.NewHitInstance(s, pl.B()), topo: topo}
 	byDomain, loads := placement.DomainHits(pl, topo)
-	wloads := weightedLoads(byDomain, w)
+	wloads := search.WeightedLoads(byDomain, w)
 	for di := 0; di < nd; di++ {
 		if loads[di] > 0 {
 			in.cands = append(in.cands, di)
 		}
 	}
-	sort.Slice(in.cands, func(i, j int) bool {
-		if wloads[in.cands[i]] != wloads[in.cands[j]] {
-			return wloads[in.cands[i]] > wloads[in.cands[j]]
-		}
-		return in.cands[i] < in.cands[j]
-	})
+	search.CanonicalOrder(in.cands, wloads)
 	// Pad with empty domains so the attack set can always have d members.
 	for di := 0; di < nd && len(in.cands) < d; di++ {
 		if loads[di] == 0 {
@@ -128,12 +123,6 @@ func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, 
 	in.Reinit(d, hitLists, ordered)
 	in.SetWeights(w)
 	return in, nil
-}
-
-// clone returns an independent searcher sharing the immutable
-// preprocessing (hits, loads, candidate order) with fresh counters.
-func (in *domInstance) clone() *domInstance {
-	return &domInstance{HitInstance: in.HitInstance.Clone(), topo: in.topo, cands: in.cands}
 }
 
 // result translates a core result from candidate-index space to domain
@@ -197,11 +186,8 @@ func DomainWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, lev
 	if err != nil {
 		return DomainResult{}, err
 	}
-	res, err := runBranchAndBound(in, func() search.Instance { return in.clone() }, opts)
-	if err != nil {
-		return DomainResult{}, err
-	}
-	return in.result(res), nil
+	seed, _ := search.WarmSeed(in, nil, nil)
+	return in.result(runBranchAndBound(in.HitInstance, seed, opts)), nil
 }
 
 // constrainedShared is the subset-independent preprocessing of a
@@ -237,13 +223,13 @@ func newConstrainedShared(pl *placement.Placement, topo *topology.Topology, leve
 	if d < 1 || d > topo.NumDomains() {
 		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, topo.NumDomains())
 	}
-	if err := checkObjWeights(w, pl.B()); err != nil {
+	if err := checkObjWeights(w, pl); err != nil {
 		return nil, err
 	}
 	sh := &constrainedShared{pl: pl, topo: topo, s: s, k: k, d: d, w: w}
 	sh.nodeHits = nodeHits(pl)
 	sh.loadsByNode = pl.NodeLoads()
-	sh.wloads = weightedLoads(sh.nodeHits, w)
+	sh.wloads = search.WeightedLoads(sh.nodeHits, w)
 	for node, l := range sh.loadsByNode {
 		if l > 0 {
 			sh.loaded = append(sh.loaded, node)
@@ -251,12 +237,7 @@ func newConstrainedShared(pl *placement.Placement, topo *topology.Topology, leve
 			sh.empty = append(sh.empty, node)
 		}
 	}
-	sort.Slice(sh.loaded, func(i, j int) bool {
-		if sh.wloads[sh.loaded[i]] != sh.wloads[sh.loaded[j]] {
-			return sh.wloads[sh.loaded[i]] > sh.wloads[sh.loaded[j]]
-		}
-		return sh.loaded[i] < sh.loaded[j]
-	})
+	search.CanonicalOrder(sh.loaded, sh.wloads)
 	return sh, nil
 }
 
@@ -330,8 +311,7 @@ type constrainedRun struct {
 // dominated states — then branch-and-bound and merge into the best.
 func (cr *constrainedRun) searchSubset(domains []int, sc *constrainedScratch) {
 	in := cr.sh.subsetInstance(domains, sc)
-	seed := search.Greedy(in)
-	in.Reset()
+	seed, _ := search.WarmSeed(in, nil, nil)
 	cr.mu.Lock()
 	global := cr.best.Failed
 	cr.mu.Unlock()

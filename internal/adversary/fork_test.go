@@ -180,12 +180,14 @@ func TestSessionMemoEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	pl := randomPlacement(rng, 10, 3, 20)
 	const s, k = 2, 3
-	// Cap far below the chain's distinct placements: one entry per
-	// shard at most.
-	se, err := NewNodeSession(pl, s, k, SearchOpts{MemoCap: memoShards})
+	se, err := NewNodeSession(pl, s, k, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cap far below the chain's distinct placements: one entry per
+	// shard at most. The memo is still empty, so swapping it loses
+	// nothing.
+	se.memo = newSessionMemo(memoShards)
 	cur := pl.Clone()
 	type step struct{ obj, from, to, damage int }
 	var chain []step
@@ -201,7 +203,7 @@ func TestSessionMemoEviction(t *testing.T) {
 		chain = append(chain, step{obj, from, to, got.Failed})
 	}
 	if st := se.Stats(); st.MemoEvicted == 0 {
-		t.Fatalf("40 distinct placements under MemoCap=%d evicted nothing: %+v", memoShards, st)
+		t.Fatalf("40 distinct placements under a memo cap of %d evicted nothing: %+v", memoShards, st)
 	}
 	// Walk the chain backwards: every revert's damage must match what
 	// the forward pass measured, evicted or not.

@@ -18,12 +18,12 @@ type Move struct {
 // the shared memo negligible without bloating small sessions.
 const memoShards = 16
 
-// defaultMemoCap bounds a session memo when SearchOpts.MemoCap is left
-// zero: large enough that bounded workloads (every tracked benchmark,
-// the reconcile goldens) never evict — eviction order is publish order,
-// which parallel probing does not fix, so the determinism contract is
-// strongest when the cap is not reached — yet a hard ceiling on a
-// years-long reconcile loop's memory.
+// defaultMemoCap bounds every session memo: large enough that bounded
+// workloads (every tracked benchmark, the reconcile goldens) never
+// evict — eviction order is publish order, which parallel probing does
+// not fix, so the determinism contract is strongest when the cap is
+// not reached — yet a hard ceiling on a years-long reconcile loop's
+// memory.
 const defaultMemoCap = 1 << 16
 
 // memoShard is one stripe: a signature→result map plus the FIFO queue
@@ -41,19 +41,15 @@ type memoShard struct {
 // damage is a pure function of the placement, so concurrent publishers
 // agree) and evicted FIFO per shard once the capacity cap is reached.
 type sessionMemo struct {
-	shardCap int // per-shard entry cap; <= 0 = unlimited
+	shardCap int // per-shard entry cap
 	evicted  atomic.Int64
 	shards   [memoShards]memoShard
 }
 
-// newSessionMemo sizes a memo for a total capacity of cap entries
-// (<= 0 = unlimited), spread over the shards.
+// newSessionMemo sizes a memo for a total capacity of cap > 0 entries,
+// spread over the shards.
 func newSessionMemo(cap int) *sessionMemo {
-	sm := &sessionMemo{}
-	if cap > 0 {
-		sm.shardCap = (cap + memoShards - 1) / memoShards
-	}
-	return sm
+	return &sessionMemo{shardCap: (cap + memoShards - 1) / memoShards}
 }
 
 func (sm *sessionMemo) shard(sig placement.Sig) *memoShard {
@@ -86,7 +82,7 @@ func (sm *sessionMemo) put(sig placement.Sig, res SessionResult) {
 	}
 	sh.m[sig] = res
 	sh.fifo = append(sh.fifo, sig)
-	if sm.shardCap > 0 && len(sh.m) > sm.shardCap {
+	if len(sh.m) > sm.shardCap {
 		delete(sh.m, sh.fifo[sh.head])
 		sh.head++
 		sm.evicted.Add(1)

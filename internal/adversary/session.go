@@ -25,9 +25,9 @@ import (
 //     the domain instance at all, so the previous result is returned
 //     verbatim.
 //   - Warm-started search: the previous witness is re-validated on the
-//     patched instance (search.Revalidate) and seeds branch-and-bound
-//     whenever it beats the greedy incumbent, so the first prune is
-//     already tight; and since one replica of weight w shifts the
+//     patched instance and seeds branch-and-bound whenever it beats the
+//     greedy incumbent (search.WarmSeed), so the first prune is already
+//     tight; and since one replica of weight w shifts the
 //     optimum by at most ±w, a re-validated witness that gains the
 //     full +w is provably optimal and skips the search entirely.
 //   - Damage memoization: exact results are cached by canonical
@@ -41,8 +41,8 @@ import (
 // internal lock. Parallelism lives in two places: inside one evaluation
 // (SearchOpts.Workers) and across probe evaluations (ProbeMoves fans a
 // batch of probes over Fork children that share the session's damage
-// memo). The memo is capped (SearchOpts.MemoCap) with FIFO eviction, so
-// an unbounded reconcile run cannot grow it without limit.
+// memo). The memo is capped (defaultMemoCap entries) with FIFO
+// eviction, so an unbounded reconcile run cannot grow it without limit.
 type Session struct {
 	mu   sync.Mutex
 	s, k int
@@ -132,12 +132,12 @@ func NewNodeSession(pl *placement.Placement, s, k int, opts SearchOpts) (*Sessio
 	if k < 1 || k >= pl.N {
 		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
 	}
-	if err := checkObjWeights(opts.ObjWeights, pl.B()); err != nil {
+	if err := checkObjWeights(opts.ObjWeights, pl); err != nil {
 		return nil, err
 	}
 	se := &Session{s: s, k: k, opts: opts, pl: pl.Clone(),
 		inst: search.NewHitInstance(s, pl.B()),
-		memo: newSessionMemo(opts.resolveMemoCap())}
+		memo: newSessionMemo(defaultMemoCap)}
 	se.rebuild()
 	return se, nil
 }
@@ -159,12 +159,12 @@ func NewDomainSession(pl *placement.Placement, topo *topology.Topology, level, s
 	if d < 1 || d > flat.NumDomains() {
 		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, flat.NumDomains())
 	}
-	if err := checkObjWeights(opts.ObjWeights, pl.B()); err != nil {
+	if err := checkObjWeights(opts.ObjWeights, pl); err != nil {
 		return nil, err
 	}
 	se := &Session{s: s, k: d, topo: flat, opts: opts, pl: pl.Clone(),
 		inst: search.NewHitInstance(s, pl.B()),
-		memo: newSessionMemo(opts.resolveMemoCap())}
+		memo: newSessionMemo(defaultMemoCap)}
 	se.rebuild()
 	return se, nil
 }
@@ -374,20 +374,13 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 		return cached
 	}
 
-	seed := search.Greedy(se.inst)
-	se.inst.Reset()
-	warm := false
+	var prev []int
 	if se.last != nil {
-		sel := make([]int, len(se.last.ids))
-		for i, id := range se.last.ids {
-			sel[i] = se.pos[id]
-		}
-		sort.Ints(sel)
-		if rv := search.Revalidate(se.inst, sel); rv > seed.Failed {
-			seed = search.Result{Failed: rv, Sel: sel}
-			warm = true
-			se.stats.WarmSeeds++
-		}
+		prev = se.last.ids
+	}
+	seed, warm := search.WarmSeed(se.inst, prev, se.pos)
+	if warm {
+		se.stats.WarmSeeds++
 	}
 
 	var res search.Result
@@ -396,16 +389,7 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 		se.stats.BracketSkips++
 		res = search.Result{Failed: seed.Failed, Sel: seed.Sel, Exact: true}
 	} else {
-		bud := search.NewBudget(se.opts.Budget)
-		if workers := se.opts.resolveWorkers(); workers > 1 {
-			// The work-stealing driver unwinds the probe before its
-			// workers exit, so se.inst stays clean for the next eval.
-			res, _ = search.BranchAndBoundParallelWith(se.inst, func() (search.Instance, error) {
-				return se.inst.Clone(), nil
-			}, seed, bud, workers, se.opts.Bound)
-		} else {
-			res = search.BranchAndBoundWith(se.inst, seed, bud, se.opts.Bound)
-		}
+		res = runBranchAndBound(se.inst, seed, se.opts)
 		se.stats.Visited += res.Visited
 	}
 
@@ -551,11 +535,11 @@ func (se *Session) probe(m Move) SessionResult {
 // session's memo; because every probe is evaluated from the same base
 // state and warm baseline (see probe), the results — damage, witness,
 // exactness, even the visited-state counts — are byte-identical at any
-// worker count, as long as the memo cap is not reached (eviction order
-// is publish order, which parallelism does not fix; results stay
-// correct regardless, only memo hits vary). The forks' counters fold
-// into the session's stats before the call returns. An invalid move
-// reports Failed = -1 in its slot.
+// worker count, as long as the memo cap (defaultMemoCap) is not
+// reached (eviction order is publish order, which parallelism does not
+// fix; results stay correct regardless, only memo hits vary). The
+// forks' counters fold into the session's stats before the call
+// returns. An invalid move reports Failed = -1 in its slot.
 func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -601,8 +585,8 @@ func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 
 // rebuild (re)derives the live instance from the session's placement:
 // every node (or attack-level domain) is a candidate — any move target
-// must exist — ordered canonically by weighted load descending, ties
-// by id ascending, exactly how the one-shot engines order theirs. The
+// must exist — in the canonical order the one-shot engines use too
+// (search.CanonicalOrder: weighted load descending, ties by id). The
 // id ↔ position maps then track every ApplyMove re-sort through the
 // EnableMoves onSwap mirror.
 func (se *Session) rebuild() {
@@ -613,7 +597,7 @@ func (se *Session) rebuild() {
 	} else {
 		se.byID = nodeHits(se.pl)
 	}
-	wloads := weightedLoads(se.byID, w)
+	wloads := search.WeightedLoads(se.byID, w)
 	m := len(se.byID)
 	if se.ids == nil {
 		se.ids = make([]int, m)
@@ -625,12 +609,7 @@ func (se *Session) rebuild() {
 	for i := range se.ids {
 		se.ids[i] = i
 	}
-	sort.Slice(se.ids, func(a, b int) bool {
-		if wloads[se.ids[a]] != wloads[se.ids[b]] {
-			return wloads[se.ids[a]] > wloads[se.ids[b]]
-		}
-		return se.ids[a] < se.ids[b]
-	})
+	search.CanonicalOrder(se.ids, wloads)
 	for i, id := range se.ids {
 		se.pos[id] = i
 		se.keys[i] = int32(id)

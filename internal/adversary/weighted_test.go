@@ -1,6 +1,8 @@
 package adversary
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -293,5 +295,65 @@ func TestObjWeightsValidation(t *testing.T) {
 	bad[3] = -1
 	if _, err := WorstCaseWith(pl, 1, 2, SearchOpts{ObjWeights: bad}); err == nil {
 		t.Error("negative weight accepted")
+	}
+}
+
+// TestWeightOverflowRejected pins fail-closed weights: two objects of
+// weight MaxInt64 would wrap node 0's weighted load Σ C·w negative,
+// sink it to the end of the candidate order and let the search return
+// the light attack {3 4} as exact. Every engine and session rejects
+// the vector with a *placement.WeightOverflowError instead.
+func TestWeightOverflowRejected(t *testing.T) {
+	pl := placement.NewPlacement(6, 2)
+	for _, obj := range [][]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}} {
+		if err := pl.Add(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo, err := topology.Uniform(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SearchOpts{ObjWeights: []int64{math.MaxInt64, math.MaxInt64, 1, 1, 1, 1}}
+	const s, k = 1, 2
+	calls := map[string]func() error{
+		"ExhaustiveWith": func() error { _, err := ExhaustiveWith(pl, s, k, opts); return err },
+		"GreedyWith":     func() error { _, err := GreedyWith(pl, s, k, opts); return err },
+		"WorstCaseWith":  func() error { _, err := WorstCaseWith(pl, s, k, opts); return err },
+		"DomainWorstCaseAtWith": func() error {
+			_, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, k, opts)
+			return err
+		},
+		"ConstrainedWorstCaseAtWith": func() error {
+			_, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, 1, opts)
+			return err
+		},
+		"NewNodeSession": func() error { _, err := NewNodeSession(pl, s, k, opts); return err },
+		"NewDomainSession": func() error {
+			_, err := NewDomainSession(pl, topo, topology.Leaf, s, k, opts)
+			return err
+		},
+	}
+	for name, call := range calls {
+		var oe *placement.WeightOverflowError
+		if err := call(); !errors.As(err, &oe) {
+			t.Errorf("%s: err = %v, want *placement.WeightOverflowError", name, err)
+		}
+	}
+
+	// The largest admissible total, r·Σw <= MaxInt64, still searches —
+	// and attacks the heavy objects.
+	half := int64(math.MaxInt64) / 2
+	opts.ObjWeights = []int64{half - 4, 1, 1, 1, 1, 0}
+	res, err := WorstCaseWith(pl, s, k, opts)
+	if err != nil {
+		t.Fatalf("boundary weights rejected: %v", err)
+	}
+	ex, err := ExhaustiveWith(pl, s, k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != ex.Failed || !res.Exact {
+		t.Fatalf("boundary weights: worst case %+v, exhaustive %+v", res, ex)
 	}
 }

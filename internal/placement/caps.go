@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/search"
 	"repro/internal/topology"
 )
 
@@ -132,12 +133,7 @@ func CheckCaps(topo *topology.Topology, loads []int, caps [][]int) ([]int, *CapC
 	for i := range nodesDesc {
 		nodesDesc[i] = i
 	}
-	sort.Slice(nodesDesc, func(a, b int) bool {
-		if loads[nodesDesc[a]] != loads[nodesDesc[b]] {
-			return loads[nodesDesc[a]] > loads[nodesDesc[b]]
-		}
-		return nodesDesc[a] < nodesDesc[b]
-	})
+	search.CanonicalOrder(nodesDesc, loads)
 	prefixAsc := make([]int64, n+1)
 	{
 		asc := make([]int64, n)

@@ -1,8 +1,8 @@
 package placement
 
 // Canonical placement signatures: the memo key incremental adversary
-// sessions (internal/adversary, and the spread pass's candidate
-// scoring) cache exact damage under. Two placements collide only if
+// sessions (internal/adversary) cache exact damage under, and the key
+// the spread pass deduplicates its candidates by. Two placements collide only if
 // both 64-bit FNV-style streams collide, and the stream is canonical
 // by construction — objects in index order, each object's replica set
 // ascending (the bitset order ReplicaNodes already guarantees) — so

@@ -100,8 +100,8 @@ func DomainSpread(pl *Placement, topo *topology.Topology) (SpreadStats, error) {
 // DomainHits aggregates, per domain of topo, the (object, replicas
 // inside the domain) hits of pl in ascending object order, plus each
 // domain's total replica load. It is the one construction both domain
-// search adapters — package adversary's engine instance and this
-// package's spread-scoring session — build their candidates from.
+// search adapters — package adversary's engine instance and session,
+// and this package's spread scorer — build their candidates from.
 func DomainHits(pl *Placement, topo *topology.Topology) ([][]search.Hit, []int64) {
 	nd := topo.NumDomains()
 	perDomain := make([]map[int32]int32, nd)
@@ -162,16 +162,29 @@ type SpreadOpts struct {
 	// counters (exact evaluations, memo hits, warm seeds, rebuilds)
 	// across every exact level. See SpreadTelemetry.
 	Telemetry *SpreadTelemetry
-	// ProbeWorkers > 1 fans each exact level's candidate scoring out
-	// over that many goroutines. Selection is unchanged at any worker
-	// count — candidate damages are exact, so the winning mapping is
-	// identical to the serial scan's — and the Evals/MemoHits/Rebuilds
-	// telemetry totals match the serial scan too (duplicate candidates
-	// are deduplicated by placement signature up front, exactly what
-	// the serial memo catches); only WarmSeeds may differ, since warm
-	// witnesses chain per worker stripe instead of across the whole
-	// candidate order. 0 or 1 is the serial scan.
+	// ProbeWorkers > 1 deals each exact level's unique candidates to
+	// that many stripes, scored on their own goroutines. Selection is
+	// unchanged at any worker count — candidate damages are exact, so
+	// the winning mapping is identical to the serial scan's — and so are
+	// the Evals/MemoHits/Rebuilds totals; only WarmSeeds may differ,
+	// since warm witnesses chain along a stripe. 0 or 1 is the serial
+	// scan: one stripe.
 	ProbeWorkers int
+}
+
+// SpreadTelemetry reports how much search work SpreadAcrossDomainsWith's
+// candidate scoring actually performed. Hand one in via
+// SpreadOpts.Telemetry to have the counters accumulated across every
+// exact level: every candidate is an evaluation, answered either by an
+// earlier candidate of the same level with the same weighted placement
+// signature (a memo hit, no search) or by a rebuild and an exact
+// search; warm seeds count the searches that started from the
+// previous search's re-validated witness instead of greedy alone.
+type SpreadTelemetry struct {
+	Evals     int64 // exact candidate evaluations requested
+	MemoHits  int64 // duplicates of an earlier candidate, no search run
+	WarmSeeds int64 // searches seeded by the previous search's witness
+	Rebuilds  int64 // instance reinitializations (one per unique candidate)
 }
 
 // SpreadAcrossDomains relabels pl's abstract node ids onto physical
@@ -321,11 +334,11 @@ func SpreadAcrossDomainsWith(pl *Placement, topo *topology.Topology, s, d int, o
 			}
 		}
 	}
-	// Score level by level so each exact level's spreadSession carries
-	// its memo and warm witness across every candidate: candidate
-	// mappings permute one placement, so consecutive candidates share
-	// worst attacks (warm seeds) and duplicates — the identity most
-	// often — share whole evaluations (memo hits).
+	// Score level by level so each exact level's scorers carry their
+	// warm witness across candidates: candidate mappings permute one
+	// placement, so consecutive candidates share worst attacks (warm
+	// seeds) and duplicates — the identity most often — share whole
+	// evaluations (memo hits).
 	tel := opts.Telemetry
 	if tel == nil {
 		tel = &SpreadTelemetry{}
@@ -336,14 +349,7 @@ func SpreadAcrossDomainsWith(pl *Placement, topo *topology.Topology, s, d int, o
 	}
 	for li, le := range levels {
 		if le.exact {
-			if w := opts.ProbeWorkers; w > 1 && len(candidates) > 1 {
-				scoreExactLevelParallel(damages, li, mapped, objWs, le.flat, s, le.d, pl.B(), tel, w)
-			} else {
-				ss := newSpreadSession(s, le.d, pl.B(), le.flat.NumDomains(), spreadMemoCap, tel)
-				for i := range candidates {
-					damages[i][li] = ss.damage(mapped[i], le.flat, objWs[i])
-				}
-			}
+			scoreExactLevel(damages, li, mapped, objWs, le.flat, s, le.d, opts.ProbeWorkers, tel)
 		} else {
 			for i := range candidates {
 				damages[i][li] = topLoadedDamage(mapped[i], le.flat, s, le.d, objWs[i])
@@ -362,57 +368,109 @@ func SpreadAcrossDomainsWith(pl *Placement, topo *topology.Topology, s, d int, o
 	return mapped[bestIdx], candidates[bestIdx], nil
 }
 
-// scoreExactLevelParallel scores one exact level's candidates over
-// workers goroutines, filling damages[i][li] for every candidate i.
-// Candidates are deduplicated by weighted placement signature first —
-// the duplicates the serial scan's memo would catch — then the unique
-// placements are dealt to workers in deterministic stripes, each worker
-// scoring its stripe through a private spreadSession (warm witnesses
-// chain within the stripe). Damages are exact, so the filled vector —
-// hence the spread pass's selection — is byte-identical to the serial
-// scan at any worker count.
-func scoreExactLevelParallel(damages [][]int, li int, mapped []*Placement, objWs [][]int64,
-	flat *topology.Topology, s, d, b int, tel *SpreadTelemetry, workers int) {
+// scoreExactLevel fills damages[i][li] with every candidate's exact
+// worst d-domain damage under flat (lost weight under objWs[i]).
+// Candidates are deduplicated by weighted placement signature first,
+// then the unique placements are dealt to min(workers, unique)
+// deterministic stripes, each scored on its own goroutine by a
+// spreadScorer that chains its warm witness along the stripe. One
+// stripe is the serial scan. Damages are exact, so the filled vector —
+// hence the spread pass's selection — is identical at any worker count.
+func scoreExactLevel(damages [][]int, li int, mapped []*Placement, objWs [][]int64,
+	flat *topology.Topology, s, d, workers int, tel *SpreadTelemetry) {
 	n := len(mapped)
 	sigs := make([]Sig, n)
-	uniq := make(map[Sig]int, n) // signature → first candidate index
-	var order []int              // first-candidate indexes, in candidate order
+	first := make(map[Sig]int, n) // signature → first candidate index
+	var uniq []int                // first-candidate indexes, in candidate order
 	for i := range mapped {
 		sigs[i] = WeightSignature(Signature(mapped[i]), objWs[i])
-		if _, ok := uniq[sigs[i]]; !ok {
-			uniq[sigs[i]] = i
-			order = append(order, i)
+		if _, ok := first[sigs[i]]; !ok {
+			first[sigs[i]] = i
+			uniq = append(uniq, i)
 		}
 	}
-	if workers > len(order) {
-		workers = len(order)
-	}
+	stripes := min(max(workers, 1), len(uniq))
 	scored := make([]int, n) // damage per first-candidate index
-	var mu sync.Mutex
+	warm := make([]int64, stripes)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for st := 0; st < stripes; st++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(st int) {
 			defer wg.Done()
-			var wtel SpreadTelemetry
-			ss := newSpreadSession(s, d, b, flat.NumDomains(), spreadMemoCap, &wtel)
-			for oi := w; oi < len(order); oi += workers {
-				i := order[oi]
-				scored[i] = ss.damage(mapped[i], flat, objWs[i])
+			sc := newSpreadScorer(s, d, mapped[0].B(), flat.NumDomains())
+			for u := st; u < len(uniq); u += stripes {
+				i := uniq[u]
+				scored[i] = sc.damage(mapped[i], flat, objWs[i])
 			}
-			mu.Lock()
-			tel.add(wtel)
-			mu.Unlock()
-		}(w)
+			warm[st] = sc.warmSeeds
+		}(st)
 	}
 	wg.Wait()
 	for i := range mapped {
-		damages[i][li] = scored[uniq[sigs[i]]]
+		damages[i][li] = scored[first[sigs[i]]]
 	}
-	// The deduplicated candidates are the serial scan's memo hits: count
-	// them so the Evals/MemoHits/Rebuilds totals match serial exactly.
-	tel.Evals += int64(n - len(order))
-	tel.MemoHits += int64(n - len(order))
+	tel.Evals += int64(n)
+	tel.MemoHits += int64(n - len(uniq))
+	tel.Rebuilds += int64(len(uniq))
+	for _, w := range warm {
+		tel.WarmSeeds += w
+	}
+}
+
+// spreadScorer evaluates one stripe of spread candidates at one
+// (level, d) through a single reused search instance: each candidate
+// Reinits the same backing arrays, in the canonical candidate order,
+// and the previous candidate's witness — by domain id, so it survives
+// the re-sort — warm-seeds the exact branch-and-bound.
+type spreadScorer struct {
+	d         int
+	in        *search.HitInstance
+	last      []int // previous witness, in domain-id space
+	ids       []int // candidate position → domain id
+	pos       []int // domain id → candidate position
+	lists     [][]search.Hit
+	loads     []int64
+	warmSeeds int64
+}
+
+func newSpreadScorer(s, d, b, numDomains int) *spreadScorer {
+	return &spreadScorer{
+		d:     d,
+		in:    search.NewHitInstance(s, b),
+		ids:   make([]int, numDomains),
+		pos:   make([]int, numDomains),
+		lists: make([][]search.Hit, numDomains),
+		loads: make([]int64, numDomains),
+	}
+}
+
+// damage returns the exact worst d-domain damage of pl under flat —
+// the same number package adversary's domain engines compute (lost
+// weight under a non-nil w).
+func (sc *spreadScorer) damage(pl *Placement, flat *topology.Topology, w []int64) int {
+	byDomain, _ := DomainHits(pl, flat)
+	loads := search.WeightedLoads(byDomain, w)
+	for i := range sc.ids {
+		sc.ids[i] = i
+	}
+	search.CanonicalOrder(sc.ids, loads)
+	for p, di := range sc.ids {
+		sc.pos[di] = p
+		sc.lists[p] = byDomain[di]
+		sc.loads[p] = loads[di]
+	}
+	sc.in.Reinit(sc.d, sc.lists, sc.loads)
+	sc.in.SetWeights(w)
+	seed, warm := search.WarmSeed(sc.in, sc.last, sc.pos)
+	if warm {
+		sc.warmSeeds++
+	}
+	res := search.BranchAndBoundWith(sc.in, seed, search.NewBudget(0), search.BoundResidual)
+	sc.last = sc.last[:0]
+	for _, p := range res.Sel {
+		sc.last = append(sc.last, sc.ids[p])
+	}
+	return res.Failed
 }
 
 // worseAtAnyLevel reports whether a does more damage than b at any
@@ -655,17 +713,11 @@ func conflictGreedyMapping(pl *Placement, topo *topology.Topology) []int {
 // nodesByLoad returns abstract node ids by descending replica load,
 // ties broken by ascending id (deterministic).
 func nodesByLoad(pl *Placement) []int {
-	loads := pl.NodeLoads()
 	order := make([]int, pl.N)
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if loads[order[a]] != loads[order[b]] {
-			return loads[order[a]] > loads[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	search.CanonicalOrder(order, pl.NodeLoads())
 	return order
 }
 
@@ -691,12 +743,7 @@ func topLoadedDamage(pl *Placement, topo *topology.Topology, s, d int, w []int64
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if loads[order[a]] != loads[order[b]] {
-			return loads[order[a]] > loads[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	search.CanonicalOrder(order, loads)
 	failed := topo.FailedSet(order[:d])
 	if w == nil {
 		return pl.FailedObjects(failed, s)

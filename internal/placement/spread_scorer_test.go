@@ -21,10 +21,12 @@ func bruteDomainDamage(pl *Placement, topo *topology.Topology, s, d int) int {
 	return worst
 }
 
-// TestSpreadSessionCapCorrectAfterEviction pins the bounded-memo
-// satellite: a spreadSession whose cap forces evictions keeps
-// answering exactly — an evicted placement simply re-searches — and
-// counts every eviction in the telemetry.
+// TestSpreadSessionCapCorrectAfterEviction checks the spread pass's
+// candidate scorer against the brute-force oracle along a seeded chain
+// of 21 distinct placements, each one replica move from the last, so
+// every evaluation after the first is warm-seeded by its predecessor's
+// witness; then re-scores the chain in reverse, with the witnesses
+// chaining the other way.
 func TestSpreadSessionCapCorrectAfterEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n, r, b, s, d = 8, 3, 16, 2, 2
@@ -42,16 +44,10 @@ func TestSpreadSessionCapCorrectAfterEviction(t *testing.T) {
 		}
 	}
 
-	const cap = 4
-	var tel SpreadTelemetry
-	ss := newSpreadSession(s, d, b, flat.NumDomains(), cap, &tel)
-
-	// Drive a chain of distinct placements far past the cap, recording
-	// each exact answer, then re-ask them all: the early ones were
-	// evicted and must re-search to the same damage.
+	sc := newSpreadScorer(s, d, b, flat.NumDomains())
 	placements := []*Placement{pl.Clone()}
 	cur := pl.Clone()
-	for i := 0; i < 5*cap; i++ {
+	for i := 0; i < 20; i++ {
 		obj := rng.Intn(b)
 		from := -1
 		for _, nd := range rng.Perm(n) {
@@ -74,23 +70,14 @@ func TestSpreadSessionCapCorrectAfterEviction(t *testing.T) {
 	}
 	want := make([]int, len(placements))
 	for i, p := range placements {
-		want[i] = ss.damage(p, flat, nil)
+		want[i] = sc.damage(p, flat, nil)
 		if exact := bruteDomainDamage(p, topo, s, d); want[i] != exact {
-			t.Fatalf("placement %d: session damage %d, brute force %d", i, want[i], exact)
+			t.Fatalf("placement %d: scorer damage %d, brute force %d", i, want[i], exact)
 		}
 	}
-	if tel.MemoEvicted == 0 {
-		t.Fatalf("%d distinct placements under cap %d evicted nothing: %+v", len(placements), cap, tel)
-	}
-	if len(ss.memo) > cap {
-		t.Fatalf("memo holds %d entries, cap %d", len(ss.memo), cap)
-	}
-	for i, p := range placements {
-		if got := ss.damage(p, flat, nil); got != want[i] {
-			t.Fatalf("re-evaluation %d after eviction: damage %d, want %d", i, got, want[i])
+	for i := len(placements) - 1; i >= 0; i-- {
+		if got := sc.damage(placements[i], flat, nil); got != want[i] {
+			t.Fatalf("reverse re-evaluation %d: damage %d, want %d", i, got, want[i])
 		}
-	}
-	if tel.MemoHits+tel.Rebuilds != tel.Evals {
-		t.Fatalf("telemetry does not balance: %+v", tel)
 	}
 }

@@ -487,9 +487,9 @@ func TestSpreadUnlimitedCapsStillSpread(t *testing.T) {
 }
 
 // TestSpreadSessionMatchesOneShotEvaluator pins the candidate-scoring
-// rewrite: scoring through the reused warm-started session must pick
+// rewrite: scoring through the reused warm-started scorer must pick
 // the same mapping a per-candidate one-shot exhaustive evaluation
-// would (the session is exact, so the damage vectors are identical),
+// would (the scorer is exact, so the damage vectors are identical),
 // and the telemetry must account for every evaluation.
 func TestSpreadSessionMatchesOneShotEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -1,6 +1,8 @@
 package placement_test
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -165,5 +167,43 @@ func TestWeightedSpreadUnitNoop(t *testing.T) {
 					trial, plain, weighted)
 			}
 		}
+	}
+}
+
+// TestObjectWeightsOverflow pins fail-closed node weights: hot nodes
+// heavy enough that the derived object weights' r·Σw exceeds MaxInt64
+// make ObjectWeights — and hence the weighted spread pass, which
+// derives weights per candidate — fail with a *WeightOverflowError
+// instead of scoring on wrapped loads. The check itself accepts the
+// largest admissible total and rejects one more.
+func TestObjectWeightsOverflow(t *testing.T) {
+	pl := placement.NewPlacement(4, 2)
+	for _, obj := range [][]int{{0, 1}, {0, 2}, {2, 3}} {
+		if err := pl.Add(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	topo, err := topology.Uniform(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.Weights = []int{math.MaxInt64 / 2, 1, 1, 1}
+	var oe *placement.WeightOverflowError
+	if _, err := placement.ObjectWeights(pl, topo); !errors.As(err, &oe) {
+		t.Fatalf("ObjectWeights: err = %v, want *WeightOverflowError", err)
+	}
+	if oe.R != 2 || oe.Obj != 1 {
+		t.Errorf("overflow error %+v, want r = 2 at object 1", oe)
+	}
+	if _, _, err := placement.SpreadAcrossDomainsWith(pl, topo, 1, 1, placement.SpreadOpts{Weighted: true}); !errors.As(err, &oe) {
+		t.Fatalf("weighted spread: err = %v, want *WeightOverflowError", err)
+	}
+
+	limit := int64(math.MaxInt64) / 3
+	if err := placement.CheckWeightTotal([]int64{limit - 1, 1}, 3); err != nil {
+		t.Errorf("r·Σw = 3·(MaxInt64/3) rejected: %v", err)
+	}
+	if err := placement.CheckWeightTotal([]int64{limit, 1}, 3); !errors.As(err, &oe) {
+		t.Errorf("r·Σw > MaxInt64 accepted: err = %v", err)
 	}
 }

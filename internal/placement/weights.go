@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/topology"
 )
@@ -19,7 +20,9 @@ import (
 // node weights every object weighs 1 and weighted damage degenerates to
 // the plain object count; ObjectWeights then returns nil (the engines'
 // unit-weight convention), so unweighted topologies take the exact
-// unweighted code paths.
+// unweighted code paths. Node weights heavy enough to overflow the
+// weighted loads fail with a *WeightOverflowError (see
+// CheckWeightTotal).
 //
 // The weights depend on the placement's labeling: relabeling moves
 // objects on and off the hot nodes, which is exactly what a
@@ -43,7 +46,40 @@ func ObjectWeights(pl *Placement, topo *topology.Topology) ([]int64, error) {
 		}
 		w[obj] = int64(maxW)
 	}
+	if err := CheckWeightTotal(w, pl.R); err != nil {
+		return nil, err
+	}
 	return w, nil
+}
+
+// WeightOverflowError reports a per-object weight vector whose
+// weighted replica total r·Σw exceeds MaxInt64. Every weighted load
+// Σ C·w the search runs on — per candidate, prefix sums, the residual
+// ledger — is bounded by that total, so such a vector would wrap the
+// int64 loads and silently mis-order the candidates.
+type WeightOverflowError struct {
+	R   int // replication factor of the placement
+	Obj int // first object at which the running total exceeds MaxInt64/R
+}
+
+func (e *WeightOverflowError) Error() string {
+	return fmt.Sprintf("placement: object weights overflow int64: r·Σw exceeds %d at object %d (r = %d)",
+		int64(math.MaxInt64), e.Obj, e.R)
+}
+
+// CheckWeightTotal rejects a non-negative weight vector whose weighted
+// replica total r·Σw exceeds MaxInt64, with a *WeightOverflowError. A
+// nil vector (unit weights) always passes.
+func CheckWeightTotal(w []int64, r int) error {
+	limit := int64(math.MaxInt64) / int64(max(r, 1))
+	var sum int64
+	for obj, v := range w {
+		if v > limit-sum {
+			return &WeightOverflowError{R: r, Obj: obj}
+		}
+		sum += v
+	}
+	return nil
 }
 
 // SumWeights returns the total weight of b objects under w — the

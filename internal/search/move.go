@@ -211,21 +211,3 @@ func (in *HitInstance) swapAdjacent(i int) {
 		in.onSwap(i, i+1)
 	}
 }
-
-// Revalidate replays a witness selection on a (possibly moved)
-// instance and returns the damage it still achieves — the warm-start
-// incumbent for BranchAndBoundWith. Because the drivers only replace
-// the incumbent on strict improvement, seeding with the revalidated
-// previous witness means a re-plan whose optimum did not change
-// returns the same witness it started from. The instance's counters
-// must be clean and are left clean.
-func Revalidate(in Instance, sel []int) int {
-	failed := 0
-	for _, i := range sel {
-		failed += in.Add(i)
-	}
-	for _, i := range sel {
-		in.Remove(i)
-	}
-	return failed
-}

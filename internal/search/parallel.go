@@ -8,8 +8,8 @@ import "runtime"
 // depth-first on its own instance and publishes its shallowest untried
 // ranges for idle workers to steal, budget states are consumed from
 // leased chunks, and incumbent reads are a local snapshot refreshed on
-// lease boundaries. workers <= 0 selects GOMAXPROCS; workers == 1
-// degrades to the serial driver on the probe.
+// lease boundaries. workers <= 0 selects GOMAXPROCS; workers == 1 is
+// the serial driver on the probe.
 //
 // probe is a ready (Reset) instance the caller already built — worker 0
 // reuses it, so seeding greedy on it first costs no extra construction;
@@ -23,19 +23,13 @@ import "runtime"
 // Exact runs return byte-identical (Failed, Sel) to BranchAndBoundWith.
 // With a budget, the set of states visited differs between runs, so
 // budgeted results may vary (each is still a valid attack and lower
-// bound on the damage). Callers that need to checkpoint or resume the
-// search use ParallelSearch directly.
-func BranchAndBoundParallelWith(probe Instance, newInst func() (Instance, error), seed Result, bud *Budget, workers int, bound Bound) (Result, error) {
+// bound on the damage).
+func BranchAndBoundParallelWith(probe Instance, newInst func() Instance, seed Result, bud *Budget, workers int, bound Bound) Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
 	}
 	if workers == 1 {
-		return BranchAndBoundWith(probe, seed, bud, bound), nil
+		return BranchAndBoundWith(probe, seed, bud, bound)
 	}
-	ps, err := NewParallelSearch(probe, newInst, seed, bud, workers, bound)
-	if err != nil {
-		return Result{}, err
-	}
-	ps.Start()
-	return ps.Wait(), nil
+	return runParallel(probe, newInst, seed, bud, workers, bound)
 }

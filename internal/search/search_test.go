@@ -171,12 +171,9 @@ func TestDriversAgreeOnRandomInstances(t *testing.T) {
 				trial, bnb.Visited, ex.Visited)
 		}
 
-		par, err := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), func() (Instance, error) {
-			return newCoverInstance(m, k, s, members), nil
+		par := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), func() Instance {
+			return newCoverInstance(m, k, s, members)
 		}, greedy, NewBudget(0), 4, BoundResidual)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if par.Failed != want || !par.Exact {
 			t.Errorf("trial %d: parallel = %d exact=%v, want %d exact", trial, par.Failed, par.Exact, want)
 		}

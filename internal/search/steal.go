@@ -1,13 +1,13 @@
 // Work-stealing branch-and-bound: the parallel driver behind
 // BranchAndBoundParallelWith.
 //
-// Pending work is an explicit, splittable frontier of Tasks — a
+// Pending work is an explicit, splittable frontier of tasks — a
 // selection prefix plus an untried sibling range — rather than a
 // goroutine's call stack. Each worker owns a bounded LIFO deque (at
 // most K entries: one continuation per ancestor of its current path)
 // and explores depth-first exactly like the serial driver; whenever it
 // descends into a child it publishes the node's untried siblings as a
-// Task. The deque is depth-ordered, so the owner pops the deepest
+// task. The deque is depth-ordered, so the owner pops the deepest
 // continuation (cheap replay: Removes only) while idle workers steal
 // from the head — the *shallowest* range, i.e. the largest subtree —
 // keeping steals rare and the Add/Remove prefix replay amortized.
@@ -38,12 +38,10 @@
 // optimal — every tracked benchmark — the incumbent never moves and the
 // visited set, and hence the count, is identical at any worker count.
 //
-// The frontier doubles as a checkpoint: Suspend parks every in-flight
-// sibling range and drains the deques, returning serializable Tasks
-// that StartFrom resumes — the seam a multi-process shard layer plugs
-// into. A budget-exhausted run parks its frontier the same way, so a
-// resumed search with a fresh budget picks up where the old one dried
-// up.
+// A drained budget stops every worker at its next state; the pending
+// frontier is dropped and the result reports Exact = false. On exit
+// each worker returns its unused lease and unwinds its instance, so the
+// caller's probe comes back clean.
 package search
 
 import (
@@ -54,17 +52,17 @@ import (
 	"time"
 )
 
-// Task is one unit of pending branch-and-bound work, serializable for
-// checkpointing: the search node reached by choosing Prefix (with
-// Failed objects down and LoadSum chosen static load) still owes the
-// sibling branches choosing candidates Start.. next. Tasks are only
-// created for nodes with at least two picks remaining; leaves and
-// final-level scans complete inline.
-type Task struct {
-	Prefix  []int `json:"prefix"`
-	Start   int   `json:"start"`
-	Failed  int   `json:"failed"`
-	LoadSum int64 `json:"loadSum"`
+// task is one unit of pending branch-and-bound work: the search node
+// reached by choosing prefix (with failed objects down and loadSum
+// chosen static load) still owes the sibling branches choosing
+// candidates start.. next. Tasks are only created for nodes with at
+// least two picks remaining; leaves and final-level scans complete
+// inline.
+type task struct {
+	prefix  []int
+	start   int
+	failed  int
+	loadSum int64
 }
 
 // leaseChunk is how many budget states a worker claims per Lease. Large
@@ -80,32 +78,32 @@ const leaseChunk = 256
 // current root-to-node path — is always the shallowest pending range.
 type deque struct {
 	mu    sync.Mutex
-	tasks []Task
+	tasks []task
 }
 
-func (d *deque) push(t Task) {
+func (d *deque) push(t task) {
 	d.mu.Lock()
 	d.tasks = append(d.tasks, t)
 	d.mu.Unlock()
 }
 
-func (d *deque) pop() (Task, bool) {
+func (d *deque) pop() (task, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := len(d.tasks)
 	if n == 0 {
-		return Task{}, false
+		return task{}, false
 	}
 	t := d.tasks[n-1]
 	d.tasks = d.tasks[:n-1]
 	return t, true
 }
 
-func (d *deque) steal() (Task, bool) {
+func (d *deque) steal() (task, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.tasks) == 0 {
-		return Task{}, false
+		return task{}, false
 	}
 	t := d.tasks[0]
 	d.tasks = append(d.tasks[:0], d.tasks[1:]...)
@@ -118,75 +116,36 @@ func (d *deque) empty() bool {
 	return len(d.tasks) == 0
 }
 
-func (d *deque) drain() []Task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ts := d.tasks
-	d.tasks = nil
-	return ts
-}
-
-// ParallelSearch is a suspendable work-stealing branch-and-bound run.
-// Build with NewParallelSearch, launch with Start (or StartFrom with a
-// checkpointed frontier), then either Wait for the result or Suspend to
-// park the remaining frontier. BranchAndBoundParallelWith wraps the
-// Start/Wait pair for callers that never checkpoint.
-type ParallelSearch struct {
+// parallelSearch is one work-stealing branch-and-bound run: the
+// per-worker instances and deques, the shared budget, and the reducer
+// holding the incumbent.
+type parallelSearch struct {
 	instances []Instance
 	bud       *Budget
 	bound     Bound
 	workers   int
 	k, m      int
 
-	deques  []*deque
-	idle    atomic.Int32
-	wg      sync.WaitGroup
-	started bool
+	deques []*deque
+	idle   atomic.Int32
 
 	exhausted atomic.Bool // budget drained: stop, result inexact
-	suspended atomic.Bool // caller asked for the frontier back
 	done      atomic.Bool // frontier drained: the first worker to prove it releases the rest
-	claimed   atomic.Bool // a Suspend already handed the frontier out
-	finalized atomic.Bool // Wait already sealed the run
 
 	mu         sync.Mutex
 	best       Result
 	bestIsSeed bool                  // best.Sel is still the caller's seed (ties never displace it)
 	bestScore  atomic.Int64          // mirror of best.Failed for lock-free snapshots
 	bestSel    atomic.Pointer[[]int] // nil while bestIsSeed; else a frozen copy of best.Sel
-
-	parkedMu sync.Mutex
-	parked   []Task // frontier collected at suspension or exhaustion
-
-	finish sync.Once
-	final  Result
 }
 
-// NewParallelSearch builds the per-worker instances for a work-stealing
-// run. probe is a ready (Reset) instance the caller already built —
-// worker 0 reuses it; newInst must return independent instances of the
-// same search for the rest. Every instance is built before any worker
-// spawns, so a factory failure cannot leak live workers. workers <= 0
-// selects GOMAXPROCS. bud is shared (possibly with other searches); nil
-// means unlimited.
-func NewParallelSearch(probe Instance, newInst func() (Instance, error), seed Result, bud *Budget, workers int, bound Bound) (*ParallelSearch, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
-	}
-	instances := make([]Instance, workers)
-	instances[0] = probe
-	for w := 1; w < workers; w++ {
-		in, err := newInst()
-		if err != nil {
-			return nil, err
-		}
-		instances[w] = in
-	}
-	if bud == nil {
-		bud = NewBudget(0)
-	}
-	ps := &ParallelSearch{
-		instances:  instances,
+// runParallel builds one instance per worker — worker 0 reuses probe,
+// the rest come from newInst — enters the root, runs the workers over
+// the frontier and returns the reduced result. Exact is true only when
+// the frontier was fully explored within budget.
+func runParallel(probe Instance, newInst func() Instance, seed Result, bud *Budget, workers int, bound Bound) Result {
+	ps := &parallelSearch{
+		instances:  make([]Instance, workers),
 		bud:        bud,
 		bound:      bound,
 		workers:    workers,
@@ -196,62 +155,49 @@ func NewParallelSearch(probe Instance, newInst func() (Instance, error), seed Re
 		bestIsSeed: true,
 		deques:     make([]*deque, workers),
 	}
+	ps.instances[0] = probe
+	for w := 1; w < workers; w++ {
+		ps.instances[w] = newInst()
+	}
 	for i := range ps.deques {
 		ps.deques[i] = &deque{}
 	}
 	ps.bestScore.Store(int64(seed.Failed))
-	return ps, nil
-}
-
-// Start enters the root state (charging it to the budget exactly like
-// the serial driver) and launches the workers on the resulting
-// frontier.
-func (ps *ParallelSearch) Start() { ps.launch(ps.enterRoot()) }
-
-// StartFrom resumes a run from a checkpointed frontier instead of the
-// root. The tasks must come from a Suspend (or Frontier) of a search
-// over an identically configured instance, and the seed passed to
-// NewParallelSearch should be the suspended run's Result so the
-// incumbent carries over; under that contract a completed resume is
-// globally exact. The root was charged by the original run, so no state
-// is consumed here.
-func (ps *ParallelSearch) StartFrom(tasks []Task) { ps.launch(tasks) }
-
-func (ps *ParallelSearch) launch(tasks []Task) {
-	if ps.started {
-		panic("search: ParallelSearch started twice")
+	if t, ok := ps.enterRoot(); ok {
+		ps.deques[0].tasks = append(ps.deques[0].tasks, t) // pre-spawn: no contention yet
 	}
-	ps.started = true
-	for i, t := range tasks {
-		d := ps.deques[i%ps.workers]
-		d.tasks = append(d.tasks, t) // pre-spawn: no contention yet
-	}
+	var wg sync.WaitGroup
 	for w := range ps.instances {
-		ps.wg.Add(1)
+		wg.Add(1)
 		go func(id int) {
-			defer ps.wg.Done()
+			defer wg.Done()
 			newStealWorker(ps, id).run()
 		}(w)
 	}
+	wg.Wait()
+	ps.best.Visited = ps.bud.Used()
+	ps.best.Exact = !ps.exhausted.Load()
+	sort.Ints(ps.best.Sel)
+	return ps.best
 }
 
 // enterRoot reproduces the serial driver's root-state handling — charge
 // one budget unit, then leaf/bounds/final-level checks — and returns
-// the initial frontier (empty when the root resolves the search).
-func (ps *ParallelSearch) enterRoot() []Task {
+// the root task, if the root does not resolve the search itself.
+func (ps *parallelSearch) enterRoot() (task, bool) {
 	in := ps.instances[0]
 	if !ps.bud.Visit() {
 		ps.exhausted.Store(true)
-		return nil
+		return task{}, false
 	}
 	k, m := ps.k, ps.m
 	if k == 0 || k > m {
-		return nil
+		return task{}, false
 	}
 	prefix := loadPrefix(in)
 	rb := residualOf(in, ps.bound)
 	if prunable(rb, 0, 0, prefix[k]-prefix[0], int64(in.S()), ps.bestScore.Load(), 0, k) {
-		return nil
+		return task{}, false
 	}
 	if k == 1 {
 		dup := dupFlags(in)
@@ -267,63 +213,12 @@ func (ps *ParallelSearch) enterRoot() []Task {
 		if bestI >= 0 {
 			ps.report(bestGain, []int{bestI})
 		}
-		return nil
+		return task{}, false
 	}
-	return []Task{{Prefix: []int{}, Start: 0, Failed: 0, LoadSum: 0}}
+	return task{prefix: []int{}}, true
 }
 
-// Suspend asks every worker to park: in-flight sibling ranges and
-// queued continuations become frontier Tasks. It blocks until the
-// workers exit and returns the frontier (empty when the search finished
-// first). Wait still returns the incumbent result, marked inexact when
-// work was parked.
-//
-// The frontier is handed out at most once: a second Suspend, or a
-// Suspend after Wait has sealed the run, is a safe no-op returning nil
-// — resuming the same checkpoint from two searches would explore the
-// parked subtrees twice. An exhausted run's remainder stays readable
-// through Frontier, which never claims it.
-func (ps *ParallelSearch) Suspend() []Task {
-	ps.suspended.Store(true)
-	ps.wg.Wait()
-	if ps.finalized.Load() || ps.claimed.Swap(true) {
-		return nil
-	}
-	return ps.Frontier()
-}
-
-// Frontier returns the parked tasks of a finished run: the checkpoint
-// of a Suspend, the unexplored remainder of a budget-exhausted run, or
-// nil when the search completed. It blocks until the workers exit.
-func (ps *ParallelSearch) Frontier() []Task {
-	ps.wg.Wait()
-	ps.parkedMu.Lock()
-	defer ps.parkedMu.Unlock()
-	return append([]Task(nil), ps.parked...)
-}
-
-// Wait blocks until the workers exit and returns the result. Exact is
-// true only when the frontier was fully explored within budget.
-func (ps *ParallelSearch) Wait() Result {
-	ps.wg.Wait()
-	ps.finalized.Store(true)
-	ps.finish.Do(func() {
-		ps.parkedMu.Lock()
-		pending := len(ps.parked)
-		ps.parkedMu.Unlock()
-		ps.best.Visited = ps.bud.Used()
-		ps.best.Exact = !ps.exhausted.Load() && pending == 0
-		sort.Ints(ps.best.Sel)
-		ps.final = ps.best
-	})
-	return ps.final
-}
-
-func (ps *ParallelSearch) stop() bool {
-	return ps.exhausted.Load() || ps.suspended.Load()
-}
-
-func (ps *ParallelSearch) allEmpty() bool {
+func (ps *parallelSearch) allEmpty() bool {
 	for _, d := range ps.deques {
 		if !d.empty() {
 			return false
@@ -332,18 +227,12 @@ func (ps *ParallelSearch) allEmpty() bool {
 	return true
 }
 
-func (ps *ParallelSearch) addParked(ts ...Task) {
-	ps.parkedMu.Lock()
-	ps.parked = append(ps.parked, ts...)
-	ps.parkedMu.Unlock()
-}
-
 // report offers a completed selection to the shared reducer. The order
 // workers find selections in is scheduling-dependent, so the reducer —
 // not discovery order — enforces the serial result: strict improvements
 // always win; a tie never displaces the seed and otherwise wins only by
 // lex order. sel must be ascending (the DFS builds it that way).
-func (ps *ParallelSearch) report(failed int, sel []int) {
+func (ps *parallelSearch) report(failed int, sel []int) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	switch {
@@ -377,7 +266,7 @@ func lexLess(a, b []int) bool {
 // applied prefix mirroring the instance's counters, its budget lease
 // and incumbent snapshot.
 type stealWorker struct {
-	ps     *ParallelSearch
+	ps     *parallelSearch
 	id     int
 	in     Instance
 	deq    *deque
@@ -389,10 +278,10 @@ type stealWorker struct {
 	lease  int64
 	snap   int64
 	selBuf []int
-	free   [][]int // recycled Task.Prefix buffers: one push per state entered, so allocation must not be
+	free   [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
 }
 
-func newStealWorker(ps *ParallelSearch, id int) *stealWorker {
+func newStealWorker(ps *parallelSearch, id int) *stealWorker {
 	in := ps.instances[id]
 	return &stealWorker{
 		ps:     ps,
@@ -409,7 +298,7 @@ func newStealWorker(ps *ParallelSearch, id int) *stealWorker {
 }
 
 func (w *stealWorker) run() {
-	defer w.park()
+	defer w.exit()
 	for {
 		t, ok := w.next()
 		if !ok {
@@ -419,17 +308,13 @@ func (w *stealWorker) run() {
 	}
 }
 
-// park unwinds the instance back to clean (callers reuse probes across
-// searches), settles the budget lease, and checkpoints whatever is
-// still queued locally.
-func (w *stealWorker) park() {
+// exit unwinds the instance back to clean (callers reuse probes across
+// searches) and settles the budget lease.
+func (w *stealWorker) exit() {
 	w.adopt(nil)
 	if w.lease > 0 {
 		w.ps.bud.Return(w.lease)
 		w.lease = 0
-	}
-	if ts := w.deq.drain(); len(ts) > 0 {
-		w.ps.addParked(ts...)
 	}
 }
 
@@ -442,9 +327,9 @@ func (w *stealWorker) park() {
 // never re-observe idle == workers themselves. A worker whose steal
 // lands in the instant the condition is proven just finishes its
 // subtree alone — it drains its own deque before ever consulting done.
-func (w *stealWorker) next() (Task, bool) {
-	if w.ps.stop() {
-		return Task{}, false
+func (w *stealWorker) next() (task, bool) {
+	if w.ps.exhausted.Load() {
+		return task{}, false
 	}
 	if t, ok := w.deq.pop(); ok {
 		return t, true
@@ -453,8 +338,8 @@ func (w *stealWorker) next() (Task, bool) {
 	ps.idle.Add(1)
 	defer ps.idle.Add(-1)
 	for spins := 0; ; spins++ {
-		if ps.stop() || ps.done.Load() {
-			return Task{}, false
+		if ps.exhausted.Load() || ps.done.Load() {
+			return task{}, false
 		}
 		for off := 1; off < ps.workers; off++ {
 			if t, ok := ps.deques[(w.id+off)%ps.workers].steal(); ok {
@@ -463,7 +348,7 @@ func (w *stealWorker) next() (Task, bool) {
 		}
 		if ps.idle.Load() == int32(ps.workers) && ps.allEmpty() {
 			ps.done.Store(true)
-			return Task{}, false
+			return task{}, false
 		}
 		if spins%256 == 255 {
 			time.Sleep(50 * time.Microsecond) // oversubscribed tails: stop burning the core
@@ -506,8 +391,7 @@ func (w *stealWorker) prefixCopy() []int {
 }
 
 // recycle returns an adopted task's prefix buffer to the freelist. A
-// stolen buffer migrates to the thief's freelist; parked buffers escape
-// the cycle (they outlive the run as the checkpoint).
+// stolen buffer migrates to the thief's freelist.
 func (w *stealWorker) recycle(buf []int) {
 	if cap(buf) > 0 && len(w.free) < 64 {
 		w.free = append(w.free, buf)
@@ -519,10 +403,10 @@ func (w *stealWorker) recycle(buf []int) {
 // budget unit, then runs the same leaf/prune/final-level logic; a child
 // with two or more picks remaining becomes the new node after the
 // untried siblings are published for thieves.
-func (w *stealWorker) runTask(t Task) {
-	w.adopt(t.Prefix)
-	w.recycle(t.Prefix)
-	failed, loadSum, start := t.Failed, t.LoadSum, t.Start
+func (w *stealWorker) runTask(t task) {
+	w.adopt(t.prefix)
+	w.recycle(t.prefix)
+	failed, loadSum, start := t.failed, t.loadSum, t.start
 	for {
 		rem := w.ps.k - len(w.cur)
 		if rem <= 0 {
@@ -534,7 +418,7 @@ func (w *stealWorker) runTask(t Task) {
 			return
 		}
 		// The node's own loop start (its entry point in the serial DFS):
-		// the dup collapse is relative to it, not to a resumed Start.
+		// the dup collapse is relative to it, not to the task's start.
 		ns := 0
 		if len(w.cur) > 0 {
 			ns = w.cur[len(w.cur)-1] + 1
@@ -544,12 +428,7 @@ func (w *stealWorker) runTask(t Task) {
 			if w.dup != nil && i > ns && w.dup[i] {
 				continue
 			}
-			if w.ps.stop() {
-				w.parkRange(i, failed, loadSum)
-				return
-			}
-			if !w.charge() {
-				w.parkRange(i, failed, loadSum)
+			if w.ps.exhausted.Load() || !w.charge() {
 				return
 			}
 			newly := w.in.Add(i)
@@ -570,7 +449,7 @@ func (w *stealWorker) runTask(t Task) {
 				continue
 			}
 			if cstart <= m-rem {
-				w.deq.push(Task{Prefix: w.prefixCopy(), Start: cstart, Failed: failed, LoadSum: loadSum})
+				w.deq.push(task{prefix: w.prefixCopy(), start: cstart, failed: failed, loadSum: loadSum})
 			}
 			w.cur = append(w.cur, i)
 			failed, loadSum, start = cf, cl, cstart
@@ -581,12 +460,6 @@ func (w *stealWorker) runTask(t Task) {
 			return
 		}
 	}
-}
-
-// parkRange checkpoints the untried remainder [i..] of the current
-// node's sibling range when the run stops mid-task.
-func (w *stealWorker) parkRange(i, failed int, loadSum int64) {
-	w.ps.addParked(Task{Prefix: append([]int(nil), w.cur...), Start: i, Failed: failed, LoadSum: loadSum})
 }
 
 // charge consumes one state from the worker's budget lease, claiming a

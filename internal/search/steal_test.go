@@ -24,7 +24,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			s := 1 + rng.Intn(r)
 			k := 1 + rng.Intn(m-1)
 			members := randomMembers(rng, m, r, b)
-			mk := func() (Instance, error) { return newCoverInstance(m, k, s, members), nil }
+			mk := func() Instance { return newCoverInstance(m, k, s, members) }
 
 			in := newCoverInstance(m, k, s, members)
 			seed := Greedy(in)
@@ -32,12 +32,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			want := BranchAndBoundWith(in, seed, NewBudget(0), BoundStatic)
 
 			for _, workers := range workerCounts {
-				got, err := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), func() (Instance, error) {
-					return mk()
-				}, seed, NewBudget(0), workers, BoundStatic)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), mk, seed, NewBudget(0), workers, BoundStatic)
 				if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
 					t.Errorf("trial %d workers=%d: got (%d, %v, %v), serial (%d, %v, %v)",
 						trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel, want.Exact)
@@ -62,12 +57,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in.Reset()
 
 			for _, workers := range workerCounts {
-				got, err := BranchAndBoundParallelWith(in, func() (Instance, error) {
-					return in.Clone(), nil
-				}, seed, NewBudget(0), workers, BoundResidual)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := BranchAndBoundParallelWith(in, func() Instance { return in.Clone() }, seed, NewBudget(0), workers, BoundResidual)
 				if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
 					t.Errorf("trial %d workers=%d: got (%d, %v, %v), serial (%d, %v, %v)",
 						trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel, want.Exact)
@@ -94,12 +84,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in.Reset()
 
 			for _, workers := range workerCounts {
-				got, err := BranchAndBoundParallelWith(in, func() (Instance, error) {
-					return in.Clone(), nil
-				}, seed, NewBudget(0), workers, BoundResidual)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := BranchAndBoundParallelWith(in, func() Instance { return in.Clone() }, seed, NewBudget(0), workers, BoundResidual)
 				if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
 					t.Errorf("trial %d workers=%d: got (%d, %v, %v), serial (%d, %v, %v)",
 						trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel, want.Exact)
@@ -116,7 +101,7 @@ func TestStealLeaseAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
 	members := randomMembers(rng, 16, 3, 100)
 	const m, k, s = 16, 5, 2
-	mk := func() (Instance, error) { return newCoverInstance(m, k, s, members), nil }
+	mk := func() Instance { return newCoverInstance(m, k, s, members) }
 
 	// Seed with the exact optimum so the incumbent never moves: prune
 	// decisions match the serial run state for state and the visited set
@@ -129,11 +114,8 @@ func TestStealLeaseAccounting(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		// Unlimited: every lease chunk's unused remainder comes back.
 		bud := NewBudget(0)
-		probe, _ := mk()
-		res, err := BranchAndBoundParallelWith(probe, mk, exact, bud, workers, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
+		probe := mk()
+		res := BranchAndBoundParallelWith(probe, mk, exact, bud, workers, BoundStatic)
 		if bud.Used() != exact.Visited || res.Visited != exact.Visited {
 			t.Errorf("workers=%d unlimited: used %d visited %d, serial visited %d — leases leaked",
 				workers, bud.Used(), res.Visited, exact.Visited)
@@ -142,11 +124,8 @@ func TestStealLeaseAccounting(t *testing.T) {
 		// Ample limit: the search finishes without exhausting, and the
 		// limit's unclaimed tail must not be counted as used.
 		bud = NewBudget(exact.Visited * 10)
-		probe, _ = mk()
-		res, err = BranchAndBoundParallelWith(probe, mk, exact, bud, workers, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
+		probe = mk()
+		res = BranchAndBoundParallelWith(probe, mk, exact, bud, workers, BoundStatic)
 		if !res.Exact {
 			t.Errorf("workers=%d: ample budget run not exact", workers)
 		}
@@ -158,11 +137,8 @@ func TestStealLeaseAccounting(t *testing.T) {
 		// allowed, remaining consistent.
 		for _, limit := range []int64{1, 5, 37} {
 			bud = NewBudget(limit)
-			probe, _ = mk()
-			res, err = BranchAndBoundParallelWith(probe, mk, seed, bud, workers, BoundStatic)
-			if err != nil {
-				t.Fatal(err)
-			}
+			probe = mk()
+			res = BranchAndBoundParallelWith(probe, mk, seed, bud, workers, BoundStatic)
 			if bud.Used() > limit || res.Visited > limit {
 				t.Errorf("workers=%d limit=%d: used %d visited %d — overshoot", workers, limit, bud.Used(), res.Visited)
 			}
@@ -188,7 +164,7 @@ func TestStealStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	members := randomMembers(rng, 14, 3, 80)
 	const m, k, s = 14, 4, 2
-	mk := func() (Instance, error) { return newCoverInstance(m, k, s, members), nil }
+	mk := func() Instance { return newCoverInstance(m, k, s, members) }
 
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
@@ -203,12 +179,8 @@ func TestStealStress(t *testing.T) {
 			defer wg.Done()
 			bud := NewBudget(int64(3 + round*17))
 			for bud.Remaining() > 0 {
-				probe, _ := mk()
-				res, err := BranchAndBoundParallelWith(probe, mk, seed, bud, workers, BoundStatic)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				probe := mk()
+				res := BranchAndBoundParallelWith(probe, mk, seed, bud, workers, BoundStatic)
 				if res.Failed < seed.Failed || res.Failed > exact.Failed {
 					t.Errorf("round %d: result %d outside [seed %d, exact %d]", round, res.Failed, seed.Failed, exact.Failed)
 					return
@@ -220,134 +192,4 @@ func TestStealStress(t *testing.T) {
 		}(round)
 	}
 	wg.Wait()
-}
-
-// TestStealSuspendResume pins the checkpoint seam: a suspended search
-// hands back a frontier that, resumed with the suspended incumbent as
-// seed, completes to the same damage as the straight-through run; and a
-// budget-exhausted run parks its frontier the same way, so a fresh
-// budget finishes the job.
-func TestStealSuspendResume(t *testing.T) {
-	rng := rand.New(rand.NewSource(157))
-	members := randomMembers(rng, 18, 3, 140)
-	const m, k, s = 18, 6, 2
-	mk := func() (Instance, error) { return newCoverInstance(m, k, s, members), nil }
-
-	in := newCoverInstance(m, k, s, members)
-	seed := Greedy(in)
-	in.Reset()
-	want := BranchAndBoundWith(in, seed, NewBudget(0), BoundStatic)
-
-	resume := func(t *testing.T, frontier []Task, incumbent Result, bud *Budget) Result {
-		t.Helper()
-		probe, _ := mk()
-		ps, err := NewParallelSearch(probe, mk, incumbent, bud, 4, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps.StartFrom(frontier)
-		return ps.Wait()
-	}
-
-	t.Run("suspend", func(t *testing.T) {
-		probe, _ := mk()
-		ps, err := NewParallelSearch(probe, mk, seed, NewBudget(0), 4, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps.Start()
-		frontier := ps.Suspend()
-		mid := ps.Wait()
-		if len(frontier) == 0 {
-			// The race finished before the suspension landed; the result
-			// must already be the exact one.
-			if !mid.Exact || mid.Failed != want.Failed {
-				t.Fatalf("empty frontier but result (%d, exact=%v), want (%d, exact)", mid.Failed, mid.Exact, want.Failed)
-			}
-			return
-		}
-		if mid.Exact {
-			t.Error("suspended run with parked work claims exactness")
-		}
-		final := resume(t, frontier, mid, NewBudget(0))
-		if final.Failed != want.Failed {
-			t.Errorf("resumed search found %d, straight-through %d", final.Failed, want.Failed)
-		}
-	})
-
-	t.Run("exhausted", func(t *testing.T) {
-		bud := NewBudget(25)
-		probe, _ := mk()
-		ps, err := NewParallelSearch(probe, mk, seed, bud, 4, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps.Start()
-		mid := ps.Wait()
-		frontier := ps.Frontier()
-		if mid.Exact {
-			t.Error("exhausted run claims exactness")
-		}
-		if len(frontier) == 0 {
-			t.Fatal("exhausted run parked no frontier")
-		}
-		final := resume(t, frontier, mid, NewBudget(0))
-		if final.Failed != want.Failed {
-			t.Errorf("resumed search found %d, straight-through %d", final.Failed, want.Failed)
-		}
-	})
-}
-
-// TestStealSuspendIdempotent pins the hardened Suspend contract: the
-// frontier leaves through Suspend at most once. A second Suspend — or a
-// Suspend issued after Wait already sealed the run — is a safe no-op
-// returning nil, so no caller can resume the same parked subtrees from
-// two searches. Frontier stays the read-only accessor: it never claims
-// the checkpoint and keeps returning it.
-func TestStealSuspendIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(163))
-	members := randomMembers(rng, 18, 3, 140)
-	const m, k, s = 18, 6, 2
-	mk := func() (Instance, error) { return newCoverInstance(m, k, s, members), nil }
-
-	t.Run("double-suspend", func(t *testing.T) {
-		probe, _ := mk()
-		seed := Greedy(probe)
-		probe.Reset()
-		ps, err := NewParallelSearch(probe, mk, seed, NewBudget(0), 4, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps.Start()
-		first := ps.Suspend()
-		if again := ps.Suspend(); again != nil {
-			t.Errorf("second Suspend returned %d tasks, want nil", len(again))
-		}
-		// The read-only accessor still sees whatever was parked.
-		if got := ps.Frontier(); len(got) != len(first) {
-			t.Errorf("Frontier returned %d tasks after claimed Suspend, want %d", len(got), len(first))
-		}
-	})
-
-	t.Run("suspend-after-wait", func(t *testing.T) {
-		probe, _ := mk()
-		seed := Greedy(probe)
-		probe.Reset()
-		bud := NewBudget(25) // exhausts: a frontier IS parked
-		ps, err := NewParallelSearch(probe, mk, seed, bud, 4, BoundStatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps.Start()
-		res := ps.Wait()
-		if res.Exact {
-			t.Fatal("exhausted run claims exactness")
-		}
-		if got := ps.Suspend(); got != nil {
-			t.Errorf("Suspend after Wait returned %d tasks, want nil", len(got))
-		}
-		if got := ps.Frontier(); len(got) == 0 {
-			t.Error("Frontier lost the exhausted run's checkpoint")
-		}
-	})
 }
