@@ -487,8 +487,9 @@ func zoneConfinedPlacement(b *testing.B, n, objects, r, zones int, seed int64) *
 
 // BenchmarkDomainWorstCaseLarge is the ≥500-domain scenario: 1000 nodes
 // in 25 zones × 20 racks, a zone-confined placement of 2000 objects,
-// exact whole-domain search. Serial and parallel worker counts are
-// contrasted (damage equality asserted); visited states are reported so
+// exact whole-domain search. The "serial" row is the one-worker run of
+// the work-stealing driver, contrasted with 4 and 8 workers (damage
+// equality asserted); visited states are reported so
 // BENCH.json tracks the search effort across PRs, independent of the
 // host's core count.
 func BenchmarkDomainWorstCaseLarge(b *testing.B) {
@@ -597,27 +598,27 @@ func stealSkewInstance(b *testing.B) *search.HitInstance {
 }
 
 // BenchmarkStealSkew runs the work-stealing driver on the
-// skewed-survivor instance at 8 workers, with serial as the scale
-// reference. A driver that only shards top-level branches degenerates
-// to one busy worker here, since one branch dominates; stealing splits
-// that branch's interior across all 8, so on a multi-core host an
-// expected ≥2x and up to ~8x. On a single-core runner the two times
-// coincide and the benchmark instead pins the scheduler's overhead
-// (steal ns/op must stay at serial's) and its exactness: damage
-// equality is asserted every run, and the visited-states metrics are
-// deterministic (the greedy seed is optimal, so the incumbent never
-// moves and pruning is schedule-independent — steal matches serial
-// exactly) and tracked by make bench-check.
+// skewed-survivor instance at 8 workers, with the one-worker run (the
+// "serial" row) as the scale reference. A driver that only shards
+// top-level branches degenerates to one busy worker here, since one
+// branch dominates; stealing splits that branch's interior across all
+// 8, so on a multi-core host an expected ≥2x and up to ~8x. On a
+// single-core runner the two times coincide and the benchmark instead
+// pins the scheduler's overhead (steal ns/op must stay at serial's) and
+// its exactness: damage equality is asserted every run, and the
+// visited-states metrics are deterministic (the greedy seed is optimal,
+// so the incumbent never moves and pruning is schedule-independent —
+// steal matches serial exactly) and tracked by make bench-check.
 func BenchmarkStealSkew(b *testing.B) {
 	probe := stealSkewInstance(b)
 	seed := search.Greedy(probe)
 	probe.Reset()
-	serial := search.BranchAndBoundWith(probe, seed, search.NewBudget(0), search.BoundResidual)
+	serial := search.BranchAndBound(probe, nil, seed, search.NewBudget(0), 1, search.BoundResidual)
 	newInst := func() search.Instance { return probe.Clone() }
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res := search.BranchAndBoundWith(probe, seed, search.NewBudget(0), search.BoundResidual)
+			res := search.BranchAndBound(probe, nil, seed, search.NewBudget(0), 1, search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("serial rerun %d != %d", res.Failed, serial.Failed)
 			}
@@ -628,7 +629,7 @@ func BenchmarkStealSkew(b *testing.B) {
 	b.Run("steal/workers=8", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res := search.BranchAndBoundParallelWith(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
+			res := search.BranchAndBound(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("steal %d != serial %d", res.Failed, serial.Failed)
 			}

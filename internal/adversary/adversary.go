@@ -22,8 +22,10 @@
 //     under SearchOpts{Bound: search.BoundStatic}, the static
 //     replica-counting bound failed(K) <= ⌊(Σ_{nd∈K} load(nd)) / s⌋).
 //     Exact when it completes within its state budget; otherwise it
-//     degrades gracefully and reports Exact = false. SearchOpts.Workers
-//     fans it out over the work-stealing parallel driver.
+//     degrades gracefully and reports Exact = false. It runs on
+//     search.BranchAndBound, the one work-stealing driver, with
+//     SearchOpts.Workers workers (one, on the caller's goroutine, by
+//     default).
 //
 // Every adapter is a search.HitInstance — one flat CSR hit layout for
 // node-level (C = 1), whole-domain (aggregated C), and constrained
@@ -55,16 +57,17 @@ type Result struct {
 func (r Result) Avail(b int) int { return b - r.Failed }
 
 // SearchOpts tunes how an engine searches; the zero value is an
-// unlimited (exact), serial, residual-pruned, unweighted search.
+// unlimited (exact), one-worker, residual-pruned, unweighted search.
 type SearchOpts struct {
 	// Budget caps the branch-and-bound states visited (<= 0: unlimited,
 	// result exact). One shared pool per logical search: across workers
 	// and, for the constrained engines, across domain subsets.
 	Budget int64
-	// Workers fans the search out over goroutines: 0 or 1 serial, < 0
-	// GOMAXPROCS. Exact searches return identical damage at any worker
-	// count; budgeted parallel searches may report different (still
-	// valid) lower bounds run to run.
+	// Workers fans the search out over goroutines: 0 or 1 runs one
+	// worker on the caller's goroutine, < 0 GOMAXPROCS. Exact searches
+	// return identical damage at any worker count; budgeted parallel
+	// searches may report different (still valid) lower bounds run to
+	// run.
 	Workers int
 	// Bound selects the pruning discipline — search.BoundResidual (the
 	// default) or search.BoundStatic (the ablation baseline). Both
@@ -85,7 +88,9 @@ type SearchOpts struct {
 	ObjWeights []int64
 }
 
-// resolveWorkers maps the SearchOpts convention onto a concrete count.
+// resolveWorkers maps the SearchOpts convention onto a concrete count —
+// the library's one worker-count resolver: the search core takes only
+// resolved counts.
 func (o SearchOpts) resolveWorkers() int {
 	if o.Workers < 0 {
 		return runtime.GOMAXPROCS(0) //lint:allow nodeterm worker-count default only; results are proven worker-count invariant
@@ -96,14 +101,12 @@ func (o SearchOpts) resolveWorkers() int {
 	return o.Workers
 }
 
-// runBranchAndBound is the one serial-or-parallel branch-and-bound
-// dispatch from a seed (search.WarmSeed's) shared by the node- and
-// domain-level engines and the Session (the constrained pair shards
-// domain subsets instead). Parallel workers search clones of in; the
-// work-stealing driver unwinds in before its workers exit, so in comes
-// back clean.
+// runBranchAndBound is the one branch-and-bound call from a seed
+// (search.WarmSeed's) shared by the node- and domain-level engines and
+// the Session. Extra workers search clones of in; the driver unwinds in
+// before it returns, so in comes back clean.
 func runBranchAndBound(in *search.HitInstance, seed search.Result, opts SearchOpts) search.Result {
-	return search.BranchAndBoundParallelWith(in, func() search.Instance { return in.Clone() },
+	return search.BranchAndBound(in, func() search.Instance { return in.Clone() },
 		seed, search.NewBudget(opts.Budget), opts.resolveWorkers(), opts.Bound)
 }
 

@@ -176,10 +176,8 @@ func TestDifferentialConstrainedEngines(t *testing.T) { testDifferential(t, "con
 //     damage at any worker count, and the node and domain drivers the
 //     same witness; exhaustive and greedy ignore Budget and Workers;
 //   - budget semantics: one pool shared across workers and across
-//     constrained subsets, so no run visits more states than its budget
-//     (the sharded constrained driver may overshoot by one state per
-//     worker, see search.Budget.Visit), and a serial run that stopped
-//     short spent exactly the budget.
+//     constrained subsets, so no run visits more states than its budget,
+//     and a one-worker run that stopped short spent exactly the budget.
 func testDifferential(t *testing.T, model string) {
 	const smallBudget = 4
 	rng := rand.New(rand.NewSource(61))
@@ -261,11 +259,7 @@ func testDifferential(t *testing.T, model string) {
 									t.Errorf("%s: witness %v, serial %v", label, res.Nodes, base.Nodes)
 								}
 							default:
-								limit := int64(budget)
-								if e.model == "constrained" && workers > 1 {
-									limit += int64(workers)
-								}
-								if res.Visited > limit {
+								if res.Visited > budget {
 									t.Errorf("%s: visited %d states, budget %d", label, res.Visited, budget)
 								}
 								if workers == 1 && !res.Exact && res.Visited != budget {

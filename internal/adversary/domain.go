@@ -192,8 +192,7 @@ func DomainWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, lev
 
 // constrainedShared is the subset-independent preprocessing of a
 // constrained search: per-node hit lists, per-node loads, candidate
-// orderings and parameter validation, shared by the serial and parallel
-// drivers.
+// orderings and parameter validation, shared by every worker.
 type constrainedShared struct {
 	pl          *placement.Placement
 	topo        *topology.Topology
@@ -295,30 +294,62 @@ func (sh *constrainedShared) subsetInstance(domains []int, sc *constrainedScratc
 
 // constrainedRun is one constrained search in flight: the shared
 // preprocessing, the one state budget every per-subset search draws
-// from, and the best attack so far (guarded by mu, which only the
-// parallel driver contends).
+// from, the subset cursor, and the best attack so far. mu guards the
+// cursor and best; only runs with more than one worker contend it.
 type constrainedRun struct {
 	sh    *constrainedShared
+	bnb   bool // branch-and-bound per subset, else exhaustive enumeration
 	bud   *search.Budget
 	bound search.Bound
 	mu    sync.Mutex
+	next  []int // the next domain subset to hand out, in lex order
+	more  bool  // next holds a subset not yet handed out
 	best  DomainResult
 }
 
-// searchSubset is the per-subset branch-and-bound step both drivers
-// share: seed greedy, lift the shared incumbent into the seed so the
-// bound prunes across subsets (and workers) — budget isn't wasted on
-// dominated states — then branch-and-bound and merge into the best.
-func (cr *constrainedRun) searchSubset(domains []int, sc *constrainedScratch) {
-	in := cr.sh.subsetInstance(domains, sc)
-	seed, _ := search.WarmSeed(in, nil, nil)
+// take copies the next domain subset into dst, or reports false once
+// every subset is handed out or the budget is drained. A drained budget
+// ends the whole search — the skipped subsets make the result inexact,
+// and running their budget-free greedy seeding anyway would leave the
+// budget unable to bound runtime.
+func (cr *constrainedRun) take(dst []int) bool {
 	cr.mu.Lock()
-	global := cr.best.Failed
-	cr.mu.Unlock()
-	if global > seed.Failed {
-		seed = search.Result{Failed: global}
+	defer cr.mu.Unlock()
+	if !cr.more {
+		return false
 	}
-	cr.merge(in.result(search.BranchAndBoundWith(in, seed, cr.bud, cr.bound)))
+	if cr.bud.Exhausted() {
+		cr.best.Exact = false
+		return false
+	}
+	copy(dst, cr.next)
+	cr.more = combin.NextSubset(cr.sh.topo.NumDomains(), cr.next)
+	return true
+}
+
+// work is the one subset loop every worker runs, with its own reusable
+// scratch instance, until the cursor refuses.
+func (cr *constrainedRun) work() {
+	sc := cr.sh.newScratch()
+	domains := make([]int, cr.sh.d)
+	for cr.take(domains) {
+		in := cr.sh.subsetInstance(domains, sc)
+		if !cr.bnb {
+			cr.merge(in.result(search.Exhaustive(in)))
+			continue
+		}
+		// Seed greedy and lift the shared incumbent into the seed, so
+		// the bound prunes across subsets (and workers) — budget isn't
+		// wasted on dominated states.
+		seed, _ := search.WarmSeed(in, nil, nil)
+		cr.mu.Lock()
+		global := cr.best.Failed
+		cr.mu.Unlock()
+		if global > seed.Failed {
+			seed = search.Result{Failed: global}
+		}
+		cr.merge(in.result(search.BranchAndBound(in, nil, seed, cr.bud, 1, cr.bound)))
+	}
 }
 
 // merge folds one subset's result into the best attack.
@@ -333,6 +364,9 @@ func (cr *constrainedRun) merge(res Result) {
 	if !res.Exact {
 		cr.best.Exact = false
 	}
+	if !cr.bnb {
+		cr.best.Visited += res.Visited // branch-and-bound reads the shared budget instead
+	}
 }
 
 // constrainedSearch finds the worst k node failures confined to at most d
@@ -340,8 +374,9 @@ func (cr *constrainedRun) merge(res Result) {
 // exhaustive enumeration) within every d-subset of domains. The budget,
 // when positive, is shared across the whole search — every per-subset
 // branch-and-bound draws states from the same pool, matching the
-// unconstrained engines' semantics. Branch-and-bound with more than one
-// worker shards the subsets (see searchPar).
+// unconstrained engines' semantics. More than one worker pulls subsets
+// from the shared cursor concurrently; each subset search runs on one
+// worker.
 func constrainedSearch(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, opts SearchOpts, bnb bool) (DomainResult, error) {
 	sh, err := newConstrainedShared(pl, topo, level, s, k, d, opts.ObjWeights)
 	if err != nil {
@@ -349,35 +384,23 @@ func constrainedSearch(pl *placement.Placement, topo *topology.Topology, level, 
 	}
 	cr := &constrainedRun{
 		sh:    sh,
+		bnb:   bnb,
 		bud:   search.NewBudget(opts.Budget),
 		bound: opts.Bound,
+		next:  make([]int, d),
 		best:  DomainResult{Failed: -1, Exact: true},
 	}
-	if workers := opts.resolveWorkers(); bnb && workers > 1 {
-		cr.searchPar(workers)
-	} else {
-		sc := sh.newScratch()
-		combin.ForEachSubset(sh.topo.NumDomains(), d, func(domains []int) bool {
-			if !bnb {
-				in := sh.subsetInstance(domains, sc)
-				sub := search.Exhaustive(in)
-				cr.best.Visited += sub.Visited
-				cr.merge(in.result(sub))
-				return true
-			}
-			// A drained budget ends the whole search — skipped subsets
-			// make the result inexact, and running their budget-free
-			// greedy seeding anyway would leave the budget unable to
-			// bound runtime (and diverge from the parallel driver,
-			// which aborts too).
-			if cr.bud.Exhausted() {
-				cr.best.Exact = false
-				return false
-			}
-			cr.searchSubset(domains, sc)
-			return true
-		})
+	cr.more = combin.FirstSubset(sh.topo.NumDomains(), cr.next)
+	var wg sync.WaitGroup
+	for w := 1; w < opts.resolveWorkers(); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cr.work()
+		}()
 	}
+	cr.work()
+	wg.Wait()
 	if bnb {
 		cr.best.Visited = cr.bud.Used()
 	}
@@ -400,7 +423,7 @@ func ConstrainedExhaustiveAtWith(pl *placement.Placement, topo *topology.Topolog
 // racks, zones, regions, ...) via per-subset branch-and-bound.
 // opts.Budget, when positive, bounds the state total across all subsets
 // (one shared pool, the package-wide semantics); Exact reports whether
-// every subset completed. opts.Workers shards the C(D, d) subsets
+// every subset completed. opts.Workers spreads the C(D, d) subsets
 // across goroutines sharing the incumbent and the budget.
 func ConstrainedWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, opts SearchOpts) (DomainResult, error) {
 	return constrainedSearch(pl, topo, level, s, k, d, opts, true)

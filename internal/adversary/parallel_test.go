@@ -156,7 +156,7 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serial and parallel share the abort semantics: a drained budget
+	// One worker and three share the abort semantics: a drained budget
 	// ends the subset sweep with the incumbent so far, inexactly.
 	for name, run := range map[string]func() (DomainResult, error){
 		"serial": func() (DomainResult, error) {
@@ -182,10 +182,36 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 	}
 }
 
+// TestConstrainedBudgetNeverOvershoots pins the one charge path: every
+// state, the root of each per-subset search included, is leased from
+// the shared budget, so concurrent subset workers cannot race past the
+// limit, and a budget drained mid-sweep hands out no further subsets.
+// Repeated so the race detector sees many interleavings.
+func TestConstrainedBudgetNeverOvershoots(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	pl := randomPlacement(rng, 20, 3, 200)
+	topo, err := topology.Uniform(20, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 50; rep++ {
+		res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Visited > 20 {
+			t.Fatalf("rep %d: visited %d states, budget 20", rep, res.Visited)
+		}
+		if res.Exact {
+			t.Fatalf("rep %d: tiny shared budget should not complete exactly", rep)
+		}
+	}
+}
+
 // TestBudgetedParallelAlwaysValidAttack pins the only run-invariant
 // contract the budgeted+parallel regime offers. Which incumbent wins a
 // budget race legitimately varies run to run (see the scheduling note
-// in internal/search/parallel.go), so nothing here compares Failed
+// in internal/search/steal.go), so nothing here compares Failed
 // across runs — every run must instead return a self-consistent valid
 // attack: the witness replays to the reported damage, the damage never
 // exceeds the true optimum, and a drained budget is reported inexact.

@@ -17,13 +17,13 @@ import "fmt"
 // marked stale, and re-derived once by the next EnableResidual. The
 // warm-start side of the contract is Revalidate: replay the previous
 // search's witness on the patched instance and seed the next
-// BranchAndBoundWith with whatever damage it still achieves, so the
+// BranchAndBound with whatever damage it still achieves, so the
 // first prune is already tight.
 //
 // Moves and clones don't mix: Clone shares the CSR backing arrays that
 // ApplyMove mutates, so — exactly like Reinit — never apply a move
-// while clones from a previous search are still live. The parallel
-// driver builds its clones after the caller's moves and discards them
+// while clones from a previous search are still live. BranchAndBound
+// builds its clones after the caller's moves and discards them
 // before the next one, which satisfies this by construction.
 
 // EnableMoves declares the instance mutable by ApplyMove and installs

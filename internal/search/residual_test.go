@@ -80,8 +80,8 @@ func TestResidualBoundEquivalence(t *testing.T) {
 		ex := Exhaustive(in)
 		seed := Greedy(in)
 		in.Reset()
-		static := BranchAndBoundWith(in, seed, NewBudget(0), BoundStatic)
-		resid := BranchAndBoundWith(in, seed, NewBudget(0), BoundResidual)
+		static := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
+		resid := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
 
 		if static.Failed != ex.Failed || resid.Failed != ex.Failed {
 			t.Errorf("trial %d (m=%d r=%d b=%d s=%d k=%d): damage static=%d residual=%d exhaustive=%d",
@@ -116,11 +116,11 @@ func TestResidualBoundUnderBudget(t *testing.T) {
 	in, _ := randomHitInstance(rng, 14, 3, 120, 2, 5, 1)
 	seed := Greedy(in)
 	in.Reset()
-	full := BranchAndBoundWith(in, seed, NewBudget(0), BoundResidual)
+	full := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
 	for _, bound := range []Bound{BoundStatic, BoundResidual} {
 		for _, limit := range []int64{1, 9, 40} {
 			bud := NewBudget(limit)
-			res := BranchAndBoundWith(in, seed, bud, bound)
+			res := BranchAndBound(in, nil, seed, bud, 1, bound)
 			if res.Exact {
 				t.Errorf("%v budget %d: claims exactness", bound, limit)
 			}
@@ -306,11 +306,11 @@ func TestDuplicateCollapse(t *testing.T) {
 	seedC := Greedy(cover)
 	cover.Reset()
 	blindIn := &coverMarginalCounter{coverInstance: cover}
-	blind := BranchAndBoundWith(blindIn, seedC, NewBudget(0), BoundStatic)
+	blind := BranchAndBound(blindIn, nil, seedC, NewBudget(0), 1, BoundStatic)
 	seedH := Greedy(hit)
 	hit.Reset()
 	dedupIn := &marginalCounter{HitInstance: hit}
-	dedup := BranchAndBoundWith(dedupIn, seedH, NewBudget(0), BoundStatic)
+	dedup := BranchAndBound(dedupIn, nil, seedH, NewBudget(0), 1, BoundStatic)
 
 	if blind.Failed != want || dedup.Failed != want {
 		t.Fatalf("damage: blind %d, dedup %d, exhaustive %d", blind.Failed, dedup.Failed, want)
@@ -347,10 +347,10 @@ func TestReinitReuse(t *testing.T) {
 
 		wantSeed := Greedy(fresh)
 		fresh.Reset()
-		want := BranchAndBoundWith(fresh, wantSeed, NewBudget(0), BoundResidual)
+		want := BranchAndBound(fresh, nil, wantSeed, NewBudget(0), 1, BoundResidual)
 		gotSeed := Greedy(scratch)
 		scratch.Reset()
-		got := BranchAndBoundWith(scratch, gotSeed, NewBudget(0), BoundResidual)
+		got := BranchAndBound(scratch, nil, gotSeed, NewBudget(0), 1, BoundResidual)
 		if got.Failed != want.Failed || got.Visited != want.Visited || !reflect.DeepEqual(got.Sel, want.Sel) {
 			t.Errorf("trial %d: reused scratch {failed %d visited %d sel %v} != fresh {failed %d visited %d sel %v}",
 				trial, got.Failed, got.Visited, got.Sel, want.Failed, want.Visited, want.Sel)
@@ -384,8 +384,8 @@ func FuzzBoundEquivalence(f *testing.F) {
 		ex := Exhaustive(in)
 		seedRes := Greedy(in)
 		in.Reset()
-		static := BranchAndBoundWith(in, seedRes, NewBudget(0), BoundStatic)
-		resid := BranchAndBoundWith(in, seedRes, NewBudget(0), BoundResidual)
+		static := BranchAndBound(in, nil, seedRes, NewBudget(0), 1, BoundStatic)
+		resid := BranchAndBound(in, nil, seedRes, NewBudget(0), 1, BoundResidual)
 		if static.Failed != ex.Failed || resid.Failed != ex.Failed {
 			t.Fatalf("damage static=%d residual=%d exhaustive=%d (m=%d r=%d b=%d s=%d k=%d)",
 				static.Failed, resid.Failed, ex.Failed, m, r, b, s, k)

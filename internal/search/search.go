@@ -7,16 +7,16 @@
 // Mills, Chandrasekaran & Mittal, arXiv:1701.01539, collapses them onto
 // one search).
 //
-// Three drivers share one pruning discipline and one budget/visited-state
-// semantics:
+// Three drivers:
 //
 //   - Exhaustive: enumerate every K-subset. Reference oracle.
 //   - Greedy: marginal-gain selection plus single-swap local search. A
 //     valid attack, hence a lower bound on the damage.
-//   - BranchAndBoundWith (and its parallel twin,
-//     BranchAndBoundParallelWith): depth-first search in candidate order,
-//     seeded with an incumbent and pruned by one or two admissible damage
-//     bounds selected by a Bound mode (see below).
+//   - BranchAndBound: depth-first search in candidate order, seeded
+//     with an incumbent and pruned by one or two admissible damage
+//     bounds selected by a Bound mode (see below). One work-stealing
+//     driver (steal.go) runs it at every worker count; one worker runs
+//     inline on the caller's goroutine.
 //
 // # Pruning bounds
 //
@@ -59,11 +59,11 @@ import (
 
 // Instance is the incremental damage-accounting state for one search: m
 // candidates (indexed 0..Len()-1), of which exactly K must be chosen.
-// Implementations must guarantee Len() >= K(), and the branch-and-bound
-// drivers additionally require candidates in non-increasing Load order —
-// the replica-counting bound assumes the first rem remaining candidates
+// Implementations must guarantee Len() >= K(), and BranchAndBound
+// additionally requires candidates in non-increasing Load order — the
+// replica-counting bound assumes the first rem remaining candidates
 // carry the most load, so an unsorted instance would prune incorrectly
-// (the drivers verify and panic rather than return a wrong optimum).
+// (the driver verifies and panics rather than return a wrong optimum).
 type Instance interface {
 	// Len returns the number of candidates m.
 	Len() int
@@ -101,12 +101,12 @@ type Instance interface {
 //	discount  = Σ_{c} (fullLoad(c) - resid(c))   (dead load, all candidates)
 //
 // where an object is dead once S of its replicas have failed. The
-// drivers derive liveSpent — failed replicas of still-live objects —
+// driver derives liveSpent — failed replicas of still-live objects —
 // as the chosen candidates' static load minus deadSpent (tracking the
 // dead side keeps the common live-hit path branch-cheap). Any
 // completion of the current selection then newly fails at most
 // ⌊(liveSpent + cap) / S⌋ objects, where cap is any upper bound on the
-// completion's hits to live objects: the drivers use
+// completion's hits to live objects: the driver uses
 // min(static window, residual) as the O(1) cap and TopResidual as the
 // exact one, gated by discount (the scan cannot recover more than the
 // dead load, so it only runs when that could flip the decision).
@@ -128,14 +128,14 @@ type ResidualBounder interface {
 	// TopResidual returns the sum of the rem largest residual loads
 	// among candidates start..Len()-1 — the exact residual analogue of
 	// the static top-rem window (never larger, since resid <= Load
-	// pointwise and candidates are load-sorted). The drivers only call
+	// pointwise and candidates are load-sorted). The driver only calls
 	// it with 0 < rem <= Len()-start.
 	TopResidual(start, rem int) int64
 }
 
 // Deduper is an optional Instance extension enabling duplicate-candidate
 // collapse: when DupOfPrev(i) reports that candidate i's hit list is
-// identical to candidate i-1's, the branch-and-bound drivers skip the
+// identical to candidate i-1's, BranchAndBound skips the
 // branch that chooses i after skipping i-1 at the same level — the
 // damage of any such selection is already realized by the selection
 // using i-1 instead. Common in symmetric placements (x = 0 partition
@@ -194,7 +194,7 @@ type Result struct {
 
 // Budget caps the number of branch-and-bound states one logical search
 // may visit, shared across sub-searches (constrained per-subset runs)
-// and worker goroutines (parallel drivers). A limit <= 0 means
+// and the workers of one search. A limit <= 0 means
 // unlimited; states are still counted for diagnostics. The zero Budget
 // is unlimited and ready to use.
 type Budget struct {
@@ -205,20 +205,8 @@ type Budget struct {
 // NewBudget returns a budget allowing limit states (<= 0: unlimited).
 func NewBudget(limit int64) *Budget { return &Budget{limit: limit} }
 
-// Visit consumes one state. It reports false — without consuming — once
-// the limit is reached; the caller must then stop searching and clear
-// Exact. Concurrent use is safe; workers racing past the limit may
-// overshoot by at most one state each.
-func (b *Budget) Visit() bool {
-	if b.limit > 0 && b.used.Load() >= b.limit {
-		return false
-	}
-	b.used.Add(1)
-	return true
-}
-
-// Used returns the number of states consumed so far. While a parallel
-// search is in flight the count includes leased-but-unentered states
+// Used returns the number of states consumed so far. While a search is
+// in flight the count includes leased-but-unentered states
 // (see Lease); once every worker has exited, leases are settled and
 // Used is exactly the number of states entered.
 func (b *Budget) Used() int64 { return b.used.Load() }
@@ -388,97 +376,7 @@ func Greedy(in Instance) Result {
 	}
 }
 
-// BranchAndBoundWith runs the depth-first search seeded with an
-// incumbent (conventionally Greedy's result on the same instance, after
-// Reset), pruning with the given bound (BoundResidual, the default, or
-// the BoundStatic ablation baseline behind the -bound switch). The
-// instance's failure counters must be clean. Every state entered consumes one unit of bud; when bud runs
-// dry the incumbent so far is returned with Exact = false. Visited
-// reports bud's total consumption, so searches sharing a Budget report
-// the shared count.
-func BranchAndBoundWith(in Instance, seed Result, bud *Budget, bound Bound) Result {
-	m, k, s := in.Len(), in.K(), in.S()
-	prefix := loadPrefix(in)
-	rb := residualOf(in, bound)
-	dup := dupFlags(in)
-	best := Result{Failed: seed.Failed, Sel: append([]int(nil), seed.Sel...), Exact: true}
-	cur := make([]int, 0, k)
-	exhausted := false
-
-	var dfs func(start, failed int, loadSum int64)
-	dfs = func(start, failed int, loadSum int64) {
-		if exhausted {
-			return
-		}
-		if !bud.Visit() {
-			exhausted = true
-			return
-		}
-		rem := k - len(cur)
-		if rem == 0 {
-			if failed > best.Failed {
-				best.Failed = failed
-				best.Sel = append(best.Sel[:0], cur...)
-			}
-			return
-		}
-		if start+rem > m {
-			return
-		}
-		window := prefix[start+rem] - prefix[start]
-		if prunable(rb, failed, loadSum, window, int64(s), int64(best.Failed), start, rem) {
-			return
-		}
-		if rem == 1 {
-			// Final level: scan candidates for the best single extension.
-			// Duplicates collapse here too: candidate i's marginal equals
-			// its identical predecessor's, and the strict argmax keeps the
-			// first of any equal pair, so skipping dup[i] (whose
-			// representative i-1 >= start is scanned) changes nothing but
-			// the scan work.
-			bestI, bestGain := -1, -1
-			for i := start; i < m; i++ {
-				if dup != nil && i > start && dup[i] {
-					continue
-				}
-				if g := in.Marginal(i); g > bestGain {
-					bestGain = g
-					bestI = i
-				}
-			}
-			if bestI >= 0 && failed+bestGain > best.Failed {
-				best.Failed = failed + bestGain
-				best.Sel = append(append(best.Sel[:0], cur...), bestI)
-			}
-			return
-		}
-		for i := start; i <= m-rem; i++ {
-			// Duplicate collapse: choosing i after skipping the
-			// identical i-1 at this level re-derives a selection whose
-			// damage the i-1 branch already realized.
-			if dup != nil && i > start && dup[i] {
-				continue
-			}
-			newly := in.Add(i)
-			cur = append(cur, i)
-			dfs(i+1, failed+newly, loadSum+in.Load(i))
-			cur = cur[:len(cur)-1]
-			in.Remove(i)
-			if exhausted {
-				return
-			}
-		}
-	}
-	dfs(0, 0, 0)
-	best.Visited = bud.Used()
-	if exhausted {
-		best.Exact = false
-	}
-	return best
-}
-
-// prunable is the one copy of the bound algebra shared by the serial
-// and parallel drivers: it reports whether no completion of the current
+// prunable is the one copy of the bound algebra: it reports whether no completion of the current
 // state — failed objects down, the chosen candidates carrying loadSum
 // static load, rem picks left among candidates start..Len()-1 with
 // top-rem static window — can beat the incumbent.

@@ -159,19 +159,19 @@ func TestDriversAgreeOnRandomInstances(t *testing.T) {
 		}
 		in.Reset()
 
-		bnb := BranchAndBoundWith(in, greedy, NewBudget(0), BoundResidual)
+		bnb := BranchAndBound(in, nil, greedy, NewBudget(0), 1, BoundResidual)
 		if bnb.Failed != want {
-			t.Errorf("trial %d: BranchAndBoundWith = %d, brute force = %d", trial, bnb.Failed, want)
+			t.Errorf("trial %d: BranchAndBound = %d, brute force = %d", trial, bnb.Failed, want)
 		}
 		if !bnb.Exact {
-			t.Error("unbounded BranchAndBoundWith must be exact")
+			t.Error("unbounded BranchAndBound must be exact")
 		}
 		if bnb.Visited > ex.Visited {
 			t.Errorf("trial %d: B&B visited %d > exhaustive %d: pruning broken",
 				trial, bnb.Visited, ex.Visited)
 		}
 
-		par := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), func() Instance {
+		par := BranchAndBound(newCoverInstance(m, k, s, members), func() Instance {
 			return newCoverInstance(m, k, s, members)
 		}, greedy, NewBudget(0), 4, BoundResidual)
 		if par.Failed != want || !par.Exact {
@@ -189,7 +189,7 @@ func TestBudgetSemantics(t *testing.T) {
 	in := mk()
 	seed := Greedy(in)
 	in.Reset()
-	full := BranchAndBoundWith(in, seed, NewBudget(0), BoundResidual)
+	full := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
 	if !full.Exact {
 		t.Fatal("unbounded search not exact")
 	}
@@ -199,7 +199,7 @@ func TestBudgetSemantics(t *testing.T) {
 		seed := Greedy(in)
 		in.Reset()
 		bud := NewBudget(limit)
-		res := BranchAndBoundWith(in, seed, bud, BoundResidual)
+		res := BranchAndBound(in, nil, seed, bud, 1, BoundResidual)
 		if res.Exact {
 			t.Errorf("budget %d: search claims exactness", limit)
 		}
@@ -220,12 +220,12 @@ func TestBudgetSemantics(t *testing.T) {
 	// the first left off.
 	bud := NewBudget(10)
 	in1, in2 := mk(), mk()
-	BranchAndBoundWith(in1, Result{}, bud, BoundResidual)
+	BranchAndBound(in1, nil, Result{}, bud, 1, BoundResidual)
 	first := bud.Used()
 	if first != 10 {
 		t.Fatalf("first search consumed %d of 10", first)
 	}
-	res := BranchAndBoundWith(in2, Result{}, bud, BoundResidual)
+	res := BranchAndBound(in2, nil, Result{}, bud, 1, BoundResidual)
 	if res.Exact || bud.Used() != 10 {
 		t.Errorf("drained budget allowed more work: exact=%v used=%d", res.Exact, bud.Used())
 	}
@@ -234,8 +234,8 @@ func TestBudgetSemantics(t *testing.T) {
 func TestZeroBudgetValueIsUnlimited(t *testing.T) {
 	var bud Budget
 	for i := 0; i < 1000; i++ {
-		if !bud.Visit() {
-			t.Fatal("zero Budget refused a visit")
+		if bud.Lease(1) != 1 {
+			t.Fatal("zero Budget refused a lease")
 		}
 	}
 	if bud.Used() != 1000 || bud.Exhausted() {

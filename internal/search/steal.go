@@ -1,18 +1,20 @@
-// Work-stealing branch-and-bound: the parallel driver behind
-// BranchAndBoundParallelWith.
+// Work-stealing branch-and-bound: the one depth-first driver behind
+// BranchAndBound, at every worker count.
 //
 // Pending work is an explicit, splittable frontier of tasks — a
 // selection prefix plus an untried sibling range — rather than a
 // goroutine's call stack. Each worker owns a bounded LIFO deque (at
 // most K entries: one continuation per ancestor of its current path)
-// and explores depth-first exactly like the serial driver; whenever it
-// descends into a child it publishes the node's untried siblings as a
-// task. The deque is depth-ordered, so the owner pops the deepest
-// continuation (cheap replay: Removes only) while idle workers steal
-// from the head — the *shallowest* range, i.e. the largest subtree —
-// keeping steals rare and the Add/Remove prefix replay amortized.
+// and explores depth-first; whenever it descends into a child it
+// publishes the node's untried siblings as a task. The deque is
+// depth-ordered, so the owner pops the deepest continuation (cheap
+// replay: Removes only) while idle workers steal from the head — the
+// *shallowest* range, i.e. the largest subtree — keeping steals rare
+// and the Add/Remove prefix replay amortized. A lone worker runs
+// inline on the caller's goroutine: its deque is the whole frontier,
+// nobody steals, and it walks selections in ascending lex order.
 //
-// Two shared-atomic hot spots of the old top-level sharding are gone:
+// Two shared-atomic hot spots stay off the per-state path:
 //
 //   - Budget: workers consume states from leased chunks (leaseChunk at
 //     a time, scaled down near the limit so one worker cannot starve
@@ -24,19 +26,21 @@
 //     snapshot only lags the true incumbent, so stale reads cost extra
 //     exploration, never correctness.
 //
-// Exact runs return byte-identical (Failed, Sel) to BranchAndBoundWith.
-// The serial driver keeps the seed whenever it ties the optimum
-// (incumbent updates are strict) and otherwise returns the
-// lexicographically smallest optimal selection (it walks selections in
-// ascending lex order and records the first optimum). The scheduler
-// reproduces that reduction order-independently: ties are reported, the
-// reducer keeps the seed against any tie and otherwise the lex-smallest
-// tied selection, and a subtree whose bound exactly ties the snapshot
-// is only pruned once no leaf in it could lex-precede the incumbent.
-// Visited-state *sets* may differ from the serial run (speculative
-// exploration under a stale snapshot); when the greedy seed is already
-// optimal — every tracked benchmark — the incumbent never moves and the
-// visited set, and hence the count, is identical at any worker count.
+// Exact runs return byte-identical (Failed, Sel) at any worker count:
+// the seed when it ties the optimum, otherwise the lexicographically
+// smallest optimal selection. The reduction is order-independent: ties
+// are reported, the reducer keeps the seed against any tie and
+// otherwise the lex-smallest tied selection, and a subtree whose bound
+// exactly ties the snapshot is only pruned once no leaf in it could
+// lex-precede the incumbent. At one worker the snapshot always equals
+// the incumbent and every later leaf is lex-greater than it, so both
+// tie rules reduce to strict improvement and the visited-state
+// sequence is a fixed function of the instance and seed — budgeted
+// runs stop at the same state every time. With more workers the
+// visited-state *sets* may differ (speculative exploration under a
+// stale snapshot); when the greedy seed is already optimal — every
+// tracked benchmark — the incumbent never moves and the visited set,
+// and hence the count, is identical at any worker count.
 //
 // A drained budget stops every worker at its next state; the pending
 // frontier is dropped and the result reports Exact = false. On exit
@@ -45,6 +49,7 @@
 package search
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -55,9 +60,9 @@ import (
 // task is one unit of pending branch-and-bound work: the search node
 // reached by choosing prefix (with failed objects down and loadSum
 // chosen static load) still owes the sibling branches choosing
-// candidates start.. next. Tasks are only created for nodes with at
-// least two picks remaining; leaves and final-level scans complete
-// inline.
+// candidates start.. next. Apart from the root, tasks are only created
+// for nodes with at least two picks remaining; leaves and final-level
+// scans complete inline.
 type task struct {
 	prefix  []int
 	start   int
@@ -116,18 +121,21 @@ func (d *deque) empty() bool {
 	return len(d.tasks) == 0
 }
 
-// parallelSearch is one work-stealing branch-and-bound run: the
-// per-worker instances and deques, the shared budget, and the reducer
-// holding the incumbent.
-type parallelSearch struct {
-	instances []Instance
-	bud       *Budget
-	bound     Bound
-	workers   int
-	k, m      int
+// searchRun is one branch-and-bound run: the read-only candidate
+// tables every worker shares, the workers, the shared budget, and the
+// reducer holding the incumbent.
+type searchRun struct {
+	bud     *Budget
+	bound   Bound
+	workers int
+	k, m    int
+	s       int64
+	prefix  []int64 // candidate load prefix sums (loadPrefix), shared read-only
+	dup     []bool  // duplicate-candidate flags (dupFlags), shared read-only
 
-	deques []*deque
-	idle   atomic.Int32
+	peers []*stealWorker // every worker, for stealing; nil for a lone worker
+	wg    sync.WaitGroup // the goroutines running peers[1:]
+	idle  atomic.Int32
 
 	exhausted atomic.Bool // budget drained: stop, result inexact
 	done      atomic.Bool // frontier drained: the first worker to prove it releases the rest
@@ -139,88 +147,97 @@ type parallelSearch struct {
 	bestSel    atomic.Pointer[[]int] // nil while bestIsSeed; else a frozen copy of best.Sel
 }
 
-// runParallel builds one instance per worker — worker 0 reuses probe,
-// the rest come from newInst — enters the root, runs the workers over
-// the frontier and returns the reduced result. Exact is true only when
-// the frontier was fully explored within budget.
-func runParallel(probe Instance, newInst func() Instance, seed Result, bud *Budget, workers int, bound Bound) Result {
-	ps := &parallelSearch{
-		instances:  make([]Instance, workers),
+// BranchAndBound runs the depth-first search seeded with an incumbent
+// (conventionally search.WarmSeed's, on the same instance after Reset),
+// pruning with the given bound (BoundResidual, the default, or the
+// BoundStatic ablation baseline behind the -bound switch), over workers
+// work-stealing workers (see the top of this file).
+//
+// probe is a ready (Reset) instance the caller already built — worker
+// 0 searches it on the caller's goroutine, so seeding greedy on it
+// first costs no extra construction; it is returned clean (the applied
+// prefix fully unwound), so callers may reuse it across searches.
+// workers is a resolved count, at least 1; with more than one, newInst
+// must return independent instances of the same search (same candidate
+// order, loads and damage accounting), one per extra worker, and may
+// be nil otherwise.
+//
+// Every state entered, the root included, consumes one unit of bud,
+// shared by all workers; when bud runs dry the incumbent so far is
+// returned with Exact = false. Visited reports bud's total
+// consumption, so searches sharing a Budget report the shared count.
+// Exact runs return the seed when it ties the optimum, else the
+// lexicographically smallest optimal selection, at any worker count.
+// With a budget and more than one worker, the set of states visited
+// differs between runs, so budgeted results may vary (each is still a
+// valid attack and lower bound on the damage).
+func BranchAndBound(probe Instance, newInst func() Instance, seed Result, bud *Budget, workers int, bound Bound) Result {
+	if workers < 1 {
+		panic(fmt.Sprintf("search: BranchAndBound needs at least one worker, got %d", workers))
+	}
+	ps := &searchRun{
 		bud:        bud,
 		bound:      bound,
 		workers:    workers,
 		k:          probe.K(),
 		m:          probe.Len(),
+		s:          int64(probe.S()),
+		prefix:     loadPrefix(probe),
+		dup:        dupFlags(probe),
 		best:       Result{Failed: seed.Failed, Sel: append([]int(nil), seed.Sel...), Exact: true},
 		bestIsSeed: true,
-		deques:     make([]*deque, workers),
-	}
-	ps.instances[0] = probe
-	for w := 1; w < workers; w++ {
-		ps.instances[w] = newInst()
-	}
-	for i := range ps.deques {
-		ps.deques[i] = &deque{}
 	}
 	ps.bestScore.Store(int64(seed.Failed))
-	if t, ok := ps.enterRoot(); ok {
-		ps.deques[0].tasks = append(ps.deques[0].tasks, t) // pre-spawn: no contention yet
+	w0 := newStealWorker(ps, 0, probe)
+	if workers > 1 {
+		ps.peers = make([]*stealWorker, workers)
+		ps.peers[0] = w0
+		for id := 1; id < workers; id++ {
+			ps.peers[id] = newStealWorker(ps, id, newInst())
+		}
 	}
-	var wg sync.WaitGroup
-	for w := range ps.instances {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			newStealWorker(ps, id).run()
-		}(w)
+	w0.init()
+	if t, ok := ps.enterRoot(w0); ok {
+		w0.deq.push(t)
 	}
-	wg.Wait()
+	for id := 1; id < workers; id++ {
+		w := ps.peers[id]
+		ps.wg.Add(1)
+		go func() {
+			defer ps.wg.Done()
+			w.init()
+			w.run()
+		}()
+	}
+	w0.run()
+	ps.wg.Wait()
 	ps.best.Visited = ps.bud.Used()
 	ps.best.Exact = !ps.exhausted.Load()
 	sort.Ints(ps.best.Sel)
 	return ps.best
 }
 
-// enterRoot reproduces the serial driver's root-state handling — charge
-// one budget unit, then leaf/bounds/final-level checks — and returns
-// the root task, if the root does not resolve the search itself.
-func (ps *parallelSearch) enterRoot() (task, bool) {
-	in := ps.instances[0]
-	if !ps.bud.Visit() {
+// enterRoot charges the root state and applies the root prune,
+// returning the root task unless the root resolves the search itself.
+// At K == 1 the root task goes straight to the final-level scan.
+func (ps *searchRun) enterRoot(w0 *stealWorker) (task, bool) {
+	if ps.bud.Lease(1) == 0 {
 		ps.exhausted.Store(true)
 		return task{}, false
 	}
-	k, m := ps.k, ps.m
-	if k == 0 || k > m {
+	k := ps.k
+	if k == 0 || k > ps.m {
 		return task{}, false
 	}
-	prefix := loadPrefix(in)
-	rb := residualOf(in, ps.bound)
-	if prunable(rb, 0, 0, prefix[k]-prefix[0], int64(in.S()), ps.bestScore.Load(), 0, k) {
+	if prunable(w0.rb, 0, 0, ps.prefix[k], ps.s, ps.bestScore.Load(), 0, k) {
 		return task{}, false
 	}
-	if k == 1 {
-		dup := dupFlags(in)
-		bestI, bestGain := -1, -1
-		for i := 0; i < m; i++ {
-			if dup != nil && i > 0 && dup[i] {
-				continue
-			}
-			if g := in.Marginal(i); g > bestGain {
-				bestGain, bestI = g, i
-			}
-		}
-		if bestI >= 0 {
-			ps.report(bestGain, []int{bestI})
-		}
-		return task{}, false
-	}
-	return task{prefix: []int{}}, true
+	return task{}, true
 }
 
-func (ps *parallelSearch) allEmpty() bool {
-	for _, d := range ps.deques {
-		if !d.empty() {
+func (ps *searchRun) allEmpty() bool {
+	for _, w := range ps.peers {
+		if !w.deq.empty() {
 			return false
 		}
 	}
@@ -229,10 +246,10 @@ func (ps *parallelSearch) allEmpty() bool {
 
 // report offers a completed selection to the shared reducer. The order
 // workers find selections in is scheduling-dependent, so the reducer —
-// not discovery order — enforces the serial result: strict improvements
-// always win; a tie never displaces the seed and otherwise wins only by
-// lex order. sel must be ascending (the DFS builds it that way).
-func (ps *parallelSearch) report(failed int, sel []int) {
+// not discovery order — fixes the result: strict improvements always
+// win; a tie never displaces the seed and otherwise wins only by lex
+// order. sel must be ascending (the DFS builds it that way).
+func (ps *searchRun) report(failed int, sel []int) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	switch {
@@ -262,18 +279,15 @@ func lexLess(a, b []int) bool {
 	return false
 }
 
-// stealWorker is one goroutine's view of the run: its instance, the
-// applied prefix mirroring the instance's counters, its budget lease
-// and incumbent snapshot.
+// stealWorker is one worker's view of the run: its instance and deque,
+// the applied prefix mirroring the instance's counters, its budget
+// lease and incumbent snapshot.
 type stealWorker struct {
-	ps     *parallelSearch
+	ps     *searchRun
 	id     int
 	in     Instance
-	deq    *deque
-	prefix []int64
+	deq    deque
 	rb     ResidualBounder
-	dup    []bool
-	s      int64
 	cur    []int
 	lease  int64
 	snap   int64
@@ -281,20 +295,21 @@ type stealWorker struct {
 	free   [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
 }
 
-func newStealWorker(ps *parallelSearch, id int) *stealWorker {
-	in := ps.instances[id]
-	return &stealWorker{
-		ps:     ps,
-		id:     id,
-		in:     in,
-		deq:    ps.deques[id],
-		prefix: loadPrefix(in),
-		rb:     residualOf(in, ps.bound),
-		dup:    dupFlags(in),
-		s:      int64(in.S()),
-		cur:    make([]int, 0, ps.k),
-		snap:   ps.bestScore.Load(),
-	}
+// newStealWorker sizes the worker's deque up front: it runs before any
+// goroutine starts, so no thief can observe the deque being set up.
+func newStealWorker(ps *searchRun, id int, in Instance) *stealWorker {
+	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}}
+}
+
+// init switches on the worker's residual upkeep and takes its first
+// incumbent snapshot. Extra workers run it on their own goroutine, so
+// their instances prepare in parallel.
+func (w *stealWorker) init() {
+	k := w.ps.k
+	w.rb = residualOf(w.in, w.ps.bound)
+	paths := make([]int, 2*k)
+	w.cur, w.selBuf = paths[:0:k], paths[k:k]
+	w.snap = w.ps.bestScore.Load()
 }
 
 func (w *stealWorker) run() {
@@ -335,6 +350,9 @@ func (w *stealWorker) next() (task, bool) {
 		return t, true
 	}
 	ps := w.ps
+	if ps.workers == 1 {
+		return task{}, false // a lone worker's deque is the whole frontier
+	}
 	ps.idle.Add(1)
 	defer ps.idle.Add(-1)
 	for spins := 0; ; spins++ {
@@ -342,7 +360,7 @@ func (w *stealWorker) next() (task, bool) {
 			return task{}, false
 		}
 		for off := 1; off < ps.workers; off++ {
-			if t, ok := ps.deques[(w.id+off)%ps.workers].steal(); ok {
+			if t, ok := ps.peers[(w.id+off)%ps.workers].deq.steal(); ok {
 				return t, true
 			}
 		}
@@ -398,34 +416,34 @@ func (w *stealWorker) recycle(buf []int) {
 	}
 }
 
-// runTask explores the task's sibling range depth-first, mirroring the
-// serial driver state for state: each child entered charges one leased
-// budget unit, then runs the same leaf/prune/final-level logic; a child
-// with two or more picks remaining becomes the new node after the
-// untried siblings are published for thieves.
+// runTask explores the task's sibling range depth-first — the one DFS
+// loop: each child entered charges one leased budget unit, then runs
+// the prune and final-level logic; a child with two or more picks
+// remaining becomes the new node after the untried siblings are
+// published for thieves.
 func (w *stealWorker) runTask(t task) {
 	w.adopt(t.prefix)
 	w.recycle(t.prefix)
 	failed, loadSum, start := t.failed, t.loadSum, t.start
+	prefix, dup, m := w.ps.prefix, w.ps.dup, w.ps.m
 	for {
 		rem := w.ps.k - len(w.cur)
-		if rem <= 0 {
-			return
-		}
-		m := w.ps.m
-		if rem == 1 { // defensive: tasks are built with rem >= 2
+		if rem == 1 { // only the K == 1 root: other tasks keep two picks
 			w.scanLast(failed, start)
 			return
 		}
-		// The node's own loop start (its entry point in the serial DFS):
-		// the dup collapse is relative to it, not to the task's start.
+		// The node's own loop start (its entry point in the DFS): the
+		// dup collapse is relative to it, not to the task's start.
 		ns := 0
 		if len(w.cur) > 0 {
 			ns = w.cur[len(w.cur)-1] + 1
 		}
 		descended := false
 		for i := start; i <= m-rem; i++ {
-			if w.dup != nil && i > ns && w.dup[i] {
+			// Duplicate collapse: choosing i after skipping the
+			// identical i-1 at this level re-derives a selection whose
+			// damage the i-1 branch already realized.
+			if dup != nil && i > ns && dup[i] {
 				continue
 			}
 			if w.ps.exhausted.Load() || !w.charge() {
@@ -436,7 +454,7 @@ func (w *stealWorker) runTask(t task) {
 			cl := loadSum + w.in.Load(i)
 			crem := rem - 1
 			cstart := i + 1
-			window := w.prefix[cstart+crem] - w.prefix[cstart]
+			window := prefix[cstart+crem] - prefix[cstart]
 			if w.pruneChild(cf, cl, window, cstart, crem, i) {
 				w.in.Remove(i)
 				continue
@@ -467,11 +485,12 @@ func (w *stealWorker) runTask(t task) {
 // boundaries. Returns false when the shared budget is dry.
 func (w *stealWorker) charge() bool {
 	if w.lease == 0 {
+		workers := int64(w.ps.workers)
 		n := int64(leaseChunk)
-		if rem := w.ps.bud.Remaining(); rem < n*int64(w.ps.workers) {
+		if rem := w.ps.bud.Remaining(); rem < n*workers {
 			// Near the limit: claim an even share so the last states are
 			// spread across workers instead of hoarded by the first asker.
-			n = rem/int64(w.ps.workers) + 1
+			n = rem/workers + 1
 		}
 		g := w.ps.bud.Lease(n)
 		if g == 0 {
@@ -492,14 +511,15 @@ func (w *stealWorker) charge() bool {
 // so anything it prunes outright is safe; the subtle case is a bound
 // that exactly ties the snapshot — such a subtree cannot improve the
 // damage but may hold an equal-damage selection that lex-precedes the
-// incumbent, which the serial reduction would have returned. Those
-// subtrees survive unless the incumbent is still the seed (ties never
-// displace it) or no leaf below can lex-precede the incumbent.
+// incumbent, which the reduction would have returned. Those subtrees
+// survive unless the incumbent is still the seed (ties never displace
+// it) or no leaf below can lex-precede the incumbent.
 func (w *stealWorker) pruneChild(cf int, cl, window int64, cstart, crem, next int) bool {
-	if !prunable(w.rb, cf, cl, window, w.s, w.snap, cstart, crem) {
+	s := w.ps.s
+	if !prunable(w.rb, cf, cl, window, s, w.snap, cstart, crem) {
 		return false
 	}
-	if prunable(w.rb, cf, cl, window, w.s, w.snap-1, cstart, crem) {
+	if prunable(w.rb, cf, cl, window, s, w.snap-1, cstart, crem) {
 		return true // strictly below the snapshot: no tie possible
 	}
 	sel := w.ps.bestSel.Load()
@@ -532,14 +552,16 @@ func prefixMayPrecede(cur []int, next int, sel []int) bool {
 
 // scanLast is the final-level Marginal scan over candidates cstart..m-1
 // for the node currently applied to the instance (failed objects down).
-// Unlike the serial driver it also reports ties — the reducer needs
-// them for the lex tie-break — but, like it, takes the first of equal
-// maximizers and skips duplicate candidates.
+// It reports ties too — the reducer needs them for the lex tie-break —
+// takes the first of equal maximizers, and skips duplicate candidates:
+// candidate j's marginal equals its identical predecessor's, so
+// skipping dup[j] (whose representative j-1 >= cstart is scanned)
+// changes nothing but the scan work.
 func (w *stealWorker) scanLast(failed, cstart int) {
-	m := w.ps.m
+	m, dup := w.ps.m, w.ps.dup
 	bestI, bestGain := -1, -1
 	for j := cstart; j < m; j++ {
-		if w.dup != nil && j > cstart && w.dup[j] {
+		if dup != nil && j > cstart && dup[j] {
 			continue
 		}
 		if g := w.in.Marginal(j); g > bestGain {

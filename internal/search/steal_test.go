@@ -7,13 +7,29 @@ import (
 	"testing"
 )
 
-// TestStealMatchesSerial is the work-stealing parity property: on
-// randomized instances — cover, hit-count, and weighted — and across
-// worker counts, exact runs return byte-identical (Failed, Sel, Exact)
-// to the serial driver, whatever order the workers raced through the
-// tree in.
+// TestStealMatchesSerial is the driver's exactness spec against an
+// independent oracle: on randomized instances — cover, hit-count, and
+// weighted — and at every worker count, the one-worker (serial) run
+// included, exact runs return the seed when it ties the optimum and
+// otherwise brute force's lex-first optimal selection (Exhaustive
+// enumerates in lex order and keeps the first optimum), whatever order
+// the workers raced through the tree in. k is drawn from 1, so the
+// K == 1 root scan is covered too.
 func TestStealMatchesSerial(t *testing.T) {
-	workerCounts := []int{2, 3, 8}
+	check := func(t *testing.T, trial int, probe Instance, newInst func() Instance, seed Result, bound Bound) {
+		t.Helper()
+		want := Exhaustive(probe)
+		if seed.Failed == want.Failed {
+			want.Sel = seed.Sel
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := BranchAndBound(probe, newInst, seed, NewBudget(0), workers, bound)
+			if got.Failed != want.Failed || !got.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
+				t.Errorf("trial %d workers=%d: got (%d, %v, exact=%v), want (%d, %v)",
+					trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel)
+			}
+		}
+	}
 
 	t.Run("cover", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(131))
@@ -29,15 +45,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in := newCoverInstance(m, k, s, members)
 			seed := Greedy(in)
 			in.Reset()
-			want := BranchAndBoundWith(in, seed, NewBudget(0), BoundStatic)
-
-			for _, workers := range workerCounts {
-				got := BranchAndBoundParallelWith(newCoverInstance(m, k, s, members), mk, seed, NewBudget(0), workers, BoundStatic)
-				if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
-					t.Errorf("trial %d workers=%d: got (%d, %v, %v), serial (%d, %v, %v)",
-						trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel, want.Exact)
-				}
-			}
+			check(t, trial, in, mk, seed, BoundStatic)
 		}
 	})
 
@@ -53,16 +61,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in, _ := randomHitInstance(rng, m, r, b, s, k, maxC)
 			seed := Greedy(in)
 			in.Reset()
-			want := BranchAndBoundWith(in, seed, NewBudget(0), BoundResidual)
-			in.Reset()
-
-			for _, workers := range workerCounts {
-				got := BranchAndBoundParallelWith(in, func() Instance { return in.Clone() }, seed, NewBudget(0), workers, BoundResidual)
-				if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
-					t.Errorf("trial %d workers=%d: got (%d, %v, %v), serial (%d, %v, %v)",
-						trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel, want.Exact)
-				}
-			}
+			check(t, trial, in, func() Instance { return in.Clone() }, seed, BoundResidual)
 		}
 	})
 
@@ -80,16 +79,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in, _ := randWeightedInstance(rng, m, b, k, s, w)
 			seed := Greedy(in)
 			in.Reset()
-			want := BranchAndBoundWith(in, seed, NewBudget(0), BoundResidual)
-			in.Reset()
-
-			for _, workers := range workerCounts {
-				got := BranchAndBoundParallelWith(in, func() Instance { return in.Clone() }, seed, NewBudget(0), workers, BoundResidual)
-				if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
-					t.Errorf("trial %d workers=%d: got (%d, %v, %v), serial (%d, %v, %v)",
-						trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel, want.Exact)
-				}
-			}
+			check(t, trial, in, func() Instance { return in.Clone() }, seed, BoundResidual)
 		}
 	})
 }
@@ -103,21 +93,22 @@ func TestStealLeaseAccounting(t *testing.T) {
 	const m, k, s = 16, 5, 2
 	mk := func() Instance { return newCoverInstance(m, k, s, members) }
 
-	// Seed with the exact optimum so the incumbent never moves: prune
-	// decisions match the serial run state for state and the visited set
-	// — hence the count — is identical at any worker count.
+	// Seed with the exact optimum (from the one-worker run) so the
+	// incumbent never moves: prune decisions match the one-worker run
+	// state for state and the visited set — hence the count — is
+	// identical at any worker count.
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
 	in.Reset()
-	exact := BranchAndBoundWith(in, seed, NewBudget(0), BoundStatic)
+	exact := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
 
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		// Unlimited: every lease chunk's unused remainder comes back.
 		bud := NewBudget(0)
 		probe := mk()
-		res := BranchAndBoundParallelWith(probe, mk, exact, bud, workers, BoundStatic)
+		res := BranchAndBound(probe, mk, exact, bud, workers, BoundStatic)
 		if bud.Used() != exact.Visited || res.Visited != exact.Visited {
-			t.Errorf("workers=%d unlimited: used %d visited %d, serial visited %d — leases leaked",
+			t.Errorf("workers=%d unlimited: used %d visited %d, one-worker visited %d — leases leaked",
 				workers, bud.Used(), res.Visited, exact.Visited)
 		}
 
@@ -125,7 +116,7 @@ func TestStealLeaseAccounting(t *testing.T) {
 		// limit's unclaimed tail must not be counted as used.
 		bud = NewBudget(exact.Visited * 10)
 		probe = mk()
-		res = BranchAndBoundParallelWith(probe, mk, exact, bud, workers, BoundStatic)
+		res = BranchAndBound(probe, mk, exact, bud, workers, BoundStatic)
 		if !res.Exact {
 			t.Errorf("workers=%d: ample budget run not exact", workers)
 		}
@@ -138,7 +129,7 @@ func TestStealLeaseAccounting(t *testing.T) {
 		for _, limit := range []int64{1, 5, 37} {
 			bud = NewBudget(limit)
 			probe = mk()
-			res = BranchAndBoundParallelWith(probe, mk, seed, bud, workers, BoundStatic)
+			res = BranchAndBound(probe, mk, seed, bud, workers, BoundStatic)
 			if bud.Used() > limit || res.Visited > limit {
 				t.Errorf("workers=%d limit=%d: used %d visited %d — overshoot", workers, limit, bud.Used(), res.Visited)
 			}
@@ -169,7 +160,7 @@ func TestStealStress(t *testing.T) {
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
 	in.Reset()
-	exact := BranchAndBoundWith(in, seed, NewBudget(0), BoundStatic)
+	exact := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
 
 	const workers = 32 // far more than cores: steal scans and idle spins collide constantly
 	var wg sync.WaitGroup
@@ -180,7 +171,7 @@ func TestStealStress(t *testing.T) {
 			bud := NewBudget(int64(3 + round*17))
 			for bud.Remaining() > 0 {
 				probe := mk()
-				res := BranchAndBoundParallelWith(probe, mk, seed, bud, workers, BoundStatic)
+				res := BranchAndBound(probe, mk, seed, bud, workers, BoundStatic)
 				if res.Failed < seed.Failed || res.Failed > exact.Failed {
 					t.Errorf("round %d: result %d outside [seed %d, exact %d]", round, res.Failed, seed.Failed, exact.Failed)
 					return
@@ -192,4 +183,21 @@ func TestStealStress(t *testing.T) {
 		}(round)
 	}
 	wg.Wait()
+}
+
+// TestStealRejectsUnresolvedWorkers pins the worker-count contract: the
+// driver takes a resolved count of at least one and panics below it
+// rather than guessing a default.
+func TestStealRejectsUnresolvedWorkers(t *testing.T) {
+	members := randomMembers(rand.New(rand.NewSource(157)), 8, 3, 20)
+	for _, workers := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: BranchAndBound did not panic", workers)
+				}
+			}()
+			BranchAndBound(newCoverInstance(8, 3, 2, members), nil, Result{}, NewBudget(0), workers, BoundStatic)
+		}()
+	}
 }

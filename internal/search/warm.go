@@ -72,8 +72,8 @@ func WarmSeed(in Instance, prev, pos []int) (seed Result, warm bool) {
 
 // Revalidate replays a witness selection on a (possibly moved)
 // instance and returns the damage it still achieves — the warm-start
-// incumbent for BranchAndBoundWith. Because the drivers only replace
-// the incumbent on strict improvement, seeding with the revalidated
+// incumbent for BranchAndBound. Because a tie never displaces the
+// seed, seeding with the revalidated
 // previous witness means a re-plan whose optimum did not change
 // returns the same witness it started from. The instance's counters
 // must be clean and are left clean.
