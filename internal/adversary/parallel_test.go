@@ -157,53 +157,62 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One worker and three share the abort semantics: a drained budget
-	// ends the subset sweep with the incumbent so far, inexactly.
-	for name, run := range map[string]func() (DomainResult, error){
-		"serial": func() (DomainResult, error) {
-			return ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20})
-		},
-		"parallel": func() (DomainResult, error) {
-			return ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20, Workers: 3})
-		},
-	} {
-		res, err := run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Exact {
-			t.Errorf("%s: tiny shared budget should not complete exactly", name)
-		}
-		if res.Failed <= 0 {
-			t.Errorf("%s: budgeted constrained search lost every incumbent", name)
-		}
-		if res.Failed > exact.Failed {
-			t.Errorf("%s: budgeted result %d exceeds exact %d", name, res.Failed, exact.Failed)
+	// ends the subset sweep with the incumbent so far, inexactly. Every
+	// state, each subset's root included, is leased from the shared
+	// budget, so concurrent subset workers never overshoot it; the
+	// parallel case repeats so the race detector sees many
+	// interleavings.
+	for _, tc := range []struct {
+		name          string
+		workers, reps int
+	}{{"serial", 1, 1}, {"parallel", 3, 50}} {
+		for rep := 0; rep < tc.reps; rep++ {
+			res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20, Workers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Visited > 20 {
+				t.Fatalf("%s rep %d: visited %d states, budget 20", tc.name, rep, res.Visited)
+			}
+			if res.Exact {
+				t.Fatalf("%s rep %d: tiny shared budget should not complete exactly", tc.name, rep)
+			}
+			if res.Failed <= 0 {
+				t.Fatalf("%s rep %d: budgeted constrained search lost every incumbent", tc.name, rep)
+			}
+			if res.Failed > exact.Failed {
+				t.Fatalf("%s rep %d: budgeted result %d exceeds exact %d", tc.name, rep, res.Failed, exact.Failed)
+			}
 		}
 	}
 }
 
-// TestConstrainedBudgetNeverOvershoots pins the one charge path: every
-// state, the root of each per-subset search included, is leased from
-// the shared budget, so concurrent subset workers cannot race past the
-// limit, and a budget drained mid-sweep hands out no further subsets.
-// Repeated so the race detector sees many interleavings.
-func TestConstrainedBudgetNeverOvershoots(t *testing.T) {
+// TestConstrainedParallelBudgetJustSuffices pins exact charging when
+// concurrent subset searches share one budget: a budget of exactly the
+// states the full sweep needs must complete it, at any worker count. A
+// search holding leased-but-unentered states would make the others see
+// the budget as drained, skip their subsets and report an inexact
+// result. This instance's sweep visits the same states in any
+// schedule, so the one-worker count is the budget every run needs.
+func TestConstrainedParallelBudgetJustSuffices(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	pl := randomPlacement(rng, 20, 3, 200)
 	topo, err := topology.Uniform(20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	one, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for rep := 0; rep < 50; rep++ {
-		res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: 20, Workers: 3})
+		res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: one.Visited, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Visited > 20 {
-			t.Fatalf("rep %d: visited %d states, budget 20", rep, res.Visited)
-		}
-		if res.Exact {
-			t.Fatalf("rep %d: tiny shared budget should not complete exactly", rep)
+		if !res.Exact || res.Failed != one.Failed || res.Visited != one.Visited {
+			t.Fatalf("rep %d: budget %d gave Exact=%v Failed=%d Visited=%d, want exact %d in %d states",
+				rep, one.Visited, res.Exact, res.Failed, res.Visited, one.Failed, one.Visited)
 		}
 	}
 }

@@ -20,7 +20,8 @@
 //     a time, scaled down near the limit so one worker cannot starve
 //     the rest), returning the unused remainder at exit. Used() still
 //     settles to exactly the states entered; the limit is never
-//     overshot.
+//     overshot. A lone worker on a limited budget charges one state at
+//     a time, since concurrent searches may share that budget.
 //   - Incumbent: pruning reads a worker-local snapshot refreshed on
 //     lease boundaries (and by the worker's own improvements). The
 //     snapshot only lags the true incumbent, so stale reads cost extra
@@ -487,7 +488,15 @@ func (w *stealWorker) charge() bool {
 	if w.lease == 0 {
 		workers := int64(w.ps.workers)
 		n := int64(leaseChunk)
-		if rem := w.ps.bud.Remaining(); rem < n*workers {
+		switch rem := w.ps.bud.Remaining(); {
+		case workers == 1 && w.ps.bud.Limit() > 0:
+			// A lone worker may share a limited budget with concurrent
+			// searches (the constrained engine runs one per domain
+			// subset), which would read states leased here but not yet
+			// entered as drained. State by state, a dry budget means
+			// every state was entered.
+			n = 1
+		case rem < n*workers:
 			// Near the limit: claim an even share so the last states are
 			// spread across workers instead of hoarded by the first asker.
 			n = rem/workers + 1
