@@ -19,6 +19,12 @@
 // of min-delta states; large counters are still held to the relative
 // tolerance, which dominates once base*tolerance > min-delta.
 //
+// Alongside the gate, benchcheck prints one informational line —
+// "N of M <metric> metrics identical", followed by the key and old ->
+// new value of every metric that changed — so a change claiming
+// unchanged search effort shows it in the CI log. The line never
+// affects the exit code.
+//
 // Usage:
 //
 //	go run ./cmd/benchcheck -baseline BENCH.json -new BENCH.new.json [-tolerance 0.10] [-min-delta 50]
@@ -33,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // benchmark mirrors the cmd/benchjson row shape (only the fields the
@@ -73,6 +80,7 @@ func main() {
 	failures, checked := compare(baseline, fresh, *metric, *tolerance, *minDelta)
 	fmt.Printf("benchcheck: %d %s metrics compared against %s (tolerance %.0f%%, floor %.0f)\n",
 		checked, *metric, *baselinePath, *tolerance*100, *minDelta)
+	fmt.Println(identical(baseline, fresh, *metric))
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchcheck: REGRESSION:", f)
@@ -108,12 +116,7 @@ func key(b benchmark) string { return b.Package + " " + b.Name }
 // small deterministic counters from failing on jitter that would be
 // invisible at scale.
 func compare(baseline, fresh report, metric string, tolerance, minDelta float64) ([]string, int) {
-	freshVals := make(map[string]float64)
-	for _, b := range fresh.Benchmarks {
-		if v, ok := b.Metrics[metric]; ok {
-			freshVals[key(b)] = v
-		}
-	}
+	freshVals := values(fresh, metric)
 	var failures []string
 	checked := 0
 	for _, b := range baseline.Benchmarks {
@@ -141,4 +144,47 @@ func compare(baseline, fresh report, metric string, tolerance, minDelta float64)
 	}
 	sort.Strings(failures)
 	return failures, checked
+}
+
+// values indexes a report's metric by benchmark key.
+func values(r report, metric string) map[string]float64 {
+	vals := make(map[string]float64)
+	for _, b := range r.Benchmarks {
+		if v, ok := b.Metrics[metric]; ok {
+			vals[key(b)] = v
+		}
+	}
+	return vals
+}
+
+// identical returns the informational line counting the baseline
+// metrics the fresh report reproduces exactly, followed by the keys of
+// any that changed (old -> new, in key order) — so a change claiming
+// unchanged search effort shows it in the log without a hand diff. It
+// never affects the exit code.
+func identical(baseline, fresh report, metric string) string {
+	freshVals := values(fresh, metric)
+	same, total := 0, 0
+	var changed []string
+	for _, b := range baseline.Benchmarks {
+		base, ok := b.Metrics[metric]
+		if !ok {
+			continue
+		}
+		total++
+		switch now, ok := freshVals[key(b)]; {
+		case !ok:
+			changed = append(changed, fmt.Sprintf("%s %.0f -> missing", key(b), base))
+		case now == base:
+			same++
+		default:
+			changed = append(changed, fmt.Sprintf("%s %.0f -> %.0f", key(b), base, now))
+		}
+	}
+	line := fmt.Sprintf("benchcheck: %d of %d %s metrics identical", same, total, metric)
+	if len(changed) > 0 {
+		sort.Strings(changed)
+		line += "; changed: " + strings.Join(changed, ", ")
+	}
+	return line
 }

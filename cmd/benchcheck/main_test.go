@@ -122,3 +122,33 @@ func TestCompareAbsoluteFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentical pins the informational line: it counts exact matches
+// among the baseline's metrics and names every change, in key order,
+// with old -> new — a within-tolerance drift, an improvement and a
+// disappearance alike, since the line reports, it does not gate.
+func TestIdentical(t *testing.T) {
+	baseline := report{Benchmarks: []benchmark{
+		bench("repro", "BenchmarkA-8", 1000),
+		bench("repro", "BenchmarkB-8", 200),
+		bench("repro", "BenchmarkC-8", 300),
+		bench("repro", "BenchmarkGone-8", 50),
+		{Name: "BenchmarkNoMetric-8", Package: "repro", Metrics: map[string]float64{"ns/op": 123}},
+	}}
+	if got, want := identical(baseline, baseline, "visited-states"),
+		"benchcheck: 4 of 4 visited-states metrics identical"; got != want {
+		t.Errorf("self-comparison line = %q, want %q", got, want)
+	}
+
+	fresh := report{Benchmarks: []benchmark{
+		bench("repro", "BenchmarkA-8", 1000),
+		bench("repro", "BenchmarkC-8", 301),
+		bench("repro", "BenchmarkB-8", 150),
+		bench("repro", "BenchmarkNew-8", 7),
+	}}
+	want := "benchcheck: 1 of 4 visited-states metrics identical; changed: " +
+		"repro BenchmarkB-8 200 -> 150, repro BenchmarkC-8 300 -> 301, repro BenchmarkGone-8 50 -> missing"
+	if got := identical(baseline, fresh, "visited-states"); got != want {
+		t.Errorf("line = %q\nwant   %q", got, want)
+	}
+}

@@ -167,3 +167,13 @@ func (in *HitInstance) assertInvertedFresh(fail func(string, ...any)) {
 		}
 	}
 }
+
+// assertGainWithinLoad checks the premise the final-level scan cut
+// rests on: a candidate's marginal gain never exceeds its load (both in
+// weight units under SetWeights). An Instance breaking it would make
+// the cut drop a maximizer, so the scan panics, naming the candidate.
+func assertGainWithinLoad(cand, gain int, load int64) {
+	if int64(gain) > load {
+		panic(fmt.Sprintf("search: invariants in final-level scan: candidate %d has Marginal %d > Load %d", cand, gain, load))
+	}
+}

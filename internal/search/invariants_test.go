@@ -78,3 +78,39 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 		})
 	}
 }
+
+// overMarginal is an Instance breaking the final-level cut's premise:
+// candidate liar reports a marginal gain one above its load.
+type overMarginal struct {
+	*HitInstance
+	liar int
+}
+
+func (o *overMarginal) Marginal(i int) int {
+	if i == o.liar {
+		return int(o.Load(i)) + 1
+	}
+	return o.HitInstance.Marginal(i)
+}
+
+// TestScanLastCatchesGainAboveLoad proves the scan's premise check is
+// live: at s = 2 and K = 1 every honest gain is 0, so the scan reaches
+// candidate 1, whose inflated Marginal must panic naming it.
+func TestScanLastCatchesGainAboveLoad(t *testing.T) {
+	in := NewHitInstance(2, 4)
+	in.Reinit(1, [][]Hit{
+		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
+		{{Obj: 1, C: 1}, {Obj: 2, C: 1}},
+		{{Obj: 3, C: 1}},
+	}, []int64{2, 2, 1})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Marginal above Load not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "candidate 1 ") {
+			t.Fatalf("panic %v does not name candidate 1", r)
+		}
+	}()
+	BranchAndBound(&overMarginal{HitInstance: in, liar: 1}, nil, Result{}, NewBudget(0), 1, BoundStatic)
+}

@@ -326,6 +326,57 @@ func TestDuplicateCollapse(t *testing.T) {
 	}
 }
 
+// TestScanLastCut pins the final-level scan cut by Marginal calls. One
+// heavy candidate holds five objects and nine load-1 candidates hold one
+// disjoint object each (s = 1), searched from an empty incumbent so the
+// root is not pruned. Once the heavy candidate's gain of 5 is in hand
+// (K = 1), or a tail candidate's gain of 1 is (K = 2, below the heavy
+// pick), every later candidate's load is at most that gain, so each
+// scan stops after its first Marginal call — where a full scan would
+// make nine or ten.
+func TestScanLastCut(t *testing.T) {
+	const b, s = 14, 1
+	lists := [][]Hit{{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}, {Obj: 3, C: 1}, {Obj: 4, C: 1}}}
+	loads := []int64{5}
+	for obj := int32(5); obj < b; obj++ {
+		lists = append(lists, []Hit{{Obj: obj, C: 1}})
+		loads = append(loads, 1)
+	}
+	for _, k := range []int{1, 2} {
+		hit := NewHitInstance(s, b)
+		hit.Reinit(k, lists, loads)
+		want := Exhaustive(hit)
+		for _, bound := range []Bound{BoundResidual, BoundStatic} {
+			in := &marginalCounter{HitInstance: hit}
+			got := BranchAndBound(in, nil, Result{}, NewBudget(0), 1, bound)
+			if got.Failed != want.Failed || !got.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
+				t.Errorf("k=%d %v: got (%d, %v, exact=%v), exhaustive (%d, %v)",
+					k, bound, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel)
+			}
+			if in.calls != 1 {
+				t.Errorf("k=%d %v: %d Marginal calls, want 1 — the scan did not stop at the first load <= bestGain", k, bound, in.calls)
+			}
+		}
+	}
+
+	// A gain that exactly ties the snapshot is still scanned and
+	// reported, so the reducer can apply the lex tie-break: against a
+	// non-seed incumbent recorded as (5, {9}), the scan's tie {0} wins.
+	hit := NewHitInstance(s, b)
+	hit.Reinit(1, lists, loads)
+	in := &marginalCounter{HitInstance: hit}
+	ps := &searchRun{bud: NewBudget(0), k: 1, m: hit.Len(), s: s, prefix: loadPrefix(hit),
+		best: Result{Failed: 5, Sel: []int{9}}}
+	ps.bestScore.Store(5)
+	w := newStealWorker(ps, 0, in)
+	w.init()
+	w.scanLast(0, 0)
+	if ps.best.Failed != 5 || !reflect.DeepEqual(ps.best.Sel, []int{0}) || in.calls != 1 {
+		t.Errorf("tie at the snapshot: best (%d, %v) after %d Marginal calls, want (5, [0]) after 1",
+			ps.best.Failed, ps.best.Sel, in.calls)
+	}
+}
+
 // TestReinitReuse pins the scratch-reuse contract the constrained
 // engines rely on: re-initializing one instance across different
 // candidate sets (of the same object universe) yields the same results

@@ -43,6 +43,15 @@
 // instance it visits a subset of the states the static bound visits and
 // returns the identical result.
 //
+// The final-level scan (the last pick, one Marginal call per remaining
+// candidate) is cut in both modes: it stops at the first candidate
+// whose load is at most the best gain found so far, or too small for
+// failed + load to reach the incumbent. Both cuts are exact, because a
+// candidate's gain never exceeds its load (0 <= Marginal(i) <= Load(i))
+// and loads are non-increasing, so every candidate from the stopping
+// point on is bounded by the load there: the scan returns the same
+// maximizer, ties included, and only makes fewer Marginal calls.
+//
 // Budget semantics (shared by every driver and engine built on them):
 // each branch-and-bound search state entered — every partial selection
 // considered, including the root — consumes one unit from the Budget.
@@ -73,7 +82,9 @@ type Instance interface {
 	// the replica-counting bound).
 	S() int
 	// Load returns candidate i's static replica load: failing i can
-	// fail at most Load(i) replicas.
+	// fail at most Load(i) replicas. It bounds i's damage from any
+	// state — 0 <= Marginal(i) <= Load(i), in weight units under
+	// SetWeights — which the final-level scan cut relies on.
 	Load(i int) int64
 	// Add fails candidate i and returns the number of newly failed
 	// objects.
@@ -81,7 +92,10 @@ type Instance interface {
 	// Remove reverts Add(i).
 	Remove(i int)
 	// Marginal returns how many additional objects would fail if
-	// candidate i were added, without mutating state.
+	// candidate i were added, without mutating state. It never exceeds
+	// Load(i): 0 <= Marginal(i) <= Load(i), in weight units under
+	// SetWeights (checked by the final-level scan under the invariants
+	// build tag).
 	Marginal(i int) int
 	// Reset zeroes all failure counters (after Greedy left them dirty).
 	Reset()

@@ -566,15 +566,34 @@ func prefixMayPrecede(cur []int, next int, sel []int) bool {
 // candidate j's marginal equals its identical predecessor's, so
 // skipping dup[j] (whose representative j-1 >= cstart is scanned)
 // changes nothing but the scan work.
+//
+// The scan stops at the first candidate j whose load is at most
+// bestGain (no later candidate can beat the current maximizer) or for
+// which failed + load < snap (no later candidate can reach the
+// incumbent). Both cuts are exact: Marginal(j) <= Load(j) and loads
+// are non-increasing, so every candidate from j on gains at most
+// Load(j), and the scan's outcome — the reported maximizer, or no
+// report — is what the full scan would produce. A lagging snapshot
+// only makes the second cut fire later.
 func (w *stealWorker) scanLast(failed, cstart int) {
-	m, dup := w.ps.m, w.ps.dup
+	m, dup, prefix := w.ps.m, w.ps.dup, w.ps.prefix
 	bestI, bestGain := -1, -1
+	// Both cuts in one threshold: stop once load <= max(bestGain,
+	// snap-failed-1).
+	cut := w.snap - int64(failed) - 1
 	for j := cstart; j < m; j++ {
+		load := prefix[j+1] - prefix[j]
+		if load <= cut {
+			break
+		}
 		if dup != nil && j > cstart && dup[j] {
 			continue
 		}
-		if g := w.in.Marginal(j); g > bestGain {
+		g := w.in.Marginal(j)
+		assertGainWithinLoad(j, g, load)
+		if g > bestGain {
 			bestGain, bestI = g, j
+			cut = max(cut, int64(g))
 		}
 	}
 	if bestI < 0 {

@@ -14,7 +14,11 @@ import (
 // otherwise brute force's lex-first optimal selection (Exhaustive
 // enumerates in lex order and keeps the first optimum), whatever order
 // the workers raced through the tree in. k is drawn from 1, so the
-// K == 1 root scan is covered too.
+// K == 1 root scan is covered too. The skewed instances aim at the
+// final-level scan cut: heavy candidates ahead of a long load-1 and
+// zero-load tail, so scans break at their first candidate, greedy seeds
+// tie the snapshot exactly, and hot weighted objects test the cut's
+// Marginal <= Load premise in weight units.
 func TestStealMatchesSerial(t *testing.T) {
 	check := func(t *testing.T, trial int, probe Instance, newInst func() Instance, seed Result, bound Bound) {
 		t.Helper()
@@ -82,6 +86,75 @@ func TestStealMatchesSerial(t *testing.T) {
 			check(t, trial, in, func() Instance { return in.Clone() }, seed, BoundResidual)
 		}
 	})
+
+	t.Run("skewed", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(163))
+		for trial := 0; trial < 40; trial++ {
+			in := skewedInstance(rng)
+			mk := func() Instance { return in.Clone() }
+			bound := []Bound{BoundResidual, BoundStatic}[trial%2]
+			// A greedy seed is often optimal, so scans tie the snapshot;
+			// the lex-first selection is a weak seed the search must
+			// overtake, moving the incumbent mid-run.
+			seed := Greedy(in)
+			in.Reset()
+			check(t, trial, in, mk, seed, bound)
+			weak := make([]int, in.K())
+			for i := range weak {
+				weak[i] = i
+			}
+			check(t, trial, in, mk, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
+		}
+	})
+}
+
+// skewedInstance builds a HitInstance in canonical order whose loads
+// fall off a cliff: one to three heavy candidates over many objects, a
+// long tail of single-hit (load-1) candidates and zero-load padding.
+// Half the instances mark a few objects hot via SetWeights, so the tail
+// candidates on them carry weighted loads above 1.
+func skewedInstance(rng *rand.Rand) *HitInstance {
+	b := 6 + rng.Intn(8)
+	var lists [][]Hit
+	for h := 1 + rng.Intn(3); h > 0; h-- {
+		var hl []Hit
+		for obj := 0; obj < b; obj++ {
+			if rng.Intn(2) == 0 {
+				hl = append(hl, Hit{Obj: int32(obj), C: int32(1 + rng.Intn(2))})
+			}
+		}
+		lists = append(lists, hl)
+	}
+	for tail := 4 + rng.Intn(6); tail > 0; tail-- {
+		lists = append(lists, []Hit{{Obj: int32(rng.Intn(b)), C: 1}})
+	}
+	for pad := rng.Intn(3); pad > 0; pad-- {
+		lists = append(lists, nil)
+	}
+	var w []int64
+	if rng.Intn(2) == 0 {
+		w = make([]int64, b)
+		for obj := range w {
+			w[obj] = 1
+			if rng.Intn(4) == 0 {
+				w[obj] = int64(5 + rng.Intn(20))
+			}
+		}
+	}
+	m := len(lists)
+	ids := make([]int, m)
+	for i := range ids {
+		ids[i] = i
+	}
+	CanonicalOrder(ids, WeightedLoads(lists, w))
+	ordered := make([][]Hit, m)
+	for i, id := range ids {
+		ordered[i] = lists[id]
+	}
+	in := NewHitInstance(1+rng.Intn(2), b)
+	in.Reinit(1+rng.Intn(m-1), ordered, WeightedLoads(ordered, w))
+	in.SetWeights(w)
+	return in
 }
 
 // TestStealLeaseAccounting pins the leased-budget contract: leases are
