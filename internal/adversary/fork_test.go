@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -104,7 +105,11 @@ func TestForkIsolation(t *testing.T) {
 // every worker count returns results byte-identical to the serial
 // probe scan — damage, witness, exactness, and the visited-state
 // counts — and leaves the session at its base state (the next
-// Evaluate answers the base placement).
+// Evaluate answers the base placement). Under SearchOpts.Workers = 4
+// the batch keeps one level of parallelism: a serial batch searches at
+// four workers and matches the serial scan's answers, while a fanned
+// batch forks one-worker children whose visited-state counts equal the
+// one-worker session's.
 func TestProbeMovesDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	topo, err := topology.UniformTree(12, 4)
@@ -123,51 +128,72 @@ func TestProbeMovesDeterministic(t *testing.T) {
 
 	var want []SessionResult
 	var wantStats SessionStats
-	for _, workers := range []int{1, 2, 8} {
-		se, err := NewDomainSession(pl, topo, topology.Leaf, s, d, SearchOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := se.Evaluate(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := se.ProbeMoves(moves, workers)
-		if want == nil {
-			want = got
-			wantStats = se.Stats()
-			wantStats.Forks = 0
-			// Sanity: every valid probe matches a cold engine.
-			for i, m := range moves {
-				cur := pl.Clone()
-				if err := cur.MoveReplica(m.Obj, m.From, m.To); err != nil {
-					if got[i].Failed != -1 {
-						t.Fatalf("invalid move %d reported %d, want -1", i, got[i].Failed)
+	for _, searchWorkers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 8} {
+			se, err := NewDomainSession(pl, topo, topology.Leaf, s, d, SearchOpts{Workers: searchWorkers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := se.Evaluate(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := se.ProbeMoves(moves, workers)
+			st := se.Stats()
+			st.Forks = 0 // fork count legitimately varies with workers
+			label := fmt.Sprintf("search workers=%d, probe workers=%d", searchWorkers, workers)
+			if want == nil {
+				want = got
+				wantStats = st
+				// Sanity: every valid probe matches a cold engine.
+				for i, m := range moves {
+					cur := pl.Clone()
+					if err := cur.MoveReplica(m.Obj, m.From, m.To); err != nil {
+						if got[i].Failed != -1 {
+							t.Fatalf("invalid move %d reported %d, want -1", i, got[i].Failed)
+						}
+						continue
 					}
-					continue
+					cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, SearchOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i].Failed != cold.Failed {
+						t.Fatalf("probe %d: damage %d, cold engine %d", i, got[i].Failed, cold.Failed)
+					}
 				}
-				cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, SearchOpts{})
-				if err != nil {
-					t.Fatal(err)
+			} else if searchWorkers > 1 && workers == 1 {
+				// A serial batch searches at the session's four workers:
+				// every answer matches, the visited-state counts need not.
+				for i := range got {
+					g, w := got[i], want[i]
+					g.Visited, w.Visited = 0, 0
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s: probe %d = %+v, want %+v", label, i, got[i], want[i])
+					}
 				}
-				if got[i].Failed != cold.Failed {
-					t.Fatalf("probe %d: damage %d, cold engine %d", i, got[i].Failed, cold.Failed)
+				ws := wantStats
+				st.Visited, ws.Visited = 0, 0
+				if st != ws {
+					t.Fatalf("%s: stats %+v, want %+v", label, st, ws)
+				}
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: probe results differ from serial\n got %+v\nwant %+v", label, got, want)
+			} else if st != wantStats {
+				t.Fatalf("%s: stats %+v, want %+v", label, st, wantStats)
+			}
+			after, err := se.Evaluate(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Failed != base.Failed || !reflect.DeepEqual(after.Nodes, base.Nodes) {
+				t.Fatalf("%s: base state disturbed: %+v, want %+v", label, after, base)
+			}
+			if workers > 1 {
+				if ch := se.probeFork(); ch.opts.Workers != 1 {
+					t.Fatalf("%s: a probe fork searches at %d workers, want 1", label, ch.opts.Workers)
 				}
 			}
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: probe results differ from serial\n got %+v\nwant %+v", workers, got, want)
-		}
-		st := se.Stats()
-		st.Forks = 0 // fork count legitimately varies with workers
-		if st != wantStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, st, wantStats)
-		}
-		after, err := se.Evaluate(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if after.Failed != base.Failed || !reflect.DeepEqual(after.Nodes, base.Nodes) {
-			t.Fatalf("workers=%d: base state disturbed: %+v, want %+v", workers, after, base)
 		}
 	}
 }

@@ -30,19 +30,23 @@ import (
 //     tight; and since one replica of weight w shifts the
 //     optimum by at most ±w, a re-validated witness that gains the
 //     full +w is provably optimal and skips the search entirely.
-//   - Damage memoization: exact results are cached by canonical
-//     placement signature (placement.Signature, folded with the weight
-//     vector), so re-evaluating a placement the session has already
-//     seen — the revert half of a probe-and-revert re-plan — costs a
-//     hash lookup. Budgeted (inexact) results are never memoized: a
+//   - Damage memoization: exact results are cached by placement key
+//     (placement.Signature: an order-independent XOR of per-replica
+//     terms with the weight vector folded in), which the session keeps
+//     current itself — every move XORs two terms in O(1) (Sig.Move),
+//     and only a rebuild rehashes the whole placement — so
+//     re-evaluating a placement the session has already seen costs one
+//     map lookup. Budgeted (inexact) results are never memoized: a
 //     later call with budget to spare may improve them.
 //
 // A Session is safe for concurrent use; evaluations serialize on an
-// internal lock. Parallelism lives in two places: inside one evaluation
-// (SearchOpts.Workers) and across probe evaluations (ProbeMoves fans a
-// batch of probes over Fork children that share the session's damage
-// memo). The memo is capped (defaultMemoCap entries) with FIFO
-// eviction, so an unbounded reconcile run cannot grow it without limit.
+// internal lock. Each call runs one level of parallelism: a single
+// evaluation searches with SearchOpts.Workers workers, while a
+// ProbeMoves batch fanned over w > 1 Fork children (sharing the
+// session's damage memo) runs each child's searches at one worker, so
+// the fan-out and the search never compete for the same cores. The
+// memo is capped (defaultMemoCap entries) with FIFO eviction, so an
+// unbounded reconcile run cannot grow it without limit.
 type Session struct {
 	mu   sync.Mutex
 	s, k int
@@ -54,11 +58,10 @@ type Session struct {
 	ids  []int // candidate position → node/domain id
 	pos  []int // node/domain id → candidate position
 
-	last  *lastEval    // reused across evaluations (steady state: no alloc)
-	memo  *sessionMemo // sharded signature→result memo, shared with forks
+	last  *lastEval     // reused across evaluations (steady state: no alloc)
+	memo  *sessionMemo  // sharded key→result memo, shared with forks
+	key   placement.Sig // memo key of pl under opts.ObjWeights, kept current by moveReplica
 	stats SessionStats
-
-	sigBuf []int // SignatureScratch reuse
 
 	// Rebuild scratch.
 	lists [][]search.Hit
@@ -90,7 +93,7 @@ type SessionResult struct {
 // the CLI surfaces under -stats.
 type SessionStats struct {
 	Evals        int64 // evaluations answered (all paths)
-	MemoHits     int64 // answered by the placement-signature memo
+	MemoHits     int64 // answered by the placement-key memo
 	WarmSeeds    int64 // searches seeded by the previous witness (it beat greedy)
 	BracketSkips int64 // searches skipped: the re-validated witness hit the ±w move bracket
 	NoopMoves    int64 // moves inside one domain: instance unchanged, previous result returned
@@ -201,7 +204,7 @@ func (se *Session) Stats() SessionStats {
 func (se *Session) Move(obj, from, to int) (SessionResult, error) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if err := se.pl.MoveReplica(obj, from, to); err != nil {
+	if err := se.moveReplica(obj, from, to, "Move"); err != nil {
 		return SessionResult{}, err
 	}
 	return se.copyOut(se.applyMove(obj, from, to)), nil
@@ -214,7 +217,7 @@ func (se *Session) Move(obj, from, to int) (SessionResult, error) {
 func (se *Session) MoveInto(dst *SessionResult, obj, from, to int) error {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if err := se.pl.MoveReplica(obj, from, to); err != nil {
+	if err := se.moveReplica(obj, from, to, "MoveInto"); err != nil {
 		return err
 	}
 	copyInto(dst, se.applyMove(obj, from, to))
@@ -256,7 +259,7 @@ func (se *Session) Evaluate(pl *placement.Placement) (SessionResult, error) {
 		return se.copyOut(se.eval(false, 0)), nil
 	case changed >= 0:
 		if from, to, ok := singleMove(se.pl.Objects[changed].Members(nil), pl.Objects[changed].Members(nil)); ok {
-			if err := se.pl.MoveReplica(changed, from, to); err != nil {
+			if err := se.moveReplica(changed, from, to, "Evaluate"); err != nil {
 				return SessionResult{}, err
 			}
 			return se.copyOut(se.applyMove(changed, from, to)), nil
@@ -309,6 +312,18 @@ func singleMove(old, new []int) (from, to int, ok bool) {
 	return from, to, from >= 0 && to >= 0
 }
 
+// moveReplica moves one replica of obj in the session's placement and
+// updates the memo key with it — the one place either changes between
+// rebuilds. op names the caller in the invariants build's key audit.
+func (se *Session) moveReplica(obj, from, to int, op string) error {
+	if err := se.pl.MoveReplica(obj, from, to); err != nil {
+		return err
+	}
+	se.key = se.key.Move(obj, from, to)
+	se.assertKey(op)
+	return nil
+}
+
 // applyMove patches the live instance for a replica of obj moving
 // between the given NODES (the placement is already updated) and
 // evaluates the result. The returned result's slices are internal
@@ -328,7 +343,7 @@ func (se *Session) applyMove(obj, from, to int) SessionResult {
 				res.Visited = 0
 				res.Memo = true
 				if res.Exact {
-					se.memo.put(se.sig(), res)
+					se.memo.put(se.key, res)
 				}
 				return res
 			}
@@ -350,14 +365,6 @@ func (se *Session) applyMove(obj, from, to int) SessionResult {
 	return se.eval(false, 0)
 }
 
-// sig is the memo key of the session's current placement, hashed
-// through the reused scratch buffer (no allocation in steady state).
-func (se *Session) sig() placement.Sig {
-	var s placement.Sig
-	s, se.sigBuf = placement.SignatureScratch(se.pl, se.sigBuf)
-	return placement.WeightSignature(s, se.opts.ObjWeights)
-}
-
 // eval answers one evaluation of the current live instance: memo →
 // greedy + re-validated witness → bracket skip or (warm-started)
 // branch-and-bound. ceiling, when bracketed, is a proven upper bound
@@ -365,8 +372,7 @@ func (se *Session) sig() placement.Sig {
 // entry points copy.
 func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 	se.stats.Evals++
-	sig := se.sig()
-	if cached, ok := se.memo.get(sig); ok {
+	if cached, ok := se.memo.get(se.key); ok {
 		se.stats.MemoHits++
 		cached.Visited = 0
 		cached.Memo = true
@@ -397,7 +403,7 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 	out.Warm = warm
 	se.remember(out)
 	if out.Exact {
-		se.memo.put(sig, out)
+		se.memo.put(se.key, out)
 	}
 	return out
 }
@@ -453,12 +459,13 @@ func copyInto(dst *SessionResult, res SessionResult) {
 
 // Fork clones the session into an independent child sharing the
 // parent's damage memo: the live instance is deep-copied
-// (search.CloneForMoves), the id ↔ position maps and warm-start
-// baseline come along, and the child re-binds its own onSwap mirror —
-// so moves on the child never corrupt the parent, while every exact
-// result either side publishes is a memo hit for both. Children are
-// what ProbeMoves fans batches over; a caller driving a fork directly
-// gets the full Session API on it.
+// (search.CloneForMoves), the id ↔ position maps, memo key, search
+// options and warm-start baseline come along, and the child re-binds
+// its own onSwap mirror — so moves on the child never corrupt the
+// parent, while every exact result either side publishes is a memo hit
+// for both. Children are what ProbeMoves fans batches over; a caller
+// driving a fork directly gets the full Session API on it, searching
+// with the parent's SearchOpts.
 func (se *Session) Fork() *Session {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -474,6 +481,7 @@ func (se *Session) forkLocked() *Session {
 		ids:  append([]int(nil), se.ids...),
 		pos:  append([]int(nil), se.pos...),
 		memo: se.memo,
+		key:  se.key,
 	}
 	if se.last != nil {
 		l := *se.last
@@ -488,6 +496,7 @@ func (se *Session) forkLocked() *Session {
 		child.ids[i], child.ids[j] = b, a
 		child.pos[a], child.pos[b] = j, i
 	})
+	child.assertKey("Fork")
 	return child
 }
 
@@ -501,7 +510,7 @@ func (se *Session) forkLocked() *Session {
 // reports Failed = -1. Callers hold the session private (the lock, or
 // a goroutine-private fork).
 func (se *Session) probe(m Move) SessionResult {
-	if err := se.pl.MoveReplica(m.Obj, m.From, m.To); err != nil {
+	if err := se.moveReplica(m.Obj, m.From, m.To, "probe apply"); err != nil {
 		return SessionResult{Failed: -1}
 	}
 	var saved lastEval
@@ -510,7 +519,7 @@ func (se *Session) probe(m Move) SessionResult {
 		saved = *se.last // the box is reused; save by value
 	}
 	res := se.copyOut(se.applyMove(m.Obj, m.From, m.To))
-	if err := se.pl.MoveReplica(m.Obj, m.To, m.From); err != nil {
+	if err := se.moveReplica(m.Obj, m.To, m.From, "probe revert"); err != nil {
 		panic(fmt.Sprintf("adversary: probe revert failed: %v", err))
 	}
 	cf, ct := m.From, m.To
@@ -532,14 +541,17 @@ func (se *Session) probe(m Move) SessionResult {
 // ProbeMoves scores a batch of candidate moves — apply, evaluate,
 // revert each — and returns their results in candidate order. workers
 // > 1 fans the batch over that many Fork children sharing the
-// session's memo; because every probe is evaluated from the same base
-// state and warm baseline (see probe), the results — damage, witness,
-// exactness, even the visited-state counts — are byte-identical at any
-// worker count, as long as the memo cap (defaultMemoCap) is not
-// reached (eviction order is publish order, which parallelism does not
-// fix; results stay correct regardless, only memo hits vary). The
-// forks' counters fold into the session's stats before the call
-// returns. An invalid move reports Failed = -1 in its slot.
+// session's memo, each searching at one worker: the fan-out is the
+// call's one level of parallelism, and a serial batch keeps
+// SearchOpts.Workers. Because every probe is evaluated from the same
+// base state and warm baseline (see probe), the results — damage,
+// witness, exactness — are byte-identical at any worker count, and a
+// fanned batch's visited-state counts equal a one-worker session's, as
+// long as the memo cap (defaultMemoCap) is not reached (eviction order
+// is publish order, which parallelism does not fix; results stay
+// correct regardless, only memo hits vary). The forks' counters fold
+// into the session's stats before the call returns. An invalid move
+// reports Failed = -1 in its slot.
 func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -559,7 +571,7 @@ func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 	}
 	children := make([]*Session, workers)
 	for wi := range children {
-		children[wi] = se.forkLocked()
+		children[wi] = se.probeFork()
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -581,6 +593,16 @@ func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 		se.stats.add(ch.stats)
 	}
 	return out
+}
+
+// probeFork forks one ProbeMoves worker. Its searches run at one
+// worker: the batch fan-out already fills the cores, and a parallel
+// search per probe would only add an instance clone, a second prepare
+// and a goroutine competing for them. The caller holds the lock.
+func (se *Session) probeFork() *Session {
+	ch := se.forkLocked()
+	ch.opts.Workers = 1
+	return ch
 }
 
 // rebuild (re)derives the live instance from the session's placement:
@@ -624,4 +646,6 @@ func (se *Session) rebuild() {
 		se.pos[a], se.pos[b] = j, i
 	})
 	se.last = nil // witness positions and instance are fresh; memo survives
+	se.key = placement.Signature(se.pl, w)
+	se.assertKey("rebuild")
 }

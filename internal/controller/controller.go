@@ -28,10 +28,11 @@
 package controller
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -684,7 +685,9 @@ type candidate struct {
 // the current worst-case attack's node set). Targets are active nodes
 // with cap headroom not already hosting the object, lightest replica
 // load first (ties: lighter weight, then lower id), at most
-// CandTargets per source.
+// CandTargets per source. Every object's replicas are listed through
+// one reused buffer, and a class none of whose source nodes hosts a
+// replica is skipped outright.
 func (c *Controller) candidateMoves(witness []int) []candidate {
 	loads := c.pl.NodeLoads()
 	domLoads := c.domainLoads(loads)
@@ -693,46 +696,47 @@ func (c *Controller) candidateMoves(witness []int) []candidate {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := order[a], order[b]
-		if loads[na] != loads[nb] {
-			return loads[na] < loads[nb]
-		}
-		if wa, wb := c.topo.Weight(na), c.topo.Weight(nb); wa != wb {
-			return wa < wb
-		}
-		return na < nb
+	slices.SortFunc(order, func(na, nb int) int {
+		return cmp.Or(cmp.Compare(loads[na], loads[nb]),
+			cmp.Compare(c.topo.Weight(na), c.topo.Weight(nb)),
+			cmp.Compare(na, nb))
 	})
 
-	targetsFor := func(obj, from int, targetOK func(nd int) bool) []int {
-		var ts []int
-		for _, nd := range order {
-			if len(ts) >= c.opts.CandTargets {
+	var cands []candidate
+	var members []int
+	addSources := func(class int, onNode, targetOK func(nd int) bool) {
+		hosted := false
+		for nd, load := range loads {
+			if load > 0 && onNode(nd) {
+				hosted = true
 				break
 			}
-			if c.status[nd] != NodeActive || nd == from || c.pl.Objects[obj].Get(nd) {
-				continue
-			}
-			if targetOK != nil && !targetOK(nd) {
-				continue
-			}
-			if !c.capHeadroom(domLoads, from, nd) {
-				continue
-			}
-			ts = append(ts, nd)
 		}
-		return ts
-	}
-
-	var cands []candidate
-	addSources := func(class int, onNode, targetOK func(nd int) bool) {
-		for obj := 0; obj < c.pl.B(); obj++ {
-			for _, nd := range c.pl.ReplicaNodes(obj) {
-				if !onNode(nd) {
+		if !hosted {
+			return
+		}
+		for obj, o := range c.pl.Objects {
+			members = o.Members(members[:0])
+			for _, from := range members {
+				if !onNode(from) {
 					continue
 				}
-				for _, to := range targetsFor(obj, nd, targetOK) {
-					cands = append(cands, candidate{Move{Obj: obj, From: nd, To: to}, class})
+				targets := 0
+				for _, to := range order {
+					if targets >= c.opts.CandTargets {
+						break
+					}
+					if c.status[to] != NodeActive || to == from || o.Get(to) {
+						continue
+					}
+					if targetOK != nil && !targetOK(to) {
+						continue
+					}
+					if !c.capHeadroom(domLoads, from, to) {
+						continue
+					}
+					cands = append(cands, candidate{Move{Obj: obj, From: from, To: to}, class})
+					targets++
 				}
 			}
 		}
@@ -753,7 +757,7 @@ func (c *Controller) candidateMoves(witness []int) []candidate {
 
 	// Improvement: break up the current worst-case attack.
 	if len(witness) > 0 {
-		inWitness := make(map[int]bool, len(witness))
+		inWitness := make([]bool, c.pl.N)
 		for _, nd := range witness {
 			inWitness[nd] = true
 		}
@@ -798,15 +802,15 @@ func (c *Controller) capHeadroom(domLoads [][]int, from, to int) bool {
 	return true
 }
 
-// overCapNodes marks the nodes inside any over-cap subtree, or nil if
-// every cap holds.
-func (c *Controller) overCapNodes(domLoads [][]int) map[int]bool {
-	var over map[int]bool
+// overCapNodes marks the nodes inside any over-cap subtree, or returns
+// nil if every cap holds.
+func (c *Controller) overCapNodes(domLoads [][]int) []bool {
+	var over []bool
 	for l := range c.topo.Tree {
 		for d, dom := range c.topo.Tree[l] {
 			if dom.Cap > 0 && domLoads[l][d] > dom.Cap {
 				if over == nil {
-					over = make(map[int]bool)
+					over = make([]bool, c.pl.N)
 				}
 				for _, nd := range dom.Nodes {
 					over[nd] = true
@@ -820,11 +824,9 @@ func (c *Controller) overCapNodes(domLoads [][]int) map[int]bool {
 // atRisk counts replicas on failed or draining nodes.
 func (c *Controller) atRisk() int {
 	n := 0
-	for obj := 0; obj < c.pl.B(); obj++ {
-		for _, nd := range c.pl.ReplicaNodes(obj) {
-			if c.status[nd] != NodeActive {
-				n++
-			}
+	for nd, load := range c.pl.NodeLoads() {
+		if c.status[nd] != NodeActive {
+			n += load
 		}
 	}
 	return n

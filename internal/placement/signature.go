@@ -1,80 +1,93 @@
 package placement
 
-// Canonical placement signatures: the memo key incremental adversary
-// sessions (internal/adversary) cache exact damage under, and the key
-// the spread pass deduplicates its candidates by. Two placements collide only if
-// both 64-bit FNV-style streams collide, and the stream is canonical
-// by construction — objects in index order, each object's replica set
-// ascending (the bitset order ReplicaNodes already guarantees) — so
-// two placements assigning the same replica sets hash identically no
-// matter how they were built or mutated.
+// Placement keys: the memo key incremental adversary sessions
+// (internal/adversary) cache exact damage under, and the key the spread
+// pass deduplicates its candidates by. A key is the XOR, over every
+// replica, of a keyed per-(object, node) term on two independent 64-bit
+// lanes (Zobrist hashing), XORed with one term for the per-object
+// weight vector. XOR is order-independent, so two placements assigning
+// the same replica sets get the same key however they were built or
+// mutated, and a one-replica move updates a key in O(1) (Sig.Move)
+// instead of rehashing all b·r replicas. Two (placement, weights) pairs
+// collide only if both lanes collide. Keys compare placements of one
+// shape (node count and object count); the shape itself is not hashed.
 
-// Sig is a 128-bit canonical placement signature.
+// Sig is a 128-bit placement key.
 type Sig struct {
 	Lo, Hi uint64
 }
 
+// Lane keys: arbitrary constants (digits of π and e) that make the
+// two lanes' terms unrelated functions of the same (object, node) pair.
 const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-	// The second stream runs the same mixing from an unrelated offset
-	// (digits of e) so a collision must defeat both.
-	altOffset64 = 0xadf85458a2bb4a9a
+	laneKeyLo = 0x243f6a8885a308d3
+	laneKeyHi = 0xadf85458a2bb4a9a
 )
 
-func mix(h, v uint64) uint64 { return (h ^ v) * fnvPrime64 }
-
-// Signature returns the canonical signature of the placement's replica
-// assignment (shape included). Cost is O(b·r); recomputing it per
-// evaluation is noise next to any search.
-func Signature(pl *Placement) Sig {
-	sig, _ := SignatureScratch(pl, nil)
-	return sig
+// mixLo is the splitmix64 finalizer and mixHi murmur3's fmix64: two
+// different bijections of uint64, so each lane maps distinct inputs to
+// distinct terms and the lanes do not share structure.
+func mixLo(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-// SignatureScratch is Signature with a caller-provided members scratch
-// buffer, returned (possibly grown) for reuse — the allocation-free
-// variant for hot memo-lookup paths that hash per probe.
-func SignatureScratch(pl *Placement, buf []int) (Sig, []int) {
-	lo, hi := SigSeed()
-	lo, hi = sigInt(lo, hi, pl.N)
-	lo, hi = sigInt(lo, hi, pl.R)
-	for _, o := range pl.Objects {
-		buf = o.Members(buf[:0])
-		for _, nd := range buf {
-			lo, hi = sigInt(lo, hi, nd)
-		}
-		// Object separator: replica sets never contain N, so streams
-		// cannot be confused across object boundaries.
-		lo, hi = sigInt(lo, hi, pl.N)
-	}
-	return Sig{Lo: lo, Hi: hi}, buf
+func mixHi(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
-// SigSeed returns the two stream offsets, for callers folding extra
-// state (per-object weights, engine parameters) into a signature with
-// SigInt64.
-func SigSeed() (lo, hi uint64) { return fnvOffset64, altOffset64 }
-
-// SigInt64 folds one 64-bit value into both signature streams.
-func SigInt64(s Sig, v int64) Sig {
-	return Sig{Lo: mix(s.Lo, uint64(v)), Hi: mix(s.Hi, uint64(v))}
+// replicaTerm is the key term of one replica of obj on node. The
+// (object, node) pair packs injectively for indices below 2^32.
+func replicaTerm(obj, node int) Sig {
+	x := uint64(obj)<<32 | uint64(uint32(node))
+	return Sig{Lo: mixLo(x ^ laneKeyLo), Hi: mixHi(x ^ laneKeyHi)}
 }
 
-func sigInt(lo, hi uint64, v int) (uint64, uint64) {
-	return mix(lo, uint64(v)), mix(hi, uint64(v))
-}
-
-// WeightSignature folds a per-object weight vector into a signature
-// (distinguishing nil — unit weights — from any explicit vector), so
-// weighted evaluations memoize per (placement, weights) pair.
-func WeightSignature(s Sig, w []int64) Sig {
+// weightTerm is the key term of a per-object weight vector, a chained
+// hash of its length and entries that tells nil (unit weights) apart
+// from any explicit vector, so weighted evaluations key per
+// (placement, weights) pair.
+func weightTerm(w []int64) Sig {
+	n := uint64(len(w))
 	if w == nil {
-		return SigInt64(s, -1)
+		n = ^uint64(0) // a length no vector has
 	}
-	s = SigInt64(s, int64(len(w)))
+	s := Sig{Lo: mixLo(n ^ laneKeyHi), Hi: mixHi(n ^ laneKeyLo)}
 	for _, v := range w {
-		s = SigInt64(s, v)
+		s = Sig{Lo: mixLo(s.Lo ^ uint64(v)), Hi: mixHi(s.Hi ^ uint64(v))}
 	}
 	return s
+}
+
+// Signature returns the key of pl under the per-object weights w (nil
+// means unit weights). Cost is O(b·r + b); keep a key current across
+// moves with Sig.Move instead of recomputing it.
+func Signature(pl *Placement, w []int64) Sig {
+	s := weightTerm(w)
+	var stack [8]int // replica sets up to r = 8 list without allocating
+	buf := stack[:0]
+	for obj, o := range pl.Objects {
+		buf = o.Members(buf[:0])
+		for _, nd := range buf {
+			t := replicaTerm(obj, nd)
+			s.Lo ^= t.Lo
+			s.Hi ^= t.Hi
+		}
+	}
+	return s
+}
+
+// Move returns the key after one replica of obj moves from node from to
+// node to: the (obj, from) term XORs out and the (obj, to) term XORs in.
+// It is its own inverse, so s.Move(o, a, b).Move(o, b, a) == s.
+func (s Sig) Move(obj, from, to int) Sig {
+	f, t := replicaTerm(obj, from), replicaTerm(obj, to)
+	return Sig{Lo: s.Lo ^ f.Lo ^ t.Lo, Hi: s.Hi ^ f.Hi ^ t.Hi}
 }

@@ -370,12 +370,13 @@ func SpreadAcrossDomainsWith(pl *Placement, topo *topology.Topology, s, d int, o
 
 // scoreExactLevel fills damages[i][li] with every candidate's exact
 // worst d-domain damage under flat (lost weight under objWs[i]).
-// Candidates are deduplicated by weighted placement signature first,
-// then the unique placements are dealt to min(workers, unique)
-// deterministic stripes, each scored on its own goroutine by a
-// spreadScorer that chains its warm witness along the stripe. One
-// stripe is the serial scan. Damages are exact, so the filled vector —
-// hence the spread pass's selection — is identical at any worker count.
+// Candidates are deduplicated by placement key (Signature, under their
+// own weights) first, then the unique placements are dealt to
+// min(workers, unique) deterministic stripes, each scored on its own
+// goroutine by a spreadScorer that chains its warm witness along the
+// stripe. One stripe is the serial scan. Damages are exact, so the
+// filled vector — hence the spread pass's selection — is identical at
+// any worker count.
 func scoreExactLevel(damages [][]int, li int, mapped []*Placement, objWs [][]int64,
 	flat *topology.Topology, s, d, workers int, tel *SpreadTelemetry) {
 	n := len(mapped)
@@ -383,7 +384,7 @@ func scoreExactLevel(damages [][]int, li int, mapped []*Placement, objWs [][]int
 	first := make(map[Sig]int, n) // signature → first candidate index
 	var uniq []int                // first-candidate indexes, in candidate order
 	for i := range mapped {
-		sigs[i] = WeightSignature(Signature(mapped[i]), objWs[i])
+		sigs[i] = Signature(mapped[i], objWs[i])
 		if _, ok := first[sigs[i]]; !ok {
 			first[sigs[i]] = i
 			uniq = append(uniq, i)

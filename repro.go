@@ -100,7 +100,7 @@ type (
 	// AttackSession incrementally re-evaluates the worst case across
 	// one-replica re-plans: CSR move deltas instead of instance
 	// rebuilds, warm-started search, and exact-damage memoization by
-	// canonical placement signature.
+	// a placement key each move updates in O(1).
 	AttackSession = adversary.Session
 	// AttackSessionResult is one AttackSession evaluation: the damage,
 	// witness, exactness, and which acceleration answered it.
