@@ -240,16 +240,24 @@ func TestLemma2OnConcretePlacements(t *testing.T) {
 	}
 }
 
+// lemma3Table is TestLemma3OnConcreteCombo's parameter grid — n = 13,
+// r = 3, s = 2, every b in bs, k from s to kMax — and FuzzLemma3Combo's
+// seed corpus.
+var lemma3Table = struct {
+	n, r, s, kMax int
+	bs            []int
+}{13, 3, 2, 4, []int{4, 10, 30, 52}}
+
 // TestLemma3OnConcreteCombo validates the Combo lower bound end to end:
 // optimize a spec, materialize it, attack it exactly, compare to the bound.
 func TestLemma3OnConcreteCombo(t *testing.T) {
-	n, r, s := 13, 3, 2
+	n, r, s := lemma3Table.n, lemma3Table.r, lemma3Table.s
 	units, err := placement.DefaultUnits(n, r, s, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []int{4, 10, 30, 52} {
-		for k := s; k <= 4; k++ {
+	for _, b := range lemma3Table.bs {
+		for k := s; k <= lemma3Table.kMax; k++ {
 			spec, bound, err := placement.OptimizeCombo(b, k, s, units)
 			if err != nil {
 				t.Fatal(err)
@@ -268,6 +276,52 @@ func TestLemma3OnConcreteCombo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLemma3Combo is the Lemma 3 oracle over fuzzed small parameters:
+// DefaultUnits → OptimizeCombo → BuildCombo, then the exact adversary
+// must find the brute-force worst case (an independent subset
+// enumeration) and leave Avail >= lbAvail_co. Combo and design
+// placements share many objects between node pairs — the hardest case
+// for the final-level scan's parent-gain filter, whose bound grows with
+// pairwise overlap. Parameters no catalog unit or spec fits are skipped.
+func FuzzLemma3Combo(f *testing.F) {
+	for _, b := range lemma3Table.bs {
+		for k := lemma3Table.s; k <= lemma3Table.kMax; k++ {
+			f.Add(uint8(lemma3Table.n), uint8(lemma3Table.r), uint8(lemma3Table.s), uint8(k), uint8(b))
+		}
+	}
+	f.Fuzz(func(t *testing.T, n8, r8, s8, k8, b8 uint8) {
+		r := 2 + int(r8)%2
+		n := r + int(n8)%(20-r)
+		s := 1 + int(s8)%r
+		k := 1 + int(k8)%min(4, n-1)
+		b := 1 + int(b8)%60
+		units, err := placement.DefaultUnits(n, r, s, true)
+		if err != nil {
+			t.Skip(err)
+		}
+		spec, bound, err := placement.OptimizeCombo(b, k, s, units)
+		if err != nil {
+			t.Skip(err)
+		}
+		pl, err := placement.BuildCombo(n, r, spec, b, placement.SimpleOptions{})
+		if err != nil {
+			t.Fatalf("BuildCombo(n=%d r=%d b=%d, λ=%v) after OptimizeCombo: %v", n, r, b, spec.Lambdas, err)
+		}
+		res, err := WorstCaseWith(pl, s, k, SearchOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceWorst(pl, s, k); !res.Exact || res.Failed != want {
+			t.Fatalf("n=%d r=%d s=%d k=%d b=%d: exact adversary failed %d (exact=%v), brute force %d",
+				n, r, s, k, b, res.Failed, res.Exact, want)
+		}
+		if avail := int64(res.Avail(b)); avail < bound {
+			t.Errorf("n=%d r=%d s=%d k=%d b=%d λ=%v: Avail = %d < lbAvail_co = %d (Lemma 3 violated)",
+				n, r, s, k, b, spec.Lambdas, avail, bound)
+		}
+	})
 }
 
 // TestTheorem1Competitive checks the c-competitive guarantee empirically:

@@ -92,10 +92,15 @@ type HitInstance struct {
 	residAll  int64   // Σ resid over all candidates
 	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
 
-	cursor     []int32 // Reinit scratch for the inverted-index fill
-	top        []int64 // TopResidual scratch (rem largest residuals)
-	hitScratch []Hit   // ApplyMove scratch for run rotation
-	objScratch []int32 // ApplyMove scratch for the C = 1 strip rotation
+	cursor     []int32  // Reinit scratch for the inverted-index fill
+	top        []int64  // TopResidual scratch (rem largest residuals)
+	gains      []int64  // the driver's parent-gain buffer (see gainScratch)
+	ovMax      []int64  // MaxOverlap cache, -1 = not yet computed; emptied per search
+	ovAcc      []int64  // MaxOverlap accumulator, live where ovStamp[j] == ovGen
+	ovStamp    []uint32 // the MaxOverlap call that last touched ovAcc[j]
+	ovGen      uint32   // MaxOverlap calls so far (mod 2^32; 0 is never a live stamp)
+	hitScratch []Hit    // ApplyMove scratch for run rotation
+	objScratch []int32  // ApplyMove scratch for the C = 1 strip rotation
 }
 
 var (
@@ -594,6 +599,7 @@ func (in *HitInstance) EnableResidual() {
 		in.deadSpent = 0
 		in.invStale = false
 	}
+	in.ovMax = in.ovMax[:0] // overlaps are cached per search
 	in.track = true
 }
 
@@ -637,6 +643,77 @@ func (in *HitInstance) TopResidual(start, rem int) int64 {
 	return sum
 }
 
+// Gains stores Marginal(j) in dst[j] for every candidate j >= start:
+// the parent-gain filter's per-node pass, one sweep over the contiguous
+// CSR runs from start on. It calls the concrete Marginal, so a wrapper
+// counting Marginal calls sees only the scan's. dst must have room for
+// Len() entries.
+func (in *HitInstance) Gains(start int, dst []int64) {
+	for j := start; j < in.Len(); j++ {
+		dst[j] = int64(in.Marginal(j))
+	}
+}
+
+// gainScratch lends the driver the instance's own parent-gain buffer,
+// 2·Len() entries long (the gains and their suffix maxima), so a search
+// allocates none; Clone gives each worker its own.
+func (in *HitInstance) gainScratch() []int64 {
+	n := 2 * in.Len()
+	if cap(in.gains) < n {
+		in.gains = make([]int64, n)
+	}
+	return in.gains[:n]
+}
+
+// MaxOverlap returns the largest total weight of objects that candidate
+// i's run shares with a later candidate's run: max over j > i of
+// Σ w(obj) over obj in both runs (objects counted once whatever their
+// replica counts). Failing i raises no other candidate's marginal gain
+// by more than their shared weight, which is what the parent-gain
+// filter needs. It walks run i's objects through the inverted index
+// (whose per-object lists are in ascending candidate order, so only the
+// tail past i is read) and caches the answer until the next
+// EnableResidual. Valid only while the residual upkeep is enabled.
+func (in *HitInstance) MaxOverlap(i int) int64 {
+	m := in.Len()
+	if len(in.ovMax) != m {
+		in.ovMax = in.ovMax[:0]
+		for len(in.ovMax) < m {
+			in.ovMax = append(in.ovMax, -1)
+		}
+	}
+	if v := in.ovMax[i]; v >= 0 {
+		return v
+	}
+	if len(in.ovAcc) < m {
+		in.ovAcc, in.ovStamp = make([]int64, m), make([]uint32, m)
+	}
+	if in.ovGen++; in.ovGen == 0 { // wrapped: no stamp may look live
+		clear(in.ovStamp)
+		in.ovGen = 1
+	}
+	acc, stamp, gen := in.ovAcc, in.ovStamp, in.ovGen
+	var best int64
+	for _, h := range in.run(i) {
+		w := int64(1)
+		if in.w != nil {
+			w = in.w[h.Obj]
+		}
+		holders := in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]]
+		for t := len(holders) - 1; t >= 0 && int(holders[t].Cand) > i; t-- {
+			c := holders[t].Cand
+			if stamp[c] != gen {
+				stamp[c], acc[c] = gen, 0
+			}
+			acc[c] += w
+			best = max(best, acc[c])
+		}
+	}
+	in.assertMaxOverlap(i, best)
+	in.ovMax[i] = best
+	return best
+}
+
 // DupOfPrev reports whether candidate i's hit run equals candidate
 // i-1's. Computed on demand: the drivers ask once per candidate per
 // search, so a precomputed table would cost the same comparisons
@@ -674,6 +751,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.prepared, cp.invStale, cp.track = false, false, false
 	cp.deadSpent = 0
 	cp.cursor, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil
+	cp.gains, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, 0
 	cp.assertInvariants("CloneForMoves")
 	return &cp
 }
@@ -706,6 +784,8 @@ func (in *HitInstance) Clone() *HitInstance {
 	cp.track = false // each driver re-enables on its own copy
 	cp.cursor = nil  // prepare-only scratch, grown lazily
 	cp.top = nil     // TopResidual scratch, grown lazily per instance
+	// Parent-gain filter scratch, likewise per instance.
+	cp.gains, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, 0
 	// Clones are searchers, not editors: move identities and scratch
 	// stay with the receiver (see the ApplyMove contract).
 	cp.moveKeys = nil

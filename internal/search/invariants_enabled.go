@@ -177,3 +177,56 @@ func assertGainWithinLoad(cand, gain int, load int64) {
 		panic(fmt.Sprintf("search: invariants in final-level scan: candidate %d has Marginal %d > Load %d", cand, gain, load))
 	}
 }
+
+// assertSkipWithinBound checks the parent-gain filter on a candidate
+// the final-level scan is skipping: its true marginal gain must not
+// exceed the bound gP[cand] + maxOv(parent) the skip was decided on. A
+// bound understated by the instance would make the scan drop a
+// maximizer, so the check panics, naming both candidates.
+func assertSkipWithinBound(in Instance, parent, cand int, parentGain, ov int64) {
+	if g := int64(in.Marginal(cand)); g > parentGain+ov {
+		panic(fmt.Sprintf("search: invariants in final-level scan: candidate %d below parent candidate %d has Marginal %d > parent gain %d + max overlap %d",
+			cand, parent, g, parentGain, ov))
+	}
+}
+
+// assertTailWithinBound is assertSkipWithinBound for every candidate
+// j >= from: the scan leaves them all out at once when the suffix
+// maximum of the parent's gains shows that none can pass the filter.
+func assertTailWithinBound(in Instance, parent, from int, gp []int64, ov int64) {
+	for j := from; j < in.Len(); j++ {
+		assertSkipWithinBound(in, parent, j, gp[j], ov)
+	}
+}
+
+// assertMaxOverlap audits MaxOverlap(i) against a brute-force pairwise
+// count: for every later candidate j, the weight of the objects runs i
+// and j share, found by merging the two sorted runs.
+func (in *HitInstance) assertMaxOverlap(i int, got int64) {
+	var want int64
+	a := in.run(i)
+	for j := i + 1; j < in.Len(); j++ {
+		var ov int64
+		b := in.run(j)
+		for x, y := 0, 0; x < len(a) && y < len(b); {
+			switch {
+			case a[x].Obj < b[y].Obj:
+				x++
+			case a[x].Obj > b[y].Obj:
+				y++
+			default:
+				w := int64(1)
+				if in.w != nil {
+					w = in.w[a[x].Obj]
+				}
+				ov += w
+				x++
+				y++
+			}
+		}
+		want = max(want, ov)
+	}
+	if got != want {
+		panic(fmt.Sprintf("search: invariants in MaxOverlap: candidate %d has max overlap %d, pairwise count %d", i, got, want))
+	}
+}

@@ -15,4 +15,8 @@ func TestInvariantsCompiledOut(t *testing.T) {
 	in.loads[0] = 99              // corrupt: Σ C·w is 1
 	in.assertInvariants("test")   // must be a no-op
 	assertGainWithinLoad(0, 5, 1) // Marginal above Load: still a no-op
+	in.EnableResidual()
+	assertSkipWithinBound(in, 0, 1, 0, 0)             // Marginal 1 above the bound 0: a no-op
+	assertTailWithinBound(in, 0, 1, []int64{0, 0}, 0) // likewise, from candidate 1 on
+	in.assertMaxOverlap(0, 7)                         // true overlap is 0: a no-op
 }

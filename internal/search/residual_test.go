@@ -410,12 +410,17 @@ func TestReinitReuse(t *testing.T) {
 }
 
 // FuzzBoundEquivalence derives a tiny instance from the fuzz input and
-// asserts the bound-equivalence property (static damage == residual
-// damage == exhaustive damage; residual visits no more states).
+// asserts the bound-equivalence property: static damage == residual
+// damage == exhaustive damage, the identical witness from both bound
+// modes (the driver contract fixes it: the seed on a tie, else the
+// lex-smallest optimum), and residual visits no more states. With
+// weighted set, random object weights go through WeightedLoads and
+// SetWeights, candidates re-sorted into weighted canonical order.
 func FuzzBoundEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(2), uint8(12), uint8(2), uint8(3))
-	f.Add(int64(42), uint8(6), uint8(3), uint8(20), uint8(3), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, m8, r8, b8, s8, k8 uint8) {
+	f.Add(int64(1), uint8(8), uint8(2), uint8(12), uint8(2), uint8(3), false)
+	f.Add(int64(42), uint8(6), uint8(3), uint8(20), uint8(3), uint8(2), false)
+	f.Add(int64(7), uint8(9), uint8(3), uint8(18), uint8(2), uint8(3), true)
+	f.Fuzz(func(t *testing.T, seed int64, m8, r8, b8, s8, k8 uint8, weighted bool) {
 		m := 2 + int(m8%9)
 		r := 1 + int(r8%3)
 		if r > m {
@@ -431,15 +436,36 @@ func FuzzBoundEquivalence(f *testing.F) {
 			return
 		}
 		rng := rand.New(rand.NewSource(seed))
-		in, _ := randomHitInstance(rng, m, r, b, s, k, 2)
+		in, lists := randomHitInstance(rng, m, r, b, s, k, 2)
+		if weighted {
+			w := make([]int64, b)
+			for obj := range w {
+				w[obj] = int64(rng.Intn(6))
+			}
+			ids := make([]int, m)
+			for i := range ids {
+				ids[i] = i
+			}
+			CanonicalOrder(ids, WeightedLoads(lists, w))
+			ordered := make([][]Hit, m)
+			for i, id := range ids {
+				ordered[i] = lists[id]
+			}
+			in.Reinit(k, ordered, WeightedLoads(ordered, w))
+			in.SetWeights(w)
+		}
 		ex := Exhaustive(in)
 		seedRes := Greedy(in)
 		in.Reset()
 		static := BranchAndBound(in, nil, seedRes, NewBudget(0), 1, BoundStatic)
 		resid := BranchAndBound(in, nil, seedRes, NewBudget(0), 1, BoundResidual)
 		if static.Failed != ex.Failed || resid.Failed != ex.Failed {
-			t.Fatalf("damage static=%d residual=%d exhaustive=%d (m=%d r=%d b=%d s=%d k=%d)",
-				static.Failed, resid.Failed, ex.Failed, m, r, b, s, k)
+			t.Fatalf("damage static=%d residual=%d exhaustive=%d (m=%d r=%d b=%d s=%d k=%d weighted=%v)",
+				static.Failed, resid.Failed, ex.Failed, m, r, b, s, k, weighted)
+		}
+		if !reflect.DeepEqual(resid.Sel, static.Sel) {
+			t.Fatalf("witness residual=%v static=%v (m=%d r=%d b=%d s=%d k=%d weighted=%v)",
+				resid.Sel, static.Sel, m, r, b, s, k, weighted)
 		}
 		if resid.Visited > static.Visited {
 			t.Fatalf("residual visited %d > static %d", resid.Visited, static.Visited)

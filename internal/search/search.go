@@ -52,6 +52,21 @@
 // point on is bounded by the load there: the scan returns the same
 // maximizer, ties included, and only makes fewer Marginal calls.
 //
+// Under BoundResidual the scan below a node P with two picks left is
+// also filtered by the parent's gains. Adding candidate i changes only
+// the objects of run i, and each raises Marginal(j) by at most its
+// weight, and only if run j holds it too, so
+//
+//	Marginal_{P+i}(j) <= Marginal_P(j) + ov(i, j) <= gP[j] + maxOv(i)
+//
+// with gP computed once at P (Gains) and maxOv(i) the largest overlap
+// of run i with a later run (MaxOverlap). A candidate whose bound is at
+// most the scan's threshold can neither beat the best gain nor reach
+// the incumbent, so the scan skips its Marginal call, and stops once
+// the suffix maximum of gP puts every later candidate under the
+// threshold too; by the argument of the load cut, the result and every
+// visited state are unchanged.
+//
 // Budget semantics (shared by every driver and engine built on them):
 // each branch-and-bound search state entered — every partial selection
 // considered, including the root — consumes one unit from the Budget.
@@ -124,6 +139,8 @@ type Instance interface {
 // min(static window, residual) as the O(1) cap and TopResidual as the
 // exact one, gated by discount (the scan cannot recover more than the
 // dead load, so it only runs when that could flip the decision).
+// Gains and MaxOverlap serve the final-level scan's parent-gain filter
+// (see "Pruning bounds" above), which residual mode alone runs.
 // HitInstance implements this; instances that don't are searched with
 // the static bound only.
 // Because the upkeep (threshold-crossing walks over an inverted index)
@@ -145,6 +162,16 @@ type ResidualBounder interface {
 	// pointwise and candidates are load-sorted). The driver only calls
 	// it with 0 < rem <= Len()-start.
 	TopResidual(start, rem int) int64
+	// Gains stores Marginal(j) in dst[j] for every candidate j >= start
+	// without mutating state (dst has room for Len() entries): the
+	// parent-gain filter's one pass per two-picks-left node.
+	Gains(start int, dst []int64)
+	// MaxOverlap returns the largest ov(i, j) over candidates j > i,
+	// where ov(i, j) is the total weight of the objects both runs hold
+	// (weight 1 each when unweighted). Adding i raises Marginal(j) by at
+	// most ov(i, j), which bounds every final-level gain below i from
+	// its parent's. Valid only while the upkeep is enabled.
+	MaxOverlap(i int) int64
 }
 
 // Deduper is an optional Instance extension enabling duplicate-candidate

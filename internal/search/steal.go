@@ -293,8 +293,16 @@ type stealWorker struct {
 	lease  int64
 	snap   int64
 	selBuf []int
+	gp     []int64 // the parent's gains (Gains) at the current two-picks-left node; nil without rb
+	gpMax  []int64 // gpMax[j] = max of gp[j..]: where the parent-gain filter stops the scan
 	free   [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
 }
+
+// gainBuffer is implemented by instances that lend the driver a
+// 2·Len()-entry parent-gain buffer from their own per-worker scratch
+// (HitInstance), so the parent-gain filter allocates nothing per
+// search.
+type gainBuffer interface{ gainScratch() []int64 }
 
 // newStealWorker sizes the worker's deque up front: it runs before any
 // goroutine starts, so no thief can observe the deque being set up.
@@ -308,6 +316,16 @@ func newStealWorker(ps *searchRun, id int, in Instance) *stealWorker {
 func (w *stealWorker) init() {
 	k := w.ps.k
 	w.rb = residualOf(w.in, w.ps.bound)
+	if w.rb != nil && k >= 2 {
+		m := w.ps.m
+		var buf []int64
+		if gb, ok := w.in.(gainBuffer); ok {
+			buf = gb.gainScratch()
+		} else {
+			buf = make([]int64, 2*m)
+		}
+		w.gp, w.gpMax = buf[:m], buf[m:2*m]
+	}
 	paths := make([]int, 2*k)
 	w.cur, w.selBuf = paths[:0:k], paths[k:k]
 	w.snap = w.ps.bestScore.Load()
@@ -432,6 +450,18 @@ func (w *stealWorker) runTask(t task) {
 		if rem == 1 { // only the K == 1 root: other tasks keep two picks
 			w.scanLast(failed, start)
 			return
+		}
+		if rem == 2 && w.rb != nil {
+			// Every child of this node ends in a final-level scan over
+			// candidates start+1..: one pass gives them the parent's
+			// gains for the parent-gain filter, and their suffix maxima
+			// tell each scan where no later candidate can pass it.
+			w.rb.Gains(start+1, w.gp)
+			var hi int64
+			for j := m - 1; j > start; j-- {
+				hi = max(hi, w.gp[j])
+				w.gpMax[j] = hi
+			}
 		}
 		// The node's own loop start (its entry point in the DFS): the
 		// dup collapse is relative to it, not to the task's start.
@@ -575,12 +605,29 @@ func prefixMayPrecede(cur []int, next int, sel []int) bool {
 // Load(j), and the scan's outcome — the reported maximizer, or no
 // report — is what the full scan would produce. A lagging snapshot
 // only makes the second cut fire later.
+//
+// Below a two-picks-left parent under the residual bound (cur is
+// non-empty and its last entry is the parent candidate i; runTask has
+// filled gp at the parent), the scan also skips every j with
+// gp[j] + MaxOverlap(i) <= the same threshold: that bounds Marginal(j)
+// (see "Pruning bounds" in search.go), so such a j can neither beat
+// bestGain nor reach the snapshot, and if the full scan's maximum does
+// reach it, its first maximizer is never skipped. For the same reason
+// the scan stops at the first j with gpMax[j] + MaxOverlap(i) <= the
+// threshold: every candidate from j on would be skipped. The overlap is
+// asked for lazily, on the first candidate past the load cut. The
+// K == 1 root and BoundStatic scan every candidate up to the load cut.
 func (w *stealWorker) scanLast(failed, cstart int) {
 	m, dup, prefix := w.ps.m, w.ps.dup, w.ps.prefix
 	bestI, bestGain := -1, -1
 	// Both cuts in one threshold: stop once load <= max(bestGain,
 	// snap-failed-1).
 	cut := w.snap - int64(failed) - 1
+	var gp []int64
+	par, ov := -1, int64(-1)
+	if w.rb != nil && len(w.cur) > 0 {
+		gp, par = w.gp, w.cur[len(w.cur)-1]
+	}
 	for j := cstart; j < m; j++ {
 		load := prefix[j+1] - prefix[j]
 		if load <= cut {
@@ -588,6 +635,19 @@ func (w *stealWorker) scanLast(failed, cstart int) {
 		}
 		if dup != nil && j > cstart && dup[j] {
 			continue
+		}
+		if gp != nil {
+			if ov < 0 {
+				ov = w.rb.MaxOverlap(par)
+			}
+			if w.gpMax[j]+ov <= cut {
+				assertTailWithinBound(w.in, par, j, gp, ov)
+				break
+			}
+			if gp[j]+ov <= cut {
+				assertSkipWithinBound(w.in, par, j, gp[j], ov)
+				continue
+			}
 		}
 		g := w.in.Marginal(j)
 		assertGainWithinLoad(j, g, load)

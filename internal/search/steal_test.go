@@ -18,7 +18,10 @@ import (
 // final-level scan cut: heavy candidates ahead of a long load-1 and
 // zero-load tail, so scans break at their first candidate, greedy seeds
 // tie the snapshot exactly, and hot weighted objects test the cut's
-// Marginal <= Load premise in weight units.
+// Marginal <= Load premise in weight units. The flat instances aim at
+// the parent-gain filter: node-like r = 3 placements whose loads are
+// nearly equal, so the load cut rarely fires and the filter decides
+// which final-level candidates are scanned.
 func TestStealMatchesSerial(t *testing.T) {
 	check := func(t *testing.T, trial int, probe Instance, newInst func() Instance, seed Result, bound Bound) {
 		t.Helper()
@@ -100,6 +103,25 @@ func TestStealMatchesSerial(t *testing.T) {
 			in.Reset()
 			check(t, trial, in, mk, seed, bound)
 			weak := make([]int, in.K())
+			for i := range weak {
+				weak[i] = i
+			}
+			check(t, trial, in, mk, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
+		}
+	})
+	t.Run("flat", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(167))
+		for trial := 0; trial < 120; trial++ {
+			m := 8 + rng.Intn(5)
+			b := 2*m + rng.Intn(3*m)
+			k := 2 + rng.Intn(4)
+			in := flatInstance(rng, m, b, 2, k, trial%2 == 1)
+			mk := func() Instance { return in.Clone() }
+			bound := []Bound{BoundResidual, BoundStatic}[trial/2%2]
+			seed := Greedy(in)
+			in.Reset()
+			check(t, trial, in, mk, seed, bound)
+			weak := make([]int, k)
 			for i := range weak {
 				weak[i] = i
 			}
