@@ -613,12 +613,11 @@ func BenchmarkStealSkew(b *testing.B) {
 	probe := stealSkewInstance(b)
 	seed := search.Greedy(probe)
 	probe.Reset()
-	serial := search.BranchAndBound(probe, nil, seed, search.NewBudget(0), 1, search.BoundResidual)
-	newInst := func() search.Instance { return probe.Clone() }
+	serial := search.BranchAndBound(probe, seed, search.NewBudget(0), 1, search.BoundResidual)
 	b.Run("serial", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res := search.BranchAndBound(probe, nil, seed, search.NewBudget(0), 1, search.BoundResidual)
+			res := search.BranchAndBound(probe, seed, search.NewBudget(0), 1, search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("serial rerun %d != %d", res.Failed, serial.Failed)
 			}
@@ -629,7 +628,7 @@ func BenchmarkStealSkew(b *testing.B) {
 	b.Run("steal/workers=8", func(b *testing.B) {
 		var visited int64
 		for i := 0; i < b.N; i++ {
-			res := search.BranchAndBound(probe, newInst, seed, search.NewBudget(0), 8, search.BoundResidual)
+			res := search.BranchAndBound(probe, seed, search.NewBudget(0), 8, search.BoundResidual)
 			if res.Failed != serial.Failed {
 				b.Fatalf("steal %d != serial %d", res.Failed, serial.Failed)
 			}

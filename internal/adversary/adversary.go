@@ -27,10 +27,11 @@
 //     SearchOpts.Workers workers (one, on the caller's goroutine, by
 //     default).
 //
-// Every adapter is a search.HitInstance — one flat CSR hit layout for
-// node-level (C = 1), whole-domain (aggregated C), and constrained
-// searches alike — plus a candidate-selection policy and the candidate
-// index → identity mapping.
+// Every adapter embeds the *search.HitInstance the drivers take — one
+// flat CSR hit layout for node-level (C = 1), whole-domain (aggregated
+// C), and constrained searches alike — plus a candidate-selection
+// policy and the candidate index → identity mapping; callers pass the
+// embedded instance to the drivers and translate the result back.
 package adversary
 
 import (
@@ -106,8 +107,7 @@ func (o SearchOpts) resolveWorkers() int {
 // the Session. Extra workers search clones of in; the driver unwinds in
 // before it returns, so in comes back clean.
 func runBranchAndBound(in *search.HitInstance, seed search.Result, opts SearchOpts) search.Result {
-	return search.BranchAndBound(in, func() search.Instance { return in.Clone() },
-		seed, search.NewBudget(opts.Budget), opts.resolveWorkers(), opts.Bound)
+	return search.BranchAndBound(in, seed, search.NewBudget(opts.Budget), opts.resolveWorkers(), opts.Bound)
 }
 
 // nodeInstance adapts a placement to search.HitInstance with individual
@@ -217,7 +217,7 @@ func ExhaustiveWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	return in.result(search.Exhaustive(in)), nil
+	return in.result(search.Exhaustive(in.HitInstance)), nil
 }
 
 // GreedyWith picks k nodes by maximum marginal damage, then improves the
@@ -229,7 +229,7 @@ func GreedyWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	return in.result(search.Greedy(in)), nil
+	return in.result(search.Greedy(in.HitInstance)), nil
 }
 
 // WorstCaseWith runs branch-and-bound seeded with the greedy incumbent.
@@ -245,7 +245,7 @@ func WorstCaseWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
-	seed, _ := search.WarmSeed(in, nil, nil)
+	seed, _ := search.WarmSeed(in.HitInstance, nil, nil)
 	// Candidate order is deterministic, so in translates any worker's
 	// selection.
 	return in.result(runBranchAndBound(in.HitInstance, seed, opts)), nil

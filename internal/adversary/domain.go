@@ -47,8 +47,8 @@ type DomainResult struct {
 // Avail returns b - Failed for the placement the result was computed on.
 func (r DomainResult) Avail(b int) int { return b - r.Failed }
 
-// domInstance implements search.Instance with whole domains as the unit
-// of failure: a search.HitInstance over the aggregated replica hits of
+// domInstance searches whole domains as the unit of failure: a
+// search.HitInstance over the aggregated replica hits of
 // placement.DomainHits, plus the candidate policy (prune unloaded
 // domains, pad back up to d) and the index→domain mapping.
 type domInstance struct {
@@ -153,7 +153,7 @@ func DomainExhaustiveAtWith(pl *placement.Placement, topo *topology.Topology, le
 	if err != nil {
 		return DomainResult{}, err
 	}
-	return in.result(search.Exhaustive(in)), nil
+	return in.result(search.Exhaustive(in.HitInstance)), nil
 }
 
 // DomainGreedyAtWith picks d domains of the given level by maximum
@@ -165,7 +165,7 @@ func DomainGreedyAtWith(pl *placement.Placement, topo *topology.Topology, level,
 	if err != nil {
 		return DomainResult{}, err
 	}
-	return in.result(search.Greedy(in)), nil
+	return in.result(search.Greedy(in.HitInstance)), nil
 }
 
 // DomainWorstCaseWith is DomainWorstCaseAtWith at the leaf level. It is
@@ -186,7 +186,7 @@ func DomainWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, lev
 	if err != nil {
 		return DomainResult{}, err
 	}
-	seed, _ := search.WarmSeed(in, nil, nil)
+	seed, _ := search.WarmSeed(in.HitInstance, nil, nil)
 	return in.result(runBranchAndBound(in.HitInstance, seed, opts)), nil
 }
 
@@ -335,20 +335,20 @@ func (cr *constrainedRun) work() {
 	for cr.take(domains) {
 		in := cr.sh.subsetInstance(domains, sc)
 		if !cr.bnb {
-			cr.merge(in.result(search.Exhaustive(in)))
+			cr.merge(in.result(search.Exhaustive(in.HitInstance)))
 			continue
 		}
 		// Seed greedy and lift the shared incumbent into the seed, so
 		// the bound prunes across subsets (and workers) — budget isn't
 		// wasted on dominated states.
-		seed, _ := search.WarmSeed(in, nil, nil)
+		seed, _ := search.WarmSeed(in.HitInstance, nil, nil)
 		cr.mu.Lock()
 		global := cr.best.Failed
 		cr.mu.Unlock()
 		if global > seed.Failed {
 			seed = search.Result{Failed: global}
 		}
-		cr.merge(in.result(search.BranchAndBound(in, nil, seed, cr.bud, 1, cr.bound)))
+		cr.merge(in.result(search.BranchAndBound(in.HitInstance, seed, cr.bud, 1, cr.bound)))
 	}
 }
 

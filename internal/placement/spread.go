@@ -466,7 +466,7 @@ func (sc *spreadScorer) damage(pl *Placement, flat *topology.Topology, w []int64
 	if warm {
 		sc.warmSeeds++
 	}
-	res := search.BranchAndBound(sc.in, nil, seed, search.NewBudget(0), 1, search.BoundResidual)
+	res := search.BranchAndBound(sc.in, seed, search.NewBudget(0), 1, search.BoundResidual)
 	sc.last = sc.last[:0]
 	for _, p := range res.Sel {
 		sc.last = append(sc.last, sc.ids[p])

@@ -49,7 +49,7 @@ func TestCloneForMovesIsolation(t *testing.T) {
 	seed := Greedy(parent)
 	parent.Reset()
 	parent.EnableResidual()
-	if got := BranchAndBound(parent, nil, seed, NewBudget(0), 1, BoundResidual); got.Failed != base.Failed {
+	if got := BranchAndBound(parent, seed, NewBudget(0), 1, BoundResidual); got.Failed != base.Failed {
 		t.Fatalf("parent residual search after child moves: damage %d, want %d", got.Failed, base.Failed)
 	}
 

@@ -2,7 +2,7 @@ package search
 
 import "fmt"
 
-// This file is the one concrete Instance every engine in the repository
+// This file is the one concrete instance every engine in the repository
 // searches on: aggregated (object, replica-count) hits in a flat CSR
 // layout, with incremental residual-load accounting for the
 // BoundResidual prune and duplicate-candidate detection for branch
@@ -43,19 +43,40 @@ type candHit struct {
 	C    int32
 }
 
-// HitInstance is the ready-made Instance over aggregated hits: candidate
-// i fails every object in its CSR run by the recorded replica counts,
-// and an object dies once S of its replicas have failed. All engine
-// adapters — node-level (C = 1), whole-domain, constrained-subset, and
-// placement's never-worse evaluator — are this type plus a
-// candidate-selection policy; identity mapping (candidate index → node
-// or domain id) stays on the caller's side.
+// HitInstance is the incremental damage-accounting state the drivers
+// search: m candidates (indexed 0..Len()-1) over aggregated hits, of
+// which exactly K must be chosen. Candidate i fails every object in its
+// CSR run by the recorded replica counts, and an object dies once S of
+// its replicas have failed. All engine adapters — node-level (C = 1),
+// whole-domain, constrained-subset, and placement's never-worse
+// evaluator — are this type plus a candidate-selection policy; identity
+// mapping (candidate index → node or domain id) stays on the caller's
+// side.
 //
-// The instance maintains the ResidualBounder invariants incrementally:
-// when an object's failed-replica count crosses S, every candidate
-// holding replicas of it (via the inverted index) sheds that dead load
-// from its residual, and symmetrically on the way back down. It also
-// implements Deduper over adjacent identical CSR runs.
+// Once EnableResidual switches the upkeep on, the instance maintains,
+// alongside the failure counters, the per-candidate residual load
+// resid(c) = Σ_{(obj,C) ∈ hits(c), obj live} C — candidate c's
+// replicas restricted to live objects — and the aggregate quantities
+//
+//	deadSpent = Σ_{obj dead} cnt(obj)   (failed replicas of dead objects)
+//	residual  = Σ_{c} resid(c)          (all candidates — overcounting the
+//	                                     chosen ones is sound and keeps
+//	                                     Add/Remove free of chosen-set
+//	                                     bookkeeping)
+//	discount  = Σ_{c} (fullLoad(c) - resid(c))   (dead load, all candidates)
+//
+// incrementally: when an object's failed-replica count crosses S, every
+// candidate holding replicas of it (via the inverted index) sheds that
+// dead load from its residual, and symmetrically on the way back down.
+// The driver derives liveSpent — failed replicas of still-live objects
+// — as the chosen candidates' static load minus deadSpent (tracking the
+// dead side keeps the common live-hit path branch-cheap). Any
+// completion of the current selection then newly fails at most
+// ⌊(liveSpent + cap) / S⌋ objects, where cap is any upper bound on the
+// completion's hits to live objects: the driver uses min(static window,
+// residual) as the O(1) cap and TopResidual as the exact one, gated by
+// discount (the scan cannot recover more than the dead load, so it only
+// runs when that could flip the decision).
 type HitInstance struct {
 	count int   // attack-set size K
 	s     int32 // failed replicas that kill an object
@@ -103,12 +124,6 @@ type HitInstance struct {
 	objScratch []int32  // ApplyMove scratch for the C = 1 strip rotation
 }
 
-var (
-	_ Instance        = (*HitInstance)(nil)
-	_ ResidualBounder = (*HitInstance)(nil)
-	_ Deduper         = (*HitInstance)(nil)
-)
-
 // NewHitInstance returns an empty instance over numObjects objects with
 // fatality threshold s; Reinit populates (and re-populates) its
 // candidate set. The two-step construction lets the constrained engines
@@ -127,11 +142,22 @@ func NewHitInstance(s, numObjects int) *HitInstance {
 // among the given candidates — reusing prior allocations. hitLists[i]
 // must be sorted by ascending object id with at most one entry per
 // object; loads must be non-increasing with loads[i] = Σ C over
-// hitLists[i] (zero-load padding candidates carry empty lists). The
+// hitLists[i] (zero-load padding candidates carry empty lists): the
+// replica-counting bound assumes the first rem remaining candidates
+// carry the most load, so BranchAndBound verifies the order and panics
+// rather than return a wrong optimum. k must lie in 0..len(hitLists)
+// and loads must match hitLists one to one; Reinit panics otherwise,
+// since no driver can choose more candidates than there are. The
 // failure counters are expected clean (drivers leave them balanced;
 // call Reset after Greedy) and are not touched, so a caller sharing one
 // instance across sub-searches keeps one object-counter array.
 func (in *HitInstance) Reinit(k int, hitLists [][]Hit, loads []int64) {
+	if len(loads) != len(hitLists) {
+		panic(fmt.Sprintf("search: %d loads for %d candidates", len(loads), len(hitLists)))
+	}
+	if k < 0 || k > len(hitLists) {
+		panic(fmt.Sprintf("search: %d picks among %d candidates", k, len(hitLists)))
+	}
 	in.count = k
 
 	in.offs = append(in.offs[:0], 0)
@@ -269,9 +295,20 @@ func runsEqual(a, b []Hit) bool {
 	return true
 }
 
-func (in *HitInstance) Len() int         { return len(in.offs) - 1 }
-func (in *HitInstance) K() int           { return in.count }
-func (in *HitInstance) S() int           { return int(in.s) }
+// Len returns the number of candidates m.
+func (in *HitInstance) Len() int { return len(in.offs) - 1 }
+
+// K returns the attack-set size.
+func (in *HitInstance) K() int { return in.count }
+
+// S returns how many failed replicas fail an object (the divisor of the
+// replica-counting bound).
+func (in *HitInstance) S() int { return int(in.s) }
+
+// Load returns candidate i's static replica load (in weight units under
+// SetWeights): failing i can fail at most Load(i) replicas. It bounds
+// i's damage from any state — 0 <= Marginal(i) <= Load(i) — which the
+// final-level scan cut relies on.
 func (in *HitInstance) Load(i int) int64 { return in.loads[i] }
 
 // Add fails candidate i, returning the number of newly failed objects.
@@ -534,7 +571,9 @@ func (in *HitInstance) objectRevivedW(obj int32) {
 }
 
 // Marginal returns how many objects Add(i) would newly fail, without
-// mutating state (the objects' total weight under SetWeights).
+// mutating state (the objects' total weight under SetWeights). It never
+// exceeds the load: 0 <= Marginal(i) <= Load(i), checked by the
+// final-level scan under the invariants build tag.
 func (in *HitInstance) Marginal(i int) int {
 	if in.w != nil {
 		return in.marginalW(i)
@@ -570,7 +609,8 @@ func (in *HitInstance) marginalW(i int) int {
 	return gain
 }
 
-// Reset restores the clean state: all objects live, no candidate chosen.
+// Reset restores the clean state: all objects live, no candidate chosen
+// (after Greedy left the counters dirty).
 func (in *HitInstance) Reset() {
 	for i := range in.cnt {
 		in.cnt[i] = 0
@@ -582,10 +622,14 @@ func (in *HitInstance) Reset() {
 	}
 }
 
-// EnableResidual switches the incremental residual upkeep on. The
-// instance must be clean (Reset): the baselines Reinit/Reset install
-// are exactly the clean-state invariants, so no recomputation is
-// needed. Reinit switches it back off, and ApplyMove suspends it —
+// EnableResidual switches the incremental residual upkeep on. Because
+// the upkeep (threshold-crossing walks over the inverted index) costs
+// real work in Add/Remove, it is off until a BoundResidual search
+// starts: Greedy seeding, Exhaustive enumeration and static-bound
+// ablation runs all mutate at full speed. The instance must be clean
+// (Reset): the baselines Reinit/Reset install are exactly the
+// clean-state invariants, so no recomputation is needed. Reinit
+// switches it back off, and ApplyMove suspends it —
 // the per-candidate full loads are patched in place by the move, but
 // the inverted index is only re-derived here, once, when the next
 // residual-pruned search actually starts.
@@ -603,17 +647,21 @@ func (in *HitInstance) EnableResidual() {
 	in.track = true
 }
 
-// ResidualStats returns the residual-bound invariants: failed replicas
-// of dead objects (the caller derives liveSpent as the chosen static
-// load minus this), the candidates' load restricted to live objects,
-// and the total dead load discounted so far.
+// ResidualStats returns the residual-bound invariants (deadSpent,
+// residual, discount; see HitInstance): failed replicas of dead objects
+// (the caller derives liveSpent as the chosen static load minus this),
+// the candidates' load restricted to live objects, and the total dead
+// load discounted so far. Valid only while the upkeep is enabled.
 func (in *HitInstance) ResidualStats() (deadSpent, residual, discount int64) {
 	return in.deadSpent, in.residAll, in.fullSum - in.residAll
 }
 
 // TopResidual returns the sum of the rem largest residual loads among
-// candidates start..Len()-1. The DFS chooses candidates in ascending
+// candidates start..Len()-1 — the exact residual analogue of the static
+// top-rem window (never larger, since resid <= Load pointwise and
+// candidates are load-sorted). The DFS chooses candidates in ascending
 // index order, so every candidate >= start is unchosen and eligible.
+// Valid only while the upkeep is enabled, with 0 < rem <= Len()-start.
 func (in *HitInstance) TopResidual(start, rem int) int64 {
 	if cap(in.top) < rem {
 		in.top = make([]int64, rem)
@@ -643,26 +691,26 @@ func (in *HitInstance) TopResidual(start, rem int) int64 {
 	return sum
 }
 
-// Gains stores Marginal(j) in dst[j] for every candidate j >= start:
-// the parent-gain filter's per-node pass, one sweep over the contiguous
-// CSR runs from start on. It calls the concrete Marginal, so a wrapper
-// counting Marginal calls sees only the scan's. dst must have room for
-// Len() entries.
+// Gains stores Marginal(j) in dst[j] for every candidate j >= start,
+// leaving dst[:start] and the state untouched: the parent-gain filter's
+// one pass per two-picks-left node, a sweep over the contiguous CSR
+// runs from start on. dst must have room for Len() entries. Valid in
+// any state.
 func (in *HitInstance) Gains(start int, dst []int64) {
 	for j := start; j < in.Len(); j++ {
 		dst[j] = int64(in.Marginal(j))
 	}
 }
 
-// gainScratch lends the driver the instance's own parent-gain buffer,
-// 2·Len() entries long (the gains and their suffix maxima), so a search
+// gainScratch lends the driver the instance's own parent-gain buffers,
+// Len() entries each (the gains and their suffix maxima), so a search
 // allocates none; Clone gives each worker its own.
-func (in *HitInstance) gainScratch() []int64 {
-	n := 2 * in.Len()
-	if cap(in.gains) < n {
-		in.gains = make([]int64, n)
+func (in *HitInstance) gainScratch() (gp, gpMax []int64) {
+	m := in.Len()
+	if cap(in.gains) < 2*m {
+		in.gains = make([]int64, 2*m)
 	}
-	return in.gains[:n]
+	return in.gains[:m], in.gains[m : 2*m]
 }
 
 // MaxOverlap returns the largest total weight of objects that candidate
@@ -714,10 +762,15 @@ func (in *HitInstance) MaxOverlap(i int) int64 {
 	return best
 }
 
-// DupOfPrev reports whether candidate i's hit run equals candidate
-// i-1's. Computed on demand: the drivers ask once per candidate per
-// search, so a precomputed table would cost the same comparisons
-// whether or not a pruned search ever runs.
+// DupOfPrev reports whether candidate i's (i >= 1) hit run equals
+// candidate i-1's. BranchAndBound then skips the branch that chooses i
+// after skipping i-1 at the same level: the damage of any such
+// selection is already realized by the selection using i-1 instead.
+// Common in symmetric placements (x = 0 partition chunks co-hosted on r
+// nodes), singleton-domain topologies, and the zero-load candidates
+// instances pad with. Computed on demand: the drivers ask once per
+// candidate per search, so a precomputed table would cost the same
+// comparisons whether or not a pruned search ever runs.
 func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.run(i-1)) }
 
 // CloneForMoves returns an independent editor-and-searcher: unlike

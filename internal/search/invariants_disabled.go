@@ -16,11 +16,11 @@ func assertGainWithinLoad(int, int, int64) {}
 
 // assertSkipWithinBound is a no-op in regular builds; the final-level
 // scan's call inlines away entirely.
-func assertSkipWithinBound(Instance, int, int, int64, int64) {}
+func assertSkipWithinBound(*HitInstance, int, int, int64, int64) {}
 
 // assertTailWithinBound is a no-op in regular builds; the final-level
 // scan's call inlines away entirely.
-func assertTailWithinBound(Instance, int, int, []int64, int64) {}
+func assertTailWithinBound(*HitInstance, int, int, []int64, int64) {}
 
 // assertMaxOverlap is a no-op in regular builds.
 func (in *HitInstance) assertMaxOverlap(int, int64) {}

@@ -170,7 +170,7 @@ func (in *HitInstance) assertInvertedFresh(fail func(string, ...any)) {
 
 // assertGainWithinLoad checks the premise the final-level scan cut
 // rests on: a candidate's marginal gain never exceeds its load (both in
-// weight units under SetWeights). An Instance breaking it would make
+// weight units under SetWeights). An instance breaking it would make
 // the cut drop a maximizer, so the scan panics, naming the candidate.
 func assertGainWithinLoad(cand, gain int, load int64) {
 	if int64(gain) > load {
@@ -183,7 +183,7 @@ func assertGainWithinLoad(cand, gain int, load int64) {
 // exceed the bound gP[cand] + maxOv(parent) the skip was decided on. A
 // bound understated by the instance would make the scan drop a
 // maximizer, so the check panics, naming both candidates.
-func assertSkipWithinBound(in Instance, parent, cand int, parentGain, ov int64) {
+func assertSkipWithinBound(in *HitInstance, parent, cand int, parentGain, ov int64) {
 	if g := int64(in.Marginal(cand)); g > parentGain+ov {
 		panic(fmt.Sprintf("search: invariants in final-level scan: candidate %d below parent candidate %d has Marginal %d > parent gain %d + max overlap %d",
 			cand, parent, g, parentGain, ov))
@@ -193,7 +193,7 @@ func assertSkipWithinBound(in Instance, parent, cand int, parentGain, ov int64) 
 // assertTailWithinBound is assertSkipWithinBound for every candidate
 // j >= from: the scan leaves them all out at once when the suffix
 // maximum of the parent's gains shows that none can pass the filter.
-func assertTailWithinBound(in Instance, parent, from int, gp []int64, ov int64) {
+func assertTailWithinBound(in *HitInstance, parent, from int, gp []int64, ov int64) {
 	for j := from; j < in.Len(); j++ {
 		assertSkipWithinBound(in, parent, j, gp[j], ov)
 	}

@@ -79,30 +79,17 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 	}
 }
 
-// overMarginal is an Instance breaking the final-level cut's premise:
-// candidate liar reports a marginal gain one above its load.
-type overMarginal struct {
-	*HitInstance
-	liar int
-}
-
-func (o *overMarginal) Marginal(i int) int {
-	if i == o.liar {
-		return int(o.Load(i)) + 1
-	}
-	return o.HitInstance.Marginal(i)
-}
-
 // TestScanLastCatchesGainAboveLoad proves the scan's premise check is
-// live: at s = 2 and K = 1 every honest gain is 0, so the scan reaches
-// candidate 1, whose inflated Marginal must panic naming it.
+// live on an instance whose loads understate its hits. At s = 2 and
+// K = 1, candidate 0 (two single replicas) gains 0, so the scan reaches
+// candidate 1, which holds two objects twice each and gains 2 — above
+// the load of 1 recorded for it — and must panic naming it.
 func TestScanLastCatchesGainAboveLoad(t *testing.T) {
 	in := NewHitInstance(2, 4)
 	in.Reinit(1, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
-		{{Obj: 1, C: 1}, {Obj: 2, C: 1}},
-		{{Obj: 3, C: 1}},
-	}, []int64{2, 2, 1})
+		{{Obj: 2, C: 2}, {Obj: 3, C: 2}},
+	}, []int64{2, 1}) // candidate 1's true load is 4
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -112,25 +99,39 @@ func TestScanLastCatchesGainAboveLoad(t *testing.T) {
 			t.Fatalf("panic %v does not name candidate 1", r)
 		}
 	}()
-	BranchAndBound(&overMarginal{HitInstance: in, liar: 1}, nil, Result{}, NewBudget(0), 1, BoundStatic)
+	BranchAndBound(in, Result{}, NewBudget(0), 1, BoundStatic)
 }
 
-// lowOverlap is an Instance understating the parent-gain filter's
-// bound: it claims no candidate shares an object with a later one.
-type lowOverlap struct{ *HitInstance }
-
-func (lowOverlap) MaxOverlap(int) int64 { return 0 }
+// scanBelow runs the final-level scan below the node prefix (parent
+// candidate last) of a one-worker residual-bound run against an
+// incumbent of the given damage, with gp standing in for the parent's
+// gains.
+func scanBelow(in *HitInstance, incumbent int, prefix []int, gp []int64) {
+	w := newSearchRun(in, Result{Failed: incumbent}, NewBudget(0), 1, BoundResidual).peers[0]
+	w.init()
+	w.adopt(prefix)
+	copy(w.gp, gp)
+	var hi int64
+	for j := in.Len() - 1; j >= 0; j-- {
+		hi = max(hi, w.gp[j])
+		w.gpMax[j] = hi
+	}
+	w.scanLast(0, prefix[len(prefix)-1]+1)
+}
 
 // TestParentFilterCatchesBadBound proves the parent-gain filter's
-// checks are live, with the understated overlap of lowOverlap at s = 2.
-// In "skip" (K = 3) the scan below {0, 1} gets gain 0 from candidate 2,
-// then skips candidate 3 on its parent gain of 0 — candidate 4's parent
-// gain of 2 keeps the scan going — yet candidate 3 shares objects 3 and
-// 4 with candidate 1 and truly gains 2. In "tail" (K = 2) every root
-// gain is 0, so once candidate 1's gain of 0 is in hand the scan below
-// candidate 0 stops before candidate 2, which shares objects 0 and 1
-// with candidate 0. Both must panic, naming the candidate and the
-// parent. The MaxOverlap audit must reject a wrong answer too.
+// checks are live: the final-level scan is driven below a hand-applied
+// node with understated parent gains, at s = 2 and no failed object.
+// In "skip" (below {0, 1}, MaxOverlap(1) = 0) candidate 2 gains 0, then
+// candidate 3 is skipped on a parent gain of 0 — candidate 4's parent
+// gain of 1 keeps the scan going — yet candidate 3 shares objects 0
+// and 1 with candidate 0, so its parent gain is 2 and it truly gains 2.
+// In "tail" (below {0}, MaxOverlap(0) = 2, incumbent 3) no parent gain
+// plus 2 reaches the incumbent, so the scan stops at candidate 1, yet
+// candidate 2 shares objects 0 and 1 with candidate 0 and holds object
+// 5 twice, so its parent gain is 1 and it truly gains 3. Both must
+// panic, naming the candidate and the parent. The MaxOverlap audit must reject a wrong
+// answer too.
 func TestParentFilterCatchesBadBound(t *testing.T) {
 	expectPanic := func(t *testing.T, want string, f func()) {
 		t.Helper()
@@ -150,23 +151,23 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}},
 		{{Obj: 3, C: 1}, {Obj: 4, C: 1}, {Obj: 5, C: 1}},
 		{{Obj: 6, C: 1}, {Obj: 7, C: 1}},
-		{{Obj: 3, C: 1}, {Obj: 4, C: 1}},
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
+		{{Obj: 2, C: 1}, {Obj: 6, C: 1}},
 	}, []int64{3, 3, 2, 2, 2})
-	tail := NewHitInstance(2, 5)
+	tail := NewHitInstance(2, 9)
 	tail.Reinit(2, [][]Hit{
-		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}},
-		{{Obj: 3, C: 1}, {Obj: 4, C: 1}},
-		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
-	}, []int64{3, 2, 2})
+		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}, {Obj: 8, C: 1}},
+		{{Obj: 3, C: 1}, {Obj: 4, C: 1}, {Obj: 6, C: 1}, {Obj: 7, C: 1}},
+		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 5, C: 2}},
+	}, []int64{4, 4, 4})
 	t.Run("skip", func(t *testing.T) {
 		expectPanic(t, "candidate 3 below parent candidate 1 ", func() {
-			BranchAndBound(lowOverlap{skip}, nil, Result{}, NewBudget(0), 1, BoundResidual)
+			scanBelow(skip, 0, []int{0, 1}, []int64{0, 0, 0, 0, 1}) // true parent gains at {0}: 0 0 0 2 1
 		})
 	})
 	t.Run("tail", func(t *testing.T) {
 		expectPanic(t, "candidate 2 below parent candidate 0 ", func() {
-			BranchAndBound(lowOverlap{tail}, nil, Result{}, NewBudget(0), 1, BoundResidual)
+			scanBelow(tail, 3, []int{0}, []int64{0, 0, 0}) // true parent gains at the root: 0 0 1
 		})
 	})
 	t.Run("audit", func(t *testing.T) {

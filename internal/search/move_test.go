@@ -182,7 +182,7 @@ func searchBoth(t *testing.T, tag string, moved, fresh *HitInstance) {
 	run := func(in *HitInstance) Result {
 		seed := Greedy(in)
 		in.Reset()
-		return BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
+		return BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	}
 	got, want := run(moved), run(fresh)
 	if got.Failed != want.Failed || got.Exact != want.Exact || got.Visited != want.Visited {
@@ -246,7 +246,7 @@ func TestRevertMoveRestores(t *testing.T) {
 		if trial%3 == 0 {
 			seed := Greedy(live)
 			live.Reset()
-			BranchAndBound(live, nil, seed, NewBudget(0), 1, BoundResidual)
+			BranchAndBound(live, seed, NewBudget(0), 1, BoundResidual)
 		}
 		snapshot, _, _ := mm.build(false)
 		obj, fromID, toID := mm.randomMove(rng, trial%2 == 0)
@@ -271,14 +271,14 @@ func TestRevalidate(t *testing.T) {
 	in, _, _ := mm.build(false)
 	seed := Greedy(in)
 	in.Reset()
-	res := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
+	res := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	if rv := Revalidate(in, res.Sel); rv != res.Failed {
 		t.Fatalf("Revalidate(witness) = %d, want the witness damage %d", rv, res.Failed)
 	}
 	// Counters clean: a second identical search reproduces the result.
 	seed2 := Greedy(in)
 	in.Reset()
-	res2 := BranchAndBound(in, nil, seed2, NewBudget(0), 1, BoundResidual)
+	res2 := BranchAndBound(in, seed2, NewBudget(0), 1, BoundResidual)
 	if res2.Failed != res.Failed || res2.Visited != res.Visited {
 		t.Fatalf("search after Revalidate diverged: (failed=%d visited=%d), want (failed=%d visited=%d)",
 			res2.Failed, res2.Visited, res.Failed, res.Visited)
@@ -295,8 +295,8 @@ func TestWarmSeedReturnsWitnessVerbatim(t *testing.T) {
 	in, _, _ := mm.build(false)
 	seed := Greedy(in)
 	in.Reset()
-	opt := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
-	warm := BranchAndBound(in, nil, Result{Failed: opt.Failed, Sel: opt.Sel}, NewBudget(0), 1, BoundResidual)
+	opt := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
+	warm := BranchAndBound(in, Result{Failed: opt.Failed, Sel: opt.Sel}, NewBudget(0), 1, BoundResidual)
 	if warm.Failed != opt.Failed || !warm.Exact {
 		t.Fatalf("warm re-search: failed=%d exact=%v, want failed=%d exact=true", warm.Failed, warm.Exact, opt.Failed)
 	}

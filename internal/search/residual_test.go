@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -80,8 +81,8 @@ func TestResidualBoundEquivalence(t *testing.T) {
 		ex := Exhaustive(in)
 		seed := Greedy(in)
 		in.Reset()
-		static := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
-		resid := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
+		static := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
+		resid := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 
 		if static.Failed != ex.Failed || resid.Failed != ex.Failed {
 			t.Errorf("trial %d (m=%d r=%d b=%d s=%d k=%d): damage static=%d residual=%d exhaustive=%d",
@@ -116,11 +117,11 @@ func TestResidualBoundUnderBudget(t *testing.T) {
 	in, _ := randomHitInstance(rng, 14, 3, 120, 2, 5, 1)
 	seed := Greedy(in)
 	in.Reset()
-	full := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
+	full := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	for _, bound := range []Bound{BoundStatic, BoundResidual} {
 		for _, limit := range []int64{1, 9, 40} {
 			bud := NewBudget(limit)
-			res := BranchAndBound(in, nil, seed, bud, 1, bound)
+			res := BranchAndBound(in, seed, bud, 1, bound)
 			if res.Exact {
 				t.Errorf("%v budget %d: claims exactness", bound, limit)
 			}
@@ -136,7 +137,7 @@ func TestResidualBoundUnderBudget(t *testing.T) {
 }
 
 // TestResidualStatsOracle drives a random Add/Remove stack against a
-// from-scratch recomputation of the ResidualBounder invariants — the
+// from-scratch recomputation of the residual-bound invariants — the
 // incremental upkeep (threshold crossings walking the inverted index)
 // must match the definition at every step.
 func TestResidualStatsOracle(t *testing.T) {
@@ -250,41 +251,35 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// marginalCounter counts final-level scan work. Embedding promotes
-// DupOfPrev, so the wrapped instance still dedups; the cover variant
-// below never does.
-type marginalCounter struct {
-	*HitInstance
-	calls int
+// countedRun runs BranchAndBound's search and also returns the
+// Marginal calls its final-level scans made (the invariant checks'
+// calls are not counted).
+func countedRun(in *HitInstance, seed Result, bud *Budget, workers int, bound Bound) (Result, int64) {
+	ps := newSearchRun(in, seed, bud, workers, bound)
+	res := ps.run()
+	return res, ps.marginals
 }
-
-func (c *marginalCounter) Marginal(i int) int { c.calls++; return c.HitInstance.Marginal(i) }
-
-type coverMarginalCounter struct {
-	*coverInstance
-	calls int
-}
-
-func (c *coverMarginalCounter) Marginal(i int) int { c.calls++; return c.coverInstance.Marginal(i) }
 
 // TestDuplicateCollapse pins the dedup contract on a partition-style
-// instance: pairs of candidates with identical hit lists (plus zero-load
-// padding) are explored once, so the deduping HitInstance visits no more
-// states than a dedup-blind instance of the same search — at identical
-// damage — and, because the final-level Marginal scan skips duplicates
-// too, does strictly less scan work per rem == 1 node.
+// instance: pairs of candidates with identical hit lists are explored
+// once, at the exhaustive damage, and the final-level Marginal scan
+// skips the duplicates too. The dedup-blind reference — the same search
+// with every duplicate explored — was measured on an instance without
+// duplicate detection: 28 visited states and 40 Marginal calls, against
+// the 13 and 12 pinned here.
 func TestDuplicateCollapse(t *testing.T) {
 	// 4 groups of 2 identical candidates; group g hosts objects
 	// 3g..3g+2 (with C = 1), s = 2, k = 3.
 	const groups, b, s, k = 4, 12, 2, 3
-	var members [][]int // per object: raw candidate indices (for coverInstance)
+	const (
+		blindVisited, blindCalls = 28, 40
+		dedupVisited, dedupCalls = 13, 12
+	)
 	lists := make([][]Hit, 2*groups)
 	loads := make([]int64, 2*groups)
-	members = make([][]int, b)
 	for g := 0; g < groups; g++ {
 		for o := 0; o < 3; o++ {
 			obj := 3*g + o
-			members[obj] = []int{2 * g, 2*g + 1}
 			for _, c := range []int{2 * g, 2*g + 1} {
 				lists[c] = append(lists[c], Hit{Obj: int32(obj), C: 1})
 				loads[c] += 1
@@ -300,29 +295,19 @@ func TestDuplicateCollapse(t *testing.T) {
 		}
 	}
 
-	cover := newCoverInstance(2*groups, k, s, members) // no Deduper support
-	want := Exhaustive(cover).Failed
-
-	seedC := Greedy(cover)
-	cover.Reset()
-	blindIn := &coverMarginalCounter{coverInstance: cover}
-	blind := BranchAndBound(blindIn, nil, seedC, NewBudget(0), 1, BoundStatic)
-	seedH := Greedy(hit)
+	want := Exhaustive(hit).Failed
+	seed := Greedy(hit)
 	hit.Reset()
-	dedupIn := &marginalCounter{HitInstance: hit}
-	dedup := BranchAndBound(dedupIn, nil, seedH, NewBudget(0), 1, BoundStatic)
-
-	if blind.Failed != want || dedup.Failed != want {
-		t.Fatalf("damage: blind %d, dedup %d, exhaustive %d", blind.Failed, dedup.Failed, want)
+	dedup, calls := countedRun(hit, seed, NewBudget(0), 1, BoundStatic)
+	if dedup.Failed != want || !dedup.Exact {
+		t.Fatalf("damage: dedup %d exact=%v, exhaustive %d", dedup.Failed, dedup.Exact, want)
 	}
-	if dedup.Visited >= blind.Visited {
-		t.Errorf("dedup visited %d >= blind %d — duplicate branches not collapsed", dedup.Visited, blind.Visited)
-	}
-	// The final-level scan is uncounted by the budget, so the skip shows
-	// up in Marginal calls, not Visited: every dedup scan drops the
-	// second member of each pair past its start.
-	if dedupIn.calls >= blindIn.calls {
-		t.Errorf("dedup made %d Marginal calls >= blind %d — final-level scan not skipping duplicates", dedupIn.calls, blindIn.calls)
+	// The final-level scan is uncounted by the budget, so its skip shows
+	// up in Marginal calls, not Visited: every scan drops the second
+	// member of each pair past its start.
+	if dedup.Visited != dedupVisited || calls != dedupCalls {
+		t.Errorf("dedup: visited %d, %d Marginal calls; pinned %d and %d (blind: %d and %d)",
+			dedup.Visited, calls, dedupVisited, dedupCalls, blindVisited, blindCalls)
 	}
 }
 
@@ -347,14 +332,13 @@ func TestScanLastCut(t *testing.T) {
 		hit.Reinit(k, lists, loads)
 		want := Exhaustive(hit)
 		for _, bound := range []Bound{BoundResidual, BoundStatic} {
-			in := &marginalCounter{HitInstance: hit}
-			got := BranchAndBound(in, nil, Result{}, NewBudget(0), 1, bound)
+			got, calls := countedRun(hit, Result{}, NewBudget(0), 1, bound)
 			if got.Failed != want.Failed || !got.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
 				t.Errorf("k=%d %v: got (%d, %v, exact=%v), exhaustive (%d, %v)",
 					k, bound, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel)
 			}
-			if in.calls != 1 {
-				t.Errorf("k=%d %v: %d Marginal calls, want 1 — the scan did not stop at the first load <= bestGain", k, bound, in.calls)
+			if calls != 1 {
+				t.Errorf("k=%d %v: %d Marginal calls, want 1 — the scan did not stop at the first load <= bestGain", k, bound, calls)
 			}
 		}
 	}
@@ -364,16 +348,14 @@ func TestScanLastCut(t *testing.T) {
 	// non-seed incumbent recorded as (5, {9}), the scan's tie {0} wins.
 	hit := NewHitInstance(s, b)
 	hit.Reinit(1, lists, loads)
-	in := &marginalCounter{HitInstance: hit}
-	ps := &searchRun{bud: NewBudget(0), k: 1, m: hit.Len(), s: s, prefix: loadPrefix(hit),
-		best: Result{Failed: 5, Sel: []int{9}}}
-	ps.bestScore.Store(5)
-	w := newStealWorker(ps, 0, in)
+	ps := newSearchRun(hit, Result{Failed: 5, Sel: []int{9}}, NewBudget(0), 1, BoundStatic)
+	ps.bestIsSeed = false
+	w := ps.peers[0]
 	w.init()
 	w.scanLast(0, 0)
-	if ps.best.Failed != 5 || !reflect.DeepEqual(ps.best.Sel, []int{0}) || in.calls != 1 {
+	if ps.best.Failed != 5 || !reflect.DeepEqual(ps.best.Sel, []int{0}) || w.marginals != 1 {
 		t.Errorf("tie at the snapshot: best (%d, %v) after %d Marginal calls, want (5, [0]) after 1",
-			ps.best.Failed, ps.best.Sel, in.calls)
+			ps.best.Failed, ps.best.Sel, w.marginals)
 	}
 }
 
@@ -398,14 +380,48 @@ func TestReinitReuse(t *testing.T) {
 
 		wantSeed := Greedy(fresh)
 		fresh.Reset()
-		want := BranchAndBound(fresh, nil, wantSeed, NewBudget(0), 1, BoundResidual)
+		want := BranchAndBound(fresh, wantSeed, NewBudget(0), 1, BoundResidual)
 		gotSeed := Greedy(scratch)
 		scratch.Reset()
-		got := BranchAndBound(scratch, nil, gotSeed, NewBudget(0), 1, BoundResidual)
+		got := BranchAndBound(scratch, gotSeed, NewBudget(0), 1, BoundResidual)
 		if got.Failed != want.Failed || got.Visited != want.Visited || !reflect.DeepEqual(got.Sel, want.Sel) {
 			t.Errorf("trial %d: reused scratch {failed %d visited %d sel %v} != fresh {failed %d visited %d sel %v}",
 				trial, got.Failed, got.Visited, got.Sel, want.Failed, want.Visited, want.Sel)
 		}
+	}
+}
+
+// TestReinitRejectsBadShape pins Reinit's shape contract: k picks need
+// k candidates, and loads must match the hit lists one to one. Without
+// it, K = 3 over two candidates made BranchAndBound and Exhaustive claim
+// an exact empty attack and Greedy index out of range. The panic names
+// both numbers.
+func TestReinitRejectsBadShape(t *testing.T) {
+	lists := [][]Hit{{{Obj: 0, C: 1}}, {{Obj: 1, C: 1}}}
+	for _, tc := range []struct {
+		name  string
+		k     int
+		loads []int64
+		want  string
+	}{
+		{"k above candidates", 3, []int64{1, 1}, "3 picks among 2 candidates"},
+		{"negative k", -1, []int64{1, 1}, "-1 picks among 2 candidates"},
+		{"short loads", 1, []int64{1}, "1 loads for 2 candidates"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			NewHitInstance(1, 2).Reinit(tc.k, lists, tc.loads)
+		})
+	}
+	in := NewHitInstance(1, 2)
+	in.Reinit(2, lists, []int64{1, 1}) // k == len: every candidate chosen
+	if res := BranchAndBound(in, Result{}, NewBudget(0), 1, BoundResidual); res.Failed != 2 || !res.Exact {
+		t.Errorf("k = m: got (%d, exact=%v), want (2, exact)", res.Failed, res.Exact)
 	}
 }
 
@@ -457,8 +473,8 @@ func FuzzBoundEquivalence(f *testing.F) {
 		ex := Exhaustive(in)
 		seedRes := Greedy(in)
 		in.Reset()
-		static := BranchAndBound(in, nil, seedRes, NewBudget(0), 1, BoundStatic)
-		resid := BranchAndBound(in, nil, seedRes, NewBudget(0), 1, BoundResidual)
+		static := BranchAndBound(in, seedRes, NewBudget(0), 1, BoundStatic)
+		resid := BranchAndBound(in, seedRes, NewBudget(0), 1, BoundResidual)
 		if static.Failed != ex.Failed || resid.Failed != ex.Failed {
 			t.Fatalf("damage static=%d residual=%d exhaustive=%d (m=%d r=%d b=%d s=%d k=%d weighted=%v)",
 				static.Failed, resid.Failed, ex.Failed, m, r, b, s, k, weighted)

@@ -1,11 +1,12 @@
 // Package search is the generic worst-case subset-search core behind
 // every adversary engine. The problem it solves: from m candidates,
 // choose exactly K whose combined failure maximizes the number of failed
-// objects, where incremental damage accounting is delegated to an
-// Instance (node-level, whole-domain, and domain-constrained adversaries
-// all reduce to this shape — the hierarchical correlated-failure view of
-// Mills, Chandrasekaran & Mittal, arXiv:1701.01539, collapses them onto
-// one search).
+// objects, where incremental damage accounting is delegated to a
+// HitInstance (node-level, whole-domain, and domain-constrained
+// adversaries all reduce to this shape — the hierarchical
+// correlated-failure view of Mills, Chandrasekaran & Mittal,
+// arXiv:1701.01539, collapses them onto one search). The drivers take
+// the concrete *HitInstance: every engine searches one.
 //
 // Three drivers:
 //
@@ -35,7 +36,7 @@
 // objects, where liveSpent counts failed replicas of still-live objects,
 // window is the static top-rem load sum the static bound uses, and
 // residual counts the unchosen candidates' replicas on still-live
-// objects (see ResidualBounder). Because the chosen load decomposes as
+// objects (see HitInstance). Because the chosen load decomposes as
 // liveSpent + deadSpent with deadSpent >= S·failed, this bound is never
 // weaker than the static one, so it is the only prune residual mode
 // runs; BoundStatic (the ablation switch) restricts pruning to the
@@ -80,114 +81,6 @@ import (
 	"sort"
 	"sync/atomic"
 )
-
-// Instance is the incremental damage-accounting state for one search: m
-// candidates (indexed 0..Len()-1), of which exactly K must be chosen.
-// Implementations must guarantee Len() >= K(), and BranchAndBound
-// additionally requires candidates in non-increasing Load order — the
-// replica-counting bound assumes the first rem remaining candidates
-// carry the most load, so an unsorted instance would prune incorrectly
-// (the driver verifies and panics rather than return a wrong optimum).
-type Instance interface {
-	// Len returns the number of candidates m.
-	Len() int
-	// K returns the attack-set size.
-	K() int
-	// S returns how many failed replicas fail an object (the divisor of
-	// the replica-counting bound).
-	S() int
-	// Load returns candidate i's static replica load: failing i can
-	// fail at most Load(i) replicas. It bounds i's damage from any
-	// state — 0 <= Marginal(i) <= Load(i), in weight units under
-	// SetWeights — which the final-level scan cut relies on.
-	Load(i int) int64
-	// Add fails candidate i and returns the number of newly failed
-	// objects.
-	Add(i int) int
-	// Remove reverts Add(i).
-	Remove(i int)
-	// Marginal returns how many additional objects would fail if
-	// candidate i were added, without mutating state. It never exceeds
-	// Load(i): 0 <= Marginal(i) <= Load(i), in weight units under
-	// SetWeights (checked by the final-level scan under the invariants
-	// build tag).
-	Marginal(i int) int
-	// Reset zeroes all failure counters (after Greedy left them dirty).
-	Reset()
-}
-
-// ResidualBounder is an optional Instance extension enabling the
-// residual-load bound. Implementations maintain, alongside the failure
-// counters, the per-candidate residual load resid(c) = Σ_{(obj,C) ∈
-// hits(c), obj live} C — candidate c's replicas restricted to live
-// objects — and the aggregate invariant quantities
-//
-//	deadSpent = Σ_{obj dead} cnt(obj)   (failed replicas of dead objects)
-//	residual  = Σ_{c} resid(c)          (all candidates — overcounting the
-//	                                     chosen ones is sound and keeps
-//	                                     Add/Remove free of chosen-set
-//	                                     bookkeeping)
-//	discount  = Σ_{c} (fullLoad(c) - resid(c))   (dead load, all candidates)
-//
-// where an object is dead once S of its replicas have failed. The
-// driver derives liveSpent — failed replicas of still-live objects —
-// as the chosen candidates' static load minus deadSpent (tracking the
-// dead side keeps the common live-hit path branch-cheap). Any
-// completion of the current selection then newly fails at most
-// ⌊(liveSpent + cap) / S⌋ objects, where cap is any upper bound on the
-// completion's hits to live objects: the driver uses
-// min(static window, residual) as the O(1) cap and TopResidual as the
-// exact one, gated by discount (the scan cannot recover more than the
-// dead load, so it only runs when that could flip the decision).
-// Gains and MaxOverlap serve the final-level scan's parent-gain filter
-// (see "Pruning bounds" above), which residual mode alone runs.
-// HitInstance implements this; instances that don't are searched with
-// the static bound only.
-// Because the upkeep (threshold-crossing walks over an inverted index)
-// costs real work in Add/Remove, it is off until a driver calls
-// EnableResidual — Greedy seeding, Exhaustive enumeration, and
-// static-bound ablation runs all mutate at full speed.
-type ResidualBounder interface {
-	Instance
-	// EnableResidual turns on the incremental residual upkeep. Must be
-	// called on a clean (Reset) instance, whose baselines are correct by
-	// construction; it stays on until the next Reinit.
-	EnableResidual()
-	// ResidualStats returns the current (deadSpent, residual, discount)
-	// invariants. Valid only while the upkeep is enabled.
-	ResidualStats() (deadSpent, residual, discount int64)
-	// TopResidual returns the sum of the rem largest residual loads
-	// among candidates start..Len()-1 — the exact residual analogue of
-	// the static top-rem window (never larger, since resid <= Load
-	// pointwise and candidates are load-sorted). The driver only calls
-	// it with 0 < rem <= Len()-start.
-	TopResidual(start, rem int) int64
-	// Gains stores Marginal(j) in dst[j] for every candidate j >= start
-	// without mutating state (dst has room for Len() entries): the
-	// parent-gain filter's one pass per two-picks-left node.
-	Gains(start int, dst []int64)
-	// MaxOverlap returns the largest ov(i, j) over candidates j > i,
-	// where ov(i, j) is the total weight of the objects both runs hold
-	// (weight 1 each when unweighted). Adding i raises Marginal(j) by at
-	// most ov(i, j), which bounds every final-level gain below i from
-	// its parent's. Valid only while the upkeep is enabled.
-	MaxOverlap(i int) int64
-}
-
-// Deduper is an optional Instance extension enabling duplicate-candidate
-// collapse: when DupOfPrev(i) reports that candidate i's hit list is
-// identical to candidate i-1's, BranchAndBound skips the
-// branch that chooses i after skipping i-1 at the same level — the
-// damage of any such selection is already realized by the selection
-// using i-1 instead. Common in symmetric placements (x = 0 partition
-// chunks co-hosted on r nodes), singleton-domain topologies, and the
-// zero-load candidates instances pad with.
-type Deduper interface {
-	Instance
-	// DupOfPrev reports whether candidate i (i >= 1) has a hit list
-	// identical to candidate i-1's.
-	DupOfPrev(i int) bool
-}
 
 // Bound selects the branch-and-bound pruning discipline.
 type Bound int
@@ -314,7 +207,7 @@ func (b *Budget) Return(n int64) {
 // small. The instance's failure counters must be clean and are left
 // clean. (No pruning and no duplicate collapse: this is the reference
 // oracle the pruned drivers are differentially tested against.)
-func Exhaustive(in Instance) Result {
+func Exhaustive(in *HitInstance) Result {
 	m, k := in.Len(), in.K()
 	best := Result{Failed: -1, Exact: true}
 	cur := make([]int, 0, k)
@@ -353,7 +246,7 @@ func Exhaustive(in Instance) Result {
 // Visited reports the number of marginal-damage evaluations actually
 // performed (the unit of greedy work), so ablation tables compare real
 // effort.
-func Greedy(in Instance) Result {
+func Greedy(in *HitInstance) Result {
 	m, k := in.Len(), in.K()
 	chosen := make([]bool, m)
 	sel := make([]int, 0, k)
@@ -417,69 +310,48 @@ func Greedy(in Instance) Result {
 	}
 }
 
-// prunable is the one copy of the bound algebra: it reports whether no completion of the current
-// state — failed objects down, the chosen candidates carrying loadSum
-// static load, rem picks left among candidates start..Len()-1 with
-// top-rem static window — can beat the incumbent.
+// prunable is the one copy of the bound algebra: it reports whether no
+// completion of the current state — failed objects down, the chosen
+// candidates carrying loadSum static load, rem picks left among
+// candidates start..Len()-1 with top-rem static window — can beat the
+// incumbent.
 //
-// With rb == nil it is the static replica-counting bound: any
+// Without residual it is the static replica-counting bound: any
 // completion adds at most the top rem remaining loads, and s failed
-// replicas are needed per failed object. With rb, the residual-load
-// bound: completions can only newly fail objects that are still live,
-// with future hits capped by the static window, the candidates'
-// live-object residual, and (when the dead-load discount could flip
-// the decision) the exact top-rem residual scan. The residual form
-// dominates the static one (loadSum = liveSpent + deadSpent >=
-// liveSpent + s·failed), so it is the only prune residual mode needs.
-func prunable(rb ResidualBounder, failed int, loadSum, window, s, incumbent int64, start, rem int) bool {
-	if rb == nil {
+// replicas are needed per failed object. With residual (in's upkeep
+// enabled), the residual-load bound: completions can only newly fail
+// objects that are still live, with future hits capped by the static
+// window, the candidates' live-object residual, and (when the dead-load
+// discount could flip the decision) the exact top-rem residual scan.
+// The residual form dominates the static one (loadSum = liveSpent +
+// deadSpent >= liveSpent + s·failed), so it is the only prune residual
+// mode needs.
+func prunable(in *HitInstance, residual bool, failed int, loadSum, window, s, incumbent int64, start, rem int) bool {
+	if !residual {
 		return (loadSum+window)/s <= incumbent
 	}
-	deadSpent, residual, discount := rb.ResidualStats()
+	deadSpent, live, discount := in.ResidualStats()
 	liveSpent := loadSum - deadSpent
-	cheap := window
-	if residual < cheap {
-		cheap = residual
-	}
+	cheap := min(window, live)
 	f := int64(failed)
 	if f+(liveSpent+cheap)/s <= incumbent {
 		return true
 	}
 	if discount > 0 && f+(liveSpent+window-discount)/s <= incumbent &&
-		f+(liveSpent+rb.TopResidual(start, rem))/s <= incumbent {
+		f+(liveSpent+in.TopResidual(start, rem))/s <= incumbent {
 		return true
 	}
 	return false
 }
 
-// residualOf returns the instance's residual-bound view when the mode
-// asks for it and the instance maintains one — switching its upkeep on
-// (the instance is clean at driver entry) — else nil (static-only
-// pruning).
-func residualOf(in Instance, bound Bound) ResidualBounder {
-	if bound != BoundResidual {
-		return nil
-	}
-	rb, ok := in.(ResidualBounder)
-	if !ok {
-		return nil
-	}
-	rb.EnableResidual()
-	return rb
-}
-
 // dupFlags precomputes the duplicate-candidate flags (dup[i]: candidate
-// i's hits equal candidate i-1's) so the DFS inner loop avoids the
-// interface call; nil when the instance has no duplicates to collapse.
-func dupFlags(in Instance) []bool {
-	d, ok := in.(Deduper)
-	if !ok {
-		return nil
-	}
+// i's hits equal candidate i-1's) so the DFS inner loop compares no
+// runs; nil when the instance has no duplicates to collapse.
+func dupFlags(in *HitInstance) []bool {
 	m := in.Len()
 	var flags []bool
 	for i := 1; i < m; i++ {
-		if d.DupOfPrev(i) {
+		if in.DupOfPrev(i) {
 			if flags == nil {
 				flags = make([]bool, m)
 			}
@@ -493,7 +365,7 @@ func dupFlags(in Instance) []bool {
 // (prefix[i] = sum of Load(0..i-1)), panicking if the loads are not
 // non-increasing: the replica-counting bound is unsound on unsorted
 // candidates, and a panic beats a silently wrong "exact" optimum.
-func loadPrefix(in Instance) []int64 {
+func loadPrefix(in *HitInstance) []int64 {
 	m := in.Len()
 	prefix := make([]int64, m+1)
 	for i := 0; i < m; i++ {

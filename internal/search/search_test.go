@@ -2,88 +2,33 @@ package search
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// coverInstance is a minimal Instance for tests: object j fails once s
-// of the candidates listed in members[j] are in the attack set.
-type coverInstance struct {
-	k, s    int
-	members [][]int // per object, candidate indices hosting a replica
-	objsOf  [][]int // per candidate, object indices
-	cnt     []int
-	loads   []int64
-}
-
-// newCoverInstance reindexes raw candidates into descending-load order,
-// the branch-and-bound drivers' required invariant.
-func newCoverInstance(m, k, s int, members [][]int) *coverInstance {
-	rawLoads := make([]int64, m)
-	rawObjs := make([][]int, m)
+// newCoverInstance builds the HitInstance of a cover problem: object j
+// fails once s of the candidates listed in members[j] (distinct raw
+// candidate indices) are in the attack set. Candidates are reindexed
+// into the canonical order (CanonicalOrder over WeightedLoads), the
+// branch-and-bound drivers' required invariant.
+func newCoverInstance(m, k, s int, members [][]int) *HitInstance {
+	raw := make([][]Hit, m)
 	for obj, ms := range members {
 		for _, c := range ms {
-			rawObjs[c] = append(rawObjs[c], obj)
-			rawLoads[c]++
+			raw[c] = append(raw[c], Hit{Obj: int32(obj), C: 1})
 		}
 	}
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
+	ids := make([]int, m)
+	for i := range ids {
+		ids[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if rawLoads[order[a]] != rawLoads[order[b]] {
-			return rawLoads[order[a]] > rawLoads[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	in := &coverInstance{k: k, s: s, members: members}
-	in.objsOf = make([][]int, m)
-	in.loads = make([]int64, m)
-	for i, raw := range order {
-		in.objsOf[i] = rawObjs[raw]
-		in.loads[i] = rawLoads[raw]
+	CanonicalOrder(ids, WeightedLoads(raw, nil))
+	lists := make([][]Hit, m)
+	for i, id := range ids {
+		lists[i] = raw[id]
 	}
-	in.cnt = make([]int, len(members))
+	in := NewHitInstance(s, len(members))
+	in.Reinit(k, lists, WeightedLoads(lists, nil))
 	return in
-}
-
-func (in *coverInstance) Len() int         { return len(in.objsOf) }
-func (in *coverInstance) K() int           { return in.k }
-func (in *coverInstance) S() int           { return in.s }
-func (in *coverInstance) Load(i int) int64 { return in.loads[i] }
-
-func (in *coverInstance) Add(i int) int {
-	newly := 0
-	for _, obj := range in.objsOf[i] {
-		in.cnt[obj]++
-		if in.cnt[obj] == in.s {
-			newly++
-		}
-	}
-	return newly
-}
-
-func (in *coverInstance) Remove(i int) {
-	for _, obj := range in.objsOf[i] {
-		in.cnt[obj]--
-	}
-}
-
-func (in *coverInstance) Marginal(i int) int {
-	gain := 0
-	for _, obj := range in.objsOf[i] {
-		if in.cnt[obj] == in.s-1 {
-			gain++
-		}
-	}
-	return gain
-}
-
-func (in *coverInstance) Reset() {
-	for i := range in.cnt {
-		in.cnt[i] = 0
-	}
 }
 
 // bruteForce evaluates every K-subset from scratch, sharing no code with
@@ -159,23 +104,25 @@ func TestDriversAgreeOnRandomInstances(t *testing.T) {
 		}
 		in.Reset()
 
-		bnb := BranchAndBound(in, nil, greedy, NewBudget(0), 1, BoundResidual)
-		if bnb.Failed != want {
-			t.Errorf("trial %d: BranchAndBound = %d, brute force = %d", trial, bnb.Failed, want)
-		}
-		if !bnb.Exact {
-			t.Error("unbounded BranchAndBound must be exact")
-		}
-		if bnb.Visited > ex.Visited {
-			t.Errorf("trial %d: B&B visited %d > exhaustive %d: pruning broken",
-				trial, bnb.Visited, ex.Visited)
-		}
-
-		par := BranchAndBound(newCoverInstance(m, k, s, members), func() Instance {
-			return newCoverInstance(m, k, s, members)
-		}, greedy, NewBudget(0), 4, BoundResidual)
-		if par.Failed != want || !par.Exact {
-			t.Errorf("trial %d: parallel = %d exact=%v, want %d exact", trial, par.Failed, par.Exact, want)
+		// Both bounds at one and four workers: dedup, the residual
+		// upkeep and the parent-gain filter all run on the HitInstance,
+		// and the four-worker runs search clones sharing its tables.
+		// The empty seed makes the search find the optimum itself
+		// rather than confirm a greedy seed that is often optimal.
+		for _, bound := range []Bound{BoundStatic, BoundResidual} {
+			for _, workers := range []int{1, 4} {
+				for _, seed := range []Result{greedy, {}} {
+					bnb := BranchAndBound(in, seed, NewBudget(0), workers, bound)
+					if bnb.Failed != want || !bnb.Exact {
+						t.Errorf("trial %d %v workers=%d seed %d: BranchAndBound = %d exact=%v, brute force = %d",
+							trial, bound, workers, seed.Failed, bnb.Failed, bnb.Exact, want)
+					}
+					if bnb.Visited > ex.Visited {
+						t.Errorf("trial %d %v workers=%d seed %d: B&B visited %d > exhaustive %d: pruning broken",
+							trial, bound, workers, seed.Failed, bnb.Visited, ex.Visited)
+					}
+				}
+			}
 		}
 	}
 }
@@ -184,12 +131,12 @@ func TestBudgetSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	members := randomMembers(rng, 18, 3, 120)
 	const k, s = 5, 2
-	mk := func() *coverInstance { return newCoverInstance(18, k, s, members) }
+	mk := func() *HitInstance { return newCoverInstance(18, k, s, members) }
 
 	in := mk()
 	seed := Greedy(in)
 	in.Reset()
-	full := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
+	full := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	if !full.Exact {
 		t.Fatal("unbounded search not exact")
 	}
@@ -199,7 +146,7 @@ func TestBudgetSemantics(t *testing.T) {
 		seed := Greedy(in)
 		in.Reset()
 		bud := NewBudget(limit)
-		res := BranchAndBound(in, nil, seed, bud, 1, BoundResidual)
+		res := BranchAndBound(in, seed, bud, 1, BoundResidual)
 		if res.Exact {
 			t.Errorf("budget %d: search claims exactness", limit)
 		}
@@ -220,12 +167,12 @@ func TestBudgetSemantics(t *testing.T) {
 	// the first left off.
 	bud := NewBudget(10)
 	in1, in2 := mk(), mk()
-	BranchAndBound(in1, nil, Result{}, bud, 1, BoundResidual)
+	BranchAndBound(in1, Result{}, bud, 1, BoundResidual)
 	first := bud.Used()
 	if first != 10 {
 		t.Fatalf("first search consumed %d of 10", first)
 	}
-	res := BranchAndBound(in2, nil, Result{}, bud, 1, BoundResidual)
+	res := BranchAndBound(in2, Result{}, bud, 1, BoundResidual)
 	if res.Exact || bud.Used() != 10 {
 		t.Errorf("drained budget allowed more work: exact=%v used=%d", res.Exact, bud.Used())
 	}

@@ -134,9 +134,10 @@ type searchRun struct {
 	prefix  []int64 // candidate load prefix sums (loadPrefix), shared read-only
 	dup     []bool  // duplicate-candidate flags (dupFlags), shared read-only
 
-	peers []*stealWorker // every worker, for stealing; nil for a lone worker
-	wg    sync.WaitGroup // the goroutines running peers[1:]
-	idle  atomic.Int32
+	peers     []*stealWorker // every worker; peers[0] runs on the caller's goroutine
+	wg        sync.WaitGroup // the goroutines running peers[1:]
+	idle      atomic.Int32
+	marginals int64 // the final-level scans' Marginal calls, summed once every worker exited
 
 	exhausted atomic.Bool // budget drained: stop, result inexact
 	done      atomic.Bool // frontier drained: the first worker to prove it releases the rest
@@ -154,14 +155,12 @@ type searchRun struct {
 // BoundStatic ablation baseline behind the -bound switch), over workers
 // work-stealing workers (see the top of this file).
 //
-// probe is a ready (Reset) instance the caller already built — worker
-// 0 searches it on the caller's goroutine, so seeding greedy on it
-// first costs no extra construction; it is returned clean (the applied
-// prefix fully unwound), so callers may reuse it across searches.
-// workers is a resolved count, at least 1; with more than one, newInst
-// must return independent instances of the same search (same candidate
-// order, loads and damage accounting), one per extra worker, and may
-// be nil otherwise.
+// in is a ready (Reset) instance the caller already built — worker 0
+// searches it on the caller's goroutine, so seeding greedy on it first
+// costs no extra construction; it is returned clean (the applied prefix
+// fully unwound), so callers may reuse it across searches. workers is a
+// resolved count, at least 1; each extra worker searches its own
+// in.Clone().
 //
 // Every state entered, the root included, consumes one unit of bud,
 // shared by all workers; when bud runs dry the incumbent so far is
@@ -172,7 +171,13 @@ type searchRun struct {
 // With a budget and more than one worker, the set of states visited
 // differs between runs, so budgeted results may vary (each is still a
 // valid attack and lower bound on the damage).
-func BranchAndBound(probe Instance, newInst func() Instance, seed Result, bud *Budget, workers int, bound Bound) Result {
+func BranchAndBound(in *HitInstance, seed Result, bud *Budget, workers int, bound Bound) Result {
+	return newSearchRun(in, seed, bud, workers, bound).run()
+}
+
+// newSearchRun builds a run and its workers: worker 0 on in, the others
+// on clones made before any worker prepares its residual upkeep.
+func newSearchRun(in *HitInstance, seed Result, bud *Budget, workers int, bound Bound) *searchRun {
 	if workers < 1 {
 		panic(fmt.Sprintf("search: BranchAndBound needs at least one worker, got %d", workers))
 	}
@@ -180,29 +185,31 @@ func BranchAndBound(probe Instance, newInst func() Instance, seed Result, bud *B
 		bud:        bud,
 		bound:      bound,
 		workers:    workers,
-		k:          probe.K(),
-		m:          probe.Len(),
-		s:          int64(probe.S()),
-		prefix:     loadPrefix(probe),
-		dup:        dupFlags(probe),
+		k:          in.K(),
+		m:          in.Len(),
+		s:          int64(in.S()),
+		prefix:     loadPrefix(in),
+		dup:        dupFlags(in),
+		peers:      make([]*stealWorker, workers),
 		best:       Result{Failed: seed.Failed, Sel: append([]int(nil), seed.Sel...), Exact: true},
 		bestIsSeed: true,
 	}
 	ps.bestScore.Store(int64(seed.Failed))
-	w0 := newStealWorker(ps, 0, probe)
-	if workers > 1 {
-		ps.peers = make([]*stealWorker, workers)
-		ps.peers[0] = w0
-		for id := 1; id < workers; id++ {
-			ps.peers[id] = newStealWorker(ps, id, newInst())
-		}
+	ps.peers[0] = newStealWorker(ps, 0, in)
+	for id := 1; id < workers; id++ {
+		ps.peers[id] = newStealWorker(ps, id, in.Clone())
 	}
+	return ps
+}
+
+// run searches to completion (or a dry budget) and returns the result.
+func (ps *searchRun) run() Result {
+	w0 := ps.peers[0]
 	w0.init()
 	if t, ok := ps.enterRoot(w0); ok {
 		w0.deq.push(t)
 	}
-	for id := 1; id < workers; id++ {
-		w := ps.peers[id]
+	for _, w := range ps.peers[1:] {
 		ps.wg.Add(1)
 		go func() {
 			defer ps.wg.Done()
@@ -212,6 +219,9 @@ func BranchAndBound(probe Instance, newInst func() Instance, seed Result, bud *B
 	}
 	w0.run()
 	ps.wg.Wait()
+	for _, w := range ps.peers {
+		ps.marginals += w.marginals
+	}
 	ps.best.Visited = ps.bud.Used()
 	ps.best.Exact = !ps.exhausted.Load()
 	sort.Ints(ps.best.Sel)
@@ -227,10 +237,10 @@ func (ps *searchRun) enterRoot(w0 *stealWorker) (task, bool) {
 		return task{}, false
 	}
 	k := ps.k
-	if k == 0 || k > ps.m {
+	if k == 0 {
 		return task{}, false
 	}
-	if prunable(w0.rb, 0, 0, ps.prefix[k], ps.s, ps.bestScore.Load(), 0, k) {
+	if prunable(w0.in, w0.residual, 0, 0, ps.prefix[k], ps.s, ps.bestScore.Load(), 0, k) {
 		return task{}, false
 	}
 	return task{}, true
@@ -284,47 +294,39 @@ func lexLess(a, b []int) bool {
 // the applied prefix mirroring the instance's counters, its budget
 // lease and incumbent snapshot.
 type stealWorker struct {
-	ps     *searchRun
-	id     int
-	in     Instance
-	deq    deque
-	rb     ResidualBounder
-	cur    []int
-	lease  int64
-	snap   int64
-	selBuf []int
-	gp     []int64 // the parent's gains (Gains) at the current two-picks-left node; nil without rb
-	gpMax  []int64 // gpMax[j] = max of gp[j..]: where the parent-gain filter stops the scan
-	free   [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
+	ps        *searchRun
+	id        int
+	in        *HitInstance
+	residual  bool // BoundResidual: in's residual upkeep is on
+	deq       deque
+	cur       []int
+	lease     int64
+	snap      int64
+	selBuf    []int
+	gp        []int64 // the parent's gains (Gains) at the current two-picks-left node; nil without residual
+	gpMax     []int64 // gpMax[j] = max of gp[j..]: where the parent-gain filter stops the scan
+	free      [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
+	marginals int64   // Marginal calls made by scanLast
 }
-
-// gainBuffer is implemented by instances that lend the driver a
-// 2·Len()-entry parent-gain buffer from their own per-worker scratch
-// (HitInstance), so the parent-gain filter allocates nothing per
-// search.
-type gainBuffer interface{ gainScratch() []int64 }
 
 // newStealWorker sizes the worker's deque up front: it runs before any
 // goroutine starts, so no thief can observe the deque being set up.
-func newStealWorker(ps *searchRun, id int, in Instance) *stealWorker {
+func newStealWorker(ps *searchRun, id int, in *HitInstance) *stealWorker {
 	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}}
 }
 
-// init switches on the worker's residual upkeep and takes its first
-// incumbent snapshot. Extra workers run it on their own goroutine, so
-// their instances prepare in parallel.
+// init switches on the worker's residual upkeep (the instance is clean
+// at driver entry) and takes its first incumbent snapshot. Extra
+// workers run it on their own goroutine, so their instances prepare in
+// parallel.
 func (w *stealWorker) init() {
 	k := w.ps.k
-	w.rb = residualOf(w.in, w.ps.bound)
-	if w.rb != nil && k >= 2 {
-		m := w.ps.m
-		var buf []int64
-		if gb, ok := w.in.(gainBuffer); ok {
-			buf = gb.gainScratch()
-		} else {
-			buf = make([]int64, 2*m)
+	w.residual = w.ps.bound == BoundResidual
+	if w.residual {
+		w.in.EnableResidual()
+		if k >= 2 {
+			w.gp, w.gpMax = w.in.gainScratch()
 		}
-		w.gp, w.gpMax = buf[:m], buf[m:2*m]
 	}
 	paths := make([]int, 2*k)
 	w.cur, w.selBuf = paths[:0:k], paths[k:k]
@@ -451,12 +453,12 @@ func (w *stealWorker) runTask(t task) {
 			w.scanLast(failed, start)
 			return
 		}
-		if rem == 2 && w.rb != nil {
+		if rem == 2 && w.residual {
 			// Every child of this node ends in a final-level scan over
 			// candidates start+1..: one pass gives them the parent's
 			// gains for the parent-gain filter, and their suffix maxima
 			// tell each scan where no later candidate can pass it.
-			w.rb.Gains(start+1, w.gp)
+			w.in.Gains(start+1, w.gp)
 			var hi int64
 			for j := m - 1; j > start; j-- {
 				hi = max(hi, w.gp[j])
@@ -555,10 +557,10 @@ func (w *stealWorker) charge() bool {
 // it) or no leaf below can lex-precede the incumbent.
 func (w *stealWorker) pruneChild(cf int, cl, window int64, cstart, crem, next int) bool {
 	s := w.ps.s
-	if !prunable(w.rb, cf, cl, window, s, w.snap, cstart, crem) {
+	if !prunable(w.in, w.residual, cf, cl, window, s, w.snap, cstart, crem) {
 		return false
 	}
-	if prunable(w.rb, cf, cl, window, s, w.snap-1, cstart, crem) {
+	if prunable(w.in, w.residual, cf, cl, window, s, w.snap-1, cstart, crem) {
 		return true // strictly below the snapshot: no tie possible
 	}
 	sel := w.ps.bestSel.Load()
@@ -625,7 +627,7 @@ func (w *stealWorker) scanLast(failed, cstart int) {
 	cut := w.snap - int64(failed) - 1
 	var gp []int64
 	par, ov := -1, int64(-1)
-	if w.rb != nil && len(w.cur) > 0 {
+	if w.residual && len(w.cur) > 0 {
 		gp, par = w.gp, w.cur[len(w.cur)-1]
 	}
 	for j := cstart; j < m; j++ {
@@ -638,7 +640,7 @@ func (w *stealWorker) scanLast(failed, cstart int) {
 		}
 		if gp != nil {
 			if ov < 0 {
-				ov = w.rb.MaxOverlap(par)
+				ov = w.in.MaxOverlap(par)
 			}
 			if w.gpMax[j]+ov <= cut {
 				assertTailWithinBound(w.in, par, j, gp, ov)
@@ -650,6 +652,7 @@ func (w *stealWorker) scanLast(failed, cstart int) {
 			}
 		}
 		g := w.in.Marginal(j)
+		w.marginals++
 		assertGainWithinLoad(j, g, load)
 		if g > bestGain {
 			bestGain, bestI = g, j

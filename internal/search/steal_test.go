@@ -23,14 +23,14 @@ import (
 // nearly equal, so the load cut rarely fires and the filter decides
 // which final-level candidates are scanned.
 func TestStealMatchesSerial(t *testing.T) {
-	check := func(t *testing.T, trial int, probe Instance, newInst func() Instance, seed Result, bound Bound) {
+	check := func(t *testing.T, trial int, probe *HitInstance, seed Result, bound Bound) {
 		t.Helper()
 		want := Exhaustive(probe)
 		if seed.Failed == want.Failed {
 			want.Sel = seed.Sel
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
-			got := BranchAndBound(probe, newInst, seed, NewBudget(0), workers, bound)
+			got := BranchAndBound(probe, seed, NewBudget(0), workers, bound)
 			if got.Failed != want.Failed || !got.Exact || !reflect.DeepEqual(got.Sel, want.Sel) {
 				t.Errorf("trial %d workers=%d: got (%d, %v, exact=%v), want (%d, %v)",
 					trial, workers, got.Failed, got.Sel, got.Exact, want.Failed, want.Sel)
@@ -46,13 +46,10 @@ func TestStealMatchesSerial(t *testing.T) {
 			b := 5 + rng.Intn(25)
 			s := 1 + rng.Intn(r)
 			k := 1 + rng.Intn(m-1)
-			members := randomMembers(rng, m, r, b)
-			mk := func() Instance { return newCoverInstance(m, k, s, members) }
-
-			in := newCoverInstance(m, k, s, members)
+			in := newCoverInstance(m, k, s, randomMembers(rng, m, r, b))
 			seed := Greedy(in)
 			in.Reset()
-			check(t, trial, in, mk, seed, BoundStatic)
+			check(t, trial, in, seed, BoundStatic)
 		}
 	})
 
@@ -68,7 +65,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in, _ := randomHitInstance(rng, m, r, b, s, k, maxC)
 			seed := Greedy(in)
 			in.Reset()
-			check(t, trial, in, func() Instance { return in.Clone() }, seed, BoundResidual)
+			check(t, trial, in, seed, BoundResidual)
 		}
 	})
 
@@ -86,7 +83,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			in, _ := randWeightedInstance(rng, m, b, k, s, w)
 			seed := Greedy(in)
 			in.Reset()
-			check(t, trial, in, func() Instance { return in.Clone() }, seed, BoundResidual)
+			check(t, trial, in, seed, BoundResidual)
 		}
 	})
 
@@ -94,19 +91,18 @@ func TestStealMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(163))
 		for trial := 0; trial < 40; trial++ {
 			in := skewedInstance(rng)
-			mk := func() Instance { return in.Clone() }
 			bound := []Bound{BoundResidual, BoundStatic}[trial%2]
 			// A greedy seed is often optimal, so scans tie the snapshot;
 			// the lex-first selection is a weak seed the search must
 			// overtake, moving the incumbent mid-run.
 			seed := Greedy(in)
 			in.Reset()
-			check(t, trial, in, mk, seed, bound)
+			check(t, trial, in, seed, bound)
 			weak := make([]int, in.K())
 			for i := range weak {
 				weak[i] = i
 			}
-			check(t, trial, in, mk, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
+			check(t, trial, in, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
 		}
 	})
 	t.Run("flat", func(t *testing.T) {
@@ -116,16 +112,15 @@ func TestStealMatchesSerial(t *testing.T) {
 			b := 2*m + rng.Intn(3*m)
 			k := 2 + rng.Intn(4)
 			in := flatInstance(rng, m, b, 2, k, trial%2 == 1)
-			mk := func() Instance { return in.Clone() }
 			bound := []Bound{BoundResidual, BoundStatic}[trial/2%2]
 			seed := Greedy(in)
 			in.Reset()
-			check(t, trial, in, mk, seed, bound)
+			check(t, trial, in, seed, bound)
 			weak := make([]int, k)
 			for i := range weak {
 				weak[i] = i
 			}
-			check(t, trial, in, mk, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
+			check(t, trial, in, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
 		}
 	})
 }
@@ -186,7 +181,6 @@ func TestStealLeaseAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(149))
 	members := randomMembers(rng, 16, 3, 100)
 	const m, k, s = 16, 5, 2
-	mk := func() Instance { return newCoverInstance(m, k, s, members) }
 
 	// Seed with the exact optimum (from the one-worker run) so the
 	// incumbent never moves: prune decisions match the one-worker run
@@ -195,13 +189,13 @@ func TestStealLeaseAccounting(t *testing.T) {
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
 	in.Reset()
-	exact := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
+	exact := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 
+	// Every run leaves in clean, so each one searches it afresh.
 	for _, workers := range []int{1, 2, 3, 8} {
 		// Unlimited: every lease chunk's unused remainder comes back.
 		bud := NewBudget(0)
-		probe := mk()
-		res := BranchAndBound(probe, mk, exact, bud, workers, BoundStatic)
+		res := BranchAndBound(in, exact, bud, workers, BoundStatic)
 		if bud.Used() != exact.Visited || res.Visited != exact.Visited {
 			t.Errorf("workers=%d unlimited: used %d visited %d, one-worker visited %d — leases leaked",
 				workers, bud.Used(), res.Visited, exact.Visited)
@@ -210,8 +204,7 @@ func TestStealLeaseAccounting(t *testing.T) {
 		// Ample limit: the search finishes without exhausting, and the
 		// limit's unclaimed tail must not be counted as used.
 		bud = NewBudget(exact.Visited * 10)
-		probe = mk()
-		res = BranchAndBound(probe, mk, exact, bud, workers, BoundStatic)
+		res = BranchAndBound(in, exact, bud, workers, BoundStatic)
 		if !res.Exact {
 			t.Errorf("workers=%d: ample budget run not exact", workers)
 		}
@@ -223,8 +216,7 @@ func TestStealLeaseAccounting(t *testing.T) {
 		// allowed, remaining consistent.
 		for _, limit := range []int64{1, 5, 37} {
 			bud = NewBudget(limit)
-			probe = mk()
-			res = BranchAndBound(probe, mk, seed, bud, workers, BoundStatic)
+			res = BranchAndBound(in, seed, bud, workers, BoundStatic)
 			if bud.Used() > limit || res.Visited > limit {
 				t.Errorf("workers=%d limit=%d: used %d visited %d — overshoot", workers, limit, bud.Used(), res.Visited)
 			}
@@ -250,12 +242,11 @@ func TestStealStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	members := randomMembers(rng, 14, 3, 80)
 	const m, k, s = 14, 4, 2
-	mk := func() Instance { return newCoverInstance(m, k, s, members) }
 
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
 	in.Reset()
-	exact := BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
+	exact := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 
 	const workers = 32 // far more than cores: steal scans and idle spins collide constantly
 	var wg sync.WaitGroup
@@ -264,9 +255,9 @@ func TestStealStress(t *testing.T) {
 		go func(round int) {
 			defer wg.Done()
 			bud := NewBudget(int64(3 + round*17))
+			probe := newCoverInstance(m, k, s, members) // one per concurrent round
 			for bud.Remaining() > 0 {
-				probe := mk()
-				res := BranchAndBound(probe, mk, seed, bud, workers, BoundStatic)
+				res := BranchAndBound(probe, seed, bud, workers, BoundStatic)
 				if res.Failed < seed.Failed || res.Failed > exact.Failed {
 					t.Errorf("round %d: result %d outside [seed %d, exact %d]", round, res.Failed, seed.Failed, exact.Failed)
 					return
@@ -292,7 +283,7 @@ func TestStealRejectsUnresolvedWorkers(t *testing.T) {
 					t.Errorf("workers=%d: BranchAndBound did not panic", workers)
 				}
 			}()
-			BranchAndBound(newCoverInstance(8, 3, 2, members), nil, Result{}, NewBudget(0), workers, BoundStatic)
+			BranchAndBound(newCoverInstance(8, 3, 2, members), Result{}, NewBudget(0), workers, BoundStatic)
 		}()
 	}
 }

@@ -53,7 +53,7 @@ func CanonicalOrder[L ~int | ~int64](ids []int, loads []L) {
 // identity to its current candidate position, so a witness survives
 // re-sorts and rebuilds; a nil prev is the cold start. in is left
 // clean.
-func WarmSeed(in Instance, prev, pos []int) (seed Result, warm bool) {
+func WarmSeed(in *HitInstance, prev, pos []int) (seed Result, warm bool) {
 	seed = Greedy(in)
 	in.Reset()
 	if prev == nil {
@@ -77,7 +77,7 @@ func WarmSeed(in Instance, prev, pos []int) (seed Result, warm bool) {
 // previous witness means a re-plan whose optimum did not change
 // returns the same witness it started from. The instance's counters
 // must be clean and are left clean.
-func Revalidate(in Instance, sel []int) int {
+func Revalidate(in *HitInstance, sel []int) int {
 	failed := 0
 	for _, i := range sel {
 		failed += in.Add(i)

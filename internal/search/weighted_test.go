@@ -127,7 +127,7 @@ func TestWeightedDifferential(t *testing.T) {
 		if gr.Failed > want {
 			t.Fatalf("trial %d: Greedy weighted damage %d exceeds oracle %d", trial, gr.Failed, want)
 		}
-		res := BranchAndBound(in, nil, gr, NewBudget(0), 1, BoundResidual)
+		res := BranchAndBound(in, gr, NewBudget(0), 1, BoundResidual)
 		if !res.Exact || res.Failed != want {
 			t.Fatalf("trial %d: residual B&B %+v, oracle %d", trial, res, want)
 		}
@@ -135,7 +135,7 @@ func TestWeightedDifferential(t *testing.T) {
 		in.SetWeights(w)
 		gr2 := Greedy(in)
 		in.Reset()
-		stat := BranchAndBound(in, nil, gr2, NewBudget(0), 1, BoundStatic)
+		stat := BranchAndBound(in, gr2, NewBudget(0), 1, BoundStatic)
 		if !stat.Exact || stat.Failed != want {
 			t.Fatalf("trial %d: static B&B %+v, oracle %d", trial, stat, want)
 		}
@@ -189,12 +189,12 @@ func TestUnitWeightsByteIdentical(t *testing.T) {
 			{"bnb-residual", func(in *HitInstance) Result {
 				seed := Greedy(in)
 				in.Reset()
-				return BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundResidual)
+				return BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 			}},
 			{"bnb-static", func(in *HitInstance) Result {
 				seed := Greedy(in)
 				in.Reset()
-				return BranchAndBound(in, nil, seed, NewBudget(0), 1, BoundStatic)
+				return BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 			}},
 		}
 		for _, r := range runs {
