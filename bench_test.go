@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -544,7 +543,7 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 // objects pair the hub with a 30-node pool (the real combinatorial
 // search), cold objects pad the candidate list with instantly-pruned
 // branches. Built directly as a search.HitInstance (the node-level
-// adapter's layout: unit hits, candidates by descending load) so the
+// adapter's layout: unit hits, loaded nodes by descending load) so the
 // benchmark can drive both parallel drivers on identical instances.
 func stealSkewInstance(b *testing.B) *search.HitInstance {
 	b.Helper()
@@ -573,27 +572,8 @@ func stealSkewInstance(b *testing.B) *search.HitInstance {
 			perNode[nd] = append(perNode[nd], search.Hit{Obj: int32(obj), C: 1})
 		}
 	}
-	loadsByNode := pl.NodeLoads()
-	var candidates []int
-	for nd, l := range loadsByNode {
-		if l > 0 {
-			candidates = append(candidates, nd)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if loadsByNode[candidates[i]] != loadsByNode[candidates[j]] {
-			return loadsByNode[candidates[i]] > loadsByNode[candidates[j]]
-		}
-		return candidates[i] < candidates[j]
-	})
-	hitLists := make([][]search.Hit, len(candidates))
-	loads := make([]int64, len(candidates))
-	for i, nd := range candidates {
-		hitLists[i] = perNode[nd]
-		loads[i] = int64(loadsByNode[nd])
-	}
 	in := search.NewHitInstance(s, pl.B())
-	in.Reinit(k, hitLists, loads)
+	in.Assign(k, perNode, nil, nil, false)
 	return in
 }
 

@@ -27,17 +27,17 @@
 //     SearchOpts.Workers workers (one, on the caller's goroutine, by
 //     default).
 //
-// Every adapter embeds the *search.HitInstance the drivers take — one
+// Every adapter builds the *search.HitInstance the drivers take — one
 // flat CSR hit layout for node-level (C = 1), whole-domain (aggregated
-// C), and constrained searches alike — plus a candidate-selection
-// policy and the candidate index → identity mapping; callers pass the
-// embedded instance to the drivers and translate the result back.
+// C), and constrained searches alike — the same way: hits by unit (node
+// or domain), then HitInstance.Assign, which picks and orders the
+// candidates and keeps the unit ids that Units translates the result
+// back through.
 package adversary
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"repro/internal/placement"
 	"repro/internal/search"
@@ -110,14 +110,6 @@ func runBranchAndBound(in *search.HitInstance, seed search.Result, opts SearchOp
 	return search.BranchAndBound(in, seed, search.NewBudget(opts.Budget), opts.resolveWorkers(), opts.Bound)
 }
 
-// nodeInstance adapts a placement to search.HitInstance with individual
-// nodes as the unit of failure (every hit has C = 1), keeping the
-// candidate index → node id mapping.
-type nodeInstance struct {
-	*search.HitInstance
-	candidates []int // nodes hosting at least one replica, by descending load
-}
-
 // checkObjWeights validates an optional per-object weight vector
 // against a placement: one non-negative weight per object, with a
 // weighted replica total that fits the int64 loads.
@@ -136,7 +128,10 @@ func checkObjWeights(w []int64, pl *placement.Placement) error {
 	return placement.CheckWeightTotal(w, pl.R)
 }
 
-func newInstance(pl *placement.Placement, s, k int, w []int64) (*nodeInstance, error) {
+// newInstance validates a node-level query and assigns its instance:
+// every node is a unit, loaded nodes first, padded with empty ones up
+// to k (k < n guarantees enough exist).
+func newInstance(pl *placement.Placement, s, k int, w []int64) (*search.HitInstance, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,34 +144,9 @@ func newInstance(pl *placement.Placement, s, k int, w []int64) (*nodeInstance, e
 	if err := checkObjWeights(w, pl); err != nil {
 		return nil, err
 	}
-	perNode := nodeHits(pl)
-	loadsByNode := pl.NodeLoads()
-	wloads := search.WeightedLoads(perNode, w)
-	var candidates []int
-	for nd, l := range loadsByNode {
-		if l > 0 {
-			candidates = append(candidates, nd)
-		}
-	}
-	search.CanonicalOrder(candidates, wloads)
-	// If fewer than k nodes carry load, pad with empty nodes (they do no
-	// harm, but the attack set must have k members; k < n guarantees
-	// enough nodes exist).
-	for nd := 0; nd < pl.N && len(candidates) < k; nd++ {
-		if loadsByNode[nd] == 0 {
-			candidates = append(candidates, nd)
-		}
-	}
-	hitLists := make([][]search.Hit, len(candidates))
-	loads := make([]int64, len(candidates))
-	for i, nd := range candidates {
-		hitLists[i] = perNode[nd]
-		loads[i] = wloads[nd]
-	}
-	inst := &nodeInstance{HitInstance: search.NewHitInstance(s, pl.B()), candidates: candidates}
-	inst.Reinit(k, hitLists, loads)
-	inst.SetWeights(w)
-	return inst, nil
+	in := search.NewHitInstance(s, pl.B())
+	in.Assign(k, nodeHits(pl), w, nil, false)
+	return in, nil
 }
 
 // nodeHits builds the per-node hit lists (C = 1 per hosted replica,
@@ -193,19 +163,10 @@ func nodeHits(pl *placement.Placement) [][]search.Hit {
 	return perNode
 }
 
-// result translates a core result from candidate-index space to node ids.
-func (in *nodeInstance) result(res search.Result) Result {
-	nodes := make([]int, len(res.Sel))
-	for i, ci := range res.Sel {
-		nodes[i] = in.candidates[ci]
-	}
-	sort.Ints(nodes)
-	return Result{
-		Failed:  res.Failed,
-		Nodes:   nodes,
-		Exact:   res.Exact,
-		Visited: res.Visited,
-	}
+// nodeResult translates a core result on in from candidate positions
+// to node ids.
+func nodeResult(in *search.HitInstance, res search.Result) Result {
+	return Result{Failed: res.Failed, Nodes: in.Units(res.Sel), Exact: res.Exact, Visited: res.Visited}
 }
 
 // ExhaustiveWith enumerates every k-subset of nodes. Cost is C(n, k)
@@ -217,7 +178,7 @@ func ExhaustiveWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	return in.result(search.Exhaustive(in.HitInstance)), nil
+	return nodeResult(in, search.Exhaustive(in)), nil
 }
 
 // GreedyWith picks k nodes by maximum marginal damage, then improves the
@@ -229,7 +190,7 @@ func GreedyWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	return in.result(search.Greedy(in.HitInstance)), nil
+	return nodeResult(in, search.Greedy(in)), nil
 }
 
 // WorstCaseWith runs branch-and-bound seeded with the greedy incumbent.
@@ -245,8 +206,8 @@ func WorstCaseWith(pl *placement.Placement, s, k int, opts SearchOpts) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
-	seed, _ := search.WarmSeed(in.HitInstance, nil, nil)
+	seed, _ := search.WarmSeed(in, nil)
 	// Candidate order is deterministic, so in translates any worker's
 	// selection.
-	return in.result(runBranchAndBound(in.HitInstance, seed, opts)), nil
+	return nodeResult(in, runBranchAndBound(in, seed, opts)), nil
 }

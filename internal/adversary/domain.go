@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -47,16 +48,6 @@ type DomainResult struct {
 // Avail returns b - Failed for the placement the result was computed on.
 func (r DomainResult) Avail(b int) int { return b - r.Failed }
 
-// domInstance searches whole domains as the unit of failure: a
-// search.HitInstance over the aggregated replica hits of
-// placement.DomainHits, plus the candidate policy (prune unloaded
-// domains, pad back up to d) and the index→domain mapping.
-type domInstance struct {
-	*search.HitInstance
-	topo  *topology.Topology
-	cands []int // domains hosting at least one replica, by descending load
-}
-
 // collapseTo validates the topology and projects it to the requested
 // attack level: the flat depth-1 view every engine instance is built
 // from. The leaf level of any depth is already flat for the leaf-only
@@ -78,65 +69,44 @@ func collapseTo(pl *placement.Placement, topo *topology.Topology, level int) (*t
 	return topo.Collapse(l)
 }
 
-func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, d int, w []int64) (*domInstance, error) {
+// newDomInstance validates a whole-domain query and assigns its
+// instance over the domains of the attack level, loaded domains first,
+// padded with empty ones up to d. It returns the collapsed topology the
+// result's node union is read from.
+func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, d int, w []int64) (*search.HitInstance, *topology.Topology, error) {
 	if err := pl.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	topo, err := collapseTo(pl, topo, level)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
+		return nil, nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
 	}
 	if err := checkObjWeights(w, pl); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	nd := topo.NumDomains()
 	// Unlike the node-level k < n, d = NumDomains is allowed: "every
 	// domain fails" is a well-defined (if grim) query, and the placement
 	// side (SpreadAcrossDomains) accepts it too.
-	if d < 1 || d > nd {
-		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, nd)
+	if nd := topo.NumDomains(); d < 1 || d > nd {
+		return nil, nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, nd)
 	}
-	in := &domInstance{HitInstance: search.NewHitInstance(s, pl.B()), topo: topo}
-	byDomain, loads := placement.DomainHits(pl, topo)
-	wloads := search.WeightedLoads(byDomain, w)
-	for di := 0; di < nd; di++ {
-		if loads[di] > 0 {
-			in.cands = append(in.cands, di)
-		}
-	}
-	search.CanonicalOrder(in.cands, wloads)
-	// Pad with empty domains so the attack set can always have d members.
-	for di := 0; di < nd && len(in.cands) < d; di++ {
-		if loads[di] == 0 {
-			in.cands = append(in.cands, di)
-		}
-	}
-	hitLists := make([][]search.Hit, len(in.cands))
-	ordered := make([]int64, len(in.cands))
-	for i, di := range in.cands {
-		hitLists[i] = byDomain[di]
-		ordered[i] = wloads[di]
-	}
-	in.Reinit(d, hitLists, ordered)
-	in.SetWeights(w)
-	return in, nil
+	byDomain, _ := placement.DomainHits(pl, topo)
+	in := search.NewHitInstance(s, pl.B())
+	in.Assign(d, byDomain, w, nil, false)
+	return in, topo, nil
 }
 
-// result translates a core result from candidate-index space to domain
-// indices and their node union.
-func (in *domInstance) result(res search.Result) DomainResult {
-	domains := make([]int, len(res.Sel))
-	for i, ci := range res.Sel {
-		domains[i] = in.cands[ci]
-	}
-	sort.Ints(domains)
+// domResult translates a core result on in from candidate positions to
+// domain indices and their node union.
+func domResult(in *search.HitInstance, topo *topology.Topology, res search.Result) DomainResult {
+	domains := in.Units(res.Sel)
 	return DomainResult{
 		Failed:  res.Failed,
 		Domains: domains,
-		Nodes:   in.topo.FailedSet(domains).Members(nil),
+		Nodes:   topo.FailedSet(domains).Members(nil),
 		Exact:   res.Exact,
 		Visited: res.Visited,
 	}
@@ -145,15 +115,15 @@ func (in *domInstance) result(res search.Result) DomainResult {
 // DomainExhaustiveAtWith enumerates every d-subset of the domains at
 // the given topology level (0 = top, topology.Leaf = racks). Cost is
 // C(D, d) times the incremental update cost; the reference oracle for
-// tests. (newDomInstance pads its candidates with empty domains up to
-// d, and d <= NumDomains, so every engine always has at least d
-// candidates.) Only opts.ObjWeights applies.
+// tests. (Assign pads the candidates with empty domains up to d, and
+// d <= NumDomains, so every engine always has at least d candidates.)
+// Only opts.ObjWeights applies.
 func DomainExhaustiveAtWith(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (DomainResult, error) {
-	in, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
+	in, flat, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
 		return DomainResult{}, err
 	}
-	return in.result(search.Exhaustive(in.HitInstance)), nil
+	return domResult(in, flat, search.Exhaustive(in)), nil
 }
 
 // DomainGreedyAtWith picks d domains of the given level by maximum
@@ -161,11 +131,11 @@ func DomainExhaustiveAtWith(pl *placement.Placement, topo *topology.Topology, le
 // The result is a valid correlated attack (a lower bound on the worst
 // case) but not guaranteed optimal. Only opts.ObjWeights applies.
 func DomainGreedyAtWith(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (DomainResult, error) {
-	in, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
+	in, flat, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
 		return DomainResult{}, err
 	}
-	return in.result(search.Greedy(in.HitInstance)), nil
+	return domResult(in, flat, search.Greedy(in)), nil
 }
 
 // DomainWorstCaseWith is DomainWorstCaseAtWith at the leaf level. It is
@@ -182,27 +152,23 @@ func DomainWorstCaseWith(pl *placement.Placement, topo *topology.Topology, s, d 
 // every level. Budget, workers and bound follow WorstCaseWith (the
 // drivers are shared).
 func DomainWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (DomainResult, error) {
-	in, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
+	in, flat, err := newDomInstance(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
 		return DomainResult{}, err
 	}
-	seed, _ := search.WarmSeed(in.HitInstance, nil, nil)
-	return in.result(runBranchAndBound(in.HitInstance, seed, opts)), nil
+	seed, _ := search.WarmSeed(in, nil)
+	return domResult(in, flat, runBranchAndBound(in, seed, opts)), nil
 }
 
 // constrainedShared is the subset-independent preprocessing of a
-// constrained search: per-node hit lists, per-node loads, candidate
-// orderings and parameter validation, shared by every worker.
+// constrained search: per-node hit lists and parameter validation,
+// shared by every worker.
 type constrainedShared struct {
-	pl          *placement.Placement
-	topo        *topology.Topology
-	s, k, d     int
-	w           []int64        // optional per-object weights (nil = unit)
-	nodeHits    [][]search.Hit // per node, C = 1, objects ascending
-	loadsByNode []int
-	wloads      []int64 // per-node weighted loads Σ w[obj] (== loads when w nil)
-	loaded      []int   // nodes with load, by descending weighted load (ties: id)
-	empty       []int   // zero-load nodes, ascending id
+	pl       *placement.Placement
+	topo     *topology.Topology
+	s, k, d  int
+	w        []int64        // optional per-object weights (nil = unit)
+	nodeHits [][]search.Hit // per node, C = 1, objects ascending
 }
 
 func newConstrainedShared(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, w []int64) (*constrainedShared, error) {
@@ -225,71 +191,19 @@ func newConstrainedShared(pl *placement.Placement, topo *topology.Topology, leve
 	if err := checkObjWeights(w, pl); err != nil {
 		return nil, err
 	}
-	sh := &constrainedShared{pl: pl, topo: topo, s: s, k: k, d: d, w: w}
-	sh.nodeHits = nodeHits(pl)
-	sh.loadsByNode = pl.NodeLoads()
-	sh.wloads = search.WeightedLoads(sh.nodeHits, w)
-	for node, l := range sh.loadsByNode {
-		if l > 0 {
-			sh.loaded = append(sh.loaded, node)
-		} else {
-			sh.empty = append(sh.empty, node)
-		}
-	}
-	search.CanonicalOrder(sh.loaded, sh.wloads)
-	return sh, nil
+	return &constrainedShared{pl: pl, topo: topo, s: s, k: k, d: d, w: w, nodeHits: nodeHits(pl)}, nil
 }
 
-// constrainedScratch holds one worker's reusable per-subset state: a
-// HitInstance whose CSR arrays (and object counters, left balanced by
-// the drivers) are recycled across every domain subset, plus the
-// candidate scratch slices.
-type constrainedScratch struct {
-	inst  *search.HitInstance
-	cands []int
-	lists [][]search.Hit
-	loads []int64
-}
-
-func (sh *constrainedShared) newScratch() *constrainedScratch {
-	return &constrainedScratch{inst: search.NewHitInstance(sh.s, sh.pl.B())}
-}
-
-// subsetInstance re-initializes the scratch instance restricted to the
-// given domains: the attacker fails min(k, nodes available) nodes inside
-// them (smaller unions simply yield smaller attacks).
-func (sh *constrainedShared) subsetInstance(domains []int, sc *constrainedScratch) *nodeInstance {
-	allowedSet := sh.topo.FailedSet(domains)
-	kEff := sh.k
-	if c := allowedSet.Count(); c < kEff {
-		kEff = c
-	}
-	sc.cands = sc.cands[:0]
-	for _, node := range sh.loaded {
-		if allowedSet.Get(node) {
-			sc.cands = append(sc.cands, node)
-		}
-	}
-	// Pad with allowed zero-load nodes so the attack set can always
-	// have kEff members (kEff <= allowedSet.Count() guarantees enough
-	// of them exist).
-	for _, node := range sh.empty {
-		if len(sc.cands) >= kEff {
-			break
-		}
-		if allowedSet.Get(node) {
-			sc.cands = append(sc.cands, node)
-		}
-	}
-	sc.lists = sc.lists[:0]
-	sc.loads = sc.loads[:0]
-	for _, node := range sc.cands {
-		sc.lists = append(sc.lists, sh.nodeHits[node])
-		sc.loads = append(sc.loads, sh.wloads[node])
-	}
-	sc.inst.Reinit(kEff, sc.lists, sc.loads)
-	sc.inst.SetWeights(sh.w)
-	return &nodeInstance{HitInstance: sc.inst, candidates: sc.cands}
+// subsetInstance re-assigns a worker's instance to the nodes of the
+// given domains: the attacker fails min(k, nodes available) of them
+// (smaller unions simply yield smaller attacks). ids is the worker's
+// node-list scratch, returned for reuse; the instance's CSR arrays
+// (and object counters, left balanced by the drivers) are recycled
+// across every domain subset.
+func (sh *constrainedShared) subsetInstance(in *search.HitInstance, domains, ids []int) []int {
+	ids = sh.topo.FailedSet(domains).Members(ids[:0])
+	in.Assign(min(sh.k, len(ids)), sh.nodeHits, sh.w, ids, false)
+	return ids
 }
 
 // constrainedRun is one constrained search in flight: the shared
@@ -297,69 +211,88 @@ func (sh *constrainedShared) subsetInstance(domains []int, sc *constrainedScratc
 // from, the subset cursor, and the best attack so far. mu guards the
 // cursor and best; only runs with more than one worker contend it.
 type constrainedRun struct {
-	sh    *constrainedShared
-	bnb   bool // branch-and-bound per subset, else exhaustive enumeration
-	bud   *search.Budget
-	bound search.Bound
-	mu    sync.Mutex
-	next  []int // the next domain subset to hand out, in lex order
-	more  bool  // next holds a subset not yet handed out
-	best  DomainResult
+	sh       *constrainedShared
+	bnb      bool // branch-and-bound per subset, else exhaustive enumeration
+	bud      *search.Budget
+	bound    search.Bound
+	mu       sync.Mutex
+	next     []int // the next domain subset to hand out, in lex order
+	rank     int   // next's lex rank among the subsets
+	more     bool  // next holds a subset not yet handed out
+	best     DomainResult
+	bestRank int // lex rank of the subset best came from
 }
 
-// take copies the next domain subset into dst, or reports false once
-// every subset is handed out or the budget is drained. A drained budget
-// ends the whole search — the skipped subsets make the result inexact,
-// and running their budget-free greedy seeding anyway would leave the
-// budget unable to bound runtime.
-func (cr *constrainedRun) take(dst []int) bool {
+// take copies the next domain subset into dst and returns its lex
+// rank, or reports false once every subset is handed out or the budget
+// is drained. A drained budget ends the whole search — the skipped
+// subsets make the result inexact, and running their budget-free
+// greedy seeding anyway would leave the budget unable to bound runtime.
+func (cr *constrainedRun) take(dst []int) (rank int, ok bool) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	if !cr.more {
-		return false
+		return 0, false
 	}
 	if cr.bud.Exhausted() {
 		cr.best.Exact = false
-		return false
+		return 0, false
 	}
 	copy(dst, cr.next)
 	cr.more = combin.NextSubset(cr.sh.topo.NumDomains(), cr.next)
-	return true
+	cr.rank++
+	return cr.rank - 1, true
 }
 
 // work is the one subset loop every worker runs, with its own reusable
-// scratch instance, until the cursor refuses.
+// instance, until the cursor refuses.
 func (cr *constrainedRun) work() {
-	sc := cr.sh.newScratch()
+	in := search.NewHitInstance(cr.sh.s, cr.sh.pl.B())
 	domains := make([]int, cr.sh.d)
-	for cr.take(domains) {
-		in := cr.sh.subsetInstance(domains, sc)
+	var ids []int
+	for {
+		rank, ok := cr.take(domains)
+		if !ok {
+			return
+		}
+		ids = cr.sh.subsetInstance(in, domains, ids)
 		if !cr.bnb {
-			cr.merge(in.result(search.Exhaustive(in.HitInstance)))
+			cr.merge(rank, in, search.Exhaustive(in))
 			continue
 		}
 		// Seed greedy and lift the shared incumbent into the seed, so
 		// the bound prunes across subsets (and workers) — budget isn't
-		// wasted on dominated states.
-		seed, _ := search.WarmSeed(in.HitInstance, nil, nil)
+		// wasted on dominated states. An incumbent from a later subset
+		// (only with more workers) lifts it one less: a tie here must
+		// still be found, since the earlier subset's witness wins it.
+		seed, _ := search.WarmSeed(in, nil)
 		cr.mu.Lock()
 		global := cr.best.Failed
+		if cr.bestRank > rank {
+			global--
+		}
 		cr.mu.Unlock()
 		if global > seed.Failed {
 			seed = search.Result{Failed: global}
 		}
-		cr.merge(in.result(search.BranchAndBound(in.HitInstance, seed, cr.bud, 1, cr.bound)))
+		cr.merge(rank, in, search.BranchAndBound(in, seed, cr.bud, 1, cr.bound))
 	}
 }
 
-// merge folds one subset's result into the best attack.
-func (cr *constrainedRun) merge(res Result) {
+// merge folds one subset's result, searched on in, into the best
+// attack. Equal damage goes to the subset of lower lex rank, so the
+// witness does not depend on which worker finished first. (A result
+// that only matched a lifted seed carries no witness, but its rank is
+// above best's: see work.)
+func (cr *constrainedRun) merge(rank int, in *search.HitInstance, res search.Result) {
+	nodes := in.Units(res.Sel)
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	if res.Failed > cr.best.Failed {
+	if res.Failed > cr.best.Failed || res.Failed == cr.best.Failed && rank < cr.bestRank {
 		cr.best.Failed = res.Failed
-		cr.best.Nodes = res.Nodes
-		cr.best.Domains = domainsOfNodes(cr.sh.topo, res.Nodes)
+		cr.best.Nodes = nodes
+		cr.best.Domains = domainsOfNodes(cr.sh.topo, nodes)
+		cr.bestRank = rank
 	}
 	if !res.Exact {
 		cr.best.Exact = false
@@ -383,12 +316,13 @@ func constrainedSearch(pl *placement.Placement, topo *topology.Topology, level, 
 		return DomainResult{}, err
 	}
 	cr := &constrainedRun{
-		sh:    sh,
-		bnb:   bnb,
-		bud:   search.NewBudget(opts.Budget),
-		bound: opts.Bound,
-		next:  make([]int, d),
-		best:  DomainResult{Failed: -1, Exact: true},
+		sh:       sh,
+		bnb:      bnb,
+		bud:      search.NewBudget(opts.Budget),
+		bound:    opts.Bound,
+		next:     make([]int, d),
+		best:     DomainResult{Failed: -1, Exact: true},
+		bestRank: math.MaxInt,
 	}
 	cr.more = combin.FirstSubset(sh.topo.NumDomains(), cr.next)
 	var wg sync.WaitGroup
@@ -424,7 +358,11 @@ func ConstrainedExhaustiveAtWith(pl *placement.Placement, topo *topology.Topolog
 // opts.Budget, when positive, bounds the state total across all subsets
 // (one shared pool, the package-wide semantics); Exact reports whether
 // every subset completed. opts.Workers spreads the C(D, d) subsets
-// across goroutines sharing the incumbent and the budget.
+// across goroutines sharing the incumbent and the budget. An exact
+// search returns the same damage and witness at any worker count (ties
+// go to the subset first in lex order); Visited is then fixed only at
+// one worker, since with more it depends on when each subset sees the
+// shared incumbent.
 func ConstrainedWorstCaseAtWith(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, opts SearchOpts) (DomainResult, error) {
 	return constrainedSearch(pl, topo, level, s, k, d, opts, true)
 }

@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -54,20 +53,12 @@ type Session struct {
 	opts SearchOpts
 
 	pl   *placement.Placement // the session's own copy, in sync with inst
-	inst *search.HitInstance
-	ids  []int // candidate position → node/domain id
-	pos  []int // node/domain id → candidate position
+	inst *search.HitInstance  // every node/domain a unit, idle ones kept
 
 	last  *lastEval     // reused across evaluations (steady state: no alloc)
 	memo  *sessionMemo  // sharded key→result memo, shared with forks
 	key   placement.Sig // memo key of pl under opts.ObjWeights, kept current by moveReplica
 	stats SessionStats
-
-	// Rebuild scratch.
-	lists [][]search.Hit
-	loads []int64
-	keys  []int32
-	byID  [][]search.Hit
 }
 
 // lastEval remembers the previous evaluation of the live instance: the
@@ -351,7 +342,7 @@ func (se *Session) applyMove(obj, from, to int) SessionResult {
 		}
 	}
 	se.stats.Moves++
-	se.inst.ApplyMove(obj, se.pos[cf], se.pos[ct])
+	se.inst.ApplyMove(obj, se.inst.Pos(cf), se.inst.Pos(ct))
 	// One replica of weight w moved, so the optimum shifts by at most
 	// ±w: if the previous result was exact, anything achieving
 	// prevFailed + w is provably the new optimum (the bracket skip).
@@ -384,7 +375,7 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 	if se.last != nil {
 		prev = se.last.ids
 	}
-	seed, warm := search.WarmSeed(se.inst, prev, se.pos)
+	seed, warm := search.WarmSeed(se.inst, prev)
 	if warm {
 		se.stats.WarmSeeds++
 	}
@@ -410,11 +401,7 @@ func (se *Session) eval(bracketed bool, ceiling int) SessionResult {
 
 // translate maps a core result from candidate positions to identities.
 func (se *Session) translate(res search.Result) SessionResult {
-	ids := make([]int, len(res.Sel))
-	for i, ci := range res.Sel {
-		ids[i] = se.ids[ci]
-	}
-	sort.Ints(ids)
+	ids := se.inst.Units(res.Sel)
 	out := SessionResult{Failed: res.Failed, Exact: res.Exact, Visited: res.Visited}
 	if se.topo != nil {
 		out.Domains = ids
@@ -458,11 +445,10 @@ func copyInto(dst *SessionResult, res SessionResult) {
 }
 
 // Fork clones the session into an independent child sharing the
-// parent's damage memo: the live instance is deep-copied
-// (search.CloneForMoves), the id ↔ position maps, memo key, search
-// options and warm-start baseline come along, and the child re-binds
-// its own onSwap mirror — so moves on the child never corrupt the
-// parent, while every exact result either side publishes is a memo hit
+// parent's damage memo: the live instance is deep-copied with its unit
+// ids (search.CloneForMoves), and the memo key, search options and
+// warm-start baseline come along — so moves on the child never corrupt
+// the parent, while every exact result either side publishes is a memo hit
 // for both. Children are what ProbeMoves fans batches over; a caller
 // driving a fork directly gets the full Session API on it, searching
 // with the parent's SearchOpts.
@@ -478,8 +464,6 @@ func (se *Session) forkLocked() *Session {
 		s: se.s, k: se.k, topo: se.topo, opts: se.opts,
 		pl:   se.pl.Clone(),
 		inst: se.inst.CloneForMoves(),
-		ids:  append([]int(nil), se.ids...),
-		pos:  append([]int(nil), se.pos...),
 		memo: se.memo,
 		key:  se.key,
 	}
@@ -487,15 +471,6 @@ func (se *Session) forkLocked() *Session {
 		l := *se.last
 		child.last = &l
 	}
-	child.keys = make([]int32, len(child.ids))
-	for i, id := range child.ids {
-		child.keys[i] = int32(id)
-	}
-	child.inst.EnableMoves(child.keys, func(i, j int) {
-		a, b := child.ids[i], child.ids[j]
-		child.ids[i], child.ids[j] = b, a
-		child.pos[a], child.pos[b] = j, i
-	})
 	child.assertKey("Fork")
 	return child
 }
@@ -528,7 +503,7 @@ func (se *Session) probe(m Move) SessionResult {
 	}
 	if cf != ct {
 		se.stats.Moves++
-		se.inst.ApplyMove(m.Obj, se.pos[ct], se.pos[cf])
+		se.inst.ApplyMove(m.Obj, se.inst.Pos(ct), se.inst.Pos(cf))
 	}
 	if savedOK {
 		*se.last = saved
@@ -606,46 +581,20 @@ func (se *Session) probeFork() *Session {
 }
 
 // rebuild (re)derives the live instance from the session's placement:
-// every node (or attack-level domain) is a candidate — any move target
-// must exist — in the canonical order the one-shot engines use too
-// (search.CanonicalOrder: weighted load descending, ties by id). The
-// id ↔ position maps then track every ApplyMove re-sort through the
-// EnableMoves onSwap mirror.
+// every node (or attack-level domain) is a unit, idle ones kept — any
+// move target must exist — in the canonical order the one-shot engines
+// use too (search.HitInstance.Assign), and the instance keeps the
+// unit ↔ position maps current across every ApplyMove re-sort.
 func (se *Session) rebuild() {
 	se.stats.Rebuilds++
-	w := se.opts.ObjWeights
+	var byID [][]search.Hit
 	if se.topo != nil {
-		se.byID, _ = placement.DomainHits(se.pl, se.topo)
+		byID, _ = placement.DomainHits(se.pl, se.topo)
 	} else {
-		se.byID = nodeHits(se.pl)
+		byID = nodeHits(se.pl)
 	}
-	wloads := search.WeightedLoads(se.byID, w)
-	m := len(se.byID)
-	if se.ids == nil {
-		se.ids = make([]int, m)
-		se.pos = make([]int, m)
-		se.keys = make([]int32, m)
-		se.lists = make([][]search.Hit, m)
-		se.loads = make([]int64, m)
-	}
-	for i := range se.ids {
-		se.ids[i] = i
-	}
-	search.CanonicalOrder(se.ids, wloads)
-	for i, id := range se.ids {
-		se.pos[id] = i
-		se.keys[i] = int32(id)
-		se.lists[i] = se.byID[id]
-		se.loads[i] = wloads[id]
-	}
-	se.inst.Reinit(se.k, se.lists, se.loads)
-	se.inst.SetWeights(w)
-	se.inst.EnableMoves(se.keys, func(i, j int) {
-		a, b := se.ids[i], se.ids[j]
-		se.ids[i], se.ids[j] = b, a
-		se.pos[a], se.pos[b] = j, i
-	})
+	se.inst.Assign(se.k, byID, se.opts.ObjWeights, nil, true)
 	se.last = nil // witness positions and instance are fresh; memo survives
-	se.key = placement.Signature(se.pl, w)
+	se.key = placement.Signature(se.pl, se.opts.ObjWeights)
 	se.assertKey("rebuild")
 }

@@ -2,7 +2,9 @@ package adversary
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -156,6 +158,93 @@ func TestSessionDomainMatchesEngines(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestColdSessionMatchesEngine pins the cold half of the session
+// contract: the first Evaluate(nil) of a fresh session returns the
+// engine's damage, witness and exactness. Sparse placements with half
+// the object weights zero leave units that hold replicas but carry no
+// weighted load; the engines and the session must place those alike
+// (among the idle units, by id), or the tied witnesses part. The
+// minimal case is such a node: node 5 holds only the weightless
+// object 2.
+func TestColdSessionMatchesEngine(t *testing.T) {
+	sparse := func(rng *rand.Rand) (*placement.Placement, []int64) {
+		n, b := 8+rng.Intn(6), 2+rng.Intn(4)
+		pl := randomPlacement(rng, n, 2, b)
+		w := make([]int64, b)
+		for obj := range w {
+			if rng.Intn(2) == 0 {
+				w[obj] = int64(1 + rng.Intn(4))
+			}
+		}
+		return pl, w
+	}
+	coldNode := func(t *testing.T, tag string, pl *placement.Placement, s, k int, w []int64) {
+		t.Helper()
+		opts := SearchOpts{ObjWeights: w}
+		want, err := WorstCaseWith(pl, s, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := NewNodeSession(pl, s, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := se.Evaluate(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Failed != want.Failed || got.Exact != want.Exact || !reflect.DeepEqual(got.Nodes, want.Nodes) {
+			t.Fatalf("%s (s=%d k=%d w=%v): session (failed=%d nodes=%v exact=%v), engine (failed=%d nodes=%v exact=%v)",
+				tag, s, k, w, got.Failed, got.Nodes, got.Exact, want.Failed, want.Nodes, want.Exact)
+		}
+	}
+	t.Run("minimal", func(t *testing.T) {
+		pl := placement.NewPlacement(6, 2)
+		for _, nodes := range [][]int{{0, 1}, {0, 1}, {2, 5}, {1, 2}} {
+			if err := pl.Add(nodes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		coldNode(t, "minimal", pl, 2, 4, []int64{3, 3, 0, 1})
+	})
+	t.Run("node", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(37))
+		for trial := 0; trial < 300; trial++ {
+			pl, w := sparse(rng)
+			coldNode(t, fmt.Sprintf("trial %d", trial), pl, 1+rng.Intn(2), 1+rng.Intn(pl.N-1), w)
+		}
+	})
+	t.Run("domain", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 300; trial++ {
+			pl, w := sparse(rng)
+			topo, err := topology.Uniform(pl.N, 2+rng.Intn(pl.N-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, d := 1+rng.Intn(2), 1+rng.Intn(topo.NumDomains())
+			opts := SearchOpts{ObjWeights: w}
+			want, err := DomainWorstCaseAtWith(pl, topo, topology.Leaf, s, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			se, err := NewDomainSession(pl, topo, topology.Leaf, s, d, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := se.Evaluate(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Failed != want.Failed || got.Exact != want.Exact ||
+				!reflect.DeepEqual(got.Domains, want.Domains) || !reflect.DeepEqual(got.Nodes, want.Nodes) {
+				t.Fatalf("trial %d (D=%d s=%d d=%d w=%v): session (failed=%d domains=%v exact=%v), engine (failed=%d domains=%v exact=%v)",
+					trial, topo.NumDomains(), s, d, w, got.Failed, got.Domains, got.Exact, want.Failed, want.Domains, want.Exact)
+			}
+		}
+	})
 }
 
 // TestSessionEvaluatePaths checks Evaluate picks the right

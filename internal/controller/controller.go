@@ -45,6 +45,7 @@ import (
 // NodeStatus is a node's availability in the controller's cluster
 // model. The node universe is fixed at the placement's N slots;
 // status is what churns.
+//
 //replicalint:exhaustive
 type NodeStatus int
 
@@ -72,6 +73,7 @@ func (s NodeStatus) String() string {
 }
 
 // Outcome is a reconcile step's typed result.
+//
 //replicalint:exhaustive
 type Outcome string
 
@@ -93,6 +95,7 @@ const (
 )
 
 // MoveResult is the fate of one attempted move.
+//
 //replicalint:exhaustive
 type MoveResult string
 

@@ -10,8 +10,8 @@ const InvariantsEnabled = false
 // away entirely.
 type invariantState struct{}
 
-func (invariantState) init(int, *InFlight)        {}
-func (invariantState) notePrepared()              {}
-func (invariantState) noteCommitted()             {}
-func (invariantState) noteAborted()               {}
+func (invariantState) init(int, *InFlight)         {}
+func (invariantState) notePrepared()               {}
+func (invariantState) noteCommitted()              {}
+func (invariantState) noteAborted()                {}
 func (invariantState) checkJournal(int, *InFlight) {}

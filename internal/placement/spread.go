@@ -398,7 +398,7 @@ func scoreExactLevel(damages [][]int, li int, mapped []*Placement, objWs [][]int
 		wg.Add(1)
 		go func(st int) {
 			defer wg.Done()
-			sc := newSpreadScorer(s, d, mapped[0].B(), flat.NumDomains())
+			sc := newSpreadScorer(s, d, mapped[0].B())
 			for u := st; u < len(uniq); u += stripes {
 				i := uniq[u]
 				scored[i] = sc.damage(mapped[i], flat, objWs[i])
@@ -420,29 +420,18 @@ func scoreExactLevel(damages [][]int, li int, mapped []*Placement, objWs [][]int
 
 // spreadScorer evaluates one stripe of spread candidates at one
 // (level, d) through a single reused search instance: each candidate
-// Reinits the same backing arrays, in the canonical candidate order,
-// and the previous candidate's witness — by domain id, so it survives
-// the re-sort — warm-seeds the exact branch-and-bound.
+// re-Assigns the same backing arrays, every domain kept, and the
+// previous candidate's witness — by domain id, so it survives the
+// re-sort — warm-seeds the exact branch-and-bound.
 type spreadScorer struct {
 	d         int
 	in        *search.HitInstance
 	last      []int // previous witness, in domain-id space
-	ids       []int // candidate position → domain id
-	pos       []int // domain id → candidate position
-	lists     [][]search.Hit
-	loads     []int64
 	warmSeeds int64
 }
 
-func newSpreadScorer(s, d, b, numDomains int) *spreadScorer {
-	return &spreadScorer{
-		d:     d,
-		in:    search.NewHitInstance(s, b),
-		ids:   make([]int, numDomains),
-		pos:   make([]int, numDomains),
-		lists: make([][]search.Hit, numDomains),
-		loads: make([]int64, numDomains),
-	}
+func newSpreadScorer(s, d, b int) *spreadScorer {
+	return &spreadScorer{d: d, in: search.NewHitInstance(s, b)}
 }
 
 // damage returns the exact worst d-domain damage of pl under flat —
@@ -450,27 +439,13 @@ func newSpreadScorer(s, d, b, numDomains int) *spreadScorer {
 // weight under a non-nil w).
 func (sc *spreadScorer) damage(pl *Placement, flat *topology.Topology, w []int64) int {
 	byDomain, _ := DomainHits(pl, flat)
-	loads := search.WeightedLoads(byDomain, w)
-	for i := range sc.ids {
-		sc.ids[i] = i
-	}
-	search.CanonicalOrder(sc.ids, loads)
-	for p, di := range sc.ids {
-		sc.pos[di] = p
-		sc.lists[p] = byDomain[di]
-		sc.loads[p] = loads[di]
-	}
-	sc.in.Reinit(sc.d, sc.lists, sc.loads)
-	sc.in.SetWeights(w)
-	seed, warm := search.WarmSeed(sc.in, sc.last, sc.pos)
+	sc.in.Assign(sc.d, byDomain, w, nil, true)
+	seed, warm := search.WarmSeed(sc.in, sc.last)
 	if warm {
 		sc.warmSeeds++
 	}
 	res := search.BranchAndBound(sc.in, seed, search.NewBudget(0), 1, search.BoundResidual)
-	sc.last = sc.last[:0]
-	for _, p := range res.Sel {
-		sc.last = append(sc.last, sc.ids[p])
-	}
+	sc.last = sc.in.Units(res.Sel)
 	return res.Failed
 }
 

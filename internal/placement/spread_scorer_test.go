@@ -44,7 +44,7 @@ func TestSpreadSessionCapCorrectAfterEviction(t *testing.T) {
 		}
 	}
 
-	sc := newSpreadScorer(s, d, b, flat.NumDomains())
+	sc := newSpreadScorer(s, d, b)
 	placements := []*Placement{pl.Clone()}
 	cur := pl.Clone()
 	for i := 0; i < 20; i++ {

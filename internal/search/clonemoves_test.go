@@ -4,8 +4,9 @@ import (
 	"testing"
 )
 
-// cloneMovesFixture builds a small move-enabled instance: 6 candidates
-// over 8 objects, C = 1 hits, loads non-increasing.
+// cloneMovesFixture builds a small move-enabled instance: 6 units over
+// 8 objects, C = 1 hits, loads 4, 3, 3, 2, 2, 2 (already in canonical
+// order, so unit u starts at position u).
 func cloneMovesFixture(t *testing.T) *HitInstance {
 	t.Helper()
 	lists := [][]Hit{
@@ -16,11 +17,8 @@ func cloneMovesFixture(t *testing.T) *HitInstance {
 		{{Obj: 5, C: 1}, {Obj: 7, C: 1}},
 		{{Obj: 6, C: 1}, {Obj: 7, C: 1}},
 	}
-	loads := []int64{4, 3, 3, 2, 2, 2}
 	in := NewHitInstance(2, 8)
-	in.Reinit(2, lists, loads)
-	keys := []int32{0, 1, 2, 3, 4, 5}
-	in.EnableMoves(keys, nil)
+	in.Assign(2, lists, nil, nil, true)
 	return in
 }
 
@@ -68,29 +66,36 @@ func TestCloneForMovesIsolation(t *testing.T) {
 }
 
 // TestCloneForMovesRoundTrip checks a clone behaves exactly like a
-// fresh instance under the move machinery: apply + revert restores the
-// original damage, and the clone's own onSwap binding fires.
+// fresh instance under the move machinery: a move and its opposite restore the
+// original damage, and the clone's own unit positions follow its
+// re-sorts while the parent's stay put.
 func TestCloneForMovesRoundTrip(t *testing.T) {
 	parent := cloneMovesFixture(t)
 	base := Exhaustive(parent)
 	parent.Reset()
 
 	child := parent.CloneForMoves()
-	swaps := 0
-	keys := []int32{0, 1, 2, 3, 4, 5}
-	child.EnableMoves(keys, func(i, j int) { swaps++ })
-	// Moving object 7 from candidate 4 (load 2 → 1, sinks) to candidate
-	// 2 (load 3 → 4, rises past the load-3 run) forces re-sort swaps.
+	// Moving object 7 from unit 4 (load 2 → 1, sinks to the end) to
+	// unit 2 (load 3 → 4, rises past unit 1 to tie unit 0) forces
+	// re-sort swaps.
 	nf, nt := child.ApplyMove(7, 4, 2)
-	moved := Exhaustive(child)
-	child.Reset()
-	child.RevertMove(7, nf, nt)
+	if nf != 5 || nt != 1 || child.Pos(4) != nf || child.Pos(2) != nt || child.Pos(1) != 2 {
+		t.Fatalf("clone positions after the move: ApplyMove (%d, %d), Pos(4, 2, 1) = (%d, %d, %d), want (5, 1) and (5, 1, 2)",
+			nf, nt, child.Pos(4), child.Pos(2), child.Pos(1))
+	}
+	for u := 0; u < parent.Len(); u++ {
+		if parent.Pos(u) != u {
+			t.Fatalf("clone move re-sorted the parent: Pos(%d) = %d", u, parent.Pos(u))
+		}
+	}
+	child.ApplyMove(7, nt, nf)
 	back := Exhaustive(child)
 	if back.Failed != base.Failed {
-		t.Fatalf("revert on clone: damage %d, want %d", back.Failed, base.Failed)
+		t.Fatalf("round trip on clone: damage %d, want %d", back.Failed, base.Failed)
 	}
-	_ = moved
-	if swaps == 0 {
-		t.Fatal("the clone's own onSwap mirror never fired (load order must change for this fixture)")
+	for u := 0; u < child.Len(); u++ {
+		if child.Pos(u) != u {
+			t.Fatalf("round trip on clone: Pos(%d) = %d, want %d", u, child.Pos(u), u)
+		}
 	}
 }

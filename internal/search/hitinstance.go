@@ -1,6 +1,9 @@
 package search
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the one concrete instance every engine in the repository
 // searches on: aggregated (object, replica-count) hits in a flat CSR
@@ -8,17 +11,18 @@ import "fmt"
 // BoundResidual prune and duplicate-candidate detection for branch
 // collapse.
 //
-// Weighted damage: SetWeights(w) switches the instance from counting
-// failed objects to summing their weights — Add/Remove/Marginal report
-// weight gained, and every quantity of the residual ledger (loads,
-// resid, deadSpent) is kept in weight units (each hit contributes C·w
-// instead of C). The bound algebra is unchanged: a completion that
-// newly fails objects of total weight W spends at least s·W weighted
-// replicas on them, so failed(K) <= ⌊(Σ weighted loads)/s⌋ holds
-// verbatim with "failed" read as lost weight. With w ≡ 1 every number
-// — damage, witness, visited states — is identical to the unweighted
-// instance; the weighted code paths are separate methods so unweighted
-// searches keep their exact pre-weights hot loops.
+// Weighted damage: object weights w (given to Assign) switch the
+// instance from counting failed objects to summing their weights —
+// Add/Remove/Marginal report weight gained, and every quantity of the
+// residual ledger (loads, resid, deadSpent) is kept in weight units
+// (each hit contributes C·w instead of C). The bound algebra is
+// unchanged: a completion that newly fails objects of total weight W
+// spends at least s·W weighted replicas on them, so failed(K) <=
+// ⌊(Σ weighted loads)/s⌋ holds verbatim with "failed" read as lost
+// weight. With w ≡ 1 every number — damage, witness, visited states —
+// is identical to the unweighted instance; the weighted code paths are
+// separate methods so unweighted searches keep their exact pre-weights
+// hot loops.
 //
 // CSR layout contract: candidate i's hits occupy the contiguous run
 // hits[offs[i]:offs[i+1]] of one flat backing array, sorted by ascending
@@ -49,9 +53,9 @@ type candHit struct {
 // CSR run by the recorded replica counts, and an object dies once S of
 // its replicas have failed. All engine adapters — node-level (C = 1),
 // whole-domain, constrained-subset, and placement's never-worse
-// evaluator — are this type plus a candidate-selection policy; identity
-// mapping (candidate index → node or domain id) stays on the caller's
-// side.
+// evaluator — build it through Assign, which also records the unit
+// (node or domain id) at every candidate position: Units translates a
+// selection back, Pos finds a unit, and moves keep both current.
 //
 // Once EnableResidual switches the upkeep on, the instance maintains,
 // alongside the failure counters, the per-candidate residual load
@@ -81,7 +85,7 @@ type HitInstance struct {
 	count int   // attack-set size K
 	s     int32 // failed replicas that kill an object
 
-	// Immutable between Reinit calls (shared by Clone).
+	// Immutable between Assign calls (shared by Clone).
 	hits     []Hit     // flat CSR: candidate i owns hits[offs[i]:offs[i+1]]
 	objs     []int32   // C = 1 fast strip: hits[j].Obj when every C == 1, else nil
 	offs     []int32   // len = Len()+1
@@ -93,16 +97,16 @@ type HitInstance struct {
 	objOffs  []int32   // len = numObjects+1
 
 	// Weighted damage (nil = unit weights). Immutable between
-	// SetWeights calls, shared by Clone.
+	// Assign calls, shared by Clone.
 	w []int64 // per-object weight; Add/Marginal return Σ w over crossings
 
-	// Move-delta state (see ApplyMove). moveKeys are the caller's
-	// tie-break identities restoring the canonical candidate order after
-	// a load change; invStale records that the inverted index no longer
-	// matches the patched CSR runs and must be rebuilt before the next
-	// residual-tracked search.
-	moveKeys []int32
-	onSwap   func(i, j int)
+	// Unit identities (see Assign): ids[p] is the unit at candidate
+	// position p, pos[u] unit u's position or -1. They break load ties
+	// in the canonical order ApplyMove restores. invStale records that
+	// the inverted index no longer matches the patched CSR runs and
+	// must be rebuilt before the next residual-tracked search.
+	ids      []int
+	pos      []int
 	invStale bool
 
 	// Mutable search state (fresh per Clone).
@@ -113,7 +117,7 @@ type HitInstance struct {
 	residAll  int64   // Σ resid over all candidates
 	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
 
-	cursor     []int32  // Reinit scratch for the inverted-index fill
+	cursor     []int32  // prepare scratch for the inverted-index fill
 	top        []int64  // TopResidual scratch (rem largest residuals)
 	gains      []int64  // the driver's parent-gain buffer (see gainScratch)
 	ovMax      []int64  // MaxOverlap cache, -1 = not yet computed; emptied per search
@@ -122,10 +126,13 @@ type HitInstance struct {
 	ovGen      uint32   // MaxOverlap calls so far (mod 2^32; 0 is never a live stamp)
 	hitScratch []Hit    // ApplyMove scratch for run rotation
 	objScratch []int32  // ApplyMove scratch for the C = 1 strip rotation
+	unitLoads  []int64  // Assign scratch: weighted load per unit id
+	lists      [][]Hit  // Assign scratch: hit lists in candidate order
+	listLoads  []int64  // Assign scratch: loads in candidate order
 }
 
 // NewHitInstance returns an empty instance over numObjects objects with
-// fatality threshold s; Reinit populates (and re-populates) its
+// fatality threshold s; Assign populates (and re-populates) its
 // candidate set. The two-step construction lets the constrained engines
 // stamp one instance per worker and reuse its allocations across every
 // C(D, d) domain subset.
@@ -138,20 +145,22 @@ func NewHitInstance(s, numObjects int) *HitInstance {
 	}
 }
 
-// Reinit reconfigures the instance in place for a new search — k picks
-// among the given candidates — reusing prior allocations. hitLists[i]
-// must be sorted by ascending object id with at most one entry per
-// object; loads must be non-increasing with loads[i] = Σ C over
-// hitLists[i] (zero-load padding candidates carry empty lists): the
-// replica-counting bound assumes the first rem remaining candidates
-// carry the most load, so BranchAndBound verifies the order and panics
-// rather than return a wrong optimum. k must lie in 0..len(hitLists)
-// and loads must match hitLists one to one; Reinit panics otherwise,
-// since no driver can choose more candidates than there are. The
-// failure counters are expected clean (drivers leave them balanced;
-// call Reset after Greedy) and are not touched, so a caller sharing one
-// instance across sub-searches keeps one object-counter array.
-func (in *HitInstance) Reinit(k int, hitLists [][]Hit, loads []int64) {
+// reinit reconfigures the instance in place for a new search — k picks
+// among the given candidates — reusing prior allocations: the layout
+// half of Assign, which callers use instead. hitLists[i] must be sorted
+// by ascending object id with at most one entry per object; loads must
+// be non-increasing with loads[i] = Σ C over hitLists[i] (zero-load
+// padding candidates carry empty lists): the replica-counting bound
+// assumes the first rem remaining candidates carry the most load, so
+// BranchAndBound verifies the order and panics rather than return a
+// wrong optimum. k must lie in 0..len(hitLists) and loads must match
+// hitLists one to one; reinit panics otherwise, since no driver can
+// choose more candidates than there are. The failure counters are
+// expected clean (drivers leave them balanced; call Reset after
+// Greedy) and are not touched, so a caller sharing one instance across
+// sub-searches keeps one object-counter array. Unit identities are
+// Assign's to set.
+func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads []int64) {
 	if len(loads) != len(hitLists) {
 		panic(fmt.Sprintf("search: %d loads for %d candidates", len(loads), len(hitLists)))
 	}
@@ -170,14 +179,15 @@ func (in *HitInstance) Reinit(k int, hitLists [][]Hit, loads []int64) {
 
 	// The C = 1 fast strip: the node-level adapters' case, where the
 	// 4-byte object stream halves the memory traffic of the hot
-	// Add/Remove/Marginal loops.
+	// Add/Remove/Marginal loops. Checked before it is filled, so an
+	// aggregated instance never allocates a strip it then drops.
 	in.objs = in.objs[:0]
-	for _, h := range in.hits {
-		if h.C != 1 {
-			in.objs = nil
-			break
+	if slices.ContainsFunc(in.hits, func(h Hit) bool { return h.C != 1 }) {
+		in.objs = nil
+	} else {
+		for _, h := range in.hits {
+			in.objs = append(in.objs, h.Obj)
 		}
-		in.objs = append(in.objs, h.Obj)
 	}
 
 	// Residual baselines and the inverted index are built lazily by
@@ -188,27 +198,23 @@ func (in *HitInstance) Reinit(k int, hitLists [][]Hit, loads []int64) {
 	in.prepared = false
 	in.invStale = false
 	in.w = nil
-	// A new candidate set invalidates the caller's position identities;
-	// re-enable moves (EnableMoves) after every Reinit.
-	in.moveKeys = nil
-	in.onSwap = nil
 }
 
-// SetWeights switches the instance to weighted damage accounting:
+// setWeights switches the instance to weighted damage accounting:
 // object obj is worth w[obj] (>= 0), Add/Remove/Marginal report the
 // weight of the objects crossing the S threshold instead of their
-// count, and the residual ledger runs in weight units. Call it after
-// Reinit (which reverts to unit weights) and before the first search on
-// the new candidate set; the loads passed to Reinit must then be the
-// WEIGHTED candidate loads Σ C·w[obj] over each hit list — the
+// count, and the residual ledger runs in weight units. Assign calls it
+// right after reinit (which reverts to unit weights), before the first
+// search on the new candidate set; the loads given to reinit must then
+// be the WEIGHTED candidate loads Σ C·w[obj] over each hit list — the
 // replica-counting bound divides that weighted spend by S, so plain
 // loads would prune unsoundly. A nil w reverts to unit weights.
-func (in *HitInstance) SetWeights(w []int64) {
+func (in *HitInstance) setWeights(w []int64) {
 	if w != nil && len(w) != len(in.cnt) {
 		panic(fmt.Sprintf("search: %d object weights for %d objects", len(w), len(in.cnt)))
 	}
 	if in.prepared {
-		panic("search: SetWeights after the residual baselines were built; call it right after Reinit")
+		panic("search: setWeights after the residual baselines were built; call it right after reinit")
 	}
 	in.w = w
 }
@@ -221,14 +227,7 @@ func (in *HitInstance) prepare() {
 	in.full = in.full[:0]
 	in.fullSum = 0
 	for i := 0; i < m; i++ {
-		var sum int64
-		for _, h := range in.run(i) {
-			c := int64(h.C)
-			if in.w != nil {
-				c *= in.w[h.Obj]
-			}
-			sum += c
-		}
+		sum := weightedLoad(in.run(i), in.w)
 		in.full = append(in.full, sum)
 		in.fullSum += sum
 	}
@@ -305,8 +304,8 @@ func (in *HitInstance) K() int { return in.count }
 // replica-counting bound).
 func (in *HitInstance) S() int { return int(in.s) }
 
-// Load returns candidate i's static replica load (in weight units under
-// SetWeights): failing i can fail at most Load(i) replicas. It bounds
+// Load returns candidate i's static replica load (in weight units with
+// object weights): failing i can fail at most Load(i) replicas. It bounds
 // i's damage from any state — 0 <= Marginal(i) <= Load(i) — which the
 // final-level scan cut relies on.
 func (in *HitInstance) Load(i int) int64 { return in.loads[i] }
@@ -381,7 +380,7 @@ func (in *HitInstance) Add(i int) int {
 	return newly
 }
 
-// addW is Add under SetWeights: the return value is the total weight of
+// addW is Add with object weights: the return value is the total weight of
 // the newly dead objects, and the dead-spent ledger counts each failed
 // replica of a dead object as C·w.
 func (in *HitInstance) addW(i int) int {
@@ -571,7 +570,7 @@ func (in *HitInstance) objectRevivedW(obj int32) {
 }
 
 // Marginal returns how many objects Add(i) would newly fail, without
-// mutating state (the objects' total weight under SetWeights). It never
+// mutating state (the objects' total weight with object weights). It never
 // exceeds the load: 0 <= Marginal(i) <= Load(i), checked by the
 // final-level scan under the invariants build tag.
 func (in *HitInstance) Marginal(i int) int {
@@ -597,7 +596,7 @@ func (in *HitInstance) Marginal(i int) int {
 	return gain
 }
 
-// marginalW is Marginal under SetWeights.
+// marginalW is Marginal with object weights.
 func (in *HitInstance) marginalW(i int) int {
 	gain := 0
 	s := in.s
@@ -627,8 +626,8 @@ func (in *HitInstance) Reset() {
 // real work in Add/Remove, it is off until a BoundResidual search
 // starts: Greedy seeding, Exhaustive enumeration and static-bound
 // ablation runs all mutate at full speed. The instance must be clean
-// (Reset): the baselines Reinit/Reset install are exactly the
-// clean-state invariants, so no recomputation is needed. Reinit
+// (Reset): the baselines reinit/Reset install are exactly the
+// clean-state invariants, so no recomputation is needed. Assign
 // switches it back off, and ApplyMove suspends it —
 // the per-candidate full loads are patched in place by the move, but
 // the inverted index is only re-derived here, once, when the next
@@ -775,16 +774,15 @@ func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.ru
 
 // CloneForMoves returns an independent editor-and-searcher: unlike
 // Clone, the CSR backing arrays (hits, offsets, loads, the C = 1 fast
-// strip and the move identities) are deep-copied, so ApplyMove on the
+// strip and the unit ids and positions) are deep-copied, so ApplyMove on the
 // clone never touches the receiver and vice versa — the primitive a
 // probing session forks per worker. Only the per-object weight vector
-// stays shared (immutable between SetWeights calls). The residual
+// stays shared (immutable between Assign calls). The residual
 // machinery is left unbuilt: the clone re-prepares lazily on its own
 // backing at its first EnableResidual, which costs nothing extra on a
 // probing workload — every ApplyMove marks the inverted index stale, so
-// a moved instance rebuilds it per search anyway. The onSwap mirror is
-// cleared; re-bind the caller's id ↔ position maps with EnableMoves.
-// The receiver must be clean (Reset), as the clone starts clean.
+// a moved instance rebuilds it per search anyway. The clone's Units and
+// Pos follow its own moves. The receiver must be clean (Reset), as the clone starts clean.
 func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp := *in
 	cp.hits = append([]Hit(nil), in.hits...)
@@ -793,10 +791,8 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	}
 	cp.offs = append([]int32(nil), in.offs...)
 	cp.loads = append([]int64(nil), in.loads...)
-	if in.moveKeys != nil {
-		cp.moveKeys = append([]int32(nil), in.moveKeys...)
-	}
-	cp.onSwap = nil
+	cp.ids = append([]int(nil), in.ids...)
+	cp.pos = append([]int(nil), in.pos...)
 	cp.cnt = make([]int32, len(in.cnt))
 	cp.full, cp.resid, cp.objHits, cp.objCands = nil, nil, nil, nil
 	cp.objOffs = make([]int32, len(in.objOffs))
@@ -805,6 +801,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.deadSpent = 0
 	cp.cursor, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil
 	cp.gains, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, 0
+	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
 	cp.assertInvariants("CloneForMoves")
 	return &cp
 }
@@ -839,11 +836,11 @@ func (in *HitInstance) Clone() *HitInstance {
 	cp.top = nil     // TopResidual scratch, grown lazily per instance
 	// Parent-gain filter scratch, likewise per instance.
 	cp.gains, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, 0
-	// Clones are searchers, not editors: move identities and scratch
-	// stay with the receiver (see the ApplyMove contract).
-	cp.moveKeys = nil
-	cp.onSwap = nil
-	cp.hitScratch = nil
-	cp.objScratch = nil
+	// Clones are searchers, not editors: unit ids and move and Assign
+	// scratch stay with the receiver (see the ApplyMove contract), which
+	// translates the clones' selections.
+	cp.ids, cp.pos = nil, nil
+	cp.hitScratch, cp.objScratch = nil, nil
+	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
 	return &cp
 }

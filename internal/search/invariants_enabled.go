@@ -9,7 +9,7 @@ import "fmt"
 const InvariantsEnabled = true
 
 // assertInvariants validates the full CSR contract after a structural
-// mutation (ApplyMove, RevertMove, CloneForMoves). It recomputes every
+// mutation (ApplyMove, CloneForMoves). It recomputes every
 // derived quantity from the hit runs — the one source of truth — and
 // panics on the first divergence. O(nnz) per call: strictly a debug
 // build; the !invariants stub compiles to nothing.
@@ -19,7 +19,8 @@ const InvariantsEnabled = true
 //	offs    monotone, 0-based, closed by len(hits)
 //	runs    sorted strictly ascending by Obj, every C >= 1, Obj in range
 //	objs    (C = 1 strip) mirrors hits exactly when present
-//	loads   Σ C·w per run, non-increasing (canonical order), key-tied
+//	loads   Σ C·w per run, non-increasing (canonical order), id-tied
+//	ids     pos inverts them
 //	full    equals loads entry-wise when prepared; fullSum = Σ full
 //	index   inverted object → candidate CSR matches the forward runs
 //	        whenever it claims freshness (prepared && !invStale)
@@ -87,16 +88,22 @@ func (in *HitInstance) assertInvariants(context string) {
 		}
 	}
 
-	// Canonical candidate order: loads non-increasing, keys break ties.
-	if in.moveKeys != nil && len(in.moveKeys) != m {
-		fail("len(moveKeys) = %d, want %d", len(in.moveKeys), m)
+	// Canonical candidate order: loads non-increasing, unit ids break
+	// ties, and the position map inverts the id list.
+	if len(in.ids) != m {
+		fail("len(ids) = %d, want %d", len(in.ids), m)
+	}
+	for p, u := range in.ids {
+		if in.pos[u] != p {
+			fail("pos[%d] = %d, want %d", u, in.pos[u], p)
+		}
 	}
 	for i := 1; i < m; i++ {
 		if in.loads[i-1] < in.loads[i] {
 			fail("loads not non-increasing at %d: %d < %d", i, in.loads[i-1], in.loads[i])
 		}
-		if in.moveKeys != nil && in.loads[i-1] == in.loads[i] && in.moveKeys[i-1] >= in.moveKeys[i] {
-			fail("load tie at %d not key-ordered: key %d >= %d", i, in.moveKeys[i-1], in.moveKeys[i])
+		if in.loads[i-1] == in.loads[i] && in.ids[i-1] >= in.ids[i] {
+			fail("load tie at %d not id-ordered: unit %d >= %d", i, in.ids[i-1], in.ids[i])
 		}
 	}
 
@@ -170,7 +177,7 @@ func (in *HitInstance) assertInvertedFresh(fail func(string, ...any)) {
 
 // assertGainWithinLoad checks the premise the final-level scan cut
 // rests on: a candidate's marginal gain never exceeds its load (both in
-// weight units under SetWeights). An instance breaking it would make
+// weight units with object weights). An instance breaking it would make
 // the cut drop a maximizer, so the scan panics, naming the candidate.
 func assertGainWithinLoad(cand, gain int, load int64) {
 	if int64(gain) > load {

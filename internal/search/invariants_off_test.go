@@ -11,7 +11,7 @@ func TestInvariantsCompiledOut(t *testing.T) {
 		t.Fatal("InvariantsEnabled = true without the invariants tag")
 	}
 	in := NewHitInstance(1, 2)
-	in.Reinit(1, [][]Hit{{{Obj: 0, C: 1}}, {{Obj: 1, C: 1}}}, []int64{1, 1})
+	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}, {{Obj: 1, C: 1}}}, []int64{1, 1})
 	in.loads[0] = 99              // corrupt: Σ C·w is 1
 	in.assertInvariants("test")   // must be a no-op
 	assertGainWithinLoad(0, 5, 1) // Marginal above Load: still a no-op

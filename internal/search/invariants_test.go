@@ -12,12 +12,11 @@ import (
 func moveReady(t *testing.T) *HitInstance {
 	t.Helper()
 	in := NewHitInstance(1, 3)
-	in.Reinit(2, [][]Hit{
+	in.Assign(2, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
 		{{Obj: 0, C: 1}, {Obj: 2, C: 1}},
 		{{Obj: 2, C: 1}},
-	}, []int64{2, 2, 1})
-	in.EnableMoves([]int32{0, 1, 2}, nil)
+	}, nil, nil, true)
 	return in
 }
 
@@ -28,8 +27,8 @@ func TestInvariantsEnabled(t *testing.T) {
 }
 
 // TestAssertInvariantsPassesOnValidMoves exercises the checked paths on
-// a healthy instance: every ApplyMove, RevertMove and CloneForMoves
-// runs the full CSR audit and must stay silent.
+// a healthy instance: every ApplyMove (the move and its opposite) and
+// CloneForMoves runs the full CSR audit and must stay silent.
 func TestAssertInvariantsPassesOnValidMoves(t *testing.T) {
 	in := moveReady(t)
 	from, to := in.ApplyMove(0, 0, 2)
@@ -37,7 +36,7 @@ func TestAssertInvariantsPassesOnValidMoves(t *testing.T) {
 	if cp.Len() != in.Len() {
 		t.Fatalf("clone Len %d != %d", cp.Len(), in.Len())
 	}
-	in.RevertMove(0, from, to)
+	in.ApplyMove(0, to, from)
 }
 
 // TestAssertInvariantsCatchesCorruption corrupts one derived quantity
@@ -86,7 +85,7 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 // the load of 1 recorded for it — and must panic naming it.
 func TestScanLastCatchesGainAboveLoad(t *testing.T) {
 	in := NewHitInstance(2, 4)
-	in.Reinit(1, [][]Hit{
+	in.reinit(1, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
 		{{Obj: 2, C: 2}, {Obj: 3, C: 2}},
 	}, []int64{2, 1}) // candidate 1's true load is 4
@@ -147,7 +146,7 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 		f()
 	}
 	skip := NewHitInstance(2, 8)
-	skip.Reinit(3, [][]Hit{
+	skip.reinit(3, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}},
 		{{Obj: 3, C: 1}, {Obj: 4, C: 1}, {Obj: 5, C: 1}},
 		{{Obj: 6, C: 1}, {Obj: 7, C: 1}},
@@ -155,7 +154,7 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 		{{Obj: 2, C: 1}, {Obj: 6, C: 1}},
 	}, []int64{3, 3, 2, 2, 2})
 	tail := NewHitInstance(2, 9)
-	tail.Reinit(2, [][]Hit{
+	tail.reinit(2, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}, {Obj: 8, C: 1}},
 		{{Obj: 3, C: 1}, {Obj: 4, C: 1}, {Obj: 6, C: 1}, {Obj: 7, C: 1}},
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 5, C: 2}},

@@ -12,42 +12,22 @@ import "fmt"
 // ApplyMove patches the hit runs, the static loads and — when the
 // residual machinery has been built — the per-candidate full-load
 // baselines, then restores the canonical candidate order (loads
-// non-increasing, the branch-and-bound invariant) by adjacent-swap
-// bubbling; the inverted object → candidate index is NOT patched, only
-// marked stale, and re-derived once by the next EnableResidual. The
-// warm-start side of the contract is Revalidate: replay the previous
-// search's witness on the patched instance and seed the next
-// BranchAndBound with whatever damage it still achieves, so the
-// first prune is already tight.
+// non-increasing, the branch-and-bound invariant; ties by the unit ids
+// Assign recorded, so a moved instance stays byte-identical to a fresh
+// Assign) by adjacent-swap bubbling, carrying the unit ↔ position maps
+// along; the inverted object → candidate index is NOT patched, only
+// marked stale, and re-derived once by the next EnableResidual. A move
+// is undone by the opposite move: the re-sort is canonical, so the
+// round trip restores the layout byte for byte. The warm-start side of
+// the contract is WarmSeed: replay the previous search's witness on the
+// patched instance and seed the next BranchAndBound with whatever
+// damage it still achieves, so the first prune is already tight.
 //
 // Moves and clones don't mix: Clone shares the CSR backing arrays that
-// ApplyMove mutates, so — exactly like Reinit — never apply a move
+// ApplyMove mutates, so — exactly like Assign — never apply a move
 // while clones from a previous search are still live. BranchAndBound
 // builds its clones after the caller's moves and discards them
 // before the next one, which satisfies this by construction.
-
-// EnableMoves declares the instance mutable by ApplyMove and installs
-// the caller's candidate identities. keys[i] is candidate i's identity
-// (a node or domain id): after a move changes loads, candidates are
-// re-sorted by (load descending, key ascending) — the same order the
-// engine adapters build fresh instances in, so a moved instance stays
-// byte-identical to a cold rebuild. onSwap, when non-nil, is invoked
-// for every adjacent transposition (i, j = i+1) so the caller can
-// mirror its own index ↔ identity maps. A nil keys keeps ties in their
-// current relative order (moves remain sound, but the layout is no
-// longer canonical on load ties). Reinit clears both; re-enable after
-// every Reinit.
-func (in *HitInstance) EnableMoves(keys []int32, onSwap func(i, j int)) {
-	if keys != nil && len(keys) != in.Len() {
-		panic(fmt.Sprintf("search: %d move keys for %d candidates", len(keys), in.Len()))
-	}
-	if keys == nil {
-		in.moveKeys = nil
-	} else {
-		in.moveKeys = append(in.moveKeys[:0], keys...)
-	}
-	in.onSwap = onSwap
-}
 
 // ApplyMove transfers one replica of obj from candidate position from
 // to candidate position to, patching the CSR layout, the loads and the
@@ -55,9 +35,10 @@ func (in *HitInstance) EnableMoves(keys []int32, onSwap func(i, j int)) {
 // positions after the canonical re-sort. The from run must hold a hit
 // on obj; the to run gains one (aggregating onto an existing hit when
 // the candidate already covers obj, as whole-domain adapters do).
-// Counters must be clean (between searches). The residual upkeep is
-// suspended until the next EnableResidual rebuilds the inverted index
-// from the patched runs.
+// The instance must come from Assign with both units kept (Pos finds
+// them), and its counters must be clean (between searches). The
+// residual upkeep is suspended until the next EnableResidual rebuilds
+// the inverted index from the patched runs.
 func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	m := in.Len()
 	if obj < 0 || obj >= len(in.cnt) {
@@ -102,14 +83,6 @@ func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	}
 	in.assertInvariants("ApplyMove")
 	return from, to
-}
-
-// RevertMove undoes ApplyMove(obj, …) given the positions that move
-// RETURNED: it is exactly ApplyMove with the endpoints exchanged, and
-// restores the pre-move layout byte for byte (the re-sort is canonical,
-// so the round trip is the identity).
-func (in *HitInstance) RevertMove(obj, from, to int) (newFrom, newTo int) {
-	return in.ApplyMove(obj, to, from)
 }
 
 // removeReplica drops one replica of obj from candidate pos's run:
@@ -174,21 +147,18 @@ func findHit(run []Hit, obj int32) int {
 }
 
 // sortsBefore reports whether candidate a belongs strictly before
-// candidate b in the canonical order: load descending, then — when
-// EnableMoves installed identities — key ascending.
+// candidate b in the canonical order: load descending, then unit id
+// ascending.
 func (in *HitInstance) sortsBefore(a, b int) bool {
 	if in.loads[a] != in.loads[b] {
 		return in.loads[a] > in.loads[b]
 	}
-	if in.moveKeys != nil {
-		return in.moveKeys[a] < in.moveKeys[b]
-	}
-	return false
+	return in.ids[a] < in.ids[b]
 }
 
 // swapAdjacent exchanges candidates i and i+1: rotate their two runs
-// within the flat CSR array, swap the per-candidate scalars, and
-// notify the caller's onSwap mirror.
+// within the flat CSR array and swap the per-candidate scalars and the
+// unit ↔ position maps.
 func (in *HitInstance) swapAdjacent(i int) {
 	a, b, c := int(in.offs[i]), int(in.offs[i+1]), int(in.offs[i+2])
 	in.hitScratch = append(in.hitScratch[:0], in.hits[a:b]...)
@@ -204,10 +174,7 @@ func (in *HitInstance) swapAdjacent(i int) {
 	if in.prepared {
 		in.full[i], in.full[i+1] = in.full[i+1], in.full[i]
 	}
-	if in.moveKeys != nil {
-		in.moveKeys[i], in.moveKeys[i+1] = in.moveKeys[i+1], in.moveKeys[i]
-	}
-	if in.onSwap != nil {
-		in.onSwap(i, i+1)
-	}
+	u, v := in.ids[i], in.ids[i+1]
+	in.ids[i], in.ids[i+1] = v, u
+	in.pos[u], in.pos[v] = i+1, i
 }

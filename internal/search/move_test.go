@@ -7,9 +7,7 @@ import (
 
 // moveModel is the rebuilt-from-scratch oracle ApplyMove is tested
 // against: a plain per-candidate × per-object replica-count matrix,
-// from which a canonical instance (candidates by load descending, ties
-// by id ascending — the engine adapters' order) can be built at any
-// time.
+// from which a fresh instance can be assigned at any time.
 type moveModel struct {
 	s      int
 	k      int
@@ -19,68 +17,20 @@ type moveModel struct {
 
 func (mm *moveModel) numObjects() int { return len(mm.counts[0]) }
 
-func (mm *moveModel) load(id int) int64 {
-	var sum int64
-	for obj, c := range mm.counts[id] {
-		wv := int64(1)
-		if mm.w != nil {
-			wv = mm.w[obj]
-		}
-		sum += int64(c) * wv
-	}
-	return sum
-}
-
-// order returns candidate ids in canonical instance order.
-func (mm *moveModel) order() []int {
-	m := len(mm.counts)
-	ids := make([]int, m)
-	for i := range ids {
-		ids[i] = i
-	}
-	loads := make([]int64, m)
-	for id := range loads {
-		loads[id] = mm.load(id)
-	}
-	for i := 1; i < m; i++ { // insertion sort: stable, tiny m
-		for j := i; j > 0 && (loads[ids[j]] > loads[ids[j-1]] ||
-			(loads[ids[j]] == loads[ids[j-1]] && ids[j] < ids[j-1])); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
-}
-
-// build stamps a fresh canonical instance; pos maps candidate id →
-// position and is kept current by the onSwap mirror when live is true.
-func (mm *moveModel) build(live bool) (in *HitInstance, ids []int, pos []int) {
-	ids = mm.order()
-	m := len(ids)
-	pos = make([]int, m)
-	lists := make([][]Hit, m)
-	loads := make([]int64, m)
-	keys := make([]int32, m)
-	for p, id := range ids {
-		pos[id] = p
-		keys[p] = int32(id)
-		loads[p] = mm.load(id)
-		for obj, c := range mm.counts[id] {
+// build assigns a fresh instance over every unit of the model, idle
+// ones included, the way the session and the spread scorer do.
+func (mm *moveModel) build() *HitInstance {
+	byID := make([][]Hit, len(mm.counts))
+	for id, row := range mm.counts {
+		for obj, c := range row {
 			if c > 0 {
-				lists[p] = append(lists[p], Hit{Obj: int32(obj), C: c})
+				byID[id] = append(byID[id], Hit{Obj: int32(obj), C: c})
 			}
 		}
 	}
-	in = NewHitInstance(mm.s, mm.numObjects())
-	in.Reinit(mm.k, lists, loads)
-	in.SetWeights(mm.w)
-	if live {
-		in.EnableMoves(keys, func(i, j int) {
-			a, b := ids[i], ids[j]
-			ids[i], ids[j] = b, a
-			pos[a], pos[b] = j, i
-		})
-	}
-	return in, ids, pos
+	in := NewHitInstance(mm.s, mm.numObjects())
+	in.Assign(mm.k, byID, mm.w, nil, true)
+	return in
 }
 
 // randomModel populates a model with objects of r replicas spread over
@@ -161,6 +111,12 @@ func assertSameLayout(t *testing.T, tag string, got, want *HitInstance) {
 		if got.loads[i] != want.loads[i] {
 			t.Fatalf("%s: loads[%d] = %d, want %d", tag, i, got.loads[i], want.loads[i])
 		}
+		if got.ids[i] != want.ids[i] {
+			t.Fatalf("%s: unit at %d is %d, want %d", tag, i, got.ids[i], want.ids[i])
+		}
+		if got.Pos(want.ids[i]) != i {
+			t.Fatalf("%s: Pos(%d) = %d, want %d", tag, want.ids[i], got.Pos(want.ids[i]), i)
+		}
 	}
 	if got.objs != nil {
 		if want.objs == nil {
@@ -219,11 +175,11 @@ func TestApplyMoveMatchesRebuild(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 20; trial++ {
 				mm := randomModel(rng, 8, 30, 3, 2, 3, tc.aggregate, tc.weighted)
-				live, _, pos := mm.build(true)
+				live := mm.build()
 				for mv := 0; mv < 12; mv++ {
 					obj, fromID, toID := mm.randomMove(rng, tc.aggregate)
-					live.ApplyMove(obj, pos[fromID], pos[toID])
-					fresh, _, _ := mm.build(false)
+					live.ApplyMove(obj, live.Pos(fromID), live.Pos(toID))
+					fresh := mm.build()
 					tag := tc.name
 					assertSameLayout(t, tag, live, fresh)
 					if mv%3 == 0 { // search on some states: residual machinery gets built and re-patched
@@ -235,27 +191,27 @@ func TestApplyMoveMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRevertMoveRestores checks the ApplyMove/RevertMove round trip is
-// the identity on the full layout, including after searches prepared
-// the residual baselines.
-func TestRevertMoveRestores(t *testing.T) {
+// TestMoveRoundTripRestores checks that a move followed by the
+// opposite move is the identity on the full layout, unit ids included,
+// also after searches prepared the residual baselines.
+func TestMoveRoundTripRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		mm := randomModel(rng, 7, 25, 3, 2, 3, trial%2 == 0, false)
-		live, _, pos := mm.build(true)
+		live := mm.build()
 		if trial%3 == 0 {
 			seed := Greedy(live)
 			live.Reset()
 			BranchAndBound(live, seed, NewBudget(0), 1, BoundResidual)
 		}
-		snapshot, _, _ := mm.build(false)
+		snapshot := mm.build()
 		obj, fromID, toID := mm.randomMove(rng, trial%2 == 0)
-		nf, nt := live.ApplyMove(obj, pos[fromID], pos[toID])
-		if nf != pos[fromID] || nt != pos[toID] {
-			t.Fatalf("returned positions (%d,%d) disagree with the onSwap mirror (%d,%d)",
-				nf, nt, pos[fromID], pos[toID])
+		nf, nt := live.ApplyMove(obj, live.Pos(fromID), live.Pos(toID))
+		if nf != live.Pos(fromID) || nt != live.Pos(toID) {
+			t.Fatalf("returned positions (%d,%d) disagree with Pos (%d,%d)",
+				nf, nt, live.Pos(fromID), live.Pos(toID))
 		}
-		live.RevertMove(obj, nf, nt)
+		live.ApplyMove(obj, nt, nf)
 		mm.counts[fromID][obj]++
 		mm.counts[toID][obj]--
 		assertSameLayout(t, "revert", live, snapshot)
@@ -268,7 +224,7 @@ func TestRevertMoveRestores(t *testing.T) {
 func TestRevalidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	mm := randomModel(rng, 8, 30, 3, 2, 3, false, false)
-	in, _, _ := mm.build(false)
+	in := mm.build()
 	seed := Greedy(in)
 	in.Reset()
 	res := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
@@ -292,7 +248,7 @@ func TestRevalidate(t *testing.T) {
 func TestWarmSeedReturnsWitnessVerbatim(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mm := randomModel(rng, 8, 30, 3, 2, 3, false, false)
-	in, _, _ := mm.build(false)
+	in := mm.build()
 	seed := Greedy(in)
 	in.Reset()
 	opt := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
@@ -320,8 +276,8 @@ func FuzzMoveRevert(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		aggregate := seed%2 == 0
 		mm := randomModel(rng, 6, 20, 3, 2, 3, aggregate, seed%3 == 0)
-		live, _, pos := mm.build(true)
-		type applied struct{ obj, nf, nt, fromID, toID int }
+		live := mm.build()
+		type applied struct{ obj, fromID, toID int }
 		var undoable []applied
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -331,15 +287,15 @@ func FuzzMoveRevert(f *testing.F) {
 				// Revert the most recent un-reverted move.
 				a := undoable[len(undoable)-1]
 				undoable = undoable[:len(undoable)-1]
-				live.RevertMove(a.obj, pos[a.fromID], pos[a.toID])
+				live.ApplyMove(a.obj, live.Pos(a.toID), live.Pos(a.fromID))
 				mm.counts[a.fromID][a.obj]++
 				mm.counts[a.toID][a.obj]--
 			} else {
 				obj, fromID, toID := mm.randomMove(rng, aggregate)
-				nf, nt := live.ApplyMove(obj, pos[fromID], pos[toID])
-				undoable = append(undoable, applied{obj, nf, nt, fromID, toID})
+				live.ApplyMove(obj, live.Pos(fromID), live.Pos(toID))
+				undoable = append(undoable, applied{obj, fromID, toID})
 			}
-			fresh, _, _ := mm.build(false)
+			fresh := mm.build()
 			assertSameLayout(t, "fuzz", live, fresh)
 			if op&0x40 != 0 { // occasionally run the full search comparison
 				searchBoth(t, "fuzz", live, fresh)

@@ -174,17 +174,7 @@ func flatInstance(rng *rand.Rand, m, b, s, k int, weighted bool) *HitInstance {
 			w[obj] = int64(1 + rng.Intn(4))
 		}
 	}
-	ids := make([]int, m)
-	for i := range ids {
-		ids[i] = i
-	}
-	CanonicalOrder(ids, WeightedLoads(lists, w))
-	ordered := make([][]Hit, m)
-	for i, id := range ids {
-		ordered[i] = lists[id]
-	}
 	in := NewHitInstance(s, b)
-	in.Reinit(k, ordered, WeightedLoads(ordered, w))
-	in.SetWeights(w)
+	in.Assign(k, lists, w, nil, true)
 	return in
 }

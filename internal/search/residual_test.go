@@ -54,7 +54,7 @@ func randomHitInstance(rng *rand.Rand, m, r, b, s, k, maxC int) (*HitInstance, [
 		ordLoads[i] = loads[raw]
 	}
 	in := NewHitInstance(s, b)
-	in.Reinit(k, ordLists, ordLoads)
+	in.reinit(k, ordLists, ordLoads)
 	return in, ordLists
 }
 
@@ -287,7 +287,7 @@ func TestDuplicateCollapse(t *testing.T) {
 		}
 	}
 	hit := NewHitInstance(s, b)
-	hit.Reinit(k, lists, loads)
+	hit.reinit(k, lists, loads)
 	for i := 1; i < 2*groups; i++ {
 		wantDup := i%2 == 1 // the second member of each pair duplicates the first
 		if hit.DupOfPrev(i) != wantDup {
@@ -329,7 +329,7 @@ func TestScanLastCut(t *testing.T) {
 	}
 	for _, k := range []int{1, 2} {
 		hit := NewHitInstance(s, b)
-		hit.Reinit(k, lists, loads)
+		hit.reinit(k, lists, loads)
 		want := Exhaustive(hit)
 		for _, bound := range []Bound{BoundResidual, BoundStatic} {
 			got, calls := countedRun(hit, Result{}, NewBudget(0), 1, bound)
@@ -347,7 +347,7 @@ func TestScanLastCut(t *testing.T) {
 	// reported, so the reducer can apply the lex tie-break: against a
 	// non-seed incumbent recorded as (5, {9}), the scan's tie {0} wins.
 	hit := NewHitInstance(s, b)
-	hit.Reinit(1, lists, loads)
+	hit.reinit(1, lists, loads)
 	ps := newSearchRun(hit, Result{Failed: 5, Sel: []int{9}}, NewBudget(0), 1, BoundStatic)
 	ps.bestIsSeed = false
 	w := ps.peers[0]
@@ -376,7 +376,7 @@ func TestReinitReuse(t *testing.T) {
 				loads[i] += int64(h.C)
 			}
 		}
-		scratch.Reinit(k, lists, loads)
+		scratch.reinit(k, lists, loads)
 
 		wantSeed := Greedy(fresh)
 		fresh.Reset()
@@ -391,7 +391,7 @@ func TestReinitReuse(t *testing.T) {
 	}
 }
 
-// TestReinitRejectsBadShape pins Reinit's shape contract: k picks need
+// TestReinitRejectsBadShape pins reinit's shape contract: k picks need
 // k candidates, and loads must match the hit lists one to one. Without
 // it, K = 3 over two candidates made BranchAndBound and Exhaustive claim
 // an exact empty attack and Greedy index out of range. The panic names
@@ -415,11 +415,11 @@ func TestReinitRejectsBadShape(t *testing.T) {
 					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
 				}
 			}()
-			NewHitInstance(1, 2).Reinit(tc.k, lists, tc.loads)
+			NewHitInstance(1, 2).reinit(tc.k, lists, tc.loads)
 		})
 	}
 	in := NewHitInstance(1, 2)
-	in.Reinit(2, lists, []int64{1, 1}) // k == len: every candidate chosen
+	in.reinit(2, lists, []int64{1, 1}) // k == len: every candidate chosen
 	if res := BranchAndBound(in, Result{}, NewBudget(0), 1, BoundResidual); res.Failed != 2 || !res.Exact {
 		t.Errorf("k = m: got (%d, exact=%v), want (2, exact)", res.Failed, res.Exact)
 	}
@@ -430,8 +430,8 @@ func TestReinitRejectsBadShape(t *testing.T) {
 // damage == exhaustive damage, the identical witness from both bound
 // modes (the driver contract fixes it: the seed on a tie, else the
 // lex-smallest optimum), and residual visits no more states. With
-// weighted set, random object weights go through WeightedLoads and
-// SetWeights, candidates re-sorted into weighted canonical order.
+// weighted set, random object weights go through Assign, candidates
+// re-sorted into weighted canonical order.
 func FuzzBoundEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(2), uint8(12), uint8(2), uint8(3), false)
 	f.Add(int64(42), uint8(6), uint8(3), uint8(20), uint8(3), uint8(2), false)
@@ -458,17 +458,7 @@ func FuzzBoundEquivalence(f *testing.F) {
 			for obj := range w {
 				w[obj] = int64(rng.Intn(6))
 			}
-			ids := make([]int, m)
-			for i := range ids {
-				ids[i] = i
-			}
-			CanonicalOrder(ids, WeightedLoads(lists, w))
-			ordered := make([][]Hit, m)
-			for i, id := range ids {
-				ordered[i] = lists[id]
-			}
-			in.Reinit(k, ordered, WeightedLoads(ordered, w))
-			in.SetWeights(w)
+			in.Assign(k, lists, w, nil, true)
 		}
 		ex := Exhaustive(in)
 		seedRes := Greedy(in)

@@ -1,15 +1,16 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // newCoverInstance builds the HitInstance of a cover problem: object j
 // fails once s of the candidates listed in members[j] (distinct raw
-// candidate indices) are in the attack set. Candidates are reindexed
-// into the canonical order (CanonicalOrder over WeightedLoads), the
-// branch-and-bound drivers' required invariant.
+// candidate indices) are in the attack set. Assign reindexes the
+// candidates into the canonical order, the branch-and-bound drivers'
+// required invariant.
 func newCoverInstance(m, k, s int, members [][]int) *HitInstance {
 	raw := make([][]Hit, m)
 	for obj, ms := range members {
@@ -17,17 +18,8 @@ func newCoverInstance(m, k, s int, members [][]int) *HitInstance {
 			raw[c] = append(raw[c], Hit{Obj: int32(obj), C: 1})
 		}
 	}
-	ids := make([]int, m)
-	for i := range ids {
-		ids[i] = i
-	}
-	CanonicalOrder(ids, WeightedLoads(raw, nil))
-	lists := make([][]Hit, m)
-	for i, id := range ids {
-		lists[i] = raw[id]
-	}
 	in := NewHitInstance(s, len(members))
-	in.Reinit(k, lists, WeightedLoads(lists, nil))
+	in.Assign(k, raw, nil, nil, true)
 	return in
 }
 
@@ -77,6 +69,12 @@ func randomMembers(rng *rand.Rand, m, r, b int) [][]int {
 	return members
 }
 
+// TestDriversAgreeOnRandomInstances checks every driver against brute
+// force on random cover instances, and on tight ones: draws whose
+// optimum is exactly one above the greedy seed, kept until 40 are
+// found. There an off-by-one prune (cutting a subtree whose bound only
+// reaches incumbent + 1) drops the optimum and returns the seed, which
+// the loose random draws rarely expose.
 func TestDriversAgreeOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 25; trial++ {
@@ -86,41 +84,62 @@ func TestDriversAgreeOnRandomInstances(t *testing.T) {
 		s := 1 + rng.Intn(r)
 		k := 1 + rng.Intn(m-1)
 		members := randomMembers(rng, m, r, b)
+		checkDriversAgree(t, fmt.Sprintf("trial %d", trial), m, k, s, members, bruteForce(m, k, s, members))
+	}
+	rng = rand.New(rand.NewSource(73))
+	for tight := 0; tight < 40; {
+		m := 6 + rng.Intn(5)
+		r := 2 + rng.Intn(2)
+		b := 5 + rng.Intn(20)
+		s := 1 + rng.Intn(r)
+		k := 2 + rng.Intn(m-2)
+		members := randomMembers(rng, m, r, b)
 		want := bruteForce(m, k, s, members)
-
-		in := newCoverInstance(m, k, s, members)
-		ex := Exhaustive(in)
-		if ex.Failed != want {
-			t.Errorf("trial %d (m=%d r=%d b=%d s=%d k=%d): Exhaustive = %d, brute force = %d",
-				trial, m, r, b, s, k, ex.Failed, want)
+		if Greedy(newCoverInstance(m, k, s, members)).Failed != want-1 {
+			continue
 		}
-		if !ex.Exact || len(ex.Sel) != k {
-			t.Errorf("trial %d: Exhaustive exact=%v |sel|=%d", trial, ex.Exact, len(ex.Sel))
-		}
+		checkDriversAgree(t, fmt.Sprintf("tight %d", tight), m, k, s, members, want)
+		tight++
+	}
+}
 
-		greedy := Greedy(in)
-		if greedy.Failed > want {
-			t.Errorf("trial %d: Greedy %d exceeds optimum %d", trial, greedy.Failed, want)
-		}
-		in.Reset()
+// checkDriversAgree runs Exhaustive, Greedy and BranchAndBound (both
+// bounds, one and four workers, greedy and empty seeds) on one cover
+// instance whose brute-force optimum is want.
+func checkDriversAgree(t *testing.T, tag string, m, k, s int, members [][]int, want int) {
+	t.Helper()
+	in := newCoverInstance(m, k, s, members)
+	ex := Exhaustive(in)
+	if ex.Failed != want {
+		t.Errorf("%s (m=%d b=%d s=%d k=%d): Exhaustive = %d, brute force = %d",
+			tag, m, len(members), s, k, ex.Failed, want)
+	}
+	if !ex.Exact || len(ex.Sel) != k {
+		t.Errorf("%s: Exhaustive exact=%v |sel|=%d", tag, ex.Exact, len(ex.Sel))
+	}
 
-		// Both bounds at one and four workers: dedup, the residual
-		// upkeep and the parent-gain filter all run on the HitInstance,
-		// and the four-worker runs search clones sharing its tables.
-		// The empty seed makes the search find the optimum itself
-		// rather than confirm a greedy seed that is often optimal.
-		for _, bound := range []Bound{BoundStatic, BoundResidual} {
-			for _, workers := range []int{1, 4} {
-				for _, seed := range []Result{greedy, {}} {
-					bnb := BranchAndBound(in, seed, NewBudget(0), workers, bound)
-					if bnb.Failed != want || !bnb.Exact {
-						t.Errorf("trial %d %v workers=%d seed %d: BranchAndBound = %d exact=%v, brute force = %d",
-							trial, bound, workers, seed.Failed, bnb.Failed, bnb.Exact, want)
-					}
-					if bnb.Visited > ex.Visited {
-						t.Errorf("trial %d %v workers=%d seed %d: B&B visited %d > exhaustive %d: pruning broken",
-							trial, bound, workers, seed.Failed, bnb.Visited, ex.Visited)
-					}
+	greedy := Greedy(in)
+	if greedy.Failed > want {
+		t.Errorf("%s: Greedy %d exceeds optimum %d", tag, greedy.Failed, want)
+	}
+	in.Reset()
+
+	// Both bounds at one and four workers: dedup, the residual
+	// upkeep and the parent-gain filter all run on the HitInstance,
+	// and the four-worker runs search clones sharing its tables.
+	// The empty seed makes the search find the optimum itself
+	// rather than confirm a greedy seed that is often optimal.
+	for _, bound := range []Bound{BoundStatic, BoundResidual} {
+		for _, workers := range []int{1, 4} {
+			for _, seed := range []Result{greedy, {}} {
+				bnb := BranchAndBound(in, seed, NewBudget(0), workers, bound)
+				if bnb.Failed != want || !bnb.Exact {
+					t.Errorf("%s %v workers=%d seed %d: BranchAndBound = %d exact=%v, brute force = %d",
+						tag, bound, workers, seed.Failed, bnb.Failed, bnb.Exact, want)
+				}
+				if bnb.Visited > ex.Visited {
+					t.Errorf("%s %v workers=%d seed %d: B&B visited %d > exhaustive %d: pruning broken",
+						tag, bound, workers, seed.Failed, bnb.Visited, ex.Visited)
 				}
 			}
 		}

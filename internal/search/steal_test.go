@@ -128,7 +128,7 @@ func TestStealMatchesSerial(t *testing.T) {
 // skewedInstance builds a HitInstance in canonical order whose loads
 // fall off a cliff: one to three heavy candidates over many objects, a
 // long tail of single-hit (load-1) candidates and zero-load padding.
-// Half the instances mark a few objects hot via SetWeights, so the tail
+// Half the instances mark a few objects hot through Assign, so the tail
 // candidates on them carry weighted loads above 1.
 func skewedInstance(rng *rand.Rand) *HitInstance {
 	b := 6 + rng.Intn(8)
@@ -158,19 +158,8 @@ func skewedInstance(rng *rand.Rand) *HitInstance {
 			}
 		}
 	}
-	m := len(lists)
-	ids := make([]int, m)
-	for i := range ids {
-		ids[i] = i
-	}
-	CanonicalOrder(ids, WeightedLoads(lists, w))
-	ordered := make([][]Hit, m)
-	for i, id := range ids {
-		ordered[i] = lists[id]
-	}
 	in := NewHitInstance(1+rng.Intn(2), b)
-	in.Reinit(1+rng.Intn(m-1), ordered, WeightedLoads(ordered, w))
-	in.SetWeights(w)
+	in.Assign(1+rng.Intn(len(lists)-1), lists, w, nil, true)
 	return in
 }
 

@@ -49,8 +49,8 @@ func randWeightedInstance(rng *rand.Rand, m, numObjects, k, s int, w []int64) (*
 		loads[i] = wload(raw[c])
 	}
 	in := NewHitInstance(s, numObjects)
-	in.Reinit(k, lists, loads)
-	in.SetWeights(w)
+	in.reinit(k, lists, loads)
+	in.setWeights(w)
 	return in, lists
 }
 
@@ -131,8 +131,8 @@ func TestWeightedDifferential(t *testing.T) {
 		if !res.Exact || res.Failed != want {
 			t.Fatalf("trial %d: residual B&B %+v, oracle %d", trial, res, want)
 		}
-		in.Reinit(k, lists, loadsOf(in))
-		in.SetWeights(w)
+		in.reinit(k, lists, loadsOf(in))
+		in.setWeights(w)
 		gr2 := Greedy(in)
 		in.Reset()
 		stat := BranchAndBound(in, gr2, NewBudget(0), 1, BoundStatic)
@@ -145,7 +145,7 @@ func TestWeightedDifferential(t *testing.T) {
 	}
 }
 
-// loadsOf reads back an instance's candidate loads (Reinit scratch for
+// loadsOf reads back an instance's candidate loads (reinit scratch for
 // re-initializing the same search).
 func loadsOf(in *HitInstance) []int64 {
 	loads := make([]int64, in.Len())
@@ -219,10 +219,10 @@ func TestUnitWeightsByteIdentical(t *testing.T) {
 
 // TestSetWeightsContract pins the misuse guards: weight vectors must
 // match the object count and precede the residual preparation, and
-// Reinit reverts to unit weights.
+// reinit reverts to unit weights.
 func TestSetWeightsContract(t *testing.T) {
 	in := NewHitInstance(1, 3)
-	in.Reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
+	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -231,15 +231,15 @@ func TestSetWeightsContract(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("short weights", func() { in.SetWeights([]int64{1}) })
-	in.SetWeights([]int64{5, 1, 1})
+	mustPanic("short weights", func() { in.setWeights([]int64{1}) })
+	in.setWeights([]int64{5, 1, 1})
 	if got := in.Marginal(0); got != 5 {
 		t.Errorf("weighted Marginal = %d, want 5", got)
 	}
 	in.EnableResidual()
-	mustPanic("SetWeights after prepare", func() { in.SetWeights([]int64{1, 1, 1}) })
-	in.Reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
+	mustPanic("setWeights after prepare", func() { in.setWeights([]int64{1, 1, 1}) })
+	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
 	if got := in.Marginal(0); got != 1 {
-		t.Errorf("Reinit did not revert to unit weights: Marginal = %d", got)
+		t.Errorf("reinit did not revert to unit weights: Marginal = %d", got)
 	}
 }

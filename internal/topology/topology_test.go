@@ -452,13 +452,13 @@ func TestParseSpecErrors(t *testing.T) {
 		{4, "rack0:0-x"},
 		{4, "rack0:3-1"},
 		{4, "rack0:0-9999999"},
-		{4, "a:0,1;b@z:2,3"},                 // mixed depths
-		{4, "a@z@east:0,1;b@w:2,3"},          // mixed depths, deeper
-		{4, "a@z@east:0,1;b@z@west:2,3"},     // zone z under two regions
-		{4, "a@:0,1;b@:2,3"},                 // empty ancestor name
-		{4, "a:0,1"},                         // nodes 2, 3 uncovered
-		{2, "a:0;a:1"},                       // duplicate name
-		{4, "a@east:0,1;a@west:2,3"},         // duplicate leaf across zones
+		{4, "a:0,1;b@z:2,3"},             // mixed depths
+		{4, "a@z@east:0,1;b@w:2,3"},      // mixed depths, deeper
+		{4, "a@z@east:0,1;b@z@west:2,3"}, // zone z under two regions
+		{4, "a@:0,1;b@:2,3"},             // empty ancestor name
+		{4, "a:0,1"},                     // nodes 2, 3 uncovered
+		{2, "a:0;a:1"},                   // duplicate name
+		{4, "a@east:0,1;a@west:2,3"},     // duplicate leaf across zones
 	}
 	for _, tc := range cases {
 		if _, err := ParseSpec(tc.n, tc.spec); err == nil {
