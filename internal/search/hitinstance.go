@@ -117,18 +117,19 @@ type HitInstance struct {
 	residAll  int64   // Σ resid over all candidates
 	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
 
-	cursor     []int32  // prepare scratch for the inverted-index fill
-	top        []int64  // TopResidual scratch (rem largest residuals)
-	gains      []int64  // the driver's parent-gain buffer (see gainScratch)
-	ovMax      []int64  // MaxOverlap cache, -1 = not yet computed; emptied per search
-	ovAcc      []int64  // MaxOverlap accumulator, live where ovStamp[j] == ovGen
-	ovStamp    []uint32 // the MaxOverlap call that last touched ovAcc[j]
-	ovGen      uint32   // MaxOverlap calls so far (mod 2^32; 0 is never a live stamp)
-	hitScratch []Hit    // ApplyMove scratch for run rotation
-	objScratch []int32  // ApplyMove scratch for the C = 1 strip rotation
-	unitLoads  []int64  // Assign scratch: weighted load per unit id
-	lists      [][]Hit  // Assign scratch: hit lists in candidate order
-	listLoads  []int64  // Assign scratch: loads in candidate order
+	cursor     []int32   // prepare scratch for the inverted-index fill
+	top        []int64   // TopResidual scratch (rem largest residuals)
+	gains      []int64   // backing of the driver's gain vectors (see gainScratch)
+	gainRows   [][]int64 // gainScratch's per-depth views of gains
+	ovMax      []int64   // MaxOverlap cache, -1 = not yet computed; emptied per search
+	ovAcc      []int64   // MaxOverlap accumulator, live where ovStamp[j] == ovGen
+	ovStamp    []uint32  // the MaxOverlap call that last touched ovAcc[j]
+	ovGen      uint32    // MaxOverlap calls so far (mod 2^32; 0 is never a live stamp)
+	hitScratch []Hit     // ApplyMove scratch for run rotation
+	objScratch []int32   // ApplyMove scratch for the C = 1 strip rotation
+	unitLoads  []int64   // Assign scratch: weighted load per unit id
+	lists      [][]Hit   // Assign scratch: hit lists in candidate order
+	listLoads  []int64   // Assign scratch: loads in candidate order
 }
 
 // NewHitInstance returns an empty instance over numObjects objects with
@@ -691,25 +692,89 @@ func (in *HitInstance) TopResidual(start, rem int) int64 {
 }
 
 // Gains stores Marginal(j) in dst[j] for every candidate j >= start,
-// leaving dst[:start] and the state untouched: the parent-gain filter's
-// one pass per two-picks-left node, a sweep over the contiguous CSR
-// runs from start on. dst must have room for Len() entries. Valid in
-// any state.
+// leaving dst[:start] and the state untouched: one sweep over the
+// contiguous CSR runs from start on. The search runs it once per task
+// whose gain vector is not current (a stolen task, the root) and keeps
+// the vector current with patchGains from there. dst must have room for
+// Len() entries. Valid in any state.
 func (in *HitInstance) Gains(start int, dst []int64) {
 	for j := start; j < in.Len(); j++ {
 		dst[j] = int64(in.Marginal(j))
 	}
 }
 
-// gainScratch lends the driver the instance's own parent-gain buffers,
-// Len() entries each (the gains and their suffix maxima), so a search
-// allocates none; Clone gives each worker its own.
-func (in *HitInstance) gainScratch() (gp, gpMax []int64) {
-	m := in.Len()
-	if cap(in.gains) < 2*m {
-		in.gains = make([]int64, 2*m)
+// patchGains turns g, every candidate's Marginal at the state before
+// the latest Add(i), into the Marginals after it. Adding i moves only
+// the counters of run i's objects, and an object counts towards a
+// holder's Marginal while the holder's replicas would take its counter
+// from below S to S or more; so the walk visits run i's objects and,
+// through the inverted index, updates only the holders whose indicator
+// flipped, by the object's weight (candidate i itself included). With
+// C = 1 throughout, an object's holders flip only when its counter
+// reaches S-1 (all gain it) or S (all lose it), so every other object
+// costs one compare. About |run i|·r work instead of Gains' sweep over
+// the whole CSR. Valid only while the residual upkeep is enabled, and
+// only as the step right after Add(i).
+func (in *HitInstance) patchGains(i int, g []int64) {
+	s := in.s
+	if in.objCands != nil {
+		for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
+			var d int64
+			switch in.cnt[obj] {
+			case s - 1: // was s-2: one more replica now fails it
+				d = 1
+			case s: // was s-1: it is dead, nobody gains it
+				d = -1
+			default:
+				continue
+			}
+			if in.w != nil {
+				d *= in.w[obj]
+			}
+			for _, c := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
+				g[c] += d
+			}
+		}
+		return
 	}
-	return in.gains[:m], in.gains[m : 2*m]
+	for _, h := range in.run(i) {
+		now := in.cnt[h.Obj]
+		was := now - h.C
+		if was >= s {
+			continue // dead before: no holder counted it, none does now
+		}
+		w := int64(1)
+		if in.w != nil {
+			w = in.w[h.Obj]
+		}
+		for _, ch := range in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]] {
+			need := s - ch.C // the holder kills the object from a counter >= need
+			before, after := was >= need, now < s && now >= need
+			switch {
+			case after && !before:
+				g[ch.Cand] += w
+			case before && !after:
+				g[ch.Cand] -= w
+			}
+		}
+	}
+}
+
+// gainScratch lends the driver the instance's own gain vectors, Len()
+// entries each: one per search depth 0..depths-1 and a last one for
+// their suffix maxima, so a search allocates none once the instance has
+// served a search as deep; Clone and CloneForMoves give each copy its
+// own.
+func (in *HitInstance) gainScratch(depths int) (gv [][]int64, gpMax []int64) {
+	m := in.Len()
+	if n := (depths + 1) * m; cap(in.gains) < n {
+		in.gains = make([]int64, n)
+	}
+	in.gainRows = in.gainRows[:0]
+	for d := 0; d < depths; d++ {
+		in.gainRows = append(in.gainRows, in.gains[d*m:(d+1)*m])
+	}
+	return in.gainRows, in.gains[depths*m : (depths+1)*m]
 }
 
 // MaxOverlap returns the largest total weight of objects that candidate
@@ -800,7 +865,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.prepared, cp.invStale, cp.track = false, false, false
 	cp.deadSpent = 0
 	cp.cursor, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil
-	cp.gains, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, 0
+	cp.gains, cp.gainRows, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, 0
 	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
 	cp.assertInvariants("CloneForMoves")
 	return &cp
@@ -834,8 +899,8 @@ func (in *HitInstance) Clone() *HitInstance {
 	cp.track = false // each driver re-enables on its own copy
 	cp.cursor = nil  // prepare-only scratch, grown lazily
 	cp.top = nil     // TopResidual scratch, grown lazily per instance
-	// Parent-gain filter scratch, likewise per instance.
-	cp.gains, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, 0
+	// Gain-vector search scratch, likewise per instance.
+	cp.gains, cp.gainRows, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, 0
 	// Clones are searchers, not editors: unit ids and move and Assign
 	// scratch stay with the receiver (see the ApplyMove contract), which
 	// translates the clones' selections.

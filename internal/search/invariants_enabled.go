@@ -206,6 +206,39 @@ func assertTailWithinBound(in *HitInstance, parent, from int, gp []int64, ov int
 	}
 }
 
+// assertGainsFresh audits the gain vector of a two-picks-left node
+// against a fresh Gains pass: a vector the patches left wrong would make
+// the child filter or the scan drop a maximizer, so the check panics,
+// naming the node's prefix and the first wrong candidate.
+func assertGainsFresh(in *HitInstance, prefix []int, g []int64) {
+	want := make([]int64, in.Len())
+	in.Gains(0, want)
+	for j, v := range want {
+		if g[j] != v {
+			panic(fmt.Sprintf("search: invariants at two-picks-left node %v: gain vector has %d for candidate %d, Marginal %d",
+				prefix, g[j], j, v))
+		}
+	}
+}
+
+// assertChildSkipSound checks a child the search is skipping before Add:
+// applied, its unfiltered final-level scan must find no completion that
+// reaches the snapshot (a tie included, since the scan reports ties).
+// It panics naming the prefix and the candidate, and leaves the state as
+// it found it.
+func assertChildSkipSound(in *HitInstance, prefix []int, cand, failed int, snap int64) {
+	f := failed + in.Add(cand)
+	best := 0
+	for j := cand + 1; j < in.Len(); j++ {
+		best = max(best, in.Marginal(j))
+	}
+	in.Remove(cand)
+	if int64(f+best) >= snap {
+		panic(fmt.Sprintf("search: invariants at two-picks-left node %v: skipped child %d reaches %d, snapshot %d",
+			prefix, cand, f+best, snap))
+	}
+}
+
 // assertMaxOverlap audits MaxOverlap(i) against a brute-force pairwise
 // count: for every later candidate j, the weight of the objects runs i
 // and j share, found by merging the two sorted runs.

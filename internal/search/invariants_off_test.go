@@ -19,4 +19,6 @@ func TestInvariantsCompiledOut(t *testing.T) {
 	assertSkipWithinBound(in, 0, 1, 0, 0)             // Marginal 1 above the bound 0: a no-op
 	assertTailWithinBound(in, 0, 1, []int64{0, 0}, 0) // likewise, from candidate 1 on
 	in.assertMaxOverlap(0, 7)                         // true overlap is 0: a no-op
+	assertGainsFresh(in, nil, []int64{5, 5})          // true gains are 1 and 1: a no-op
+	assertChildSkipSound(in, nil, 0, 3, 0)            // the child reaches 5 >= 0: a no-op
 }

@@ -109,10 +109,10 @@ func scanBelow(in *HitInstance, incumbent int, prefix []int, gp []int64) {
 	w := newSearchRun(in, Result{Failed: incumbent}, NewBudget(0), 1, BoundResidual).peers[0]
 	w.init()
 	w.adopt(prefix)
-	copy(w.gp, gp)
+	copy(w.gv[len(prefix)-1], gp)
 	var hi int64
 	for j := in.Len() - 1; j >= 0; j-- {
-		hi = max(hi, w.gp[j])
+		hi = max(hi, gp[j])
 		w.gpMax[j] = hi
 	}
 	w.scanLast(0, prefix[len(prefix)-1]+1)
@@ -176,5 +176,58 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 			t.Fatalf("MaxOverlap(0) = %d, want 2", got)
 		}
 		expectPanic(t, "candidate 1 has max overlap 1", func() { tail.assertMaxOverlap(1, 1) })
+	})
+}
+
+// TestChildSkipCatchesBadBound proves the gain-vector search's checks
+// are live, on runs driven from a hand-prepared worker at s = 2. In
+// "overlap" (K = 2, candidates {0 1}, {0 2}, {1 2}, incumbent 1) the
+// overlap of candidate 0 is understated as 0, so the root skips child 0
+// on the bound 0 + 0 + 0 + 0 < 1, yet {0, 1} fails object 0 and ties
+// the incumbent, which the scan would report. In "patch" (K = 3, a
+// fourth candidate {3}, incumbent 0) the root's vector claims one gain
+// for candidate 3, whose only object needs two replicas; the descent
+// into child 0 copies the error into the vector of node [0]. Both must
+// panic, naming the node's prefix and the candidate.
+func TestChildSkipCatchesBadBound(t *testing.T) {
+	expectPanic := func(t *testing.T, want string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("bad bound not caught")
+			}
+			if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+				t.Fatalf("panic %v does not mention %q", r, want)
+			}
+		}()
+		f()
+	}
+	lists := [][]Hit{
+		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
+		{{Obj: 0, C: 1}, {Obj: 2, C: 1}},
+		{{Obj: 1, C: 1}, {Obj: 2, C: 1}},
+		{{Obj: 3, C: 1}},
+	}
+	t.Run("overlap", func(t *testing.T) {
+		in := NewHitInstance(2, 3)
+		in.Assign(2, lists[:3], nil, nil, true)
+		w := newSearchRun(in, Result{Failed: 1, Sel: []int{0, 1}}, NewBudget(0), 1, BoundResidual).peers[0]
+		w.init()
+		if ov := in.MaxOverlap(0); ov != 1 {
+			t.Fatalf("MaxOverlap(0) = %d, want 1", ov)
+		}
+		in.ovMax[0] = 0 // the cache now understates it
+		expectPanic(t, "node []: skipped child 0 ", func() { w.runTask(task{}) })
+	})
+	t.Run("patch", func(t *testing.T) {
+		in := NewHitInstance(2, 4)
+		in.Assign(3, lists, nil, nil, true)
+		w := newSearchRun(in, Result{}, NewBudget(0), 1, BoundResidual).peers[0]
+		w.init()
+		in.Gains(0, w.gv[0])
+		w.gv[0][3]++
+		w.gvHi = 0
+		expectPanic(t, "node [0]: gain vector has 1 for candidate 3,", func() { w.runTask(task{}) })
 	})
 }

@@ -178,3 +178,139 @@ func flatInstance(rng *rand.Rand, m, b, s, k int, weighted bool) *HitInstance {
 	in.Assign(k, lists, w, nil, true)
 	return in
 }
+
+// TestChildSkip pins the gain-vector search on TestParentGainFilter's
+// flat instance. The child skip and the patched gain vectors leave the
+// visited states and the final-level Marginal calls as pinned there. A
+// state entered without the skip costs one Add — the root aside, every
+// state applies its candidate, as the static-bound run shows — so the
+// same search with the skip made vacuous was measured at
+// pinnedVisited - 1 = 2023 Add calls; with it the search makes the
+// pinned number. Every descent into a node with two or more picks left
+// patches one vector. Entering every task as a stolen one — its gain
+// vector dropped, so each task refills it with Gains(0) — changes none
+// of the counts. The vectors come from the instance's scratch, so once
+// it has served a search, the next allocates none for them.
+func TestChildSkip(t *testing.T) {
+	const m, b, s, k = 24, 120, 2, 4
+	in := flatInstance(rand.New(rand.NewSource(179)), m, b, s, k, false)
+	seed := Greedy(in)
+	in.Reset()
+
+	const (
+		pinnedVisited = 2024
+		pinnedCalls   = 216
+		vacuousAdds   = pinnedVisited - 1
+		pinnedAdds    = 362
+		pinnedPatches = 252
+	)
+	ps := newSearchRun(in, seed, NewBudget(0), 1, BoundResidual)
+	got := ps.run()
+	if got.Visited != pinnedVisited || ps.marginals != pinnedCalls || ps.adds != pinnedAdds || ps.patches != pinnedPatches {
+		t.Errorf("visited %d, %d Marginal calls, %d Add calls, %d patches; pinned %d, %d, %d (vacuous skip: %d) and %d",
+			got.Visited, ps.marginals, ps.adds, ps.patches, pinnedVisited, pinnedCalls, pinnedAdds, vacuousAdds, pinnedPatches)
+	}
+	static := newSearchRun(in, seed, NewBudget(0), 1, BoundStatic)
+	if res := static.run(); static.adds != res.Visited-1 {
+		t.Errorf("static bound: %d Add calls for %d visited states, want one per state but the root", static.adds, res.Visited)
+	}
+
+	if a := testing.AllocsPerRun(5, func() { in.gainScratch(k - 1) }); a != 0 {
+		t.Errorf("gainScratch allocates %v times per search once the instance has served one", a)
+	}
+
+	re, res := stolenRun(in, seed, BoundResidual)
+	if !reflect.DeepEqual(res, got) || re.marginals != ps.marginals || re.adds != ps.adds || re.patches != ps.patches {
+		t.Errorf("every task stolen: %+v with %d Marginal calls, %d Add calls, %d patches; want %+v, %d, %d, %d",
+			res, re.marginals, re.adds, re.patches, got, ps.marginals, ps.adds, ps.patches)
+	}
+}
+
+// stolenRun is BranchAndBound at one worker with every task entered as
+// a thief enters it: the worker's gain vectors are dropped before each
+// task, so each one refills its depth with Gains(0).
+func stolenRun(in *HitInstance, seed Result, bound Bound) (*searchRun, Result) {
+	ps := newSearchRun(in, seed, NewBudget(0), 1, bound)
+	w := ps.peers[0]
+	w.init()
+	if t, ok := ps.enterRoot(w); ok {
+		w.deq.push(t)
+	}
+	for {
+		t, ok := w.next()
+		if !ok {
+			break
+		}
+		w.gvHi = -1
+		w.runTask(t)
+	}
+	w.exit()
+	ps.marginals, ps.adds, ps.patches = w.marginals, w.adds, w.patches
+	ps.best.Visited = ps.bud.Used()
+	ps.best.Exact = !ps.exhausted.Load()
+	return ps, ps.best
+}
+
+// FuzzGainPatch is patchGains' exactness oracle. Along a random
+// depth-first walk of Adds and Removes, the gain vector kept the way
+// the search keeps it — the parent's vector copied and patched after
+// each Add, dropped on each Remove — equals a fresh Gains(0) after every
+// step, on C = 1 strips, generic C, and weighted instances of both.
+// Adds pick any unchosen candidate, not only later ones, so every
+// holder's update is checked.
+func FuzzGainPatch(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(20), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(6), uint8(12), uint8(2), uint8(1))
+	f.Add(int64(3), uint8(9), uint8(18), uint8(0), uint8(2))
+	f.Add(int64(4), uint8(7), uint8(25), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, m8, b8, s8, kind uint8) {
+		m := 2 + int(m8%10)
+		b := 1 + int(b8%30)
+		s := 1 + int(s8%3)
+		rng := rand.New(rand.NewSource(seed))
+		weights := func() []int64 {
+			w := make([]int64, b)
+			for obj := range w {
+				w[obj] = int64(rng.Intn(7))
+			}
+			return w
+		}
+		var in *HitInstance
+		switch kind % 4 {
+		case 0: // C = 1 strip
+			in, _ = randomHitInstance(rng, m, min(3, m), b, s, k1(m), 1)
+		case 1: // generic C
+			in, _ = randomHitInstance(rng, m, min(3, m), b, s, k1(m), 3)
+		case 2: // weighted, generic C
+			in, _ = randWeightedInstance(rng, m, b, k1(m), s, weights())
+		case 3: // weighted C = 1 strip
+			var lists [][]Hit
+			in, lists = randomHitInstance(rng, m, min(3, m), b, s, k1(m), 1)
+			in.Assign(k1(m), lists, weights(), nil, true)
+		}
+		in.EnableResidual()
+		want := make([]int64, m)
+		stack := [][]int64{make([]int64, m)}
+		in.Gains(0, stack[0])
+		var chosen []int
+		for step := 0; step < 4*m; step++ {
+			if n := len(chosen); n == m || (n > 0 && rng.Intn(3) == 0) {
+				in.Remove(chosen[n-1])
+				chosen, stack = chosen[:n-1], stack[:n]
+			} else {
+				c := rng.Intn(m)
+				for contains(chosen, c) {
+					c = (c + 1) % m
+				}
+				in.Add(c)
+				g := append([]int64(nil), stack[len(stack)-1]...)
+				in.patchGains(c, g)
+				chosen, stack = append(chosen, c), append(stack, g)
+			}
+			in.Gains(0, want)
+			if got := stack[len(stack)-1]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d, chosen %v: patched gains %v, Gains(0) %v", step, chosen, got, want)
+			}
+		}
+	})
+}

@@ -60,13 +60,32 @@
 //
 //	Marginal_{P+i}(j) <= Marginal_P(j) + ov(i, j) <= gP[j] + maxOv(i)
 //
-// with gP computed once at P (Gains) and maxOv(i) the largest overlap
-// of run i with a later run (MaxOverlap). A candidate whose bound is at
-// most the scan's threshold can neither beat the best gain nor reach
-// the incumbent, so the scan skips its Marginal call, and stops once
-// the suffix maximum of gP puts every later candidate under the
-// threshold too; by the argument of the load cut, the result and every
-// visited state are unchanged.
+// with gP the gains at P and maxOv(i) the largest overlap of run i
+// with a later run (MaxOverlap). A candidate whose bound is at most the
+// scan's threshold can neither beat the best gain nor reach the
+// incumbent, so the scan skips its Marginal call, and stops once the
+// suffix maximum of gP puts every later candidate under the threshold
+// too; by the argument of the load cut, the result and every visited
+// state are unchanged.
+//
+// The same bound caps child P+i as a whole: it has failed + gP[i]
+// objects down (gP[i] is what Add(i) returns), and its last pick adds
+// at most max_{j>i}(gP[j]) + maxOv(i), so nothing below it reports more
+// than
+//
+//	failed + gP[i] + max_{j>i}(gP[j]) + maxOv(i)
+//
+// When that is below the incumbent snapshot the child is skipped before
+// Add. These are exactly the children whose scan would stop at its
+// first candidate, and the child is charged first, as an entered state:
+// so the visited states, budget exhaustion and the lex tie rule are
+// those of the unskipped search, and only the Add, prune, scan and
+// Remove work goes. A bound equal to the snapshot is not skipped, since
+// the scan reports ties. The gains themselves are delta-maintained: one
+// vector per depth, patched on each descent through the inverted index
+// for the holders of the chosen run's objects (see runTask and
+// HitInstance.patchGains), with one full Gains pass per task whose
+// depth has no current vector.
 //
 // Budget semantics (shared by every driver and engine built on them):
 // each branch-and-bound search state entered — every partial selection

@@ -138,6 +138,8 @@ type searchRun struct {
 	wg        sync.WaitGroup // the goroutines running peers[1:]
 	idle      atomic.Int32
 	marginals int64 // the final-level scans' Marginal calls, summed once every worker exited
+	adds      int64 // the workers' Add calls (children entered, prefix replays), summed likewise
+	patches   int64 // the workers' patchGains calls, summed likewise
 
 	exhausted atomic.Bool // budget drained: stop, result inexact
 	done      atomic.Bool // frontier drained: the first worker to prove it releases the rest
@@ -221,6 +223,8 @@ func (ps *searchRun) run() Result {
 	ps.wg.Wait()
 	for _, w := range ps.peers {
 		ps.marginals += w.marginals
+		ps.adds += w.adds
+		ps.patches += w.patches
 	}
 	ps.best.Visited = ps.bud.Used()
 	ps.best.Exact = !ps.exhausted.Load()
@@ -294,25 +298,34 @@ func lexLess(a, b []int) bool {
 // the applied prefix mirroring the instance's counters, its budget
 // lease and incumbent snapshot.
 type stealWorker struct {
-	ps        *searchRun
-	id        int
-	in        *HitInstance
-	residual  bool // BoundResidual: in's residual upkeep is on
-	deq       deque
-	cur       []int
-	lease     int64
-	snap      int64
-	selBuf    []int
-	gp        []int64 // the parent's gains (Gains) at the current two-picks-left node; nil without residual
-	gpMax     []int64 // gpMax[j] = max of gp[j..]: where the parent-gain filter stops the scan
+	ps       *searchRun
+	id       int
+	in       *HitInstance
+	residual bool // BoundResidual: in's residual upkeep is on
+	deq      deque
+	cur      []int
+	lease    int64
+	snap     int64
+	selBuf   []int
+	// gv[d] holds every candidate's Marginal at the depth-d node of cur,
+	// for the nodes with two or more picks left (see runTask); nil without
+	// residual or below K = 2. It is current for d <= gvHi, down to the
+	// depth of the last task that refilled it: the worker's later tasks
+	// are its own continuations, never shallower, until its deque runs
+	// dry and it steals (and refills) again.
+	gv        [][]int64
+	gvHi      int
+	gpMax     []int64 // gpMax[j] = max of the two-picks-left node's gains from j on
 	free      [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
 	marginals int64   // Marginal calls made by scanLast
+	adds      int64   // Add calls made by runTask and adopt
+	patches   int64   // patchGains calls made by runTask
 }
 
 // newStealWorker sizes the worker's deque up front: it runs before any
 // goroutine starts, so no thief can observe the deque being set up.
 func newStealWorker(ps *searchRun, id int, in *HitInstance) *stealWorker {
-	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}}
+	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}, gvHi: -1}
 }
 
 // init switches on the worker's residual upkeep (the instance is clean
@@ -325,7 +338,7 @@ func (w *stealWorker) init() {
 	if w.residual {
 		w.in.EnableResidual()
 		if k >= 2 {
-			w.gp, w.gpMax = w.in.gainScratch()
+			w.gv, w.gpMax = w.in.gainScratch(k - 1)
 		}
 	}
 	paths := make([]int, 2*k)
@@ -399,7 +412,10 @@ func (w *stealWorker) next() (task, bool) {
 // adopt replays the instance onto the given prefix: Remove back to the
 // common ancestor, Add the rest. Popping an own continuation removes a
 // suffix only; a stolen task pays the full replay — amortized, since
-// steals take the shallowest (largest) pending subtrees.
+// steals take the shallowest (largest) pending subtrees. The gain
+// vectors past the common ancestor no longer describe cur and stop
+// being current; the replayed depths get none (runTask refills the
+// task's own depth).
 func (w *stealWorker) adopt(prefix []int) {
 	lcp := 0
 	for lcp < len(w.cur) && lcp < len(prefix) && w.cur[lcp] == prefix[lcp] {
@@ -409,8 +425,10 @@ func (w *stealWorker) adopt(prefix []int) {
 		w.in.Remove(w.cur[j])
 	}
 	w.cur = w.cur[:lcp]
+	w.gvHi = min(w.gvHi, lcp)
 	for _, c := range prefix[lcp:] {
 		w.in.Add(c)
+		w.adds++
 		w.cur = append(w.cur, c)
 	}
 }
@@ -442,26 +460,48 @@ func (w *stealWorker) recycle(buf []int) {
 // the prune and final-level logic; a child with two or more picks
 // remaining becomes the new node after the untried siblings are
 // published for thieves.
+//
+// Under the residual bound every node with two or more picks left has
+// its gain vector gv[depth]: a task whose depth has none current (the
+// root, a stolen task) fills it with one Gains(0) pass, and each
+// descent copies the node's vector and patches it for the chosen child
+// (patchGains), so the CSR is swept once per task instead of once per
+// two-picks-left node. At a two-picks-left node the vector is gP, the
+// parent's gains: child i ends in a final-level scan (see scanLast),
+// and no scan below it can report more than failed + gP[i] +
+// gpMax[i+1] + MaxOverlap(i) (see "Pruning bounds" in search.go). A
+// child whose bound is below the snapshot is skipped after charge and
+// before Add — exactly the children whose scan would stop at its first
+// candidate, so the visited states, the budget and the tie rule are
+// unchanged, and only the Add, prune and Remove work goes. A bound
+// equal to the snapshot takes the normal path: its scan may report a
+// tie.
 func (w *stealWorker) runTask(t task) {
 	w.adopt(t.prefix)
 	w.recycle(t.prefix)
 	failed, loadSum, start := t.failed, t.loadSum, t.start
 	prefix, dup, m := w.ps.prefix, w.ps.dup, w.ps.m
+	if d := len(w.cur); w.gv != nil && d > w.gvHi {
+		w.in.Gains(0, w.gv[d])
+		w.gvHi = d
+	}
 	for {
 		rem := w.ps.k - len(w.cur)
 		if rem == 1 { // only the K == 1 root: other tasks keep two picks
 			w.scanLast(failed, start)
 			return
 		}
-		if rem == 2 && w.residual {
+		var gp []int64
+		if rem == 2 && w.gv != nil {
 			// Every child of this node ends in a final-level scan over
-			// candidates start+1..: one pass gives them the parent's
-			// gains for the parent-gain filter, and their suffix maxima
-			// tell each scan where no later candidate can pass it.
-			w.in.Gains(start+1, w.gp)
+			// candidates past it: the suffix maxima of the node's gains
+			// tell the child filter below, and each scan, where no later
+			// candidate can reach the threshold.
+			gp = w.gv[len(w.cur)]
+			assertGainsFresh(w.in, w.cur, gp)
 			var hi int64
 			for j := m - 1; j > start; j-- {
-				hi = max(hi, w.gp[j])
+				hi = max(hi, gp[j])
 				w.gpMax[j] = hi
 			}
 		}
@@ -482,7 +522,15 @@ func (w *stealWorker) runTask(t task) {
 			if w.ps.exhausted.Load() || !w.charge() {
 				return
 			}
+			// The bound failed + gP[i] + gpMax[i+1] + MaxOverlap(i) < snap,
+			// grouped as in scanLast's cut so that heavy weights cannot
+			// wrap it: each side stays within r·Σw.
+			if gp != nil && w.gpMax[i+1]+w.in.MaxOverlap(i) < w.snap-int64(failed)-gp[i] {
+				assertChildSkipSound(w.in, w.cur, i, failed, w.snap)
+				continue
+			}
 			newly := w.in.Add(i)
+			w.adds++
 			cf := failed + newly
 			cl := loadSum + w.in.Load(i)
 			crem := rem - 1
@@ -503,6 +551,13 @@ func (w *stealWorker) runTask(t task) {
 				w.deq.push(task{prefix: w.prefixCopy(), start: cstart, failed: failed, loadSum: loadSum})
 			}
 			w.cur = append(w.cur, i)
+			if w.gv != nil {
+				d := len(w.cur)
+				copy(w.gv[d], w.gv[d-1])
+				w.in.patchGains(i, w.gv[d])
+				w.patches++
+				w.gvHi = d
+			}
 			failed, loadSum, start = cf, cl, cstart
 			descended = true
 			break
@@ -609,16 +664,19 @@ func prefixMayPrecede(cur []int, next int, sel []int) bool {
 // only makes the second cut fire later.
 //
 // Below a two-picks-left parent under the residual bound (cur is
-// non-empty and its last entry is the parent candidate i; runTask has
-// filled gp at the parent), the scan also skips every j with
+// non-empty and its last entry is the parent candidate i; runTask keeps
+// the parent's gains gp in its gain vector and their suffix maxima in
+// gpMax), the scan also skips every j with
 // gp[j] + MaxOverlap(i) <= the same threshold: that bounds Marginal(j)
 // (see "Pruning bounds" in search.go), so such a j can neither beat
 // bestGain nor reach the snapshot, and if the full scan's maximum does
 // reach it, its first maximizer is never skipped. For the same reason
 // the scan stops at the first j with gpMax[j] + MaxOverlap(i) <= the
 // threshold: every candidate from j on would be skipped. The overlap is
-// asked for lazily, on the first candidate past the load cut. The
-// K == 1 root and BoundStatic scan every candidate up to the load cut.
+// asked for lazily, on the first candidate past the load cut. When the
+// scan would stop at its first candidate that way, runTask never
+// applies the child (see there). The K == 1 root and BoundStatic scan
+// every candidate up to the load cut.
 func (w *stealWorker) scanLast(failed, cstart int) {
 	m, dup, prefix := w.ps.m, w.ps.dup, w.ps.prefix
 	bestI, bestGain := -1, -1
@@ -627,8 +685,8 @@ func (w *stealWorker) scanLast(failed, cstart int) {
 	cut := w.snap - int64(failed) - 1
 	var gp []int64
 	par, ov := -1, int64(-1)
-	if w.residual && len(w.cur) > 0 {
-		gp, par = w.gp, w.cur[len(w.cur)-1]
+	if w.gv != nil && len(w.cur) > 0 {
+		gp, par = w.gv[len(w.cur)-1], w.cur[len(w.cur)-1]
 	}
 	for j := cstart; j < m; j++ {
 		load := prefix[j+1] - prefix[j]

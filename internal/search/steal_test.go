@@ -19,9 +19,11 @@ import (
 // zero-load tail, so scans break at their first candidate, greedy seeds
 // tie the snapshot exactly, and hot weighted objects test the cut's
 // Marginal <= Load premise in weight units. The flat instances aim at
-// the parent-gain filter: node-like r = 3 placements whose loads are
-// nearly equal, so the load cut rarely fires and the filter decides
-// which final-level candidates are scanned.
+// the gain-vector search: node-like r = 3 placements whose loads are
+// nearly equal, so the load cut rarely fires and the parent's gains
+// decide which two-picks-left children are applied and which
+// final-level candidates are scanned; the deeper ones give thieves
+// tasks below the root, each entered with a Gains(0) refill.
 func TestStealMatchesSerial(t *testing.T) {
 	check := func(t *testing.T, trial int, probe *HitInstance, seed Result, bound Bound) {
 		t.Helper()
@@ -121,6 +123,22 @@ func TestStealMatchesSerial(t *testing.T) {
 				weak[i] = i
 			}
 			check(t, trial, in, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
+		}
+		// Deeper trees, where thieves find tasks below the root and
+		// enter them with a Gains(0) refill; at one worker, stolenRun
+		// enters every task that way.
+		for trial := 0; trial < 16; trial++ {
+			m := 14 + rng.Intn(5)
+			b := 3*m + rng.Intn(2*m)
+			k := 4 + rng.Intn(2)
+			in := flatInstance(rng, m, b, 2, k, trial%2 == 1)
+			seed := Greedy(in)
+			in.Reset()
+			check(t, 120+trial, in, seed, BoundResidual)
+			ref := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
+			if _, got := stolenRun(in, seed, BoundResidual); !reflect.DeepEqual(got, ref) {
+				t.Errorf("trial %d: every task stolen %+v, serial %+v", 120+trial, got, ref)
+			}
 		}
 	})
 }
