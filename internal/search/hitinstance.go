@@ -121,6 +121,7 @@ type HitInstance struct {
 	top        []int64   // TopResidual scratch (rem largest residuals)
 	gains      []int64   // backing of the driver's gain vectors (see gainScratch)
 	gainRows   [][]int64 // gainScratch's per-depth views of gains
+	gainOK     []bool    // gainScratch's per-depth freshness flags
 	ovMax      []int64   // MaxOverlap cache, -1 = not yet computed; emptied per search
 	ovAcc      []int64   // MaxOverlap accumulator, live where ovStamp[j] == ovGen
 	ovStamp    []uint32  // the MaxOverlap call that last touched ovAcc[j]
@@ -691,14 +692,14 @@ func (in *HitInstance) TopResidual(start, rem int) int64 {
 	return sum
 }
 
-// Gains stores Marginal(j) in dst[j] for every candidate j >= start,
-// leaving dst[:start] and the state untouched: one sweep over the
-// contiguous CSR runs from start on. The search runs it once per task
-// whose gain vector is not current (a stolen task, the root) and keeps
-// the vector current with patchGains from there. dst must have room for
-// Len() entries. Valid in any state.
-func (in *HitInstance) Gains(start int, dst []int64) {
-	for j := start; j < in.Len(); j++ {
+// Gains stores Marginal(j) in dst[j] for every candidate j, leaving
+// the state untouched: one sweep over the contiguous CSR runs. The
+// search runs it once per task whose node has no current gain vector
+// (the root, a stolen task off the worker's path) and keeps the vector
+// current with patchGains from there. dst must have room for Len() entries. Valid in
+// any state.
+func (in *HitInstance) Gains(dst []int64) {
+	for j := range in.Len() {
 		dst[j] = int64(in.Marginal(j))
 	}
 }
@@ -762,10 +763,10 @@ func (in *HitInstance) patchGains(i int, g []int64) {
 
 // gainScratch lends the driver the instance's own gain vectors, Len()
 // entries each: one per search depth 0..depths-1 and a last one for
-// their suffix maxima, so a search allocates none once the instance has
-// served a search as deep; Clone and CloneForMoves give each copy its
-// own.
-func (in *HitInstance) gainScratch(depths int) (gv [][]int64, gpMax []int64) {
+// their suffix maxima, plus one freshness flag per depth, all false. A
+// search allocates none once the instance has served a search as deep;
+// Clone and CloneForMoves give each copy its own.
+func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, gpMax []int64) {
 	m := in.Len()
 	if n := (depths + 1) * m; cap(in.gains) < n {
 		in.gains = make([]int64, n)
@@ -774,7 +775,12 @@ func (in *HitInstance) gainScratch(depths int) (gv [][]int64, gpMax []int64) {
 	for d := 0; d < depths; d++ {
 		in.gainRows = append(in.gainRows, in.gains[d*m:(d+1)*m])
 	}
-	return in.gainRows, in.gains[depths*m : (depths+1)*m]
+	if cap(in.gainOK) < depths {
+		in.gainOK = make([]bool, depths)
+	}
+	in.gainOK = in.gainOK[:depths]
+	clear(in.gainOK)
+	return in.gainRows, in.gainOK, in.gains[depths*m : (depths+1)*m]
 }
 
 // MaxOverlap returns the largest total weight of objects that candidate
@@ -865,7 +871,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.prepared, cp.invStale, cp.track = false, false, false
 	cp.deadSpent = 0
 	cp.cursor, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil
-	cp.gains, cp.gainRows, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, 0
+	cp.gains, cp.gainRows, cp.gainOK, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, nil, 0
 	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
 	cp.assertInvariants("CloneForMoves")
 	return &cp
@@ -900,7 +906,7 @@ func (in *HitInstance) Clone() *HitInstance {
 	cp.cursor = nil  // prepare-only scratch, grown lazily
 	cp.top = nil     // TopResidual scratch, grown lazily per instance
 	// Gain-vector search scratch, likewise per instance.
-	cp.gains, cp.gainRows, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, 0
+	cp.gains, cp.gainRows, cp.gainOK, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, nil, 0
 	// Clones are searchers, not editors: unit ids and move and Assign
 	// scratch stay with the receiver (see the ApplyMove contract), which
 	// translates the clones' selections.

@@ -212,7 +212,7 @@ func assertTailWithinBound(in *HitInstance, parent, from int, gp []int64, ov int
 // naming the node's prefix and the first wrong candidate.
 func assertGainsFresh(in *HitInstance, prefix []int, g []int64) {
 	want := make([]int64, in.Len())
-	in.Gains(0, want)
+	in.Gains(want)
 	for j, v := range want {
 		if g[j] != v {
 			panic(fmt.Sprintf("search: invariants at two-picks-left node %v: gain vector has %d for candidate %d, Marginal %d",

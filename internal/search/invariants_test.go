@@ -225,9 +225,9 @@ func TestChildSkipCatchesBadBound(t *testing.T) {
 		in.Assign(3, lists, nil, nil, true)
 		w := newSearchRun(in, Result{}, NewBudget(0), 1, BoundResidual).peers[0]
 		w.init()
-		in.Gains(0, w.gv[0])
+		in.Gains(w.gv[0])
 		w.gv[0][3]++
-		w.gvHi = 0
+		w.gvOK[0] = true
 		expectPanic(t, "node [0]: gain vector has 1 for candidate 3,", func() { w.runTask(task{}) })
 	})
 }

@@ -36,9 +36,8 @@ func pairOverlap(a, b []Hit, w []int64) int64 {
 // instance (r = 3, s = 2, K = 4, loads within a replica or two of each
 // other, so the load cut rarely fires) the filter returns the
 // static-bound result and the pinned visited count with the pinned
-// number of Marginal calls. The same search with the filter's bound
-// made vacuous (an overlap too large to admit a skip) was measured at
-// the same 2024 visited states and 10626 Marginal calls.
+// number of Marginal calls; TestChildSkip runs the same search with the
+// bound made vacuous.
 func TestParentGainFilter(t *testing.T) {
 	t.Run("primitives", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(173))
@@ -73,18 +72,14 @@ func TestParentGainFilter(t *testing.T) {
 			dst := make([]int64, m)
 			var chosen []int
 			for step := 0; step < 12; step++ {
-				start := rng.Intn(m + 1)
 				for j := range dst {
 					dst[j] = -7
 				}
-				in.Gains(start, dst)
+				in.Gains(dst)
 				for j := 0; j < m; j++ {
-					switch {
-					case j < start && dst[j] != -7:
-						t.Fatalf("trial %d chosen %v: Gains(%d) wrote dst[%d]", trial, chosen, start, j)
-					case j >= start && dst[j] != int64(in.Marginal(j)):
-						t.Fatalf("trial %d chosen %v: Gains(%d)[%d] = %d, Marginal %d",
-							trial, chosen, start, j, dst[j], in.Marginal(j))
+					if dst[j] != int64(in.Marginal(j)) {
+						t.Fatalf("trial %d chosen %v: Gains[%d] = %d, Marginal %d",
+							trial, chosen, j, dst[j], in.Marginal(j))
 					}
 				}
 				// The overlaps are state-independent: asked at any state,
@@ -128,7 +123,6 @@ func TestParentGainFilter(t *testing.T) {
 		const (
 			pinnedVisited = 2024
 			pinnedCalls   = 216
-			vacuousCalls  = 10626 // the same search with no skip admitted
 		)
 		got, calls := countedRun(in, seed, NewBudget(0), 1, BoundResidual)
 		ref := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
@@ -137,8 +131,8 @@ func TestParentGainFilter(t *testing.T) {
 				got.Failed, got.Sel, got.Exact, ref.Failed, ref.Sel, want.Failed)
 		}
 		if got.Visited != pinnedVisited || calls != pinnedCalls {
-			t.Errorf("filter: visited %d, %d Marginal calls; pinned %d and %d (vacuous filter: %d calls)",
-				got.Visited, calls, pinnedVisited, pinnedCalls, vacuousCalls)
+			t.Errorf("filter: visited %d, %d Marginal calls; pinned %d and %d",
+				got.Visited, calls, pinnedVisited, pinnedCalls)
 		}
 	})
 }
@@ -183,14 +177,16 @@ func flatInstance(rng *rand.Rand, m, b, s, k int, weighted bool) *HitInstance {
 // flat instance. The child skip and the patched gain vectors leave the
 // visited states and the final-level Marginal calls as pinned there. A
 // state entered without the skip costs one Add — the root aside, every
-// state applies its candidate, as the static-bound run shows — so the
-// same search with the skip made vacuous was measured at
-// pinnedVisited - 1 = 2023 Add calls; with it the search makes the
-// pinned number. Every descent into a node with two or more picks left
-// patches one vector. Entering every task as a stolen one — its gain
-// vector dropped, so each task refills it with Gains(0) — changes none
-// of the counts. The vectors come from the instance's scratch, so once
-// it has served a search, the next allocates none for them.
+// state applies its candidate — so the same search with the skip made
+// vacuous (every cached MaxOverlap overstated past any snapshot, which
+// keeps the search exact and turns the parent-gain filter off too)
+// makes visited - 1 Add calls and the unfiltered scan's Marginal calls;
+// with the skip it makes the pinned number. Every descent into a node
+// with two or more picks left patches one vector, and a lone worker
+// sweeps the CSR once, at the root. Entering every task as a stolen one
+// — each refilling its depth's vector with Gains — changes none of the
+// other counts. The vectors come from the instance's scratch, so once it
+// has served a search, the next allocates none for them.
 func TestChildSkip(t *testing.T) {
 	const m, b, s, k = 24, 120, 2, 4
 	in := flatInstance(rand.New(rand.NewSource(179)), m, b, s, k, false)
@@ -200,15 +196,27 @@ func TestChildSkip(t *testing.T) {
 	const (
 		pinnedVisited = 2024
 		pinnedCalls   = 216
-		vacuousAdds   = pinnedVisited - 1
 		pinnedAdds    = 362
 		pinnedPatches = 252
+		vacuousAdds   = pinnedVisited - 1
+		vacuousCalls  = 10626
 	)
 	ps := newSearchRun(in, seed, NewBudget(0), 1, BoundResidual)
 	got := ps.run()
-	if got.Visited != pinnedVisited || ps.marginals != pinnedCalls || ps.adds != pinnedAdds || ps.patches != pinnedPatches {
-		t.Errorf("visited %d, %d Marginal calls, %d Add calls, %d patches; pinned %d, %d, %d (vacuous skip: %d) and %d",
-			got.Visited, ps.marginals, ps.adds, ps.patches, pinnedVisited, pinnedCalls, pinnedAdds, vacuousAdds, pinnedPatches)
+	if got.Visited != pinnedVisited || ps.marginals != pinnedCalls || ps.adds != pinnedAdds || ps.patches != pinnedPatches || ps.refills != 1 {
+		t.Errorf("visited %d, %d Marginal calls, %d Add calls, %d patches, %d refills; pinned %d, %d, %d, %d and 1",
+			got.Visited, ps.marginals, ps.adds, ps.patches, ps.refills, pinnedVisited, pinnedCalls, pinnedAdds, pinnedPatches)
+	}
+	overstate := func(w *stealWorker) {
+		w.in.ovMax = w.in.ovMax[:0]
+		for range m {
+			w.in.ovMax = append(w.in.ovMax, b+1) // above any snapshot or gain
+		}
+	}
+	vac, res := handRun(in, seed, BoundResidual, overstate, nil)
+	if !reflect.DeepEqual(res, got) || vac.adds != vacuousAdds || vac.marginals != vacuousCalls || vac.patches != pinnedPatches {
+		t.Errorf("vacuous skip: %+v with %d Add calls, %d Marginal calls, %d patches; want %+v, %d, %d, %d",
+			res, vac.adds, vac.marginals, vac.patches, got, vacuousAdds, vacuousCalls, pinnedPatches)
 	}
 	static := newSearchRun(in, seed, NewBudget(0), 1, BoundStatic)
 	if res := static.run(); static.adds != res.Visited-1 {
@@ -226,13 +234,89 @@ func TestChildSkip(t *testing.T) {
 	}
 }
 
+// TestChildSkipShallowerSteal replays, on one goroutine, a thief whose
+// next steal is shallower than the one it last refilled at — a schedule
+// that needs three or more workers, since with two the shallowest-first
+// steal order hands a thief the shallower task first. With a the first
+// candidate of the serial optimum, the thief's first steal takes node
+// [a, a+1]'s children, so it refills its depth-2 vector only; its next
+// steal takes node [a]'s children from a+2 on, where the optimum lies,
+// and its prefix [a] is a prefix of the thief's path. The thief's
+// depth-1 vector describes no node it entered: read as current, it
+// would understate the gains below [a] and skip children that reach
+// the snapshot. The result must be the serial one, and under -tags
+// invariants every two-picks-left vector must be fresh. A third steal
+// below [a] finds that node's vector current and sweeps nothing; a
+// fourth, below [a+1], must not take [a]'s depth-1 vector for its own.
+func TestChildSkipShallowerSteal(t *testing.T) {
+	const m, b, s, k = 24, 120, 2, 4
+	in := flatInstance(rand.New(rand.NewSource(179)), m, b, s, k, false)
+	in.Reset()
+	want := BranchAndBound(in, Result{}, NewBudget(0), 1, BoundResidual)
+	a := want.Sel[0]
+	if want.Sel[1] <= a+1 {
+		t.Fatalf("optimum %v: node [%d, %d] would hold it", want.Sel, a, a+1)
+	}
+	fa := in.Add(a)
+	fab := fa + in.Add(a+1)
+	in.Remove(a + 1)
+	in.Remove(a)
+
+	// A seed one below the optimum, as a near-optimal greedy seed would
+	// be: the snapshot starts close enough that understated gains skip.
+	ps := newSearchRun(in, Result{Failed: want.Failed - 1}, NewBudget(0), 2, BoundResidual)
+	thief := ps.peers[1]
+	thief.init()
+	steal := func(st task) {
+		ps.peers[0].deq.push(st)
+		t, _ := thief.next() // the thief's deque is empty: it steals st
+		for {
+			thief.runTask(t)
+			if thief.deq.empty() {
+				return
+			}
+			t, _ = thief.next()
+		}
+	}
+	steal(task{prefix: []int{a, a + 1}, start: a + 2, failed: fab, loadSum: in.Load(a) + in.Load(a+1)})
+	steal(task{prefix: []int{a}, start: a + 2, failed: fa, loadSum: in.Load(a)})
+	if thief.refills != 2 {
+		t.Errorf("thief refilled %d times in two steals off its path, want 2", thief.refills)
+	}
+	steal(task{prefix: []int{a}, start: m - 3, failed: fa, loadSum: in.Load(a)})
+	if thief.refills != 2 {
+		t.Errorf("thief refilled %d times after a steal below its current node [%d], want 2", thief.refills, a)
+	}
+	c := a + 1
+	fc := in.Add(c)
+	in.Remove(c)
+	steal(task{prefix: []int{c}, start: c + 1, failed: fc, loadSum: in.Load(c)})
+	if thief.refills != 3 {
+		t.Errorf("thief refilled %d times after a steal below [%d], want 3", thief.refills, c)
+	}
+	thief.exit()
+	if got := ps.best; got.Failed != want.Failed || !reflect.DeepEqual(got.Sel, want.Sel) {
+		t.Errorf("thief found (%d, %v), serial (%d, %v)", got.Failed, got.Sel, want.Failed, want.Sel)
+	}
+}
+
 // stolenRun is BranchAndBound at one worker with every task entered as
 // a thief enters it: the worker's gain vectors are dropped before each
-// task, so each one refills its depth with Gains(0).
+// task, so each one refills its depth with Gains.
 func stolenRun(in *HitInstance, seed Result, bound Bound) (*searchRun, Result) {
+	return handRun(in, seed, bound, nil, func(w *stealWorker) { clear(w.gvOK) })
+}
+
+// handRun is BranchAndBound at one worker, driven task by task: prep
+// (if any) runs once after the worker's init, each (if any) before
+// every task.
+func handRun(in *HitInstance, seed Result, bound Bound, prep, each func(*stealWorker)) (*searchRun, Result) {
 	ps := newSearchRun(in, seed, NewBudget(0), 1, bound)
 	w := ps.peers[0]
 	w.init()
+	if prep != nil {
+		prep(w)
+	}
 	if t, ok := ps.enterRoot(w); ok {
 		w.deq.push(t)
 	}
@@ -241,11 +325,13 @@ func stolenRun(in *HitInstance, seed Result, bound Bound) (*searchRun, Result) {
 		if !ok {
 			break
 		}
-		w.gvHi = -1
+		if each != nil {
+			each(w)
+		}
 		w.runTask(t)
 	}
 	w.exit()
-	ps.marginals, ps.adds, ps.patches = w.marginals, w.adds, w.patches
+	ps.marginals, ps.adds, ps.patches, ps.refills = w.marginals, w.adds, w.patches, w.refills
 	ps.best.Visited = ps.bud.Used()
 	ps.best.Exact = !ps.exhausted.Load()
 	return ps, ps.best
@@ -254,7 +340,7 @@ func stolenRun(in *HitInstance, seed Result, bound Bound) (*searchRun, Result) {
 // FuzzGainPatch is patchGains' exactness oracle. Along a random
 // depth-first walk of Adds and Removes, the gain vector kept the way
 // the search keeps it — the parent's vector copied and patched after
-// each Add, dropped on each Remove — equals a fresh Gains(0) after every
+// each Add, dropped on each Remove — equals a fresh Gains after every
 // step, on C = 1 strips, generic C, and weighted instances of both.
 // Adds pick any unchosen candidate, not only later ones, so every
 // holder's update is checked.
@@ -291,7 +377,7 @@ func FuzzGainPatch(f *testing.F) {
 		in.EnableResidual()
 		want := make([]int64, m)
 		stack := [][]int64{make([]int64, m)}
-		in.Gains(0, stack[0])
+		in.Gains(stack[0])
 		var chosen []int
 		for step := 0; step < 4*m; step++ {
 			if n := len(chosen); n == m || (n > 0 && rng.Intn(3) == 0) {
@@ -307,9 +393,9 @@ func FuzzGainPatch(f *testing.F) {
 				in.patchGains(c, g)
 				chosen, stack = append(chosen, c), append(stack, g)
 			}
-			in.Gains(0, want)
+			in.Gains(want)
 			if got := stack[len(stack)-1]; !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d, chosen %v: patched gains %v, Gains(0) %v", step, chosen, got, want)
+				t.Fatalf("step %d, chosen %v: patched gains %v, Gains %v", step, chosen, got, want)
 			}
 		}
 	})

@@ -85,7 +85,7 @@
 // vector per depth, patched on each descent through the inverted index
 // for the holders of the chosen run's objects (see runTask and
 // HitInstance.patchGains), with one full Gains pass per task whose
-// depth has no current vector.
+// node has no current vector.
 //
 // Budget semantics (shared by every driver and engine built on them):
 // each branch-and-bound search state entered — every partial selection

@@ -140,6 +140,7 @@ type searchRun struct {
 	marginals int64 // the final-level scans' Marginal calls, summed once every worker exited
 	adds      int64 // the workers' Add calls (children entered, prefix replays), summed likewise
 	patches   int64 // the workers' patchGains calls, summed likewise
+	refills   int64 // the workers' full Gains passes, summed likewise
 
 	exhausted atomic.Bool // budget drained: stop, result inexact
 	done      atomic.Bool // frontier drained: the first worker to prove it releases the rest
@@ -225,6 +226,7 @@ func (ps *searchRun) run() Result {
 		ps.marginals += w.marginals
 		ps.adds += w.adds
 		ps.patches += w.patches
+		ps.refills += w.refills
 	}
 	ps.best.Visited = ps.bud.Used()
 	ps.best.Exact = !ps.exhausted.Load()
@@ -309,23 +311,23 @@ type stealWorker struct {
 	selBuf   []int
 	// gv[d] holds every candidate's Marginal at the depth-d node of cur,
 	// for the nodes with two or more picks left (see runTask); nil without
-	// residual or below K = 2. It is current for d <= gvHi, down to the
-	// depth of the last task that refilled it: the worker's later tasks
-	// are its own continuations, never shallower, until its deque runs
-	// dry and it steals (and refills) again.
+	// residual or below K = 2. gvOK[d] reports that gv[d] describes
+	// cur[:d]: runTask's refill and each descent set it, and adopt clears
+	// it past the common prefix, the only depths whose node changes.
 	gv        [][]int64
-	gvHi      int
+	gvOK      []bool
 	gpMax     []int64 // gpMax[j] = max of the two-picks-left node's gains from j on
 	free      [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
 	marginals int64   // Marginal calls made by scanLast
 	adds      int64   // Add calls made by runTask and adopt
 	patches   int64   // patchGains calls made by runTask
+	refills   int64   // Gains calls made by runTask
 }
 
 // newStealWorker sizes the worker's deque up front: it runs before any
 // goroutine starts, so no thief can observe the deque being set up.
 func newStealWorker(ps *searchRun, id int, in *HitInstance) *stealWorker {
-	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}, gvHi: -1}
+	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}}
 }
 
 // init switches on the worker's residual upkeep (the instance is clean
@@ -338,7 +340,7 @@ func (w *stealWorker) init() {
 	if w.residual {
 		w.in.EnableResidual()
 		if k >= 2 {
-			w.gv, w.gpMax = w.in.gainScratch(k - 1)
+			w.gv, w.gvOK, w.gpMax = w.in.gainScratch(k - 1)
 		}
 	}
 	paths := make([]int, 2*k)
@@ -413,9 +415,8 @@ func (w *stealWorker) next() (task, bool) {
 // common ancestor, Add the rest. Popping an own continuation removes a
 // suffix only; a stolen task pays the full replay — amortized, since
 // steals take the shallowest (largest) pending subtrees. The gain
-// vectors past the common ancestor no longer describe cur and stop
-// being current; the replayed depths get none (runTask refills the
-// task's own depth).
+// vectors past the common ancestor stop describing cur, and the
+// replayed depths get none (runTask refills the task's own depth).
 func (w *stealWorker) adopt(prefix []int) {
 	lcp := 0
 	for lcp < len(w.cur) && lcp < len(prefix) && w.cur[lcp] == prefix[lcp] {
@@ -423,9 +424,11 @@ func (w *stealWorker) adopt(prefix []int) {
 	}
 	for j := len(w.cur) - 1; j >= lcp; j-- {
 		w.in.Remove(w.cur[j])
+		if w.gvOK != nil {
+			w.gvOK[j+1] = false // the node cur[:j+1] is left
+		}
 	}
 	w.cur = w.cur[:lcp]
-	w.gvHi = min(w.gvHi, lcp)
 	for _, c := range prefix[lcp:] {
 		w.in.Add(c)
 		w.adds++
@@ -462,28 +465,29 @@ func (w *stealWorker) recycle(buf []int) {
 // published for thieves.
 //
 // Under the residual bound every node with two or more picks left has
-// its gain vector gv[depth]: a task whose depth has none current (the
-// root, a stolen task) fills it with one Gains(0) pass, and each
-// descent copies the node's vector and patches it for the chosen child
-// (patchGains), so the CSR is swept once per task instead of once per
-// two-picks-left node. At a two-picks-left node the vector is gP, the
-// parent's gains: child i ends in a final-level scan (see scanLast),
-// and no scan below it can report more than failed + gP[i] +
-// gpMax[i+1] + MaxOverlap(i) (see "Pruning bounds" in search.go). A
-// child whose bound is below the snapshot is skipped after charge and
-// before Add — exactly the children whose scan would stop at its first
-// candidate, so the visited states, the budget and the tie rule are
-// unchanged, and only the Add, prune and Remove work goes. A bound
-// equal to the snapshot takes the normal path: its scan may report a
-// tie.
+// its gain vector gv[depth]: a task whose node has none current (the
+// root, a stolen task off the worker's path) fills it with one Gains
+// pass, and each descent copies the node's vector and patches it for
+// the chosen child (patchGains), so the CSR is swept once per such task
+// instead of once per two-picks-left node. At a two-picks-left node
+// the vector is gP, the parent's gains: child i ends in a final-level
+// scan (see scanLast), and no scan below it can report more than
+// failed + gP[i] + gpMax[i+1] + MaxOverlap(i) (see "Pruning bounds" in
+// search.go). A child whose bound is below the snapshot is skipped
+// after charge and before Add — exactly the children whose scan would
+// stop at its first candidate, so the visited states, the budget and
+// the tie rule are unchanged, and only the Add, prune and Remove work
+// goes. A bound equal to the snapshot takes the normal path: its scan
+// may report a tie.
 func (w *stealWorker) runTask(t task) {
 	w.adopt(t.prefix)
 	w.recycle(t.prefix)
 	failed, loadSum, start := t.failed, t.loadSum, t.start
 	prefix, dup, m := w.ps.prefix, w.ps.dup, w.ps.m
-	if d := len(w.cur); w.gv != nil && d > w.gvHi {
-		w.in.Gains(0, w.gv[d])
-		w.gvHi = d
+	if d := len(w.cur); w.gv != nil && !w.gvOK[d] {
+		w.in.Gains(w.gv[d])
+		w.gvOK[d] = true
+		w.refills++
 	}
 	for {
 		rem := w.ps.k - len(w.cur)
@@ -555,8 +559,8 @@ func (w *stealWorker) runTask(t task) {
 				d := len(w.cur)
 				copy(w.gv[d], w.gv[d-1])
 				w.in.patchGains(i, w.gv[d])
+				w.gvOK[d] = true
 				w.patches++
-				w.gvHi = d
 			}
 			failed, loadSum, start = cf, cl, cstart
 			descended = true

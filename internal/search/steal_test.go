@@ -23,7 +23,7 @@ import (
 // nearly equal, so the load cut rarely fires and the parent's gains
 // decide which two-picks-left children are applied and which
 // final-level candidates are scanned; the deeper ones give thieves
-// tasks below the root, each entered with a Gains(0) refill.
+// tasks below the root, each entered with a Gains refill.
 func TestStealMatchesSerial(t *testing.T) {
 	check := func(t *testing.T, trial int, probe *HitInstance, seed Result, bound Bound) {
 		t.Helper()
@@ -125,7 +125,7 @@ func TestStealMatchesSerial(t *testing.T) {
 			check(t, trial, in, Result{Failed: Revalidate(in, weak), Sel: weak}, bound)
 		}
 		// Deeper trees, where thieves find tasks below the root and
-		// enter them with a Gains(0) refill; at one worker, stolenRun
+		// enter them with a Gains refill; at one worker, stolenRun
 		// enters every task that way.
 		for trial := 0; trial < 16; trial++ {
 			m := 14 + rng.Intn(5)
