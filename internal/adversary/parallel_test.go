@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/placement"
+	"repro/internal/search"
 	"repro/internal/topology"
 )
 
@@ -192,29 +193,101 @@ func TestConstrainedWorstCaseParBudget(t *testing.T) {
 // states the full sweep needs must complete it, at any worker count. A
 // search holding leased-but-unentered states would make the others see
 // the budget as drained, skip their subsets and report an inexact
-// result. This instance's sweep visits the same states in any
-// schedule, so the one-worker count is the budget every run needs.
+// result. That needs a sweep whose state count is the same in any
+// schedule, and subset searches share the incumbent: it lifts each
+// subset's seed, and the prunes and child skips read it. A random
+// placement's sweep is not schedule-free (its subsets' counts move
+// with the lift), so the instance repeats one random 6-node block in
+// each of 4 domains: every domain pair is the same subproblem, and no
+// subset's optimum lifts another's greedy seed. The test proves the
+// sweep schedule-free first (scheduleFreeStates), then gives every run
+// exactly that many states.
 func TestConstrainedParallelBudgetJustSuffices(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	pl := randomPlacement(rng, 20, 3, 200)
-	topo, err := topology.Uniform(20, 5)
+	const n, domains, r, s, k, d = 24, 4, 3, 2, 5, 2
+	topo, err := topology.Uniform(n, domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Workers: 1})
+	block := randomPlacement(rand.New(rand.NewSource(53)), n/domains, r, 30)
+	pl := placement.NewPlacement(n, r)
+	for dom := 0; dom < domains; dom++ {
+		nodes := topo.FailedSet([]int{dom}).Members(nil)
+		for _, obj := range block.Objects {
+			var replicas []int
+			for _, x := range obj.Members(nil) {
+				replicas = append(replicas, nodes[x])
+			}
+			if err := pl.Add(replicas); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	states := scheduleFreeStates(t, pl, topo, s, k, d)
+	one, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if one.Visited != states {
+		t.Fatalf("one worker visited %d states, the subsets alone %d", one.Visited, states)
 	}
 	for rep := 0; rep < 50; rep++ {
-		res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, 2, 5, 2, SearchOpts{Budget: one.Visited, Workers: 3})
+		res, err := ConstrainedWorstCaseAtWith(pl, topo, topology.Leaf, s, k, d, SearchOpts{Budget: states, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Exact || res.Failed != one.Failed || res.Visited != one.Visited {
+		if !res.Exact || res.Failed != one.Failed || res.Visited != states {
 			t.Fatalf("rep %d: budget %d gave Exact=%v Failed=%d Visited=%d, want exact %d in %d states",
-				rep, one.Visited, res.Exact, res.Failed, res.Visited, one.Failed, one.Visited)
+				rep, states, res.Exact, res.Failed, res.Visited, one.Failed, states)
 		}
 	}
+}
+
+// scheduleFreeStates proves that a constrained sweep enters the same
+// number of states in any schedule, and returns that number. Which
+// incumbent a subset's search starts from is all the schedule decides:
+// its greedy seed, lifted (see constrainedRun.work) to the best damage
+// merged so far, or one less when that came from a later subset. The
+// best damage merged is always some subset's optimum, so every subset
+// is searched alone, on one worker, from each seed it can be handed,
+// and must enter the same number of states from each.
+func scheduleFreeStates(t *testing.T, pl *placement.Placement, topo *topology.Topology, s, k, d int) int64 {
+	t.Helper()
+	sh, err := newConstrainedShared(pl, topo, topology.Leaf, s, k, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := search.NewHitInstance(s, pl.B())
+	var subsets [][]int
+	var ids []int
+	cur := make([]int, d)
+	for more := combin.FirstSubset(sh.topo.NumDomains(), cur); more; more = combin.NextSubset(sh.topo.NumDomains(), cur) {
+		subsets = append(subsets, append([]int(nil), cur...))
+	}
+	search1 := func(domains []int, lift int) search.Result {
+		ids = sh.subsetInstance(in, domains, ids)
+		seed, _ := search.WarmSeed(in, nil)
+		if lift > seed.Failed {
+			seed = search.Result{Failed: lift}
+		}
+		return search.BranchAndBound(in, seed, search.NewBudget(0), 1, search.BoundResidual)
+	}
+	var lifts []int
+	for _, sub := range subsets {
+		opt := search1(sub, -1).Failed
+		lifts = append(lifts, opt, opt-1)
+	}
+	var total int64
+	for _, sub := range subsets {
+		want := search1(sub, -1).Visited
+		for _, lift := range lifts {
+			if got := search1(sub, lift).Visited; got != want {
+				t.Fatalf("subset %v enters %d states from a seed lifted to %d, %d unlifted: the sweep depends on the schedule",
+					sub, got, lift, want)
+			}
+		}
+		total += want
+	}
+	return total
 }
 
 // TestBudgetedParallelAlwaysValidAttack pins the only run-invariant

@@ -357,3 +357,41 @@ func TestWeightOverflowRejected(t *testing.T) {
 		t.Fatalf("boundary weights: worst case %+v, exhaustive %+v", res, ex)
 	}
 }
+
+// TestWeightOverflowDeepSkip takes the admissible boundary r·Σw <=
+// MaxInt64 to K >= 3, where the child skip bounds a child with q >= 2
+// picks below it by g + q·MaxOverlap + rest, whose overlap terms are
+// not bounded by r·Σw. Two objects of weight H ≈ MaxInt64/4 sit on
+// nodes {2 5} and {4 6}. At K = 4 the bound of the root's child that
+// opens the optimum {2 4 5 6} exceeds MaxInt64: summed unsaturated, it
+// wrapped negative, and the search skipped that child and returned
+// H + 2 as exact against the optimum 2H. (TestRestBound in
+// internal/search pins the saturation of rest itself.)
+func TestWeightOverflowDeepSkip(t *testing.T) {
+	pl := placement.NewPlacement(7, 2)
+	for _, obj := range [][]int{{2, 5}, {4, 6}, {3, 5}, {1, 5}} {
+		if err := pl.Add(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := (int64(math.MaxInt64)/2 - 2) / 2
+	opts := SearchOpts{ObjWeights: []int64{h, h, 1, 1}}
+	const s = 2
+	for _, k := range []int{3, 4} {
+		ex, err := ExhaustiveWith(pl, s, k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			opts.Workers = workers
+			res, err := WorstCaseWith(pl, s, k, opts)
+			if err != nil {
+				t.Fatalf("k = %d: boundary weights rejected: %v", k, err)
+			}
+			if res.Failed != ex.Failed || !res.Exact {
+				t.Errorf("k = %d, %d workers: worst case %d (exact=%v) on %v, exhaustive %d on %v",
+					k, workers, res.Failed, res.Exact, res.Nodes, ex.Failed, ex.Nodes)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -117,15 +118,18 @@ type HitInstance struct {
 	residAll  int64   // Σ resid over all candidates
 	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
 
+	// The overlap table (see MaxOverlap), built with the inverted index
+	// at K >= 2 and shared by Clone like it.
+	ov []int64
+
 	cursor     []int32   // prepare scratch for the inverted-index fill
+	ovAcc      []int64   // overlap-table build scratch: shared weight per later candidate
+	ovStamp    []int32   // overlap-table build scratch: 1 + the row that last touched ovAcc[j]
 	top        []int64   // TopResidual scratch (rem largest residuals)
-	gains      []int64   // backing of the driver's gain vectors (see gainScratch)
-	gainRows   [][]int64 // gainScratch's per-depth views of gains
+	gains      []int64   // backing of the driver's gain vectors and rest rows (see gainScratch)
+	gainRows   [][]int64 // gainScratch's per-depth views of gains: vectors, then rest rows
 	gainOK     []bool    // gainScratch's per-depth freshness flags
-	ovMax      []int64   // MaxOverlap cache, -1 = not yet computed; emptied per search
-	ovAcc      []int64   // MaxOverlap accumulator, live where ovStamp[j] == ovGen
-	ovStamp    []uint32  // the MaxOverlap call that last touched ovAcc[j]
-	ovGen      uint32    // MaxOverlap calls so far (mod 2^32; 0 is never a live stamp)
+	gainLo     []int     // gainScratch's per-depth rest-row coverage
 	hitScratch []Hit     // ApplyMove scratch for run rotation
 	objScratch []int32   // ApplyMove scratch for the C = 1 strip rotation
 	unitLoads  []int64   // Assign scratch: weighted load per unit id
@@ -221,29 +225,40 @@ func (in *HitInstance) setWeights(w []int64) {
 	in.w = w
 }
 
-// prepare builds the residual machinery: per-candidate full loads (the
-// clean-state residuals) and the inverted object → candidate index the
-// threshold-crossing walks use.
+// prepare builds the residual machinery, or rebuilds what ApplyMove
+// left stale: per-candidate full loads (the clean-state residuals), the
+// inverted object → candidate index the threshold-crossing walks use,
+// and the overlap table. A no-op while all of it is current. The
+// instance must be clean (Reset). BranchAndBound runs it on the
+// caller's instance before cloning, so every worker shares one index
+// and one table.
 func (in *HitInstance) prepare() {
-	m := in.Len()
-	in.full = in.full[:0]
-	in.fullSum = 0
-	for i := 0; i < m; i++ {
-		sum := weightedLoad(in.run(i), in.w)
-		in.full = append(in.full, sum)
-		in.fullSum += sum
+	switch {
+	case !in.prepared:
+		m := in.Len()
+		in.full = in.full[:0]
+		in.fullSum = 0
+		for i := 0; i < m; i++ {
+			sum := weightedLoad(in.run(i), in.w)
+			in.full = append(in.full, sum)
+			in.fullSum += sum
+		}
+	case !in.invStale:
+		return
 	}
+	// Built fresh, or patched in place by ApplyMove: full is current, and
+	// the clean-state residuals, the index and the table follow it.
 	in.resid = append(in.resid[:0], in.full...)
 	in.residAll = in.fullSum
 	in.deadSpent = 0
 	in.buildInverted()
+	in.buildOverlaps()
 	in.prepared = true
 	in.invStale = false
 }
 
 // buildInverted (re)derives the object → candidate index from the
-// current CSR runs: count, prefix-sum, fill. Called by prepare and by
-// EnableResidual when ApplyMove left the index stale.
+// current CSR runs: count, prefix-sum, fill.
 func (in *HitInstance) buildInverted() {
 	m := in.Len()
 	for i := range in.objOffs {
@@ -632,19 +647,11 @@ func (in *HitInstance) Reset() {
 // clean-state invariants, so no recomputation is needed. Assign
 // switches it back off, and ApplyMove suspends it —
 // the per-candidate full loads are patched in place by the move, but
-// the inverted index is only re-derived here, once, when the next
-// residual-pruned search actually starts.
+// the inverted index and the overlap table are only re-derived by
+// prepare (here, or by BranchAndBound before it clones), once, when the
+// next residual-pruned search actually starts.
 func (in *HitInstance) EnableResidual() {
-	if !in.prepared {
-		in.prepare()
-	} else if in.invStale {
-		in.buildInverted()
-		copy(in.resid, in.full)
-		in.residAll = in.fullSum
-		in.deadSpent = 0
-		in.invStale = false
-	}
-	in.ovMax = in.ovMax[:0] // overlaps are cached per search
+	in.prepare()
 	in.track = true
 }
 
@@ -762,74 +769,79 @@ func (in *HitInstance) patchGains(i int, g []int64) {
 }
 
 // gainScratch lends the driver the instance's own gain vectors, Len()
-// entries each: one per search depth 0..depths-1 and a last one for
-// their suffix maxima, plus one freshness flag per depth, all false. A
-// search allocates none once the instance has served a search as deep;
-// Clone and CloneForMoves give each copy its own.
-func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, gpMax []int64) {
+// entries each, one per search depth 0..depths-1, and as many rows for
+// the bounds derived from them (the driver's rest rows), plus per depth
+// a freshness flag, all false, and a rest-row coverage, all
+// math.MaxInt (no row). A search allocates none once the instance has
+// served a search as deep; Clone and CloneForMoves give each copy its
+// own.
+func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, rest [][]int64, restLo []int) {
 	m := in.Len()
-	if n := (depths + 1) * m; cap(in.gains) < n {
+	if n := 2 * depths * m; cap(in.gains) < n {
 		in.gains = make([]int64, n)
 	}
 	in.gainRows = in.gainRows[:0]
-	for d := 0; d < depths; d++ {
+	for d := 0; d < 2*depths; d++ {
 		in.gainRows = append(in.gainRows, in.gains[d*m:(d+1)*m])
 	}
 	if cap(in.gainOK) < depths {
-		in.gainOK = make([]bool, depths)
+		in.gainOK, in.gainLo = make([]bool, depths), make([]int, depths)
 	}
-	in.gainOK = in.gainOK[:depths]
+	in.gainOK, in.gainLo = in.gainOK[:depths], in.gainLo[:depths]
 	clear(in.gainOK)
-	return in.gainRows, in.gainOK, in.gains[depths*m : (depths+1)*m]
+	for d := range in.gainLo {
+		in.gainLo[d] = math.MaxInt
+	}
+	return in.gainRows[:depths], in.gainOK, in.gainRows[depths:], in.gainLo
 }
 
 // MaxOverlap returns the largest total weight of objects that candidate
 // i's run shares with a later candidate's run: max over j > i of
 // Σ w(obj) over obj in both runs (objects counted once whatever their
-// replica counts). Failing i raises no other candidate's marginal gain
-// by more than their shared weight, which is what the parent-gain
-// filter needs. It walks run i's objects through the inverted index
+// replica counts). Failing i raises no later candidate's marginal gain
+// by more than their shared weight, which is what the gain-vector
+// bounds need. A read of the table buildOverlaps fills; valid once the
+// residual machinery is prepared at K >= 2.
+func (in *HitInstance) MaxOverlap(i int) int64 { return in.ov[i] }
+
+// buildOverlaps fills the overlap table, one MaxOverlap entry per
+// candidate: row i walks run i's objects through the inverted index
 // (whose per-object lists are in ascending candidate order, so only the
-// tail past i is read) and caches the answer until the next
-// EnableResidual. Valid only while the residual upkeep is enabled.
-func (in *HitInstance) MaxOverlap(i int) int64 {
+// tail past i is read), summing the shared weight per later candidate.
+// About |hits|·r work. K = 1 searches never read the table, so it is
+// left empty there.
+func (in *HitInstance) buildOverlaps() {
+	in.ov = in.ov[:0]
+	if in.count < 2 {
+		return
+	}
 	m := in.Len()
-	if len(in.ovMax) != m {
-		in.ovMax = in.ovMax[:0]
-		for len(in.ovMax) < m {
-			in.ovMax = append(in.ovMax, -1)
-		}
-	}
-	if v := in.ovMax[i]; v >= 0 {
-		return v
-	}
 	if len(in.ovAcc) < m {
-		in.ovAcc, in.ovStamp = make([]int64, m), make([]uint32, m)
+		in.ovAcc, in.ovStamp = make([]int64, m), make([]int32, m)
 	}
-	if in.ovGen++; in.ovGen == 0 { // wrapped: no stamp may look live
-		clear(in.ovStamp)
-		in.ovGen = 1
-	}
-	acc, stamp, gen := in.ovAcc, in.ovStamp, in.ovGen
-	var best int64
-	for _, h := range in.run(i) {
-		w := int64(1)
-		if in.w != nil {
-			w = in.w[h.Obj]
-		}
-		holders := in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]]
-		for t := len(holders) - 1; t >= 0 && int(holders[t].Cand) > i; t-- {
-			c := holders[t].Cand
-			if stamp[c] != gen {
-				stamp[c], acc[c] = gen, 0
+	acc, stamp := in.ovAcc, in.ovStamp
+	clear(stamp[:m])
+	for i := 0; i < m; i++ {
+		row := int32(i + 1)
+		var best int64
+		for _, h := range in.run(i) {
+			w := int64(1)
+			if in.w != nil {
+				w = in.w[h.Obj]
 			}
-			acc[c] += w
-			best = max(best, acc[c])
+			holders := in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]]
+			for t := len(holders) - 1; t >= 0 && int(holders[t].Cand) > i; t-- {
+				c := holders[t].Cand
+				if stamp[c] != row {
+					stamp[c], acc[c] = row, 0
+				}
+				acc[c] += w
+				best = max(best, acc[c])
+			}
 		}
+		in.assertMaxOverlap(i, best)
+		in.ov = append(in.ov, best)
 	}
-	in.assertMaxOverlap(i, best)
-	in.ovMax[i] = best
-	return best
 }
 
 // DupOfPrev reports whether candidate i's (i >= 1) hit run equals
@@ -850,7 +862,7 @@ func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.ru
 // probing session forks per worker. Only the per-object weight vector
 // stays shared (immutable between Assign calls). The residual
 // machinery is left unbuilt: the clone re-prepares lazily on its own
-// backing at its first EnableResidual, which costs nothing extra on a
+// backing at its first residual search, which costs nothing extra on a
 // probing workload — every ApplyMove marks the inverted index stale, so
 // a moved instance rebuilds it per search anyway. The clone's Units and
 // Pos follow its own moves. The receiver must be clean (Reset), as the clone starts clean.
@@ -870,19 +882,20 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.fullSum = 0
 	cp.prepared, cp.invStale, cp.track = false, false, false
 	cp.deadSpent = 0
-	cp.cursor, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil
-	cp.gains, cp.gainRows, cp.gainOK, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, nil, 0
+	cp.ov, cp.cursor, cp.ovAcc, cp.ovStamp, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil, nil, nil, nil
+	cp.gains, cp.gainRows, cp.gainOK, cp.gainLo = nil, nil, nil, nil
 	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
 	cp.assertInvariants("CloneForMoves")
 	return &cp
 }
 
 // Clone returns an independent searcher over the same immutable
-// preprocessing: the CSR arrays, loads, duplicate flags and inverted
-// index are shared (read-only during search), only the mutable failure
-// and residual state is fresh — the cheap way to stamp out per-worker
-// instances for BranchAndBound. The receiver must be clean
-// (Reset), as the clone starts clean.
+// preprocessing: the CSR arrays, loads, duplicate flags, inverted index
+// and overlap table are shared (read-only during search), only the
+// mutable failure and residual state is fresh — the cheap way to stamp
+// out per-worker instances for BranchAndBound, which prepares the
+// receiver first. The receiver must be clean (Reset), as the clone
+// starts clean.
 func (in *HitInstance) Clone() *HitInstance {
 	cp := *in
 	cp.cnt = make([]int32, len(in.cnt))
@@ -897,16 +910,16 @@ func (in *HitInstance) Clone() *HitInstance {
 		// stale inverted index (ApplyMove since the last residual run)
 		// is treated the same way — the clone re-prepares from the
 		// patched CSR runs on its own backing.
-		cp.full, cp.resid, cp.objHits, cp.objCands = nil, nil, nil, nil
+		cp.full, cp.resid, cp.objHits, cp.objCands, cp.ov = nil, nil, nil, nil, nil
 		cp.objOffs = make([]int32, len(in.objOffs))
 		cp.prepared = false
 		cp.invStale = false
 	}
 	cp.track = false // each driver re-enables on its own copy
-	cp.cursor = nil  // prepare-only scratch, grown lazily
-	cp.top = nil     // TopResidual scratch, grown lazily per instance
-	// Gain-vector search scratch, likewise per instance.
-	cp.gains, cp.gainRows, cp.gainOK, cp.ovMax, cp.ovAcc, cp.ovStamp, cp.ovGen = nil, nil, nil, nil, nil, nil, 0
+	// Prepare-only, TopResidual and gain-vector scratch: per instance,
+	// grown lazily.
+	cp.cursor, cp.ovAcc, cp.ovStamp, cp.top = nil, nil, nil, nil
+	cp.gains, cp.gainRows, cp.gainOK, cp.gainLo = nil, nil, nil, nil
 	// Clones are searchers, not editors: unit ids and move and Assign
 	// scratch stay with the receiver (see the ApplyMove contract), which
 	// translates the clones' selections.

@@ -28,7 +28,8 @@ func assertGainsFresh(*HitInstance, []int, []int64) {}
 
 // assertChildSkipSound is a no-op in regular builds; runTask's call
 // inlines away entirely.
-func assertChildSkipSound(*HitInstance, []int, int, int, int64) {}
+func assertChildSkipSound(*HitInstance, []int, int, int, int, int64) {}
 
-// assertMaxOverlap is a no-op in regular builds.
+// assertMaxOverlap is a no-op in regular builds; the overlap-table
+// build's call inlines away entirely.
 func (in *HitInstance) assertMaxOverlap(int, int64) {}

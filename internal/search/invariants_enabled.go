@@ -206,42 +206,68 @@ func assertTailWithinBound(in *HitInstance, parent, from int, gp []int64, ov int
 	}
 }
 
-// assertGainsFresh audits the gain vector of a two-picks-left node
-// against a fresh Gains pass: a vector the patches left wrong would make
-// the child filter or the scan drop a maximizer, so the check panics,
-// naming the node's prefix and the first wrong candidate.
+// assertGainsFresh audits the gain vector of a node with two or more
+// picks left against a fresh Gains pass: a vector the patches left
+// wrong would make the child skip or the scan drop a maximizer, so the
+// check panics, naming the node's prefix and the first wrong candidate.
 func assertGainsFresh(in *HitInstance, prefix []int, g []int64) {
 	want := make([]int64, in.Len())
 	in.Gains(want)
 	for j, v := range want {
 		if g[j] != v {
-			panic(fmt.Sprintf("search: invariants at two-picks-left node %v: gain vector has %d for candidate %d, Marginal %d",
+			panic(fmt.Sprintf("search: invariants at node %v: gain vector has %d for candidate %d, Marginal %d",
 				prefix, g[j], j, v))
 		}
 	}
 }
 
-// assertChildSkipSound checks a child the search is skipping before Add:
-// applied, its unfiltered final-level scan must find no completion that
-// reaches the snapshot (a tie included, since the scan reports ties).
-// It panics naming the prefix and the candidate, and leaves the state as
-// it found it.
-func assertChildSkipSound(in *HitInstance, prefix []int, cand, failed int, snap int64) {
+// assertChildSkipSound checks a child the search is skipping before Add,
+// with picks more picks below it: applied, no completion of picks
+// candidates past it may reach the snapshot (a tie included, since the
+// leaves report ties). The completions are enumerated, cut only by
+// their loads (see reaches), so the check rests on none of the gain,
+// overlap or rest bounds it audits. It panics naming the prefix and the
+// candidate, and leaves the state as it found it.
+func assertChildSkipSound(in *HitInstance, prefix []int, cand, picks, failed int, snap int64) {
 	f := failed + in.Add(cand)
-	best := 0
-	for j := cand + 1; j < in.Len(); j++ {
-		best = max(best, in.Marginal(j))
-	}
+	bad := reaches(in, cand+1, picks, snap-int64(f))
 	in.Remove(cand)
-	if int64(f+best) >= snap {
-		panic(fmt.Sprintf("search: invariants at two-picks-left node %v: skipped child %d reaches %d, snapshot %d",
-			prefix, cand, f+best, snap))
+	if bad {
+		panic(fmt.Sprintf("search: invariants at node %v: skipped child %d with %d picks below it reaches snapshot %d",
+			prefix, cand, picks, snap))
 	}
 }
 
-// assertMaxOverlap audits MaxOverlap(i) against a brute-force pairwise
-// count: for every later candidate j, the weight of the objects runs i
-// and j share, found by merging the two sorted runs.
+// reaches reports whether some picks candidates from start on add at
+// least need failed objects (weight) to the current state, by
+// depth-first enumeration. A branch is cut once the loads of the next
+// picks candidates fall short of need: Marginal <= Load and loads are
+// non-increasing, so no later completion can make it up.
+func reaches(in *HitInstance, start, picks int, need int64) bool {
+	if need <= 0 {
+		return true
+	}
+	for j := start; picks > 0 && j <= in.Len()-picks; j++ {
+		var window int64
+		for x := j; x < j+picks; x++ {
+			window = satAdd(window, in.Load(x))
+		}
+		if window < need {
+			return false
+		}
+		g := in.Add(j)
+		ok := reaches(in, j+1, picks-1, need-int64(g))
+		in.Remove(j)
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// assertMaxOverlap audits overlap-table entry i against a brute-force
+// pairwise count: for every later candidate j, the weight of the
+// objects runs i and j share, found by merging the two sorted runs.
 func (in *HitInstance) assertMaxOverlap(i int, got int64) {
 	var want int64
 	a := in.run(i)
@@ -267,6 +293,6 @@ func (in *HitInstance) assertMaxOverlap(i int, got int64) {
 		want = max(want, ov)
 	}
 	if got != want {
-		panic(fmt.Sprintf("search: invariants in MaxOverlap: candidate %d has max overlap %d, pairwise count %d", i, got, want))
+		panic(fmt.Sprintf("search: invariants in the overlap table: candidate %d has max overlap %d, pairwise count %d", i, got, want))
 	}
 }

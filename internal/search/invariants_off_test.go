@@ -20,5 +20,5 @@ func TestInvariantsCompiledOut(t *testing.T) {
 	assertTailWithinBound(in, 0, 1, []int64{0, 0}, 0) // likewise, from candidate 1 on
 	in.assertMaxOverlap(0, 7)                         // true overlap is 0: a no-op
 	assertGainsFresh(in, nil, []int64{5, 5})          // true gains are 1 and 1: a no-op
-	assertChildSkipSound(in, nil, 0, 3, 0)            // the child reaches 5 >= 0: a no-op
+	assertChildSkipSound(in, nil, 0, 1, 3, 0)         // the child reaches 5 >= 0: a no-op
 }

@@ -113,7 +113,7 @@ func scanBelow(in *HitInstance, incumbent int, prefix []int, gp []int64) {
 	var hi int64
 	for j := in.Len() - 1; j >= 0; j-- {
 		hi = max(hi, gp[j])
-		w.gpMax[j] = hi
+		w.rest[len(prefix)-1][j] = hi
 	}
 	w.scanLast(0, prefix[len(prefix)-1]+1)
 }
@@ -129,8 +129,8 @@ func scanBelow(in *HitInstance, incumbent int, prefix []int, gp []int64) {
 // plus 2 reaches the incumbent, so the scan stops at candidate 1, yet
 // candidate 2 shares objects 0 and 1 with candidate 0 and holds object
 // 5 twice, so its parent gain is 1 and it truly gains 3. Both must
-// panic, naming the candidate and the parent. The MaxOverlap audit must reject a wrong
-// answer too.
+// panic, naming the candidate and the parent. The overlap-table audit
+// must reject a wrong entry too.
 func TestParentFilterCatchesBadBound(t *testing.T) {
 	expectPanic := func(t *testing.T, want string, f func()) {
 		t.Helper()
@@ -180,15 +180,18 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 }
 
 // TestChildSkipCatchesBadBound proves the gain-vector search's checks
-// are live, on runs driven from a hand-prepared worker at s = 2. In
-// "overlap" (K = 2, candidates {0 1}, {0 2}, {1 2}, incumbent 1) the
-// overlap of candidate 0 is understated as 0, so the root skips child 0
-// on the bound 0 + 0 + 0 + 0 < 1, yet {0, 1} fails object 0 and ties
-// the incumbent, which the scan would report. In "patch" (K = 3, a
-// fourth candidate {3}, incumbent 0) the root's vector claims one gain
-// for candidate 3, whose only object needs two replicas; the descent
-// into child 0 copies the error into the vector of node [0]. Both must
-// panic, naming the node's prefix and the candidate.
+// are live, on runs driven from a hand-prepared worker at s = 2 over
+// the candidates {0 1}, {0 2}, {1 2} and {3}. In "overlap" (K = 2, the
+// first three, incumbent 1) the overlap of candidate 0 is understated
+// as 0, so the root skips child 0 on the bound 0 + 0 + 0 + 0 < 1, yet
+// {0, 1} fails object 0 and ties the incumbent, which the scan would
+// report. In "interior" (K = 3, incumbent 1) every overlap is
+// understated as 0, so the root, with two picks below each child,
+// skips child 0 on the bound 0 + 0 + 2·0 + 0 < 1, yet {0, 1, 2} fails
+// objects 0, 1 and 2. In "patch" (K = 3, incumbent 0) the vector of
+// node [0], marked current, claims one gain for candidate 3, whose only
+// object needs two replicas. All must panic, naming the node's prefix
+// and the candidate.
 func TestChildSkipCatchesBadBound(t *testing.T) {
 	expectPanic := func(t *testing.T, want string, f func()) {
 		t.Helper()
@@ -217,17 +220,32 @@ func TestChildSkipCatchesBadBound(t *testing.T) {
 		if ov := in.MaxOverlap(0); ov != 1 {
 			t.Fatalf("MaxOverlap(0) = %d, want 1", ov)
 		}
-		in.ovMax[0] = 0 // the cache now understates it
-		expectPanic(t, "node []: skipped child 0 ", func() { w.runTask(task{}) })
+		in.ov = []int64{0, 1, 0} // a private table understating candidate 0
+		expectPanic(t, "node []: skipped child 0 with 1 picks below it ", func() { w.runTask(task{}) })
+	})
+	t.Run("interior", func(t *testing.T) {
+		in := NewHitInstance(2, 4)
+		in.Assign(3, lists, nil, nil, true)
+		w := newSearchRun(in, Result{Failed: 1, Sel: []int{0, 1, 3}}, NewBudget(0), 1, BoundResidual).peers[0]
+		w.init()
+		if ov := in.MaxOverlap(0); ov != 1 {
+			t.Fatalf("MaxOverlap(0) = %d, want 1", ov)
+		}
+		in.ov = make([]int64, 4) // a private table understating candidates 0 and 1
+		expectPanic(t, "node []: skipped child 0 with 2 picks below it ", func() { w.runTask(task{}) })
 	})
 	t.Run("patch", func(t *testing.T) {
 		in := NewHitInstance(2, 4)
 		in.Assign(3, lists, nil, nil, true)
 		w := newSearchRun(in, Result{}, NewBudget(0), 1, BoundResidual).peers[0]
 		w.init()
-		in.Gains(w.gv[0])
-		w.gv[0][3]++
-		w.gvOK[0] = true
-		expectPanic(t, "node [0]: gain vector has 1 for candidate 3,", func() { w.runTask(task{}) })
+		f := in.Add(0)
+		in.Gains(w.gv[1])
+		in.Remove(0)
+		w.gv[1][3]++
+		w.gvOK[1] = true
+		expectPanic(t, "node [0]: gain vector has 1 for candidate 3,", func() {
+			w.runTask(task{prefix: []int{0}, start: 1, failed: f, loadSum: in.Load(0)})
+		})
 	})
 }

@@ -16,9 +16,10 @@ import "fmt"
 // Assign recorded, so a moved instance stays byte-identical to a fresh
 // Assign) by adjacent-swap bubbling, carrying the unit ↔ position maps
 // along; the inverted object → candidate index is NOT patched, only
-// marked stale, and re-derived once by the next EnableResidual. A move
-// is undone by the opposite move: the re-sort is canonical, so the
-// round trip restores the layout byte for byte. The warm-start side of
+// marked stale, and re-derived once, with the overlap table, by the next
+// residual search. A move is undone by the opposite move: the re-sort
+// is canonical, so the round trip restores the layout byte for byte.
+// The warm-start side of
 // the contract is WarmSeed: replay the previous search's witness on the
 // patched instance and seed the next BranchAndBound with whatever
 // damage it still achieves, so the first prune is already tight.
@@ -37,8 +38,8 @@ import "fmt"
 // the candidate already covers obj, as whole-domain adapters do).
 // The instance must come from Assign with both units kept (Pos finds
 // them), and its counters must be clean (between searches). The
-// residual upkeep is suspended until the next EnableResidual rebuilds
-// the inverted index from the patched runs.
+// residual upkeep is suspended until the next residual search rebuilds
+// the inverted index and the overlap table from the patched runs.
 func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	m := in.Len()
 	if obj < 0 || obj >= len(in.cnt) {

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,13 +32,12 @@ func pairOverlap(a, b []Hit, w []int64) int64 {
 // against their definitions and its effect on the scan. At random
 // partial states — C = 1, C > 1 and weighted — Gains equals one
 // Marginal call per candidate and MaxOverlap equals the brute-force
-// pairwise maximum over later candidates, also across a wrap of its
-// stamp generation. On a flat-load, node-like
+// pairwise maximum over later candidates. On a flat-load, node-like
 // instance (r = 3, s = 2, K = 4, loads within a replica or two of each
 // other, so the load cut rarely fires) the filter returns the
 // static-bound result and the pinned visited count with the pinned
 // number of Marginal calls; TestChildSkip runs the same search with the
-// bound made vacuous.
+// bounds made vacuous.
 func TestParentGainFilter(t *testing.T) {
 	t.Run("primitives", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(173))
@@ -92,13 +92,6 @@ func TestParentGainFilter(t *testing.T) {
 					}
 				}
 				checkOverlaps()
-				if step == 0 && trial%4 == 3 {
-					// Recompute across a wrap of the stamp generation,
-					// with the first generations' stamps still in place.
-					in.ovGen = math.MaxUint32 // the next call wraps to 1, the first call's stamp
-					in.EnableResidual()
-					checkOverlaps()
-				}
 				if c := rng.Intn(m); !contains(chosen, c) {
 					in.Add(c)
 					chosen = append(chosen, c)
@@ -121,7 +114,7 @@ func TestParentGainFilter(t *testing.T) {
 		in.Reset()
 
 		const (
-			pinnedVisited = 2024
+			pinnedVisited = 1681
 			pinnedCalls   = 216
 		)
 		got, calls := countedRun(in, seed, NewBudget(0), 1, BoundResidual)
@@ -174,19 +167,20 @@ func flatInstance(rng *rand.Rand, m, b, s, k int, weighted bool) *HitInstance {
 }
 
 // TestChildSkip pins the gain-vector search on TestParentGainFilter's
-// flat instance. The child skip and the patched gain vectors leave the
-// visited states and the final-level Marginal calls as pinned there. A
-// state entered without the skip costs one Add — the root aside, every
-// state applies its candidate — so the same search with the skip made
-// vacuous (every cached MaxOverlap overstated past any snapshot, which
-// keeps the search exact and turns the parent-gain filter off too)
-// makes visited - 1 Add calls and the unfiltered scan's Marginal calls;
-// with the skip it makes the pinned number. Every descent into a node
-// with two or more picks left patches one vector, and a lone worker
-// sweeps the CSR once, at the root. Entering every task as a stolen one
-// — each refilling its depth's vector with Gains — changes none of the
-// other counts. The vectors come from the instance's scratch, so once it
-// has served a search, the next allocates none for them.
+// flat instance. The child skip at the root (three picks below it)
+// drops whole subtrees, so the search enters 1681 states where it
+// would enter 2024 without it; the skip with two picks left and the
+// scan filter keep the final-level Marginal calls as pinned there. The
+// reference is the same search with every overlap overstated past any
+// snapshot, which turns both skips and the scan filter off and keeps
+// the search exact: it enters 2024 states, makes one Add per state but
+// the root and the unfiltered scan's Marginal calls. Every descent into
+// a node with two or more picks left patches one vector, and a lone
+// worker sweeps the CSR once, at the root. Entering every task as a
+// stolen one — each refilling its depth's vector with Gains — changes
+// none of the other counts. The vectors come from the instance's
+// scratch, so once it has served a search, the next allocates none for
+// them; a K = 1 search builds no overlap table.
 func TestChildSkip(t *testing.T) {
 	const m, b, s, k = 24, 120, 2, 4
 	in := flatInstance(rand.New(rand.NewSource(179)), m, b, s, k, false)
@@ -194,12 +188,14 @@ func TestChildSkip(t *testing.T) {
 	in.Reset()
 
 	const (
-		pinnedVisited = 2024
-		pinnedCalls   = 216
-		pinnedAdds    = 362
-		pinnedPatches = 252
-		vacuousAdds   = pinnedVisited - 1
-		vacuousCalls  = 10626
+		pinnedVisited  = 1681
+		pinnedCalls    = 216
+		pinnedAdds     = 266
+		pinnedPatches  = 156
+		vacuousVisited = 2024
+		vacuousAdds    = vacuousVisited - 1
+		vacuousCalls   = 10626
+		vacuousPatches = 252
 	)
 	ps := newSearchRun(in, seed, NewBudget(0), 1, BoundResidual)
 	got := ps.run()
@@ -207,16 +203,21 @@ func TestChildSkip(t *testing.T) {
 		t.Errorf("visited %d, %d Marginal calls, %d Add calls, %d patches, %d refills; pinned %d, %d, %d, %d and 1",
 			got.Visited, ps.marginals, ps.adds, ps.patches, ps.refills, pinnedVisited, pinnedCalls, pinnedAdds, pinnedPatches)
 	}
+	// The table is built once and shared with every later run on in:
+	// overstate through a private slice, then put the exact one back.
+	exact := in.ov
 	overstate := func(w *stealWorker) {
-		w.in.ovMax = w.in.ovMax[:0]
-		for range m {
-			w.in.ovMax = append(w.in.ovMax, b+1) // above any snapshot or gain
+		w.in.ov = make([]int64, m)
+		for j := range w.in.ov {
+			w.in.ov[j] = b + 1 // above any snapshot or gain
 		}
 	}
 	vac, res := handRun(in, seed, BoundResidual, overstate, nil)
-	if !reflect.DeepEqual(res, got) || vac.adds != vacuousAdds || vac.marginals != vacuousCalls || vac.patches != pinnedPatches {
-		t.Errorf("vacuous skip: %+v with %d Add calls, %d Marginal calls, %d patches; want %+v, %d, %d, %d",
-			res, vac.adds, vac.marginals, vac.patches, got, vacuousAdds, vacuousCalls, pinnedPatches)
+	in.ov = exact
+	if res.Failed != got.Failed || !reflect.DeepEqual(res.Sel, got.Sel) || !res.Exact ||
+		res.Visited != vacuousVisited || vac.adds != vacuousAdds || vac.marginals != vacuousCalls || vac.patches != vacuousPatches {
+		t.Errorf("vacuous bounds: %+v with %d Add calls, %d Marginal calls, %d patches; want (%d, %v) exact in %d states, %d, %d, %d",
+			res, vac.adds, vac.marginals, vac.patches, got.Failed, got.Sel, vacuousVisited, vacuousAdds, vacuousCalls, vacuousPatches)
 	}
 	static := newSearchRun(in, seed, NewBudget(0), 1, BoundStatic)
 	if res := static.run(); static.adds != res.Visited-1 {
@@ -231,6 +232,11 @@ func TestChildSkip(t *testing.T) {
 	if !reflect.DeepEqual(res, got) || re.marginals != ps.marginals || re.adds != ps.adds || re.patches != ps.patches {
 		t.Errorf("every task stolen: %+v with %d Marginal calls, %d Add calls, %d patches; want %+v, %d, %d, %d",
 			res, re.marginals, re.adds, re.patches, got, ps.marginals, ps.adds, ps.patches)
+	}
+
+	one := flatInstance(rand.New(rand.NewSource(179)), m, b, s, 1, false)
+	if res := BranchAndBound(one, Result{}, NewBudget(0), 1, BoundResidual); !res.Exact || len(one.ov) != 0 || len(exact) != m {
+		t.Errorf("K = 1: exact=%v with a %d-entry overlap table; K = 4 built %d entries for %d candidates", res.Exact, len(one.ov), len(exact), m)
 	}
 }
 
@@ -396,6 +402,113 @@ func FuzzGainPatch(f *testing.F) {
 			in.Gains(want)
 			if got := stack[len(stack)-1]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d, chosen %v: patched gains %v, Gains %v", step, chosen, got, want)
+			}
+		}
+	})
+}
+
+// TestRestBound pins restBound against its definition: rest[j] is the
+// best sum over exactly q candidates j <= j_1 < ... < j_q of
+// g[j_x] + (q−x)·MaxOverlap(j_x), found here by enumerating every
+// q-subset in exact (big) arithmetic, and saturated at MaxInt64 — on
+// random gains and overlaps, small ones and ones near MaxInt64/2, where
+// the sums would wrap.
+func TestRestBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(191))
+	maxInt := new(big.Int).SetInt64(math.MaxInt64)
+	for trial := 0; trial < 300; trial++ {
+		m := 3 + rng.Intn(7)
+		q := 1 + rng.Intn(min(4, m-1))
+		start := rng.Intn(m - q)
+		huge := trial%3 == 2
+		draw := func() int64 {
+			if huge {
+				return math.MaxInt64/2 - rng.Int63n(1000)
+			}
+			return rng.Int63n(9)
+		}
+		g, ov := make([]int64, m), make([]int64, m)
+		for j := range g {
+			g[j], ov[j] = draw(), draw()
+		}
+		w := &stealWorker{ps: &searchRun{m: m}, in: &HitInstance{ov: ov}, col: make([]int64, q+1)}
+		rest := make([]int64, m)
+		w.restBound(g, rest, start, q)
+		for j := start + 1; j <= m-q; j++ {
+			best := new(big.Int)
+			var pick func(from, x int, sum *big.Int)
+			pick = func(from, x int, sum *big.Int) {
+				if x == q {
+					if sum.Cmp(best) > 0 {
+						best.Set(sum)
+					}
+					return
+				}
+				for c := from; c <= m-(q-x); c++ {
+					term := new(big.Int).Mul(big.NewInt(int64(q-1-x)), big.NewInt(ov[c]))
+					term.Add(term, big.NewInt(g[c]))
+					pick(c+1, x+1, new(big.Int).Add(sum, term))
+				}
+			}
+			pick(j, 0, new(big.Int))
+			if best.Cmp(maxInt) > 0 {
+				best.Set(maxInt)
+			}
+			if rest[j] != best.Int64() {
+				t.Fatalf("trial %d (m=%d q=%d start=%d g=%v ov=%v): rest[%d] = %d, want %v", trial, m, q, start, g, ov, j, rest[j], best)
+			}
+		}
+	}
+}
+
+// FuzzInteriorSkip is the child skip's exactness oracle at K = 3..5,
+// where it also fires with two or more picks below a child and drops
+// the child's whole subtree. BranchAndBound at one and three workers
+// must return Exhaustive's damage, exactly, with the driver contract's
+// witness (the static bound's: the seed on a tie, else the lex-smallest
+// optimum), on instances with replica counts C up to 3, optionally
+// weighted and optionally with runs duplicated (kind's bits 0 and 1).
+// Residual at one worker never visits more states than static.
+func FuzzInteriorSkip(f *testing.F) {
+	f.Add(int64(1), uint8(9), uint8(20), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(28), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(11), uint8(17), uint8(2), uint8(2), uint8(2))
+	f.Add(int64(4), uint8(8), uint8(25), uint8(1), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, m8, b8, s8, k8, kind uint8) {
+		m := 5 + int(m8%7)
+		b := 1 + int(b8%30)
+		s := 1 + int(s8%3)
+		k := 3 + int(k8%3)
+		rng := rand.New(rand.NewSource(seed))
+		in, lists := randomHitInstance(rng, m, 3, b, s, k, 3)
+		var w []int64
+		if kind&1 != 0 {
+			w = make([]int64, b)
+			for obj := range w {
+				w[obj] = int64(rng.Intn(7))
+			}
+		}
+		if kind&2 != 0 {
+			// Units j-1 and j tie on load and sit next to each other once
+			// Assign orders them, so DupOfPrev collapses them.
+			for range 1 + rng.Intn(3) {
+				j := 1 + rng.Intn(m-1)
+				lists[j] = lists[j-1]
+			}
+		}
+		in.Assign(k, lists, w, nil, true)
+		ex := Exhaustive(in)
+		seedRes := Greedy(in)
+		in.Reset()
+		static := BranchAndBound(in, seedRes, NewBudget(0), 1, BoundStatic)
+		for _, workers := range []int{1, 3} {
+			res := BranchAndBound(in, seedRes, NewBudget(0), workers, BoundResidual)
+			if res.Failed != ex.Failed || !res.Exact || !reflect.DeepEqual(res.Sel, static.Sel) {
+				t.Fatalf("%d workers: (%d, %v, exact=%v), static (%d, %v), exhaustive %d (m=%d b=%d s=%d k=%d kind=%d)",
+					workers, res.Failed, res.Sel, res.Exact, static.Failed, static.Sel, ex.Failed, m, b, s, k, kind)
+			}
+			if workers == 1 && res.Visited > static.Visited {
+				t.Fatalf("residual visited %d > static %d", res.Visited, static.Visited)
 			}
 		}
 	})

@@ -61,31 +61,40 @@
 //	Marginal_{P+i}(j) <= Marginal_P(j) + ov(i, j) <= gP[j] + maxOv(i)
 //
 // with gP the gains at P and maxOv(i) the largest overlap of run i
-// with a later run (MaxOverlap). A candidate whose bound is at most the
-// scan's threshold can neither beat the best gain nor reach the
-// incumbent, so the scan skips its Marginal call, and stops once the
-// suffix maximum of gP puts every later candidate under the threshold
-// too; by the argument of the load cut, the result and every visited
-// state are unchanged.
+// with a later run (MaxOverlap, a table built once per prepared
+// instance). A candidate whose bound is at most the scan's threshold
+// can neither beat the best gain nor reach the incumbent, so the scan
+// skips its Marginal call, and stops once the suffix maximum of gP puts
+// every later candidate under the threshold too; by the argument of
+// the load cut, the result and every visited state are unchanged.
 //
-// The same bound caps child P+i as a whole: it has failed + gP[i]
-// objects down (gP[i] is what Add(i) returns), and its last pick adds
-// at most max_{j>i}(gP[j]) + maxOv(i), so nothing below it reports more
-// than
+// The same bound, applied once per later pick, caps child P+i as a
+// whole at any node P with q+1 >= 2 picks left. The child has
+// failed + g[i] objects down (g is P's gain vector, and g[i] is what
+// Add(i) returns); each of its completions i < j_1 < ... < j_q adds
+// Marginal_{P+i+j_1..j_{x-1}}(j_x) <= g[j_x] + ov(i, j_x) +
+// Σ_{y<x} ov(j_y, j_x) at pick x, and ov(a, b) <= maxOv(a) for a < b,
+// so nothing below the child reports more than
 //
-//	failed + gP[i] + max_{j>i}(gP[j]) + maxOv(i)
+//	failed + g[i] + q·maxOv(i) + B_q(i+1)
+//	B_t(j) = max(B_t(j+1), g[j] + (t−1)·maxOv(j) + B_{t−1}(j+1)),  B_0 = 0
 //
-// When that is below the incumbent snapshot the child is skipped before
-// Add. These are exactly the children whose scan would stop at its
-// first candidate, and the child is charged first, as an entered state:
-// so the visited states, budget exhaustion and the lex tie rule are
-// those of the unskipped search, and only the Add, prune, scan and
-// Remove work goes. A bound equal to the snapshot is not skipped, since
-// the scan reports ties. The gains themselves are delta-maintained: one
-// vector per depth, patched on each descent through the inverted index
-// for the holders of the chosen run's objects (see runTask and
-// HitInstance.patchGains), with one full Gains pass per task whose
-// node has no current vector.
+// where B_t(j) is the best sum over t picks from j on, each weighted
+// with its own gain and maxOv times the number of picks after it. At
+// q = 1 it reads failed + g[i] + max_{j>i}(g[j]) + maxOv(i). When the
+// bound is below the incumbent snapshot the child is skipped before
+// Add, and charged first, as an entered state, so budget exhaustion and
+// the lex tie rule are those of the unskipped search; a bound equal to
+// the snapshot is not skipped, since a leaf below may tie. With two
+// picks left the skipped children are exactly those whose scan would
+// stop at its first candidate, so the visited states are unchanged and
+// only the Add, prune, scan and Remove work goes; with more, the
+// child's subtree is never entered. The overlap terms are not bounded
+// by the admissible weights, so the bound saturates rather than wrap.
+// The gains themselves are delta-maintained: one vector per depth,
+// patched on each descent through the inverted index for the holders of
+// the chosen run's objects (see runTask and HitInstance.patchGains),
+// with one full Gains pass per task whose node has no current vector.
 //
 // Budget semantics (shared by every driver and engine built on them):
 // each branch-and-bound search state entered — every partial selection

@@ -51,6 +51,8 @@ package search
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -179,7 +181,8 @@ func BranchAndBound(in *HitInstance, seed Result, bud *Budget, workers int, boun
 }
 
 // newSearchRun builds a run and its workers: worker 0 on in, the others
-// on clones made before any worker prepares its residual upkeep.
+// on its clones. Under the residual bound in is prepared first, so the
+// clones share its inverted index and overlap table.
 func newSearchRun(in *HitInstance, seed Result, bud *Budget, workers int, bound Bound) *searchRun {
 	if workers < 1 {
 		panic(fmt.Sprintf("search: BranchAndBound needs at least one worker, got %d", workers))
@@ -198,6 +201,9 @@ func newSearchRun(in *HitInstance, seed Result, bud *Budget, workers int, bound 
 		bestIsSeed: true,
 	}
 	ps.bestScore.Store(int64(seed.Failed))
+	if bound == BoundResidual {
+		in.prepare()
+	}
 	ps.peers[0] = newStealWorker(ps, 0, in)
 	for id := 1; id < workers; id++ {
 		ps.peers[id] = newStealWorker(ps, id, in.Clone())
@@ -314,9 +320,16 @@ type stealWorker struct {
 	// residual or below K = 2. gvOK[d] reports that gv[d] describes
 	// cur[:d]: runTask's refill and each descent set it, and adopt clears
 	// it past the common prefix, the only depths whose node changes.
-	gv        [][]int64
-	gvOK      []bool
-	gpMax     []int64 // gpMax[j] = max of the two-picks-left node's gains from j on
+	gv   [][]int64
+	gvOK []bool
+	// rest[d][j] bounds what the children of the depth-d node of cur can
+	// add with their picks from j on (restBound), for every j past
+	// restLo[d]; math.MaxInt marks no row. Writing gv[d] voids the row,
+	// and a resumed continuation, whose start only grows, reuses it. col
+	// is restBound's column scratch.
+	rest      [][]int64
+	restLo    []int
+	col       []int64
 	free      [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
 	marginals int64   // Marginal calls made by scanLast
 	adds      int64   // Add calls made by runTask and adopt
@@ -340,7 +353,10 @@ func (w *stealWorker) init() {
 	if w.residual {
 		w.in.EnableResidual()
 		if k >= 2 {
-			w.gv, w.gvOK, w.gpMax = w.in.gainScratch(k - 1)
+			w.gv, w.gvOK, w.rest, w.restLo = w.in.gainScratch(k - 1)
+		}
+		if k >= 3 {
+			w.col = make([]int64, k)
 		}
 	}
 	paths := make([]int, 2*k)
@@ -469,16 +485,17 @@ func (w *stealWorker) recycle(buf []int) {
 // root, a stolen task off the worker's path) fills it with one Gains
 // pass, and each descent copies the node's vector and patches it for
 // the chosen child (patchGains), so the CSR is swept once per such task
-// instead of once per two-picks-left node. At a two-picks-left node
-// the vector is gP, the parent's gains: child i ends in a final-level
-// scan (see scanLast), and no scan below it can report more than
-// failed + gP[i] + gpMax[i+1] + MaxOverlap(i) (see "Pruning bounds" in
-// search.go). A child whose bound is below the snapshot is skipped
-// after charge and before Add — exactly the children whose scan would
-// stop at its first candidate, so the visited states, the budget and
-// the tie rule are unchanged, and only the Add, prune and Remove work
-// goes. A bound equal to the snapshot takes the normal path: its scan
-// may report a tie.
+// instead of once per node. At a node with q+1 picks left, child i has
+// failed + g[i] objects down, and nothing below it reports more than
+// failed + g[i] + q·MaxOverlap(i) + rest[i+1] (restBound; see "Pruning
+// bounds" in search.go). A child whose bound is below the snapshot is
+// skipped after charge and before Add. With two picks left (q = 1)
+// these are exactly the children whose scan would stop at its first
+// candidate, so the visited states are unchanged and only the Add,
+// prune and Remove work goes; higher up the child's whole subtree goes
+// unvisited. Charging first keeps the budget and the tie rule: a bound
+// equal to the snapshot takes the normal path, since a leaf below may
+// tie.
 func (w *stealWorker) runTask(t task) {
 	w.adopt(t.prefix)
 	w.recycle(t.prefix)
@@ -486,7 +503,7 @@ func (w *stealWorker) runTask(t task) {
 	prefix, dup, m := w.ps.prefix, w.ps.dup, w.ps.m
 	if d := len(w.cur); w.gv != nil && !w.gvOK[d] {
 		w.in.Gains(w.gv[d])
-		w.gvOK[d] = true
+		w.gvOK[d], w.restLo[d] = true, math.MaxInt
 		w.refills++
 	}
 	for {
@@ -495,18 +512,14 @@ func (w *stealWorker) runTask(t task) {
 			w.scanLast(failed, start)
 			return
 		}
-		var gp []int64
-		if rem == 2 && w.gv != nil {
-			// Every child of this node ends in a final-level scan over
-			// candidates past it: the suffix maxima of the node's gains
-			// tell the child filter below, and each scan, where no later
-			// candidate can reach the threshold.
-			gp = w.gv[len(w.cur)]
-			assertGainsFresh(w.in, w.cur, gp)
-			var hi int64
-			for j := m - 1; j > start; j-- {
-				hi = max(hi, gp[j])
-				w.gpMax[j] = hi
+		q := rem - 1
+		var g, rest []int64
+		if d := len(w.cur); w.gv != nil {
+			g, rest = w.gv[d], w.rest[d]
+			assertGainsFresh(w.in, w.cur, g)
+			if w.restLo[d] > start {
+				w.restBound(g, rest, start, q)
+				w.restLo[d] = start
 			}
 		}
 		// The node's own loop start (its entry point in the DFS): the
@@ -526,11 +539,11 @@ func (w *stealWorker) runTask(t task) {
 			if w.ps.exhausted.Load() || !w.charge() {
 				return
 			}
-			// The bound failed + gP[i] + gpMax[i+1] + MaxOverlap(i) < snap,
-			// grouped as in scanLast's cut so that heavy weights cannot
-			// wrap it: each side stays within r·Σw.
-			if gp != nil && w.gpMax[i+1]+w.in.MaxOverlap(i) < w.snap-int64(failed)-gp[i] {
-				assertChildSkipSound(w.in, w.cur, i, failed, w.snap)
+			// The bound failed + g[i] + q·MaxOverlap(i) + rest[i+1] < snap,
+			// grouped so that heavy weights cannot wrap it: the right side
+			// stays within r·Σw, and the left saturates.
+			if g != nil && satAdd(satMul(int64(q), w.in.MaxOverlap(i)), rest[i+1]) < w.snap-int64(failed)-g[i] {
+				assertChildSkipSound(w.in, w.cur, i, q, failed, w.snap)
 				continue
 			}
 			newly := w.in.Add(i)
@@ -559,7 +572,7 @@ func (w *stealWorker) runTask(t task) {
 				d := len(w.cur)
 				copy(w.gv[d], w.gv[d-1])
 				w.in.patchGains(i, w.gv[d])
-				w.gvOK[d] = true
+				w.gvOK[d], w.restLo[d] = true, math.MaxInt
 				w.patches++
 			}
 			failed, loadSum, start = cf, cl, cstart
@@ -570,6 +583,61 @@ func (w *stealWorker) runTask(t task) {
 			return
 		}
 	}
+}
+
+// restBound fills rest[j], for every j past start, with B_q(j): a bound
+// on what q more picks from candidates j.. can add below a child of the
+// node whose gains are g. With rank weights — a pick followed by t−1
+// later picks raises each of their gains by at most its MaxOverlap —
+//
+//	B_t(j) = max(B_t(j+1), g[j] + (t−1)·MaxOverlap(j) + B_{t−1}(j+1)),  B_0 = 0,
+//
+// over exactly t picks (see "Pruning bounds" in search.go). At q = 1 it
+// is the suffix maximum of g, which scanLast reads too. Above, the
+// columns run from m−1 down, each t from 1 up, and the sums saturate:
+// the overlap terms are not bounded by r·Σw. O(q·m) per node.
+func (w *stealWorker) restBound(g, rest []int64, start, q int) {
+	m := w.ps.m
+	if q == 1 { // every two-picks-left node: the common case, with no overlap reads
+		var hi int64
+		for j := m - 1; j > start; j-- {
+			hi = max(hi, g[j])
+			rest[j] = hi
+		}
+		return
+	}
+	col := w.col // col[t]: B_t(j+1) entering column j, B_t(j) leaving it
+	for j := m - 1; j > start; j-- {
+		ov := w.in.MaxOverlap(j)
+		var acc, below int64 // (t−1)·ov and B_{t−1}(j+1)
+		for t := 1; t <= min(q, m-j); t++ {
+			v := satAdd(satAdd(g[j], acc), below)
+			below = col[t]
+			if t < m-j { // B_t(j+1) exists: j+1..m-1 holds t candidates
+				v = max(v, below)
+			}
+			col[t] = v
+			acc = satAdd(acc, ov)
+		}
+		rest[j] = col[q] // read only where q <= m-j
+	}
+}
+
+// satAdd adds two non-negative bounds, saturating at math.MaxInt64.
+func satAdd(a, b int64) int64 {
+	if s := a + b; s >= 0 {
+		return s
+	}
+	return math.MaxInt64
+}
+
+// satMul multiplies two non-negative bounds, saturating at
+// math.MaxInt64.
+func satMul(a, b int64) int64 {
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi == 0 && lo <= math.MaxInt64 {
+		return int64(lo)
+	}
+	return math.MaxInt64
 }
 
 // charge consumes one state from the worker's budget lease, claiming a
@@ -670,27 +738,29 @@ func prefixMayPrecede(cur []int, next int, sel []int) bool {
 // Below a two-picks-left parent under the residual bound (cur is
 // non-empty and its last entry is the parent candidate i; runTask keeps
 // the parent's gains gp in its gain vector and their suffix maxima in
-// gpMax), the scan also skips every j with
+// rest), the scan also skips every j with
 // gp[j] + MaxOverlap(i) <= the same threshold: that bounds Marginal(j)
 // (see "Pruning bounds" in search.go), so such a j can neither beat
 // bestGain nor reach the snapshot, and if the full scan's maximum does
 // reach it, its first maximizer is never skipped. For the same reason
-// the scan stops at the first j with gpMax[j] + MaxOverlap(i) <= the
-// threshold: every candidate from j on would be skipped. The overlap is
-// asked for lazily, on the first candidate past the load cut. When the
-// scan would stop at its first candidate that way, runTask never
-// applies the child (see there). The K == 1 root and BoundStatic scan
-// every candidate up to the load cut.
+// the scan stops at the first j with rest[j] + MaxOverlap(i) <= the
+// threshold: every candidate from j on would be skipped. When the scan
+// would stop at its first candidate that way, runTask never applies the
+// child (see there). The K == 1 root and BoundStatic scan every
+// candidate up to the load cut.
 func (w *stealWorker) scanLast(failed, cstart int) {
 	m, dup, prefix := w.ps.m, w.ps.dup, w.ps.prefix
 	bestI, bestGain := -1, -1
 	// Both cuts in one threshold: stop once load <= max(bestGain,
 	// snap-failed-1).
 	cut := w.snap - int64(failed) - 1
-	var gp []int64
-	par, ov := -1, int64(-1)
+	var gp, rest []int64
+	var par int
+	var ov int64
 	if w.gv != nil && len(w.cur) > 0 {
-		gp, par = w.gv[len(w.cur)-1], w.cur[len(w.cur)-1]
+		d := len(w.cur) - 1
+		gp, rest, par = w.gv[d], w.rest[d], w.cur[d]
+		ov = w.in.MaxOverlap(par)
 	}
 	for j := cstart; j < m; j++ {
 		load := prefix[j+1] - prefix[j]
@@ -701,10 +771,7 @@ func (w *stealWorker) scanLast(failed, cstart int) {
 			continue
 		}
 		if gp != nil {
-			if ov < 0 {
-				ov = w.in.MaxOverlap(par)
-			}
-			if w.gpMax[j]+ov <= cut {
+			if rest[j]+ov <= cut {
 				assertTailWithinBound(w.in, par, j, gp, ov)
 				break
 			}
