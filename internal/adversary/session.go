@@ -42,10 +42,11 @@ import (
 // internal lock. Each call runs one level of parallelism: a single
 // evaluation searches with SearchOpts.Workers workers, while a
 // ProbeMoves batch fanned over w > 1 Fork children (sharing the
-// session's damage memo) runs each child's searches at one worker, so
-// the fan-out and the search never compete for the same cores. The
-// memo is capped (defaultMemoCap entries) with FIFO eviction, so an
-// unbounded reconcile run cannot grow it without limit.
+// session's damage memo, and pooled across batches) runs each child's
+// searches at one worker, so the fan-out and the search never compete
+// for the same cores. The memo is capped (defaultMemoCap entries) with
+// FIFO eviction, so an unbounded reconcile run cannot grow it without
+// limit.
 type Session struct {
 	mu   sync.Mutex
 	s, k int
@@ -59,7 +60,18 @@ type Session struct {
 	memo  *sessionMemo  // sharded key→result memo, shared with forks
 	key   placement.Sig // memo key of pl under opts.ObjWeights, kept current by moveReplica
 	stats SessionStats
+
+	// ProbeMoves' forks, kept across batches, and the moves applied to
+	// the session since the last batch, which the next one replays on
+	// them (see ProbeMoves). rebuild drops both.
+	pool    []*Session
+	pending []Move
 }
+
+// maxPendingMoves caps the moves the session logs for its pooled probe
+// forks between batches: past it, replaying the log would cost more
+// than forking afresh, so the pool is dropped instead.
+const maxPendingMoves = 64
 
 // lastEval remembers the previous evaluation of the live instance: the
 // warm-start seed and the baseline of the ±w move bracket.
@@ -195,7 +207,7 @@ func (se *Session) Stats() SessionStats {
 func (se *Session) Move(obj, from, to int) (SessionResult, error) {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if err := se.moveReplica(obj, from, to, "Move"); err != nil {
+	if err := se.commitMove(obj, from, to, "Move"); err != nil {
 		return SessionResult{}, err
 	}
 	return se.copyOut(se.applyMove(obj, from, to)), nil
@@ -208,7 +220,7 @@ func (se *Session) Move(obj, from, to int) (SessionResult, error) {
 func (se *Session) MoveInto(dst *SessionResult, obj, from, to int) error {
 	se.mu.Lock()
 	defer se.mu.Unlock()
-	if err := se.moveReplica(obj, from, to, "MoveInto"); err != nil {
+	if err := se.commitMove(obj, from, to, "MoveInto"); err != nil {
 		return err
 	}
 	copyInto(dst, se.applyMove(obj, from, to))
@@ -250,7 +262,7 @@ func (se *Session) Evaluate(pl *placement.Placement) (SessionResult, error) {
 		return se.copyOut(se.eval(false, 0)), nil
 	case changed >= 0:
 		if from, to, ok := singleMove(se.pl.Objects[changed].Members(nil), pl.Objects[changed].Members(nil)); ok {
-			if err := se.moveReplica(changed, from, to, "Evaluate"); err != nil {
+			if err := se.commitMove(changed, from, to, "Evaluate"); err != nil {
 				return SessionResult{}, err
 			}
 			return se.copyOut(se.applyMove(changed, from, to)), nil
@@ -315,34 +327,61 @@ func (se *Session) moveReplica(obj, from, to int, op string) error {
 	return nil
 }
 
+// commitMove is moveReplica for a move the session keeps (Move,
+// MoveInto, a one-move Evaluate), logged for the pooled probe forks.
+func (se *Session) commitMove(obj, from, to int, op string) error {
+	if err := se.moveReplica(obj, from, to, op); err != nil {
+		return err
+	}
+	if se.pool != nil {
+		if len(se.pending) == maxPendingMoves {
+			se.pool, se.pending = nil, nil
+		} else {
+			se.pending = append(se.pending, Move{Obj: obj, From: from, To: to})
+		}
+	}
+	return nil
+}
+
+// patchInstance applies a replica of obj moving between the given
+// NODES to the live instance, unless both lie in one attack-level
+// domain, where the domain instance does not change; it reports
+// whether the instance moved.
+func (se *Session) patchInstance(obj, from, to int) bool {
+	cf, ct := from, to
+	if se.topo != nil {
+		cf, ct = se.topo.DomainOf(from), se.topo.DomainOf(to)
+		if cf == ct {
+			return false
+		}
+	}
+	se.inst.ApplyMove(obj, se.inst.Pos(cf), se.inst.Pos(ct))
+	return true
+}
+
 // applyMove patches the live instance for a replica of obj moving
 // between the given NODES (the placement is already updated) and
 // evaluates the result. The returned result's slices are internal
 // (retained by the memo and warm-start baseline); public entry points
 // copy before handing them out.
 func (se *Session) applyMove(obj, from, to int) SessionResult {
-	cf, ct := from, to
-	if se.topo != nil {
-		cf, ct = se.topo.DomainOf(from), se.topo.DomainOf(to)
-		if cf == ct {
-			// The move never crosses a domain boundary: the domain
-			// instance — hence the worst case — is unchanged.
-			se.stats.NoopMoves++
-			if se.last != nil {
-				se.stats.Evals++
-				res := se.last.res
-				res.Visited = 0
-				res.Memo = true
-				if res.Exact {
-					se.memo.put(se.key, res)
-				}
-				return res
+	if !se.patchInstance(obj, from, to) {
+		// The move never crosses a domain boundary: the domain
+		// instance — hence the worst case — is unchanged.
+		se.stats.NoopMoves++
+		if se.last != nil {
+			se.stats.Evals++
+			res := se.last.res
+			res.Visited = 0
+			res.Memo = true
+			if res.Exact {
+				se.memo.put(se.key, res)
 			}
-			return se.eval(false, 0)
+			return res
 		}
+		return se.eval(false, 0)
 	}
 	se.stats.Moves++
-	se.inst.ApplyMove(obj, se.inst.Pos(cf), se.inst.Pos(ct))
 	// One replica of weight w moved, so the optimum shifts by at most
 	// ±w: if the previous result was exact, anything achieving
 	// prevFailed + w is provably the new optimum (the bracket skip).
@@ -497,13 +536,8 @@ func (se *Session) probe(m Move) SessionResult {
 	if err := se.moveReplica(m.Obj, m.To, m.From, "probe revert"); err != nil {
 		panic(fmt.Sprintf("adversary: probe revert failed: %v", err))
 	}
-	cf, ct := m.From, m.To
-	if se.topo != nil {
-		cf, ct = se.topo.DomainOf(m.From), se.topo.DomainOf(m.To)
-	}
-	if cf != ct {
+	if se.patchInstance(m.Obj, m.To, m.From) {
 		se.stats.Moves++
-		se.inst.ApplyMove(m.Obj, se.inst.Pos(ct), se.inst.Pos(cf))
 	}
 	if savedOK {
 		*se.last = saved
@@ -518,15 +552,21 @@ func (se *Session) probe(m Move) SessionResult {
 // > 1 fans the batch over that many Fork children sharing the
 // session's memo, each searching at one worker: the fan-out is the
 // call's one level of parallelism, and a serial batch keeps
-// SearchOpts.Workers. Because every probe is evaluated from the same
-// base state and warm baseline (see probe), the results — damage,
-// witness, exactness — are byte-identical at any worker count, and a
-// fanned batch's visited-state counts equal a one-worker session's, as
-// long as the memo cap (defaultMemoCap) is not reached (eviction order
-// is publish order, which parallelism does not fix; results stay
-// correct regardless, only memo hits vary). The forks' counters fold
-// into the session's stats before the call returns. An invalid move
-// reports Failed = -1 in its slot.
+// SearchOpts.Workers. The children are pooled: forked once, they are
+// kept across batches, and each batch first brings them level with the
+// session — the moves applied to it since the last batch are replayed
+// on every child's placement, memo key and instance, and the child's
+// warm baseline is reset to the session's — so a batch pays a few
+// one-replica patches per child instead of a deep copy. Because every
+// probe is evaluated from the same base state and warm baseline (see
+// probe), the results — damage, witness, exactness — are
+// byte-identical at any worker count, and a fanned batch's
+// visited-state counts equal a one-worker session's, as long as the
+// memo cap (defaultMemoCap) is not reached (eviction order is publish
+// order, which parallelism does not fix; results stay correct
+// regardless, only memo hits vary). The children's counters fold into
+// the session's stats before the call returns; Forks counts the
+// children forked. An invalid move reports Failed = -1 in its slot.
 func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 	se.mu.Lock()
 	defer se.mu.Unlock()
@@ -544,16 +584,27 @@ func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 		}
 		return out
 	}
-	children := make([]*Session, workers)
-	for wi := range children {
-		children[wi] = se.probeFork()
+	// Children forked before this batch replay the pending moves; new
+	// ones are forked level with the session. Every child resyncs, so
+	// the log can be cleared; only the first workers probe.
+	synced := len(se.pool)
+	for len(se.pool) < workers {
+		se.pool = append(se.pool, se.probeFork())
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, ch := range children {
+	for ci, ch := range se.pool {
 		wg.Add(1)
-		go func(ch *Session) {
+		go func() {
 			defer wg.Done()
+			var replay []Move
+			if ci < synced {
+				replay = se.pending
+			}
+			ch.resync(replay, se.last)
+			if ci >= workers {
+				return
+			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(moves) {
@@ -561,19 +612,45 @@ func (se *Session) ProbeMoves(moves []Move, workers int) []SessionResult {
 				}
 				out[i] = ch.probe(moves[i])
 			}
-		}(ch)
+		}()
 	}
 	wg.Wait()
-	for _, ch := range children {
+	se.pending = se.pending[:0]
+	for _, ch := range se.pool {
 		se.stats.add(ch.stats)
 	}
 	return out
 }
 
+// resync brings a pooled probe child level with its session for a
+// batch: the session's moves since the last batch are replayed on the
+// child's placement, memo key and instance, the warm baseline becomes
+// the session's last (nil: none), and the counters restart, so that
+// only the batch's work folds into the session. The replay counts
+// nothing: the session counted those moves when it made them.
+func (ch *Session) resync(replay []Move, last *lastEval) {
+	for _, m := range replay {
+		if err := ch.moveReplica(m.Obj, m.From, m.To, "resync"); err != nil {
+			panic(fmt.Sprintf("adversary: probe fork resync failed: %v", err))
+		}
+		ch.patchInstance(m.Obj, m.From, m.To)
+	}
+	switch {
+	case last == nil:
+		ch.last = nil
+	case ch.last == nil:
+		l := *last
+		ch.last = &l
+	default:
+		*ch.last = *last
+	}
+	ch.stats = SessionStats{}
+}
+
 // probeFork forks one ProbeMoves worker. Its searches run at one
 // worker: the batch fan-out already fills the cores, and a parallel
-// search per probe would only add an instance clone, a second prepare
-// and a goroutine competing for them. The caller holds the lock.
+// search per probe would only add an instance clone and a goroutine
+// competing for them. The caller holds the lock.
 func (se *Session) probeFork() *Session {
 	ch := se.forkLocked()
 	ch.opts.Workers = 1
@@ -595,6 +672,8 @@ func (se *Session) rebuild() {
 	}
 	se.inst.Assign(se.k, byID, se.opts.ObjWeights, nil, true)
 	se.last = nil // witness positions and instance are fresh; memo survives
+	// No move log leads the probe forks to a rebuilt instance.
+	se.pool, se.pending = nil, nil
 	se.key = placement.Signature(se.pl, se.opts.ObjWeights)
 	se.assertKey("rebuild")
 }

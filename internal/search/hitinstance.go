@@ -86,16 +86,21 @@ type HitInstance struct {
 	count int   // attack-set size K
 	s     int32 // failed replicas that kill an object
 
-	// Immutable between Assign calls (shared by Clone).
-	hits     []Hit     // flat CSR: candidate i owns hits[offs[i]:offs[i+1]]
-	objs     []int32   // C = 1 fast strip: hits[j].Obj when every C == 1, else nil
-	offs     []int32   // len = Len()+1
-	loads    []int64   // static load per candidate
+	// The candidate layout: written by Assign, patched in place by
+	// ApplyMove, shared by Clone.
+	hits  []Hit   // flat CSR: candidate i owns hits[offs[i]:offs[i+1]]
+	objs  []int32 // C = 1 fast strip: hits[j].Obj when every C == 1, else nil
+	offs  []int32 // len = Len()+1
+	loads []int64 // static load per candidate
+
+	// The residual machinery: built once by prepare, then kept current
+	// by ApplyMove; shared by Clone.
 	full     []int64   // Σ C per candidate: residual at a clean state
 	fullSum  int64     // Σ full
-	objHits  []candHit // flat inverted CSR: object j owns objHits[objOffs[j]:objOffs[j+1]]
+	objHits  []candHit // flat inverted CSR: object j owns objHits[objOffs[j]:objOffs[j+1]], ascending by candidate
 	objCands []int32   // C = 1 fast strip of objHits (candidate ids only)
 	objOffs  []int32   // len = numObjects+1
+	ov       []int64   // the overlap table (see MaxOverlap); empty below K = 2
 
 	// Weighted damage (nil = unit weights). Immutable between
 	// Assign calls, shared by Clone.
@@ -103,38 +108,43 @@ type HitInstance struct {
 
 	// Unit identities (see Assign): ids[p] is the unit at candidate
 	// position p, pos[u] unit u's position or -1. They break load ties
-	// in the canonical order ApplyMove restores. invStale records that
-	// the inverted index no longer matches the patched CSR runs and
-	// must be rebuilt before the next residual-tracked search.
-	ids      []int
-	pos      []int
-	invStale bool
+	// in the canonical order ApplyMove restores.
+	ids []int
+	pos []int
 
 	// Mutable search state (fresh per Clone).
 	cnt       []int32 // failed replicas per object
 	track     bool    // residual upkeep enabled (see EnableResidual)
-	prepared  bool    // residual baselines + inverted index built (lazy)
+	prepared  bool    // residual baselines, inverted index and overlap table built (lazy)
 	resid     []int64 // per-candidate load restricted to live objects
 	residAll  int64   // Σ resid over all candidates
 	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
 
-	// The overlap table (see MaxOverlap), built with the inverted index
-	// at K >= 2 and shared by Clone like it.
-	ov []int64
+	sc scratch // working memory: every Clone and CloneForMoves starts its own
+}
 
-	cursor     []int32   // prepare scratch for the inverted-index fill
-	ovAcc      []int64   // overlap-table build scratch: shared weight per later candidate
-	ovStamp    []int32   // overlap-table build scratch: 1 + the row that last touched ovAcc[j]
-	top        []int64   // TopResidual scratch (rem largest residuals)
-	gains      []int64   // backing of the driver's gain vectors and rest rows (see gainScratch)
-	gainRows   [][]int64 // gainScratch's per-depth views of gains: vectors, then rest rows
-	gainOK     []bool    // gainScratch's per-depth freshness flags
-	gainLo     []int     // gainScratch's per-depth rest-row coverage
-	hitScratch []Hit     // ApplyMove scratch for run rotation
-	objScratch []int32   // ApplyMove scratch for the C = 1 strip rotation
-	unitLoads  []int64   // Assign scratch: weighted load per unit id
-	lists      [][]Hit   // Assign scratch: hit lists in candidate order
-	listLoads  []int64   // Assign scratch: loads in candidate order
+// scratch is an instance's working memory, grown on first use and kept
+// for the next call. It lives in one field so that a copy resets it in
+// one assignment: Clone and CloneForMoves copies are searched and moved
+// concurrently with the receiver, and a slice they shared would be
+// written from two goroutines.
+type scratch struct {
+	cursor    []int32   // prepare: the inverted-index fill
+	ovAcc     []int64   // overlapRow: shared weight per later candidate
+	ovStamp   []int32   // overlapRow: the row generation that last touched ovAcc[j]
+	ovGen     int32     // overlapRow: the current row generation
+	ovRows    []int     // ApplyMove: the units whose overlap rows a swap left stale, then the rows to redo
+	top       []int64   // TopResidual: the rem largest residuals
+	greedy    []int64   // Greedy: its gain vector, and the copy a kept swap restores
+	gains     []int64   // backing of the driver's gain vectors and rest rows (see gainScratch)
+	gainRows  [][]int64 // gainScratch's per-depth views of gains: vectors, then rest rows
+	gainOK    []bool    // gainScratch's per-depth freshness flags
+	gainLo    []int     // gainScratch's per-depth rest-row coverage
+	rotHits   []Hit     // ApplyMove: run rotation
+	rotObjs   []int32   // ApplyMove: the C = 1 strip rotation
+	unitLoads []int64   // Assign: weighted load per unit id
+	lists     [][]Hit   // Assign: hit lists in candidate order
+	listLoads []int64   // Assign: loads in candidate order
 }
 
 // NewHitInstance returns an empty instance over numObjects objects with
@@ -147,7 +157,6 @@ func NewHitInstance(s, numObjects int) *HitInstance {
 		s:       int32(s),
 		cnt:     make([]int32, numObjects),
 		objOffs: make([]int32, numObjects+1),
-		cursor:  make([]int32, numObjects),
 	}
 }
 
@@ -196,13 +205,13 @@ func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads []int64) {
 		}
 	}
 
-	// Residual baselines and the inverted index are built lazily by
-	// EnableResidual: Greedy seeding, Exhaustive enumeration and
-	// static-bound searches never pay for them.
+	// The residual machinery is built lazily, by the first Greedy or
+	// residual search: Exhaustive enumeration and static-bound
+	// searches without a seed never pay for it.
+	in.ov = in.ov[:0]
 	in.deadSpent = 0
 	in.track = false
 	in.prepared = false
-	in.invStale = false
 	in.w = nil
 }
 
@@ -225,36 +234,31 @@ func (in *HitInstance) setWeights(w []int64) {
 	in.w = w
 }
 
-// prepare builds the residual machinery, or rebuilds what ApplyMove
-// left stale: per-candidate full loads (the clean-state residuals), the
-// inverted object → candidate index the threshold-crossing walks use,
-// and the overlap table. A no-op while all of it is current. The
-// instance must be clean (Reset). BranchAndBound runs it on the
-// caller's instance before cloning, so every worker shares one index
-// and one table.
+// prepare builds the residual machinery: per-candidate full loads (the
+// clean-state residuals), the inverted object → candidate index the
+// threshold-crossing walks and the gain patches use, and the overlap
+// table. It runs once per Assign: from then on ApplyMove keeps all of
+// it current, so later calls are no-ops. The instance must be clean
+// (Reset). BranchAndBound runs it on the caller's instance before
+// cloning, so every worker shares one index and one table.
 func (in *HitInstance) prepare() {
-	switch {
-	case !in.prepared:
-		m := in.Len()
-		in.full = in.full[:0]
-		in.fullSum = 0
-		for i := 0; i < m; i++ {
-			sum := weightedLoad(in.run(i), in.w)
-			in.full = append(in.full, sum)
-			in.fullSum += sum
-		}
-	case !in.invStale:
+	if in.prepared {
 		return
 	}
-	// Built fresh, or patched in place by ApplyMove: full is current, and
-	// the clean-state residuals, the index and the table follow it.
+	m := in.Len()
+	in.full = in.full[:0]
+	in.fullSum = 0
+	for i := 0; i < m; i++ {
+		sum := weightedLoad(in.run(i), in.w)
+		in.full = append(in.full, sum)
+		in.fullSum += sum
+	}
 	in.resid = append(in.resid[:0], in.full...)
 	in.residAll = in.fullSum
 	in.deadSpent = 0
 	in.buildInverted()
 	in.buildOverlaps()
 	in.prepared = true
-	in.invStale = false
 }
 
 // buildInverted (re)derives the object → candidate index from the
@@ -274,14 +278,13 @@ func (in *HitInstance) buildInverted() {
 		in.objHits = make([]candHit, len(in.hits))
 	}
 	in.objHits = in.objHits[:len(in.hits)]
-	if len(in.cursor) < len(in.objOffs)-1 {
-		in.cursor = make([]int32, len(in.objOffs)-1)
-	}
-	copy(in.cursor, in.objOffs[:len(in.cursor)])
+	cursor := slices.Grow(in.sc.cursor[:0], len(in.objOffs)-1)[:len(in.objOffs)-1]
+	in.sc.cursor = cursor
+	copy(cursor, in.objOffs)
 	for i := 0; i < m; i++ {
 		for _, h := range in.run(i) {
-			in.objHits[in.cursor[h.Obj]] = candHit{Cand: int32(i), C: h.C}
-			in.cursor[h.Obj]++
+			in.objHits[cursor[h.Obj]] = candHit{Cand: int32(i), C: h.C}
+			cursor[h.Obj]++
 		}
 	}
 	in.objCands = in.objCands[:0]
@@ -643,13 +646,14 @@ func (in *HitInstance) Reset() {
 // real work in Add/Remove, it is off until a BoundResidual search
 // starts: Greedy seeding, Exhaustive enumeration and static-bound
 // ablation runs all mutate at full speed. The instance must be clean
-// (Reset): the baselines reinit/Reset install are exactly the
-// clean-state invariants, so no recomputation is needed. Assign
-// switches it back off, and ApplyMove suspends it —
-// the per-candidate full loads are patched in place by the move, but
-// the inverted index and the overlap table are only re-derived by
-// prepare (here, or by BranchAndBound before it clones), once, when the
-// next residual-pruned search actually starts.
+// (Reset): the baselines prepare/Reset install are exactly the
+// clean-state invariants, so no recomputation is needed. The first
+// call after Assign builds the residual machinery (prepare), unless
+// Greedy already did. Assign switches the upkeep back off, and
+// ApplyMove suspends it until the next call, so Greedy seeding between
+// moves runs without it; the move itself keeps the baselines, the
+// inverted index and the overlap table current, so the call that
+// resumes it rebuilds nothing.
 func (in *HitInstance) EnableResidual() {
 	in.prepare()
 	in.track = true
@@ -671,10 +675,10 @@ func (in *HitInstance) ResidualStats() (deadSpent, residual, discount int64) {
 // index order, so every candidate >= start is unchosen and eligible.
 // Valid only while the upkeep is enabled, with 0 < rem <= Len()-start.
 func (in *HitInstance) TopResidual(start, rem int) int64 {
-	if cap(in.top) < rem {
-		in.top = make([]int64, rem)
+	if cap(in.sc.top) < rem {
+		in.sc.top = make([]int64, rem)
 	}
-	top := in.top[:rem] // ascending; top[0] is the smallest kept
+	top := in.sc.top[:rem] // ascending; top[0] is the smallest kept
 	copy(top, in.resid[start:start+rem])
 	for i := 1; i < rem; i++ {
 		for j := i; j > 0 && top[j] < top[j-1]; j-- {
@@ -721,17 +725,26 @@ func (in *HitInstance) Gains(dst []int64) {
 // C = 1 throughout, an object's holders flip only when its counter
 // reaches S-1 (all gain it) or S (all lose it), so every other object
 // costs one compare. About |run i|·r work instead of Gains' sweep over
-// the whole CSR. Valid only while the residual upkeep is enabled, and
-// only as the step right after Add(i).
-func (in *HitInstance) patchGains(i int, g []int64) {
+// the whole CSR. With removed set it is the same patch for Remove(i),
+// which moves the same counters back down (Greedy's swap phase). Valid
+// once the instance is prepared (the inverted index is built), and
+// only as the step right after Add(i) or Remove(i).
+func (in *HitInstance) patchGains(i int, g []int64, removed bool) {
 	s := in.s
 	if in.objCands != nil {
+		// The counter values, after the step, at which every holder's
+		// indicator flips: on the way up from s-2 and s-1, on the way
+		// down from s and s-1.
+		gain, lose := s-1, s
+		if removed {
+			lose = s - 2
+		}
 		for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
 			var d int64
 			switch in.cnt[obj] {
-			case s - 1: // was s-2: one more replica now fails it
+			case gain: // one more replica now fails it
 				d = 1
-			case s: // was s-1: it is dead, nobody gains it
+			case lose: // dead, or two replicas short: nobody gains it
 				d = -1
 			default:
 				continue
@@ -746,23 +759,34 @@ func (in *HitInstance) patchGains(i int, g []int64) {
 		return
 	}
 	for _, h := range in.run(i) {
-		now := in.cnt[h.Obj]
-		was := now - h.C
-		if was >= s {
-			continue // dead before: no holder counted it, none does now
+		// The counter moved between lo and hi = lo + C. A holder with
+		// count c counts the object while the counter lies in [s-c, s):
+		// with hi < s the holders with s-hi <= c < s-lo take it up as the
+		// counter rises (and drop it as it falls); with hi >= s, dead at
+		// the top, the holders with c >= s-lo drop it as it rises (and
+		// take it up as it falls).
+		lo := in.cnt[h.Obj]
+		if !removed {
+			lo -= h.C
 		}
-		w := int64(1)
+		if lo >= s {
+			continue // dead on both sides: no holder counted it, none does now
+		}
+		hi := lo + h.C
+		d := int64(1)
 		if in.w != nil {
-			w = in.w[h.Obj]
+			d = in.w[h.Obj]
+		}
+		cmin, cmax := s-hi, s-lo
+		if hi >= s {
+			cmin, cmax, d = s-lo, math.MaxInt32, -d
+		}
+		if removed {
+			d = -d
 		}
 		for _, ch := range in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]] {
-			need := s - ch.C // the holder kills the object from a counter >= need
-			before, after := was >= need, now < s && now >= need
-			switch {
-			case after && !before:
-				g[ch.Cand] += w
-			case before && !after:
-				g[ch.Cand] -= w
+			if cmin <= ch.C && ch.C < cmax {
+				g[ch.Cand] += d
 			}
 		}
 	}
@@ -776,23 +800,23 @@ func (in *HitInstance) patchGains(i int, g []int64) {
 // served a search as deep; Clone and CloneForMoves give each copy its
 // own.
 func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, rest [][]int64, restLo []int) {
-	m := in.Len()
-	if n := 2 * depths * m; cap(in.gains) < n {
-		in.gains = make([]int64, n)
+	m, sc := in.Len(), &in.sc
+	if n := 2 * depths * m; cap(sc.gains) < n {
+		sc.gains = make([]int64, n)
 	}
-	in.gainRows = in.gainRows[:0]
+	sc.gainRows = sc.gainRows[:0]
 	for d := 0; d < 2*depths; d++ {
-		in.gainRows = append(in.gainRows, in.gains[d*m:(d+1)*m])
+		sc.gainRows = append(sc.gainRows, sc.gains[d*m:(d+1)*m])
 	}
-	if cap(in.gainOK) < depths {
-		in.gainOK, in.gainLo = make([]bool, depths), make([]int, depths)
+	if cap(sc.gainOK) < depths {
+		sc.gainOK, sc.gainLo = make([]bool, depths), make([]int, depths)
 	}
-	in.gainOK, in.gainLo = in.gainOK[:depths], in.gainLo[:depths]
-	clear(in.gainOK)
-	for d := range in.gainLo {
-		in.gainLo[d] = math.MaxInt
+	sc.gainOK, sc.gainLo = sc.gainOK[:depths], sc.gainLo[:depths]
+	clear(sc.gainOK)
+	for d := range sc.gainLo {
+		sc.gainLo[d] = math.MaxInt
 	}
-	return in.gainRows[:depths], in.gainOK, in.gainRows[depths:], in.gainLo
+	return sc.gainRows[:depths], sc.gainOK, sc.gainRows[depths:], sc.gainLo
 }
 
 // MaxOverlap returns the largest total weight of objects that candidate
@@ -800,14 +824,12 @@ func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, rest []
 // Σ w(obj) over obj in both runs (objects counted once whatever their
 // replica counts). Failing i raises no later candidate's marginal gain
 // by more than their shared weight, which is what the gain-vector
-// bounds need. A read of the table buildOverlaps fills; valid once the
-// residual machinery is prepared at K >= 2.
+// bounds need. A read of the table buildOverlaps fills and ApplyMove
+// keeps current; valid once the residual machinery is prepared at
+// K >= 2.
 func (in *HitInstance) MaxOverlap(i int) int64 { return in.ov[i] }
 
-// buildOverlaps fills the overlap table, one MaxOverlap entry per
-// candidate: row i walks run i's objects through the inverted index
-// (whose per-object lists are in ascending candidate order, so only the
-// tail past i is read), summing the shared weight per later candidate.
+// buildOverlaps fills the overlap table, one overlapRow per candidate.
 // About |hits|·r work. K = 1 searches never read the table, so it is
 // left empty there.
 func (in *HitInstance) buildOverlaps() {
@@ -815,33 +837,47 @@ func (in *HitInstance) buildOverlaps() {
 	if in.count < 2 {
 		return
 	}
-	m := in.Len()
-	if len(in.ovAcc) < m {
-		in.ovAcc, in.ovStamp = make([]int64, m), make([]int32, m)
+	for i := range in.Len() {
+		in.ov = append(in.ov, in.overlapRow(i))
 	}
-	acc, stamp := in.ovAcc, in.ovStamp
-	clear(stamp[:m])
-	for i := 0; i < m; i++ {
-		row := int32(i + 1)
-		var best int64
-		for _, h := range in.run(i) {
-			w := int64(1)
-			if in.w != nil {
-				w = in.w[h.Obj]
-			}
-			holders := in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]]
-			for t := len(holders) - 1; t >= 0 && int(holders[t].Cand) > i; t-- {
-				c := holders[t].Cand
-				if stamp[c] != row {
-					stamp[c], acc[c] = row, 0
-				}
-				acc[c] += w
-				best = max(best, acc[c])
-			}
+}
+
+// overlapRow computes MaxOverlap(i) from the current runs and inverted
+// index: it walks run i's objects through the index (whose per-object
+// lists are in ascending candidate order, so only the tail past i is
+// read), summing the shared weight per later candidate. The sums live
+// in scratch stamped with a per-row generation, so a row costs
+// |run i|·r whatever the number of candidates, and ApplyMove can redo
+// single rows.
+func (in *HitInstance) overlapRow(i int) int64 {
+	sc := &in.sc
+	if m := in.Len(); len(sc.ovAcc) < m {
+		sc.ovAcc, sc.ovStamp, sc.ovGen = make([]int64, m), make([]int32, m), 0
+	}
+	if sc.ovGen == math.MaxInt32 {
+		clear(sc.ovStamp)
+		sc.ovGen = 0
+	}
+	sc.ovGen++
+	gen, acc, stamp := sc.ovGen, sc.ovAcc, sc.ovStamp
+	var best int64
+	for _, h := range in.run(i) {
+		w := int64(1)
+		if in.w != nil {
+			w = in.w[h.Obj]
 		}
-		in.assertMaxOverlap(i, best)
-		in.ov = append(in.ov, best)
+		holders := in.objHits[in.objOffs[h.Obj]:in.objOffs[h.Obj+1]]
+		for t := len(holders) - 1; t >= 0 && int(holders[t].Cand) > i; t-- {
+			c := holders[t].Cand
+			if stamp[c] != gen {
+				stamp[c], acc[c] = gen, 0
+			}
+			acc[c] += w
+			best = max(best, acc[c])
+		}
 	}
+	in.assertMaxOverlap(i, best)
+	return best
 }
 
 // DupOfPrev reports whether candidate i's (i >= 1) hit run equals
@@ -856,35 +892,36 @@ func (in *HitInstance) buildOverlaps() {
 func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.run(i-1)) }
 
 // CloneForMoves returns an independent editor-and-searcher: unlike
-// Clone, the CSR backing arrays (hits, offsets, loads, the C = 1 fast
-// strip and the unit ids and positions) are deep-copied, so ApplyMove on the
-// clone never touches the receiver and vice versa — the primitive a
-// probing session forks per worker. Only the per-object weight vector
-// stays shared (immutable between Assign calls). The residual
-// machinery is left unbuilt: the clone re-prepares lazily on its own
-// backing at its first residual search, which costs nothing extra on a
-// probing workload — every ApplyMove marks the inverted index stale, so
-// a moved instance rebuilds it per search anyway. The clone's Units and
-// Pos follow its own moves. The receiver must be clean (Reset), as the clone starts clean.
+// Clone, every array a move patches — the CSR runs, offsets, loads, the
+// C = 1 fast strip, the unit ids and positions, and, once prepared, the
+// residual baselines, the inverted index and the overlap table — is
+// deep-copied, so ApplyMove on the clone never touches the receiver and
+// vice versa: the primitive a probing session forks per worker. Only
+// the per-object weight vector stays shared (immutable between Assign
+// calls). A prepared receiver gives a prepared clone, which searches
+// and moves without ever rebuilding; an unprepared one gives a clone
+// that prepares on its own backing at its first Greedy or residual
+// search. The clone's Units and Pos follow its own moves, and its
+// scratch is its own. The receiver must be clean (Reset), as the clone
+// starts clean.
 func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp := *in
-	cp.hits = append([]Hit(nil), in.hits...)
-	if in.objs != nil {
-		cp.objs = append([]int32(nil), in.objs...)
-	}
-	cp.offs = append([]int32(nil), in.offs...)
-	cp.loads = append([]int64(nil), in.loads...)
-	cp.ids = append([]int(nil), in.ids...)
-	cp.pos = append([]int(nil), in.pos...)
+	cp.hits = slices.Clone(in.hits)
+	cp.objs = slices.Clone(in.objs)
+	cp.offs = slices.Clone(in.offs)
+	cp.loads = slices.Clone(in.loads)
+	cp.ids = slices.Clone(in.ids)
+	cp.pos = slices.Clone(in.pos)
+	cp.full = slices.Clone(in.full)
+	cp.resid = slices.Clone(in.full) // the clean-state residuals
+	cp.residAll, cp.deadSpent = in.fullSum, 0
+	cp.objHits = slices.Clone(in.objHits)
+	cp.objCands = slices.Clone(in.objCands)
+	cp.objOffs = slices.Clone(in.objOffs)
+	cp.ov = slices.Clone(in.ov)
 	cp.cnt = make([]int32, len(in.cnt))
-	cp.full, cp.resid, cp.objHits, cp.objCands = nil, nil, nil, nil
-	cp.objOffs = make([]int32, len(in.objOffs))
-	cp.fullSum = 0
-	cp.prepared, cp.invStale, cp.track = false, false, false
-	cp.deadSpent = 0
-	cp.ov, cp.cursor, cp.ovAcc, cp.ovStamp, cp.top, cp.hitScratch, cp.objScratch = nil, nil, nil, nil, nil, nil, nil
-	cp.gains, cp.gainRows, cp.gainOK, cp.gainLo = nil, nil, nil, nil
-	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
+	cp.track = false
+	cp.sc = scratch{}
 	cp.assertInvariants("CloneForMoves")
 	return &cp
 }
@@ -892,39 +929,29 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 // Clone returns an independent searcher over the same immutable
 // preprocessing: the CSR arrays, loads, duplicate flags, inverted index
 // and overlap table are shared (read-only during search), only the
-// mutable failure and residual state is fresh — the cheap way to stamp
-// out per-worker instances for BranchAndBound, which prepares the
-// receiver first. The receiver must be clean (Reset), as the clone
-// starts clean.
+// mutable failure and residual state and the scratch are fresh — the
+// cheap way to stamp out per-worker instances for BranchAndBound, which
+// prepares the receiver first. The receiver must be clean (Reset), as
+// the clone starts clean.
 func (in *HitInstance) Clone() *HitInstance {
 	cp := *in
 	cp.cnt = make([]int32, len(in.cnt))
-	if in.prepared && !in.invStale {
+	if in.prepared {
 		// Share the immutable residual preprocessing; fresh state only.
 		cp.resid = append([]int64(nil), in.full...)
 		cp.residAll = in.fullSum
 		cp.deadSpent = 0
 	} else {
 		// Unshare the lazily-built arrays: concurrent clones must not
-		// race on the receiver's backing capacity when they prepare. A
-		// stale inverted index (ApplyMove since the last residual run)
-		// is treated the same way — the clone re-prepares from the
-		// patched CSR runs on its own backing.
+		// race on the receiver's backing capacity when they prepare.
 		cp.full, cp.resid, cp.objHits, cp.objCands, cp.ov = nil, nil, nil, nil, nil
 		cp.objOffs = make([]int32, len(in.objOffs))
-		cp.prepared = false
-		cp.invStale = false
 	}
 	cp.track = false // each driver re-enables on its own copy
-	// Prepare-only, TopResidual and gain-vector scratch: per instance,
-	// grown lazily.
-	cp.cursor, cp.ovAcc, cp.ovStamp, cp.top = nil, nil, nil, nil
-	cp.gains, cp.gainRows, cp.gainOK, cp.gainLo = nil, nil, nil, nil
-	// Clones are searchers, not editors: unit ids and move and Assign
-	// scratch stay with the receiver (see the ApplyMove contract), which
-	// translates the clones' selections.
+	// Clones are searchers, not editors: unit ids stay with the receiver
+	// (see the ApplyMove contract), which translates the clones'
+	// selections.
 	cp.ids, cp.pos = nil, nil
-	cp.hitScratch, cp.objScratch = nil, nil
-	cp.unitLoads, cp.lists, cp.listLoads = nil, nil, nil
+	cp.sc = scratch{}
 	return &cp
 }

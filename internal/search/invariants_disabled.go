@@ -22,14 +22,14 @@ func assertSkipWithinBound(*HitInstance, int, int, int64, int64) {}
 // scan's call inlines away entirely.
 func assertTailWithinBound(*HitInstance, int, int, []int64, int64) {}
 
-// assertGainsFresh is a no-op in regular builds; runTask's call inlines
-// away entirely.
+// assertGainsFresh is a no-op in regular builds; runTask's and Greedy's
+// calls inline away entirely.
 func assertGainsFresh(*HitInstance, []int, []int64) {}
 
 // assertChildSkipSound is a no-op in regular builds; runTask's call
 // inlines away entirely.
 func assertChildSkipSound(*HitInstance, []int, int, int, int, int64) {}
 
-// assertMaxOverlap is a no-op in regular builds; the overlap-table
-// build's call inlines away entirely.
+// assertMaxOverlap is a no-op in regular builds; overlapRow's call
+// inlines away entirely.
 func (in *HitInstance) assertMaxOverlap(int, int64) {}

@@ -11,8 +11,10 @@ const InvariantsEnabled = true
 // assertInvariants validates the full CSR contract after a structural
 // mutation (ApplyMove, CloneForMoves). It recomputes every
 // derived quantity from the hit runs — the one source of truth — and
-// panics on the first divergence. O(nnz) per call: strictly a debug
-// build; the !invariants stub compiles to nothing.
+// panics on the first divergence. O(nnz) per call, plus O(m·nnz) for
+// the overlap table: strictly a debug build; the !invariants stub
+// compiles to nothing. It allocates nothing, so allocation pins such as
+// the session's memo-hit probe loop hold under the tag too.
 //
 // The checked contract:
 //
@@ -22,8 +24,12 @@ const InvariantsEnabled = true
 //	loads   Σ C·w per run, non-increasing (canonical order), id-tied
 //	ids     pos inverts them
 //	full    equals loads entry-wise when prepared; fullSum = Σ full
+//	resid   the clean-state residuals when prepared: resid = full,
+//	        residAll = fullSum, deadSpent = 0
 //	index   inverted object → candidate CSR matches the forward runs
-//	        whenever it claims freshness (prepared && !invStale)
+//	        when prepared, the objCands strip present exactly with objs
+//	ov      every overlap-table entry equals a pairwise count when
+//	        prepared at K >= 2
 //	cnt     clean (all zero) — moves are between-search operations
 func (in *HitInstance) assertInvariants(context string) {
 	fail := func(format string, args ...any) {
@@ -107,26 +113,36 @@ func (in *HitInstance) assertInvariants(context string) {
 		}
 	}
 
-	// Residual baselines track the patched loads.
+	// Residual baselines, index and overlap table track the patched runs.
 	if in.prepared {
-		if len(in.full) != m {
-			fail("len(full) = %d, want %d", len(in.full), m)
+		if len(in.full) != m || len(in.resid) != m {
+			fail("len(full) = %d, len(resid) = %d, want %d", len(in.full), len(in.resid), m)
 		}
 		var fullSum int64
 		for i := 0; i < m; i++ {
 			if in.full[i] != in.loads[i] {
 				fail("candidate %d full %d != load %d", i, in.full[i], in.loads[i])
 			}
+			if in.resid[i] != in.full[i] {
+				fail("candidate %d clean residual %d != full %d", i, in.resid[i], in.full[i])
+			}
 			fullSum += in.full[i]
 		}
-		if in.fullSum != fullSum {
-			fail("fullSum %d != Σ full %d", in.fullSum, fullSum)
+		if in.fullSum != fullSum || in.residAll != fullSum || in.deadSpent != 0 {
+			fail("fullSum %d, residAll %d, deadSpent %d; want Σ full %d, Σ full, 0",
+				in.fullSum, in.residAll, in.deadSpent, fullSum)
 		}
-	}
-
-	// Inverted index: only checked when it claims to be fresh.
-	if in.prepared && !in.invStale {
 		in.assertInvertedFresh(fail)
+		want := m // one row per candidate, none below K = 2
+		if in.count < 2 {
+			want = 0
+		}
+		if len(in.ov) != want {
+			fail("overlap table has %d rows at K = %d, want %d", len(in.ov), in.count, want)
+		}
+		for i, v := range in.ov {
+			in.assertMaxOverlap(i, v)
+		}
 	}
 
 	// Moves are between-search operations: counters clean, residual
@@ -138,39 +154,46 @@ func (in *HitInstance) assertInvariants(context string) {
 	}
 }
 
-// assertInvertedFresh re-derives the object → candidate index from the
-// forward runs and compares it to the stored one.
+// assertInvertedFresh checks the stored object → candidate index
+// against the forward runs without building a second one: every holder
+// list is in strictly ascending candidate order, the lists together
+// hold exactly len(hits) entries, and every forward hit (i, obj, C)
+// finds the entry (i, C) in obj's list. Distinct forward hits find
+// distinct entries, so with the counts equal the two are the same
+// relation.
 func (in *HitInstance) assertInvertedFresh(fail func(string, ...any)) {
 	m := in.Len()
 	numObjects := len(in.cnt)
-	if len(in.objOffs) != numObjects+1 {
-		fail("len(objOffs) = %d, want %d", len(in.objOffs), numObjects+1)
+	if len(in.objOffs) != numObjects+1 || in.objOffs[0] != 0 {
+		fail("objOffs malformed: len %d (want %d)", len(in.objOffs), numObjects+1)
 	}
-	counts := make([]int32, numObjects)
-	for _, h := range in.hits {
-		counts[h.Obj]++
+	if len(in.objHits) != len(in.hits) || int(in.objOffs[numObjects]) != len(in.hits) {
+		fail("len(objHits) = %d, objOffs closes at %d, want len(hits) = %d", len(in.objHits), in.objOffs[numObjects], len(in.hits))
+	}
+	if (in.objCands != nil) != (in.objs != nil) || in.objCands != nil && len(in.objCands) != len(in.objHits) {
+		fail("objCands strip (len %d, present %v) does not follow the objs strip (present %v)",
+			len(in.objCands), in.objCands != nil, in.objs != nil)
 	}
 	for j := 0; j < numObjects; j++ {
-		if in.objOffs[j+1]-in.objOffs[j] != counts[j] {
-			fail("object %d inverted run length %d, want %d", j, in.objOffs[j+1]-in.objOffs[j], counts[j])
+		lo, hi := in.objOffs[j], in.objOffs[j+1]
+		if lo > hi {
+			fail("objOffs not monotone at object %d: %d > %d", j, lo, hi)
+		}
+		for x := lo; x < hi; x++ {
+			if x > lo && in.objHits[x-1].Cand >= in.objHits[x].Cand {
+				fail("object %d holder list not strictly ascending at %d: %d >= %d", j, x, in.objHits[x-1].Cand, in.objHits[x].Cand)
+			}
+			if in.objCands != nil && in.objCands[x] != in.objHits[x].Cand {
+				fail("objCands strip diverges at %d: %d != %d", x, in.objCands[x], in.objHits[x].Cand)
+			}
 		}
 	}
-	if len(in.objHits) != len(in.hits) {
-		fail("len(objHits) = %d != len(hits) = %d", len(in.objHits), len(in.hits))
-	}
-	cursor := append([]int32(nil), in.objOffs[:numObjects]...)
 	for i := 0; i < m; i++ {
 		for _, h := range in.hits[in.offs[i]:in.offs[i+1]] {
-			g := cursor[h.Obj]
-			ch := in.objHits[g]
-			if int(ch.Cand) != i || ch.C != h.C {
-				fail("inverted entry %d for object %d is (cand %d, C %d), want (cand %d, C %d)",
-					g, h.Obj, ch.Cand, ch.C, i, h.C)
+			x := in.holderAt(h.Obj, i)
+			if x >= int(in.objOffs[h.Obj+1]) || int(in.objHits[x].Cand) != i || in.objHits[x].C != h.C {
+				fail("object %d has no inverted entry (cand %d, C %d)", h.Obj, i, h.C)
 			}
-			if in.objCands != nil && in.objCands[g] != ch.Cand {
-				fail("objCands strip diverges at %d: %d != %d", g, in.objCands[g], ch.Cand)
-			}
-			cursor[h.Obj]++
 		}
 	}
 }
@@ -206,15 +229,16 @@ func assertTailWithinBound(in *HitInstance, parent, from int, gp []int64, ov int
 	}
 }
 
-// assertGainsFresh audits the gain vector of a node with two or more
-// picks left against a fresh Gains pass: a vector the patches left
-// wrong would make the child skip or the scan drop a maximizer, so the
-// check panics, naming the node's prefix and the first wrong candidate.
+// assertGainsFresh audits a gain vector kept by patches against
+// Marginal, candidate by candidate, without allocating: the vector of a
+// search node with two or more picks left (prefix is the node), where a
+// wrong entry would make the child skip or the scan drop a maximizer,
+// and Greedy's after every Add and Remove (prefix is its selection),
+// where it would change a pick. The check panics, naming the prefix and
+// the first wrong candidate.
 func assertGainsFresh(in *HitInstance, prefix []int, g []int64) {
-	want := make([]int64, in.Len())
-	in.Gains(want)
-	for j, v := range want {
-		if g[j] != v {
+	for j := range in.Len() {
+		if v := int64(in.Marginal(j)); g[j] != v {
 			panic(fmt.Sprintf("search: invariants at node %v: gain vector has %d for candidate %d, Marginal %d",
 				prefix, g[j], j, v))
 		}

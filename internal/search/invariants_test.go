@@ -27,16 +27,24 @@ func TestInvariantsEnabled(t *testing.T) {
 }
 
 // TestAssertInvariantsPassesOnValidMoves exercises the checked paths on
-// a healthy instance: every ApplyMove (the move and its opposite) and
-// CloneForMoves runs the full CSR audit and must stay silent.
+// a healthy instance, unprepared and prepared: every ApplyMove (the
+// move and its opposite) and CloneForMoves runs the full audit — the
+// prepared one includes the patched index, overlap table and residual
+// baselines — and must stay silent.
 func TestAssertInvariantsPassesOnValidMoves(t *testing.T) {
-	in := moveReady(t)
-	from, to := in.ApplyMove(0, 0, 2)
-	cp := in.CloneForMoves()
-	if cp.Len() != in.Len() {
-		t.Fatalf("clone Len %d != %d", cp.Len(), in.Len())
+	for _, prepared := range []bool{false, true} {
+		in := moveReady(t)
+		if prepared {
+			in.prepare()
+		}
+		from, to := in.ApplyMove(0, 0, 2)
+		cp := in.CloneForMoves()
+		if cp.Len() != in.Len() || cp.prepared != prepared {
+			t.Fatalf("clone Len %d != %d, or prepared %v != %v", cp.Len(), in.Len(), cp.prepared, prepared)
+		}
+		in.ApplyMove(0, to, from)
+		cp.ApplyMove(0, to, from)
 	}
-	in.ApplyMove(0, to, from)
 }
 
 // TestAssertInvariantsCatchesCorruption corrupts one derived quantity
@@ -54,6 +62,15 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 			in.hits[0], in.hits[1] = in.hits[1], in.hits[0]
 		}, "ascending"},
 		{"dirty counter", func(in *HitInstance) { in.cnt[1] = 1 }, "counter"},
+		// The residual machinery, audited once prepared.
+		{"stale residual", func(in *HitInstance) { in.prepare(); in.resid[1]-- }, "residual"},
+		{"stale index count", func(in *HitInstance) { in.prepare(); in.objHits[0].C++ }, "inverted entry"},
+		{"stale index order", func(in *HitInstance) {
+			in.prepare()
+			in.objHits[0], in.objHits[1] = in.objHits[1], in.objHits[0]
+			in.objCands[0], in.objCands[1] = in.objCands[1], in.objCands[0]
+		}, "ascending"},
+		{"stale overlap row", func(in *HitInstance) { in.prepare(); in.ov[1]++ }, "overlap table"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

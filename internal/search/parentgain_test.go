@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -343,13 +344,15 @@ func handRun(in *HitInstance, seed Result, bound Bound, prep, each func(*stealWo
 	return ps, ps.best
 }
 
-// FuzzGainPatch is patchGains' exactness oracle. Along a random
-// depth-first walk of Adds and Removes, the gain vector kept the way
-// the search keeps it — the parent's vector copied and patched after
-// each Add, dropped on each Remove — equals a fresh Gains after every
-// step, on C = 1 strips, generic C, and weighted instances of both.
-// Adds pick any unchosen candidate, not only later ones, so every
-// holder's update is checked.
+// FuzzGainPatch is patchGains' exactness oracle. Along a random walk
+// of Adds and Removes, two gain vectors equal a fresh Gains after every
+// step, on C = 1 strips, generic C, and weighted instances of both: the
+// one kept the way the search keeps it — the parent's vector copied and
+// patched after each Add, dropped on each Remove of the latest pick —
+// while the walk stays depth-first, and the one kept the way Greedy
+// keeps it — a single vector patched after every Add and every Remove,
+// of any chosen candidate. Adds pick any unchosen candidate, not only
+// later ones, so every holder's update is checked.
 func FuzzGainPatch(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(20), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(6), uint8(12), uint8(2), uint8(1))
@@ -384,24 +387,46 @@ func FuzzGainPatch(f *testing.F) {
 		want := make([]int64, m)
 		stack := [][]int64{make([]int64, m)}
 		in.Gains(stack[0])
+		walk := slices.Clone(stack[0]) // Greedy's way: one vector, patched through Removes too
 		var chosen []int
 		for step := 0; step < 4*m; step++ {
 			if n := len(chosen); n == m || (n > 0 && rng.Intn(3) == 0) {
-				in.Remove(chosen[n-1])
-				chosen, stack = chosen[:n-1], stack[:n]
+				// Remove any chosen candidate, as Greedy's swaps do;
+				// the search only ever removes the latest.
+				x := n - 1
+				if rng.Intn(2) == 0 {
+					x = rng.Intn(n)
+				}
+				in.Remove(chosen[x])
+				in.patchGains(chosen[x], walk, true)
+				chosen = slices.Delete(chosen, x, x+1)
+				if stack != nil && x == n-1 {
+					stack = stack[:n]
+				} else {
+					stack = nil // the search's vectors describe prefixes only
+				}
 			} else {
 				c := rng.Intn(m)
 				for contains(chosen, c) {
 					c = (c + 1) % m
 				}
 				in.Add(c)
-				g := append([]int64(nil), stack[len(stack)-1]...)
-				in.patchGains(c, g)
-				chosen, stack = append(chosen, c), append(stack, g)
+				in.patchGains(c, walk, false)
+				if stack != nil {
+					g := append([]int64(nil), stack[len(stack)-1]...)
+					in.patchGains(c, g, false)
+					stack = append(stack, g)
+				}
+				chosen = append(chosen, c)
 			}
 			in.Gains(want)
-			if got := stack[len(stack)-1]; !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d, chosen %v: patched gains %v, Gains %v", step, chosen, got, want)
+			if stack != nil {
+				if got := stack[len(stack)-1]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d, chosen %v: patched gains %v, Gains %v", step, chosen, got, want)
+				}
+			}
+			if !reflect.DeepEqual(walk, want) {
+				t.Fatalf("step %d, chosen %v: gains patched through removals %v, Gains %v", step, chosen, walk, want)
 			}
 		}
 	})

@@ -106,6 +106,7 @@ package search
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -270,31 +271,45 @@ func Exhaustive(in *HitInstance) Result {
 // Greedy picks K candidates by maximum marginal damage, then improves
 // the set with single-swap local search. The result is a valid attack
 // (a lower bound on the worst case) but not guaranteed optimal. The
-// instance's failure counters are left dirty; Reset before reuse.
-// Visited reports the number of marginal-damage evaluations actually
-// performed (the unit of greedy work), so ablation tables compare real
-// effort.
+// instance's failure counters must be clean on entry and are left
+// dirty; Reset before reuse. Visited reports the number of
+// marginal-damage evaluations (the unit of greedy work, one per
+// candidate weighed), so ablation tables compare real effort.
+//
+// The marginals come from one gain vector: one Gains sweep at the
+// start, then patchGains after every Add and Remove, through the
+// inverted index (Greedy prepares the residual machinery for it, which
+// a residual search would build next anyway). A swap that keeps its
+// candidate restores the vector saved before the Remove instead of
+// patching the Add back. Picks, the first-of-equals tie rule and
+// Visited are those of a Marginal call per candidate weighed.
 func Greedy(in *HitInstance) Result {
 	m, k := in.Len(), in.K()
+	in.prepare()
+	in.sc.greedy = slices.Grow(in.sc.greedy[:0], 2*m)[:2*m]
+	g, saved := in.sc.greedy[:m], in.sc.greedy[m:]
+	in.Gains(g)
 	chosen := make([]bool, m)
 	sel := make([]int, 0, k)
 	failed := 0
 	var evals int64
 	for len(sel) < k {
-		bestI, bestGain := -1, -1
+		bestI, bestGain := -1, int64(-1)
 		for i := 0; i < m; i++ {
 			if chosen[i] {
 				continue
 			}
 			evals++
-			if g := in.Marginal(i); g > bestGain {
-				bestGain = g
+			if g[i] > bestGain {
+				bestGain = g[i]
 				bestI = i
 			}
 		}
 		failed += in.Add(bestI)
+		in.patchGains(bestI, g, false)
 		chosen[bestI] = true
 		sel = append(sel, bestI)
+		assertGainsFresh(in, sel, g)
 	}
 	// Swap local search: replace one chosen candidate with one unchosen
 	// candidate when it strictly increases damage.
@@ -304,28 +319,35 @@ func Greedy(in *HitInstance) Result {
 		improved = false
 		rounds++
 		for si, ci := range sel {
+			copy(saved, g)
 			in.Remove(ci)
+			in.patchGains(ci, g, true)
+			assertGainsFresh(in, sel, g)
 			evals++
-			lost := in.Marginal(ci) // damage this candidate was contributing
+			lost := g[ci] // damage this candidate was contributing
 			bestI, bestGain := ci, lost
 			for i := 0; i < m; i++ {
 				if chosen[i] { // includes ci itself
 					continue
 				}
 				evals++
-				if g := in.Marginal(i); g > bestGain {
-					bestGain = g
+				if g[i] > bestGain {
+					bestGain = g[i]
 					bestI = i
 				}
 			}
 			in.Add(bestI)
-			if bestI != ci {
+			if bestI == ci {
+				copy(g, saved)
+			} else {
+				in.patchGains(bestI, g, false)
 				chosen[ci] = false
 				chosen[bestI] = true
 				sel[si] = bestI
-				failed += bestGain - lost
+				failed += int(bestGain - lost)
 				improved = true
 			}
+			assertGainsFresh(in, sel, g)
 		}
 	}
 	sorted := append([]int(nil), sel...)

@@ -571,7 +571,7 @@ func (w *stealWorker) runTask(t task) {
 			if w.gv != nil {
 				d := len(w.cur)
 				copy(w.gv[d], w.gv[d-1])
-				w.in.patchGains(i, w.gv[d])
+				w.in.patchGains(i, w.gv[d], false)
 				w.gvOK[d], w.restLo[d] = true, math.MaxInt
 				w.patches++
 			}

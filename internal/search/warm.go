@@ -47,29 +47,30 @@ func (in *HitInstance) Assign(k int, byID [][]Hit, w []int64, ids []int, keepIdl
 	if k < 0 || k > len(in.ids) {
 		panic(fmt.Sprintf("search: %d picks among %d units", k, len(in.ids)))
 	}
-	in.unitLoads = slices.Grow(in.unitLoads[:0], len(byID))[:len(byID)]
+	sc := &in.sc
+	sc.unitLoads = slices.Grow(sc.unitLoads[:0], len(byID))[:len(byID)]
 	in.pos = slices.Grow(in.pos[:0], len(byID))[:len(byID)]
 	for i := range in.pos {
 		in.pos[i] = -1
 	}
 	busy := 0
 	for _, u := range in.ids {
-		in.unitLoads[u] = weightedLoad(byID[u], w)
-		if in.unitLoads[u] > 0 {
+		sc.unitLoads[u] = weightedLoad(byID[u], w)
+		if sc.unitLoads[u] > 0 {
 			busy++
 		}
 	}
-	CanonicalOrder(in.ids, in.unitLoads)
+	CanonicalOrder(in.ids, sc.unitLoads)
 	if !keepIdle {
 		in.ids = in.ids[:max(busy, k)]
 	}
-	in.lists, in.listLoads = in.lists[:0], in.listLoads[:0]
+	sc.lists, sc.listLoads = sc.lists[:0], sc.listLoads[:0]
 	for p, u := range in.ids {
 		in.pos[u] = p
-		in.lists = append(in.lists, byID[u])
-		in.listLoads = append(in.listLoads, in.unitLoads[u])
+		sc.lists = append(sc.lists, byID[u])
+		sc.listLoads = append(sc.listLoads, sc.unitLoads[u])
 	}
-	in.reinit(k, in.lists, in.listLoads)
+	in.reinit(k, sc.lists, sc.listLoads)
 	in.setWeights(w)
 }
 
