@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/placement"
@@ -27,11 +28,17 @@ func probeBatch(rng *rand.Rand, pl *placement.Placement, count int) []Move {
 	return moves
 }
 
-// TestForkIsolation pins the fork contract: moves driven through a
-// child never corrupt the parent. The child walks a random move chain
-// (checked against a cold engine at every step); afterwards the parent
-// still evaluates its original placement to the original damage, and a
-// parent move chain still matches cold engines.
+// TestForkIsolation pins the contract of the pooled probe forks that
+// ProbeMoves fans its batches over. A fork's probes never reach the
+// session: after every fanned batch the session keeps its placement,
+// memo key and damage, and each fork is level with it again (its
+// probes reverted), key included. The session's moves reach a fork
+// only through the next batch's replay: after a session move chain,
+// each checked against a cold engine, the forks still hold the
+// pre-chain placement and key, and the next batch's probes match cold
+// engines on the moved placement. Every fork shares the session's
+// memo, so the session's own move to a placement a fork probed is a
+// memo hit.
 func TestForkIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	topo, err := topology.UniformTree(12, 4)
@@ -39,7 +46,7 @@ func TestForkIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := randomPlacement(rng, 12, 3, 24)
-	const s, d = 2, 2
+	const s, d, workers = 2, 2, 3
 	se, err := NewDomainSession(pl, topo, topology.Leaf, s, d, SearchOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -48,55 +55,91 @@ func TestForkIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	child := se.Fork()
 	cur := pl.Clone()
-	for mv := 0; mv < 6; mv++ {
-		obj, from, to := randomSessionMove(rng, cur)
-		if err := cur.MoveReplica(obj, from, to); err != nil {
-			t.Fatal(err)
+	for round := 0; round < 4; round++ {
+		label := fmt.Sprintf("round %d", round)
+		moves := probeBatch(rng, cur, 8)
+		probes := se.ProbeMoves(moves, workers)
+		for i, m := range moves {
+			next := cur.Clone()
+			if err := next.MoveReplica(m.Obj, m.From, m.To); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := DomainWorstCaseAtWith(next, topo, topology.Leaf, s, d, SearchOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probes[i].Failed != cold.Failed {
+				t.Fatalf("%s: probe %d damage %d, cold engine %d", label, i, probes[i].Failed, cold.Failed)
+			}
 		}
-		got, err := child.Move(obj, from, to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, SearchOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Failed != cold.Failed {
-			t.Fatalf("child move %d: damage %d, cold engine %d", mv, got.Failed, cold.Failed)
-		}
-	}
 
-	// The parent's placement and instance are untouched by the child.
-	after, err := se.Evaluate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Failed != base.Failed {
-		t.Fatalf("parent damage drifted after child moves: %d, want %d", after.Failed, base.Failed)
-	}
-	if !reflect.DeepEqual(se.Placement(), pl) {
-		t.Fatal("parent placement mutated by child moves")
-	}
-	// And the parent still moves correctly on its own.
-	parentCur := pl.Clone()
-	for mv := 0; mv < 4; mv++ {
-		obj, from, to := randomSessionMove(rng, parentCur)
-		if err := parentCur.MoveReplica(obj, from, to); err != nil {
-			t.Fatal(err)
-		}
-		got, err := se.Move(obj, from, to)
+		// The session is untouched by its forks' probes, and the forks
+		// are level with it.
+		checkKey(t, label+" session after the batch", se, cur)
+		after, err := se.Evaluate(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := DomainWorstCaseAtWith(parentCur, topo, topology.Leaf, s, d, SearchOpts{})
+		if after.Failed != base.Failed {
+			t.Fatalf("%s: session damage %d after the batch, want %d", label, after.Failed, base.Failed)
+		}
+		if len(se.pool) != workers {
+			t.Fatalf("%s: %d pooled forks, want %d", label, len(se.pool), workers)
+		}
+		for i, ch := range se.pool {
+			if ch.memo != se.memo {
+				t.Fatalf("%s: fork %d keeps a memo of its own", label, i)
+			}
+			checkKey(t, fmt.Sprintf("%s fork %d after the batch", label, i), ch, cur)
+		}
+
+		// The shared memo: the session moving to a placement a fork
+		// probed is answered from the memo (a move across domains, so
+		// the instance really changes).
+		mi := slices.IndexFunc(moves, func(m Move) bool { return se.topo.DomainOf(m.From) != se.topo.DomainOf(m.To) })
+		if mi < 0 {
+			t.Fatalf("%s: no probe crosses domains", label)
+		}
+		m := moves[mi]
+		hits := se.Stats().MemoHits
+		got, err := se.Move(m.Obj, m.From, m.To)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Failed != cold.Failed {
-			t.Fatalf("parent move %d after fork: damage %d, cold engine %d", mv, got.Failed, cold.Failed)
+		if !got.Memo || se.Stats().MemoHits != hits+1 || got.Failed != probes[mi].Failed {
+			t.Fatalf("%s: session move to a probed placement: %+v (memo hits %d -> %d), probe %+v",
+				label, got, hits, se.Stats().MemoHits, probes[mi])
+		}
+		before := cur.Clone()
+		if err := cur.MoveReplica(m.Obj, m.From, m.To); err != nil {
+			t.Fatal(err)
+		}
+
+		// A session move chain, each move against a cold engine.
+		for mv := 0; mv < 3; mv++ {
+			obj, from, to := randomSessionMove(rng, cur)
+			if err := cur.MoveReplica(obj, from, to); err != nil {
+				t.Fatal(err)
+			}
+			got, err := se.Move(obj, from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := DomainWorstCaseAtWith(cur, topo, topology.Leaf, s, d, SearchOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Failed != cold.Failed {
+				t.Fatalf("%s: session move %d: damage %d, cold engine %d", label, mv, got.Failed, cold.Failed)
+			}
+		}
+		checkKey(t, label+" session after its moves", se, cur)
+		for i, ch := range se.pool {
+			checkKey(t, fmt.Sprintf("%s fork %d after the session's moves", label, i), ch, before)
+		}
+		if base, err = se.Evaluate(nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

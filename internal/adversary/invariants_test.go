@@ -11,7 +11,8 @@ import (
 
 // TestSessionKeyAuditCatchesDrift pins the invariants build's key audit:
 // a session whose memo key no longer matches its placement panics at
-// the next move, probe or fork, naming the operation.
+// the next move, probe or probe fork (a fanned batch forks before it
+// probes), naming the operation.
 func TestSessionKeyAuditCatchesDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	pl := randomPlacement(rng, 10, 3, 20)
@@ -23,7 +24,7 @@ func TestSessionKeyAuditCatchesDrift(t *testing.T) {
 		{"Move", func(se *Session) { se.Move(obj, from, to) }},
 		{"MoveInto", func(se *Session) { se.MoveInto(&SessionResult{}, obj, from, to) }},
 		{"probe apply", func(se *Session) { se.ProbeMoves([]Move{{obj, from, to}}, 1) }},
-		{"Fork", func(se *Session) { se.Fork() }},
+		{"probe fork", func(se *Session) { se.ProbeMoves([]Move{{obj, from, to}, {obj, from, to}}, 2) }},
 	}
 	for _, op := range ops {
 		se, err := NewNodeSession(pl, 2, 3, SearchOpts{})

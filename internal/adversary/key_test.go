@@ -36,10 +36,12 @@ func checkKey(t *testing.T, label string, se *Session, shadow *placement.Placeme
 // key, updated per move in O(1), always equals a cold recompute of its
 // placement's key through every path that changes the placement (Move,
 // MoveInto, Evaluate's single-move and rebuild paths, serial and
-// fanned ProbeMoves, Fork); a move and its revert restore the exact
-// key; two move orders reaching one placement give one key; distinct
-// placements on a long walk never share a key; and every memo answer
-// equals a cold engine's.
+// fanned ProbeMoves); the pooled probe forks hold the session's key
+// after a fanned batch and keep it across later session moves until
+// the next; a move and its revert restore the exact key; two move
+// orders reaching one placement give one key; distinct placements on a
+// long walk never share a key; and every memo answer equals a cold
+// engine's.
 func TestSessionKeyTracksMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	topo, err := topology.UniformTree(12, 4)
@@ -121,20 +123,25 @@ func TestSessionKeyTracksMoves(t *testing.T) {
 						t.Fatalf("%s %s: probe %d inexact", label, path, i)
 					}
 				}
-				// Then apply the move through a fork: the child's key
-				// tracks it while the parent's stays put.
-				child := se.Fork()
-				checkKey(t, label+" Fork", child, cur)
-				next := cur.Clone()
-				if err := next.MoveReplica(obj, from, to); err != nil {
+				// A fanned batch leaves its pooled forks level with the
+				// session, keys included.
+				if workers > 1 {
+					for i, ch := range se.pool {
+						checkKey(t, fmt.Sprintf("%s %s pooled fork %d", label, path, i), ch, cur)
+					}
+				}
+				// Then move the session: its key tracks the move (checked
+				// below) while the forks' keys stay put until the next
+				// fanned batch replays it.
+				if res, err = se.Move(obj, from, to); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := child.Move(obj, from, to); err != nil {
-					t.Fatal(err)
+				if workers > 1 {
+					for i, ch := range se.pool {
+						checkKey(t, fmt.Sprintf("%s pooled fork %d after a session Move", label, i), ch, cur)
+					}
 				}
-				checkKey(t, label+" fork Move", child, next)
-				checkKey(t, label+" parent after fork Move", se, cur)
-				continue
+				path += " then Move"
 			}
 			if err := cur.MoveReplica(obj, from, to); err != nil {
 				t.Fatal(err)

@@ -41,7 +41,7 @@ import (
 // A Session is safe for concurrent use; evaluations serialize on an
 // internal lock. Each call runs one level of parallelism: a single
 // evaluation searches with SearchOpts.Workers workers, while a
-// ProbeMoves batch fanned over w > 1 Fork children (sharing the
+// ProbeMoves batch fanned over w > 1 forked children (sharing the
 // session's damage memo, and pooled across batches) runs each child's
 // searches at one worker, so the fan-out and the search never compete
 // for the same cores. The memo is capped (defaultMemoCap entries) with
@@ -483,37 +483,6 @@ func copyInto(dst *SessionResult, res SessionResult) {
 	dst.Nodes = append(nodes[:0], res.Nodes...)
 }
 
-// Fork clones the session into an independent child sharing the
-// parent's damage memo: the live instance is deep-copied with its unit
-// ids (search.CloneForMoves), and the memo key, search options and
-// warm-start baseline come along — so moves on the child never corrupt
-// the parent, while every exact result either side publishes is a memo hit
-// for both. Children are what ProbeMoves fans batches over; a caller
-// driving a fork directly gets the full Session API on it, searching
-// with the parent's SearchOpts.
-func (se *Session) Fork() *Session {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.forkLocked()
-}
-
-func (se *Session) forkLocked() *Session {
-	se.stats.Forks++
-	child := &Session{
-		s: se.s, k: se.k, topo: se.topo, opts: se.opts,
-		pl:   se.pl.Clone(),
-		inst: se.inst.CloneForMoves(),
-		memo: se.memo,
-		key:  se.key,
-	}
-	if se.last != nil {
-		l := *se.last
-		child.last = &l
-	}
-	child.assertKey("Fork")
-	return child
-}
-
 // probe scores one apply→evaluate→revert candidate without disturbing
 // the warm-start baseline: the instance is patched, evaluated exactly
 // as Session.Move would, then patched straight back (no revert
@@ -549,10 +518,10 @@ func (se *Session) probe(m Move) SessionResult {
 
 // ProbeMoves scores a batch of candidate moves — apply, evaluate,
 // revert each — and returns their results in candidate order. workers
-// > 1 fans the batch over that many Fork children sharing the
-// session's memo, each searching at one worker: the fan-out is the
-// call's one level of parallelism, and a serial batch keeps
-// SearchOpts.Workers. The children are pooled: forked once, they are
+// > 1 fans the batch over that many forked children (probeFork)
+// sharing the session's memo, each searching at one worker: the
+// fan-out is the call's one level of parallelism, and a serial batch
+// keeps SearchOpts.Workers. The children are pooled: forked once, they are
 // kept across batches, and each batch first brings them level with the
 // session — the moves applied to it since the last batch are replayed
 // on every child's placement, memo key and instance, and the child's
@@ -647,13 +616,30 @@ func (ch *Session) resync(replay []Move, last *lastEval) {
 	ch.stats = SessionStats{}
 }
 
-// probeFork forks one ProbeMoves worker. Its searches run at one
-// worker: the batch fan-out already fills the cores, and a parallel
-// search per probe would only add an instance clone and a goroutine
-// competing for them. The caller holds the lock.
+// probeFork forks one ProbeMoves worker: a child session sharing the
+// session's damage memo, with its own copy of the placement, the live
+// instance (search.CloneForMoves: every array a move patches, with the
+// unit ids), the memo key and the warm-start baseline — so the child's
+// probes never touch the session, while every exact result either side
+// publishes is a memo hit for both. Its searches run at one worker: the
+// batch fan-out already fills the cores, and a parallel search per
+// probe would only add an instance clone and a goroutine competing for
+// them. The caller holds the lock.
 func (se *Session) probeFork() *Session {
-	ch := se.forkLocked()
+	se.stats.Forks++
+	ch := &Session{
+		s: se.s, k: se.k, topo: se.topo, opts: se.opts,
+		pl:   se.pl.Clone(),
+		inst: se.inst.CloneForMoves(),
+		memo: se.memo,
+		key:  se.key,
+	}
 	ch.opts.Workers = 1
+	if se.last != nil {
+		l := *se.last
+		ch.last = &l
+	}
+	ch.assertKey("probe fork")
 	return ch
 }
 

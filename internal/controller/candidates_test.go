@@ -2,8 +2,10 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,8 +13,9 @@ import (
 	"repro/internal/topology"
 )
 
-// referenceCandidateMoves is the straightforward enumeration
-// candidateMoves must match candidate for candidate: a fresh replica
+// referenceCandidateMoves is the straightforward enumeration of every
+// class in full, whose budget-cut prefixes eachClass must match
+// candidate for candidate: a fresh replica
 // list and target list per source replica, a map for the witness, and
 // every class walked over every object.
 func referenceCandidateMoves(c *Controller, witness []int) []candidate {
@@ -92,15 +95,43 @@ func referenceCandidateMoves(c *Controller, witness []int) []candidate {
 	return cands
 }
 
-// TestCandidateMovesReference pins candidate enumeration: over random
+// budgetedClasses applies planOne's budget rule to the reference's full
+// list: its classes in order, each cut to the budget the earlier ones
+// left, ending after the class that wins (win < 0: none does) or once
+// the budget is spent.
+func budgetedClasses(full []candidate, budget, win int) [][]candidate {
+	var out [][]candidate
+	for lo := 0; lo < len(full) && budget > 0; {
+		hi := lo
+		for hi < len(full) && full[hi].class == full[lo].class {
+			hi++
+		}
+		group := full[lo:min(hi, lo+budget)]
+		out = append(out, group)
+		budget -= len(group)
+		if full[lo].class == win {
+			break
+		}
+		lo = hi
+	}
+	return out
+}
+
+// TestCandidateMovesReference pins candidate generation: over random
 // controller states — failed, draining and over-cap nodes, weighted
-// ties, a witness or none — candidateMoves returns exactly the
-// reference's candidates in the reference's order, and atRisk equals
-// the per-replica count of replicas on failed or draining nodes.
+// ties, a witness or none — eachClass hands planOne exactly the
+// reference's candidates in the reference's order, cut by planOne's
+// budget rule: each class is the reference's class prefix that the
+// budget left by the earlier classes allows, and no class after one
+// that wins is generated. Budgets run from unlimited (the full list)
+// down to below a single class, and winners from none to the first
+// class. atRisk equals the per-replica count of replicas on failed or
+// draining nodes.
 func TestCandidateMovesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const n, r = 24, 3
 	classes := make(map[int]int)
+	var cut, preempted int // trials where the budget cut a class, and where a win left a later class ungenerated
 	for trial := 0; trial < 200; trial++ {
 		// Few objects leave some nodes empty or with a single replica.
 		b := 4 + rng.Intn(57)
@@ -148,14 +179,41 @@ func TestCandidateMovesReference(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			witness = rng.Perm(n)[:1+rng.Intn(8)]
 		}
-		label := fmt.Sprintf("trial %d", trial)
-		got, want := c.candidateMoves(witness), referenceCandidateMoves(c, witness)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: candidateMoves returned %d candidates, reference %d\n got %v\nwant %v",
-				label, len(got), len(want), got, want)
-		}
-		for _, cand := range got {
+		full := referenceCandidateMoves(c, witness)
+		for _, cand := range full {
 			classes[cand.class]++
+		}
+		budgets := []int{math.MaxInt, c.opts.CandProbes, 1 + rng.Intn(24)}
+		for _, budget := range budgets {
+			wins := []int{-1}
+			if len(full) > 0 {
+				wins = append(wins, full[rng.Intn(len(full))].class)
+			}
+			for _, win := range wins {
+				label := fmt.Sprintf("trial %d, budget %d, winning class %d", trial, budget, win)
+				var got [][]candidate
+				c.eachClass(witness, budget, func(group []candidate) bool {
+					got = append(got, slices.Clone(group))
+					return group[0].class == win
+				})
+				want := budgetedClasses(full, budget, win)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: generated classes\n got %v\nwant %v", label, got, want)
+				}
+				if budget == math.MaxInt && win < 0 && !reflect.DeepEqual(slices.Concat(got...), full) {
+					t.Fatalf("%s: unlimited classes do not make up the reference list", label)
+				}
+				if len(got) == 0 {
+					continue
+				}
+				last := got[len(got)-1]
+				if len(last) < countClass(full, last[0].class) {
+					cut++
+				}
+				if last[0].class == win && full[len(full)-1].class > win {
+					preempted++
+				}
+			}
 		}
 		atRisk := 0
 		for obj := 0; obj < pl.B(); obj++ {
@@ -166,7 +224,7 @@ func TestCandidateMovesReference(t *testing.T) {
 			}
 		}
 		if got := c.atRisk(); got != atRisk {
-			t.Fatalf("%s: atRisk %d, per-replica count %d", label, got, atRisk)
+			t.Fatalf("trial %d: atRisk %d, per-replica count %d", trial, got, atRisk)
 		}
 	}
 	for _, class := range []int{classEvacFail, classEvacDrain, classCapRepair, classImprove} {
@@ -174,4 +232,18 @@ func TestCandidateMovesReference(t *testing.T) {
 			t.Fatalf("no trial produced a class-%d candidate: %v", class, classes)
 		}
 	}
+	if cut == 0 || preempted == 0 {
+		t.Fatalf("%d runs had a class cut by the budget and %d a win before later classes; want both", cut, preempted)
+	}
+}
+
+// countClass counts the candidates of one class in a list.
+func countClass(cands []candidate, class int) int {
+	n := 0
+	for _, cand := range cands {
+		if cand.class == class {
+			n++
+		}
+	}
+	return n
 }

@@ -235,6 +235,9 @@ type Controller struct {
 	applied  int
 	baseline int
 	inflight *InFlight
+	// loads is every node's replica count (see nodeLoads); nil until the
+	// first use.
+	loads []int
 	// inv is the build-tagged invariant shadow: empty (and free) in
 	// regular builds, a journal-sequence and prepared-copy checker
 	// under `-tags invariants`.
@@ -334,6 +337,7 @@ func Load(path string, act Actuator, opts Options) (*Controller, error) {
 		inflight: ck.InFlight,
 	}
 	c.inv.init(ck.Applied, ck.InFlight)
+	c.assertLoads("Load")
 	return c, nil
 }
 
@@ -613,40 +617,25 @@ type pick struct {
 }
 
 // planOne probes candidate moves through the session and returns the
-// best admissible one, or nil. Each candidate class is probed as one
-// ProbeMoves batch (fanned over Opts.ProbeWorkers forked sessions when
-// > 1), truncated to the remaining CandProbes budget; batches run in
-// class order and stop as soon as a lower class has produced a winner,
-// preserving the serial scan's class-order early exit. Urgent work —
-// evacuating failed then draining nodes, shedding cap excess — is
-// admissible at damage <= the step baseline; pure improvement moves
-// must strictly lower the current damage. Results merge in candidate
-// order: within a class, lower damage wins, ties to the earliest
-// candidate — so the chosen move is byte-identical to the serial
-// scan's at any worker count.
+// best admissible one, or nil. Candidates come one class at a time
+// (eachClass): each class's candidates, up to the remaining CandProbes
+// budget, are probed as one ProbeMoves batch (fanned over
+// Opts.ProbeWorkers forked sessions when > 1), and no later class is
+// generated once one has produced a winner, preserving the serial
+// scan's class-order early exit. Urgent work — evacuating failed then
+// draining nodes, shedding cap excess — is admissible at damage <= the
+// step baseline; pure improvement moves must strictly lower the current
+// damage. Results merge in candidate order: within a class, lower
+// damage wins, ties to the earliest candidate — so the chosen move is
+// byte-identical to the serial scan's at any worker count.
 func (c *Controller) planOne(curDamage int, witness []int) *pick {
-	cands := c.candidateMoves(witness)
-	budget := c.opts.CandProbes
 	var best *pick
-	bestClass := -1
-	for lo := 0; lo < len(cands) && budget > 0; {
-		class := cands[lo].class
-		hi := lo
-		for hi < len(cands) && cands[hi].class == class {
-			hi++
+	var moves []adversary.Move
+	c.eachClass(witness, c.opts.CandProbes, func(group []candidate) bool {
+		moves = moves[:0]
+		for _, cand := range group {
+			moves = append(moves, adversary.Move(cand.move))
 		}
-		if best != nil && bestClass < class {
-			break // candidates are class-ordered: a lower class already has a winner
-		}
-		group := cands[lo:hi]
-		if len(group) > budget {
-			group = group[:budget]
-		}
-		moves := make([]adversary.Move, len(group))
-		for i, cand := range group {
-			moves[i] = adversary.Move(cand.move)
-		}
-		budget -= len(group)
 		for i, res := range c.sess.ProbeMoves(moves, c.opts.ProbeWorkers) {
 			if res.Failed < 0 { // the placement rejected the move
 				continue
@@ -661,11 +650,10 @@ func (c *Controller) planOne(curDamage int, witness []int) *pick {
 			}
 			if best == nil || damage < best.damage {
 				best = &pick{move: group[i].move, damage: damage, witness: res.Nodes}
-				bestClass = group[i].class
 			}
 		}
-		lo = hi
-	}
+		return best != nil
+	})
 	return best
 }
 
@@ -682,17 +670,24 @@ type candidate struct {
 	class int
 }
 
-// candidateMoves enumerates this step's possible moves, class-ordered:
-// replicas leaving failed nodes, then draining nodes, then over-cap
-// subtrees, then witness-guided improvement moves (a replica leaving
-// the current worst-case attack's node set). Targets are active nodes
-// with cap headroom not already hosting the object, lightest replica
-// load first (ties: lighter weight, then lower id), at most
-// CandTargets per source. Every object's replicas are listed through
+// eachClass generates this step's possible moves one class at a time,
+// in priority order: replicas leaving failed nodes, then draining
+// nodes, then over-cap subtrees, then witness-guided improvement moves
+// (a replica leaving the current worst-case attack's node set). Each
+// class is cut to the budget its predecessors left and handed to
+// visit, unless empty; generation stops once visit reports a winner or
+// the budget is spent, so a step pays only for the candidates it
+// probes. A class's candidates are the first min(len, budget) of its
+// full list, in order. Targets are active nodes with cap headroom not
+// already hosting the object, lightest replica load first (ties:
+// lighter weight, then lower id), at most CandTargets per source. The
+// loads, the target order, the over-cap marks and the witness set are
+// computed once per call; every object's replicas are listed through
 // one reused buffer, and a class none of whose source nodes hosts a
-// replica is skipped outright.
-func (c *Controller) candidateMoves(witness []int) []candidate {
-	loads := c.pl.NodeLoads()
+// replica is skipped outright. visit may keep nothing of group past
+// its return: the next class reuses it.
+func (c *Controller) eachClass(witness []int, budget int, visit func(group []candidate) (won bool)) {
+	loads := c.nodeLoads()
 	domLoads := c.domainLoads(loads)
 
 	order := make([]int, c.pl.N)
@@ -705,9 +700,14 @@ func (c *Controller) candidateMoves(witness []int) []candidate {
 			cmp.Compare(na, nb))
 	})
 
-	var cands []candidate
+	var group []candidate
 	var members []int
-	addSources := func(class int, onNode, targetOK func(nd int) bool) {
+	// gen generates one class, cut to the budget, and visits it; it
+	// reports whether planning stops there.
+	gen := func(class int, onNode, targetOK func(nd int) bool) bool {
+		if budget <= 0 {
+			return true
+		}
 		hosted := false
 		for nd, load := range loads {
 			if load > 0 && onNode(nd) {
@@ -716,8 +716,10 @@ func (c *Controller) candidateMoves(witness []int) []candidate {
 			}
 		}
 		if !hosted {
-			return
+			return false
 		}
+		group = group[:0]
+	objects:
 		for obj, o := range c.pl.Objects {
 			members = o.Members(members[:0])
 			for _, from := range members {
@@ -738,24 +740,35 @@ func (c *Controller) candidateMoves(witness []int) []candidate {
 					if !c.capHeadroom(domLoads, from, to) {
 						continue
 					}
-					cands = append(cands, candidate{Move{Obj: obj, From: from, To: to}, class})
+					group = append(group, candidate{Move{Obj: obj, From: from, To: to}, class})
+					if len(group) == budget {
+						break objects
+					}
 					targets++
 				}
 			}
 		}
+		if len(group) == 0 {
+			return false
+		}
+		budget -= len(group)
+		return visit(group)
 	}
 
-	addSources(classEvacFail, func(nd int) bool { return c.status[nd] == NodeFailed }, nil)
-	addSources(classEvacDrain, func(nd int) bool { return c.status[nd] == NodeDraining }, nil)
+	if gen(classEvacFail, func(nd int) bool { return c.status[nd] == NodeFailed }, nil) ||
+		gen(classEvacDrain, func(nd int) bool { return c.status[nd] == NodeDraining }, nil) {
+		return
+	}
 
 	// Cap repair: shed replicas from over-cap subtrees. The target must
 	// leave the subtree — a same-domain shuffle is cap-neutral and would
 	// livelock the repair.
-	over := c.overCapNodes(domLoads)
-	if over != nil {
-		addSources(classCapRepair,
+	if over := c.overCapNodes(domLoads); over != nil {
+		if gen(classCapRepair,
 			func(nd int) bool { return over[nd] && c.status[nd] == NodeActive },
-			func(nd int) bool { return !over[nd] })
+			func(nd int) bool { return !over[nd] }) {
+			return
+		}
 	}
 
 	// Improvement: break up the current worst-case attack.
@@ -764,10 +777,19 @@ func (c *Controller) candidateMoves(witness []int) []candidate {
 		for _, nd := range witness {
 			inWitness[nd] = true
 		}
-		addSources(classImprove,
+		gen(classImprove,
 			func(nd int) bool { return inWitness[nd] && c.status[nd] == NodeActive }, nil)
 	}
-	return cands
+}
+
+// nodeLoads returns every node's replica count, kept across steps: it
+// is filled from the placement at first use (after New or Load) and
+// patched by applyFinishedMove, the one place the placement changes.
+func (c *Controller) nodeLoads() []int {
+	if c.loads == nil {
+		c.loads = c.pl.NodeLoads()
+	}
+	return c.loads
 }
 
 // domainLoads sums replica loads per domain at every level.
@@ -827,7 +849,7 @@ func (c *Controller) overCapNodes(domLoads [][]int) []bool {
 // atRisk counts replicas on failed or draining nodes.
 func (c *Controller) atRisk() int {
 	n := 0
-	for nd, load := range c.pl.NodeLoads() {
+	for nd, load := range c.nodeLoads() {
 		if c.status[nd] != NodeActive {
 			n += load
 		}
@@ -837,7 +859,7 @@ func (c *Controller) atRisk() int {
 
 // capExcess sums replicas above cap over all domains and levels.
 func (c *Controller) capExcess() int {
-	domLoads := c.domainLoads(c.pl.NodeLoads())
+	domLoads := c.domainLoads(c.nodeLoads())
 	excess := 0
 	for l := range c.topo.Tree {
 		for d, dom := range c.topo.Tree[l] {
@@ -911,6 +933,11 @@ func (c *Controller) applyFinishedMove(rec MoveRecord) (MoveRecord, error) {
 	if err := c.pl.MoveReplica(m.Obj, m.From, m.To); err != nil {
 		return rec, fmt.Errorf("controller: applying finished move %v: %w", m, err)
 	}
+	if c.loads != nil {
+		c.loads[m.From]--
+		c.loads[m.To]++
+	}
+	c.assertLoads("applyFinishedMove")
 	c.inflight = nil
 	if err := c.saveJournal(); err != nil {
 		return rec, err

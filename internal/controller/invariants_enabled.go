@@ -120,3 +120,20 @@ func phaseName(p *Phase) string {
 	}
 	return string(*p)
 }
+
+// assertLoads checks the controller's kept per-node replica loads
+// against a recount of its placement, after every executed move and
+// when a journal is loaded, and panics naming the operation on the
+// first node that differs.
+func (c *Controller) assertLoads(op string) {
+	kept, want := c.nodeLoads(), c.pl.NodeLoads()
+	if len(kept) != len(want) {
+		panic(fmt.Sprintf("controller: invariants after %s: %d kept loads for %d nodes", op, len(kept), len(want)))
+	}
+	for nd := range want {
+		if kept[nd] != want[nd] {
+			panic(fmt.Sprintf("controller: invariants after %s: kept load of node %d is %d, placement holds %d",
+				op, nd, kept[nd], want[nd]))
+		}
+	}
+}

@@ -3,6 +3,7 @@
 package controller
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -129,4 +130,28 @@ func TestLoadSeedsShadow(t *testing.T) {
 		t.Fatal("added-phase checkpoint wrongly assumed an outstanding copy")
 	}
 	st.checkJournal(5, nil) // roll-forward arm quiesces cleanly
+}
+
+// TestKeptLoadsAudit pins the kept per-node loads' audit: a controller
+// that evacuates a drained node and is loaded back from its
+// journal passes the recount after every move and at Load, and a
+// controller whose kept loads drift panics at the recount, naming the
+// operation and the node.
+func TestKeptLoadsAudit(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "ck.json")
+	mem := NewMemActuator(ringPlacement(t, 8, 3, 12))
+	c, _ := newTestController(t, mem, 2, journal)
+	if _, err := c.Apply(Mutation{Kind: MutDrain, Node: 0}); err != nil {
+		t.Fatal(err)
+	}
+	drainUntilQuiet(t, c, 20)
+	c, err := Load(journal, mem, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.loads == nil {
+		t.Fatal("the invariants build left the loads unfilled at Load")
+	}
+	c.loads[3]++
+	mustPanic(t, "kept load of node 3", func() { c.assertLoads("test") })
 }

@@ -102,6 +102,13 @@ type HitInstance struct {
 	objOffs  []int32   // len = numObjects+1
 	ov       []int64   // the overlap table (see MaxOverlap); empty below K = 2
 
+	// The root gain vector: every candidate's Marginal at the clean state,
+	// kept by the first clean-state Gains (rootGains) and then by
+	// ApplyMove; valid while rootOK. Copied by CloneForMoves, never
+	// shared by Clone.
+	root   []int64
+	rootOK bool
+
 	// Weighted damage (nil = unit weights). Immutable between
 	// Assign calls, shared by Clone.
 	w []int64 // per-object weight; Add/Marginal return Σ w over crossings
@@ -212,6 +219,7 @@ func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads []int64) {
 	in.deadSpent = 0
 	in.track = false
 	in.prepared = false
+	in.rootOK = false
 	in.w = nil
 }
 
@@ -706,13 +714,29 @@ func (in *HitInstance) TopResidual(start, rem int) int64 {
 // Gains stores Marginal(j) in dst[j] for every candidate j, leaving
 // the state untouched: one sweep over the contiguous CSR runs. The
 // search runs it once per task whose node has no current gain vector
-// (the root, a stolen task off the worker's path) and keeps the vector
-// current with patchGains from there. dst must have room for Len() entries. Valid in
-// any state.
+// (a stolen task off the worker's path; the root reads rootGains) and
+// keeps the vector current with patchGains from there. dst must have
+// room for Len() entries. Valid in any state.
 func (in *HitInstance) Gains(dst []int64) {
 	for j := range in.Len() {
 		dst[j] = int64(in.Marginal(j))
 	}
+}
+
+// rootGains stores the clean-state gains in dst, like Gains on a clean
+// instance: a copy of the kept root vector when there is one, else one
+// Gains sweep, which becomes the root vector. ApplyMove keeps that
+// vector current, so a chain of moves and searches sweeps the CSR at
+// the clean state once per Assign. The instance must be clean (Reset),
+// and dst must have room for Len() entries.
+func (in *HitInstance) rootGains(dst []int64) {
+	if in.rootOK {
+		copy(dst, in.root)
+		return
+	}
+	in.Gains(dst)
+	in.root = append(in.root[:0], dst[:in.Len()]...)
+	in.rootOK = true
 }
 
 // patchGains turns g, every candidate's Marginal at the state before
@@ -894,12 +918,13 @@ func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.ru
 // CloneForMoves returns an independent editor-and-searcher: unlike
 // Clone, every array a move patches — the CSR runs, offsets, loads, the
 // C = 1 fast strip, the unit ids and positions, and, once prepared, the
-// residual baselines, the inverted index and the overlap table — is
-// deep-copied, so ApplyMove on the clone never touches the receiver and
-// vice versa: the primitive a probing session forks per worker. Only
-// the per-object weight vector stays shared (immutable between Assign
-// calls). A prepared receiver gives a prepared clone, which searches
-// and moves without ever rebuilding; an unprepared one gives a clone
+// residual baselines, the inverted index and the overlap table, and the
+// root gain vector — is deep-copied, so ApplyMove on the clone never
+// touches the receiver and vice versa: the primitive a probing session
+// forks per worker. Only the per-object weight vector stays shared
+// (immutable between Assign calls). A prepared receiver gives a
+// prepared clone, which searches and moves without ever rebuilding,
+// and a kept root vector stays kept; an unprepared one gives a clone
 // that prepares on its own backing at its first Greedy or residual
 // search. The clone's Units and Pos follow its own moves, and its
 // scratch is its own. The receiver must be clean (Reset), as the clone
@@ -919,6 +944,7 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.objCands = slices.Clone(in.objCands)
 	cp.objOffs = slices.Clone(in.objOffs)
 	cp.ov = slices.Clone(in.ov)
+	cp.root = slices.Clone(in.root)
 	cp.cnt = make([]int32, len(in.cnt))
 	cp.track = false
 	cp.sc = scratch{}
@@ -952,6 +978,8 @@ func (in *HitInstance) Clone() *HitInstance {
 	// (see the ApplyMove contract), which translates the clones'
 	// selections.
 	cp.ids, cp.pos = nil, nil
+	// The root vector follows the receiver's moves; a clone keeps none.
+	cp.root, cp.rootOK = nil, false
 	cp.sc = scratch{}
 	return &cp
 }

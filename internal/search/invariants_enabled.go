@@ -31,6 +31,7 @@ const InvariantsEnabled = true
 //	ov      every overlap-table entry equals a pairwise count when
 //	        prepared at K >= 2
 //	cnt     clean (all zero) — moves are between-search operations
+//	root    every candidate's clean-state Marginal, when kept
 func (in *HitInstance) assertInvariants(context string) {
 	fail := func(format string, args ...any) {
 		panic(fmt.Sprintf("search: invariants after %s: %s", context, fmt.Sprintf(format, args...)))
@@ -150,6 +151,19 @@ func (in *HitInstance) assertInvariants(context string) {
 	for obj, c := range in.cnt {
 		if c != 0 {
 			fail("counter for object %d is %d, want 0 (moves require clean state)", obj, c)
+		}
+	}
+
+	// A kept root gain vector is a fresh Gains pass at the clean state,
+	// entry by entry (Marginal reads the clean counters: no allocation).
+	if in.rootOK {
+		if len(in.root) != m {
+			fail("root gain vector has %d entries, want %d", len(in.root), m)
+		}
+		for j, v := range in.root {
+			if g := int64(in.Marginal(j)); v != g {
+				fail("root gain vector has %d for candidate %d, clean-state Marginal %d", v, j, g)
+			}
 		}
 	}
 }

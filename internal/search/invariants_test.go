@@ -27,15 +27,17 @@ func TestInvariantsEnabled(t *testing.T) {
 }
 
 // TestAssertInvariantsPassesOnValidMoves exercises the checked paths on
-// a healthy instance, unprepared and prepared: every ApplyMove (the
-// move and its opposite) and CloneForMoves runs the full audit — the
-// prepared one includes the patched index, overlap table and residual
-// baselines — and must stay silent.
+// a healthy instance, unprepared, then prepared with a kept root gain
+// vector: every ApplyMove (the move and its opposite) and CloneForMoves
+// runs the full audit — the second pass includes the patched index,
+// overlap table, residual baselines and root vector — and must stay
+// silent.
 func TestAssertInvariantsPassesOnValidMoves(t *testing.T) {
 	for _, prepared := range []bool{false, true} {
 		in := moveReady(t)
 		if prepared {
-			in.prepare()
+			Greedy(in) // prepares, and keeps the root vector
+			in.Reset()
 		}
 		from, to := in.ApplyMove(0, 0, 2)
 		cp := in.CloneForMoves()
@@ -71,6 +73,8 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 			in.objCands[0], in.objCands[1] = in.objCands[1], in.objCands[0]
 		}, "ascending"},
 		{"stale overlap row", func(in *HitInstance) { in.prepare(); in.ov[1]++ }, "overlap table"},
+		// The root gain vector, audited once kept.
+		{"stale root vector", func(in *HitInstance) { Greedy(in); in.Reset(); in.root[2]++ }, "root gain vector"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -32,6 +32,13 @@ import (
 //     moved candidates, the candidates they crossed in the re-sort, and
 //     the holders of the moved object.
 //
+// Independently of preparation, a kept root gain vector (every
+// candidate's Marginal at the clean state, which Greedy's first vector
+// and the search's root task read; see rootGains) moves in O(1): the
+// source's entry loses the object's weight when its count there drops
+// below S, the target's gains it when its count reaches S, and every
+// adjacent swap swaps two entries.
+//
 // So a prepared instance never rebuilds after its first search, and
 // the invariants build audits all of it against a fresh build after
 // every move. A move is undone by the opposite move: the re-sort is
@@ -49,9 +56,9 @@ import (
 // editors of their own.
 
 // ApplyMove transfers one replica of obj from candidate position from
-// to candidate position to, patching the CSR layout, the loads and —
-// once prepared — the residual baselines, the inverted index and the
-// overlap table in place, and returns the two candidates' new
+// to candidate position to, patching the CSR layout, the loads, a kept
+// root gain vector and — once prepared — the residual baselines, the
+// inverted index and the overlap table in place, and returns the two candidates' new
 // positions after the canonical re-sort. The from run must hold a hit
 // on obj; the to run gains one (aggregating onto an existing hit when
 // the candidate already covers obj, as whole-domain adapters do). The
@@ -74,8 +81,8 @@ func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	if in.w != nil {
 		wd = in.w[obj]
 	}
-	excised := in.removeReplica(obj, from)
-	inserted := in.addReplica(obj, to)
+	excised := in.removeReplica(obj, from, wd)
+	inserted := in.addReplica(obj, to, wd)
 	in.loads[from] -= wd
 	in.loads[to] += wd
 	if in.prepared {
@@ -111,15 +118,19 @@ func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	return from, to
 }
 
-// removeReplica drops one replica of obj from candidate pos's run:
-// decrement the aggregated count, or excise the hit entirely when it
-// was the last one (reported), in the runs and, once prepared, in the
-// object's holder list.
-func (in *HitInstance) removeReplica(obj, pos int) (excised bool) {
+// removeReplica drops one replica of obj (weight wd) from candidate
+// pos's run: decrement the aggregated count, or excise the hit entirely
+// when it was the last one (reported), in the runs and, once prepared,
+// in the object's holder list. A kept root vector loses wd at pos when
+// the count drops below S: failing pos alone no longer kills obj.
+func (in *HitInstance) removeReplica(obj, pos int, wd int64) (excised bool) {
 	lo, hi := int(in.offs[pos]), int(in.offs[pos+1])
 	g := lo + findHit(in.hits[lo:hi], int32(obj))
 	if g >= hi || in.hits[g].Obj != int32(obj) {
 		panic(fmt.Sprintf("search: ApplyMove candidate %d holds no replica of object %d", pos, obj))
+	}
+	if in.rootOK && in.hits[g].C == in.s {
+		in.root[pos] -= wd
 	}
 	x := -1 // the holder entry
 	if in.prepared {
@@ -151,19 +162,30 @@ func (in *HitInstance) removeReplica(obj, pos int) (excised bool) {
 	return true
 }
 
-// addReplica adds one replica of obj to candidate pos's run, inserting
-// a fresh hit in object order (reported) or bumping the existing
-// aggregate (which drops the C = 1 fast strips: a count of 2 no longer
-// fits them), in the runs and, once prepared, in the object's holder
-// list.
-func (in *HitInstance) addReplica(obj, pos int) (inserted bool) {
+// addReplica adds one replica of obj (weight wd) to candidate pos's
+// run, inserting a fresh hit in object order (reported) or bumping the
+// existing aggregate (which drops the C = 1 fast strips: a count of 2
+// no longer fits them), in the runs and, once prepared, in the object's
+// holder list. A kept root vector gains wd at pos when the count
+// reaches S: failing pos alone now kills obj.
+func (in *HitInstance) addReplica(obj, pos int, wd int64) (inserted bool) {
 	lo, hi := int(in.offs[pos]), int(in.offs[pos+1])
 	g := lo + findHit(in.hits[lo:hi], int32(obj))
 	x := -1 // the holder entry, or where it goes
 	if in.prepared {
 		x = in.holderAt(int32(obj), pos)
 	}
-	if g < hi && in.hits[g].Obj == int32(obj) {
+	found := g < hi && in.hits[g].Obj == int32(obj)
+	if in.rootOK {
+		c := int32(1) // the count after the add
+		if found {
+			c += in.hits[g].C
+		}
+		if c == in.s {
+			in.root[pos] += wd
+		}
+	}
+	if found {
 		in.hits[g].C++
 		if x >= 0 {
 			in.objHits[x].C++
@@ -239,6 +261,9 @@ func (in *HitInstance) sortsBefore(a, b int) bool {
 // move changed otherwise (see there) are redone anyway, so carrying
 // them across stale is harmless.
 func (in *HitInstance) swapAdjacent(i int) {
+	if in.rootOK {
+		in.root[i], in.root[i+1] = in.root[i+1], in.root[i]
+	}
 	if in.prepared {
 		shared := in.swapHolders(i)
 		in.full[i], in.full[i+1] = in.full[i+1], in.full[i]

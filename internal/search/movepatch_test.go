@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -44,14 +45,31 @@ func assertSamePrepared(t *testing.T, tag string, got, want *HitInstance) {
 	}
 }
 
+// assertRootFresh requires the instance to keep a root gain vector
+// equal to a fresh Gains pass over want, the same runs built afresh at
+// the clean state.
+func assertRootFresh(t *testing.T, tag string, got, want *HitInstance) {
+	t.Helper()
+	if !got.rootOK {
+		t.Fatalf("%s: no root gain vector kept", tag)
+	}
+	g := make([]int64, want.Len())
+	want.Gains(g)
+	if !slices.Equal(got.root, g) {
+		t.Fatalf("%s: root gain vector %v, fresh Gains %v", tag, got.root, g)
+	}
+}
+
 // FuzzMovePatch is the oracle of ApplyMove's patches to the residual
-// machinery. A prepared instance walks random moves and reverts (of
-// the latest unreverted move); after every step its inverted index,
-// overlap table and residual baselines equal those of a fresh Assign +
-// prepare of the same runs, and a greedy-seeded residual search on each
-// returns the same Failed, Sel and Visited. The instances are node-style
-// C = 1 strips, aggregated (domain-style, moves may stack replicas), and
-// weighted ones of both (weights 0..3), at K = 1..4.
+// machinery and the root gain vector. A prepared instance keeping a
+// root vector walks random moves and reverts (of the latest unreverted
+// move); after every step its inverted index, overlap table and
+// residual baselines equal those of a fresh Assign + prepare of the
+// same runs, its root vector equals a fresh Gains pass, and a
+// greedy-seeded residual search on each returns the same Failed, Sel
+// and Visited. The instances are node-style C = 1 strips, aggregated
+// (domain-style, moves may stack replicas), and weighted ones of both
+// (weights 0..3), at K = 1..4.
 func FuzzMovePatch(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(20), uint8(0), uint8(1), []byte{0x00, 0x02, 0x01, 0x04, 0x03, 0x06})
 	f.Add(int64(2), uint8(5), uint8(12), uint8(1), uint8(2), []byte{0x10, 0x20, 0x31, 0x40, 0x51, 0x61, 0x70})
@@ -72,6 +90,7 @@ func FuzzMovePatch(f *testing.F) {
 		mm := randomModel(rng, m, b, r, s, k, aggregate, weighted)
 		live := mm.build()
 		live.prepare()
+		live.rootGains(make([]int64, live.Len()))
 		type applied struct{ obj, fromID, toID int }
 		var undo []applied
 		if len(ops) > 48 {
@@ -92,11 +111,66 @@ func FuzzMovePatch(f *testing.F) {
 			fresh := mm.build()
 			fresh.prepare()
 			assertSamePrepared(t, "step", live, fresh)
+			assertRootFresh(t, "step", live, fresh)
 			if step%2 == 0 || op&0x40 != 0 {
 				searchBoth(t, "step", live, fresh)
 			}
 		}
 	})
+}
+
+// TestRootVectorSearch pins that reading the kept root gain vector
+// changes no search: along random move chains on C = 1, aggregated and
+// weighted instances, a warm-seeded residual search (WarmSeed, then
+// BranchAndBound, seeded with the previous witness) on the instance
+// that keeps its root vector across the moves returns the same Failed,
+// Sel and Visited as the same search on a twin forced to sweep (its
+// vector dropped before every search), at 1 and 3 workers. At 3 workers
+// Visited is compared when the seed is already optimal: otherwise the
+// incumbent moves under a schedule-dependent snapshot, and the count
+// varies from run to run whichever vector is read. A CloneForMoves copy
+// carries the kept vector.
+func TestRootVectorSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, kind := range []struct {
+		name                string
+		aggregate, weighted bool
+	}{{"C=1", false, false}, {"aggregated", true, false}, {"weighted", false, true}, {"aggregated-weighted", true, true}} {
+		for _, workers := range []int{1, 3} {
+			mm := randomModel(rng, 10, 40, 3, 2, 3, kind.aggregate, kind.weighted)
+			kept := mm.build()
+			swept := kept.CloneForMoves()
+			var prev []int
+			for step := 0; step < 24; step++ {
+				if step > 0 {
+					obj, fromID, toID := mm.randomMove(rng, kind.aggregate)
+					kept.ApplyMove(obj, kept.Pos(fromID), kept.Pos(toID))
+					swept.ApplyMove(obj, swept.Pos(fromID), swept.Pos(toID))
+				}
+				run := func(in *HitInstance) (Result, Result) {
+					seed, _ := WarmSeed(in, prev)
+					return seed, BranchAndBound(in, seed, NewBudget(0), workers, BoundResidual)
+				}
+				_, got := run(kept)
+				if !kept.rootOK {
+					t.Fatalf("%s/workers=%d step %d: the instance kept no root vector", kind.name, workers, step)
+				}
+				if cp := kept.CloneForMoves(); !cp.rootOK || !slices.Equal(cp.root, kept.root) {
+					t.Fatalf("%s/workers=%d step %d: CloneForMoves did not carry the root vector", kind.name, workers, step)
+				}
+				swept.rootOK = false
+				seed, want := run(swept)
+				tag := fmt.Sprintf("%s/workers=%d step %d", kind.name, workers, step)
+				if got.Failed != want.Failed || !slices.Equal(got.Sel, want.Sel) || got.Exact != want.Exact {
+					t.Fatalf("%s: kept vector (failed=%d sel=%v), swept (failed=%d sel=%v)", tag, got.Failed, got.Sel, want.Failed, want.Sel)
+				}
+				if (workers == 1 || seed.Failed == want.Failed) && got.Visited != want.Visited {
+					t.Fatalf("%s: kept vector visited %d, swept %d", tag, got.Visited, want.Visited)
+				}
+				prev = kept.Units(slices.Clone(got.Sel))
+			}
+		}
+	}
 }
 
 // aliases reports the slice fields of two values of one struct type

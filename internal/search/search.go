@@ -276,10 +276,12 @@ func Exhaustive(in *HitInstance) Result {
 // marginal-damage evaluations (the unit of greedy work, one per
 // candidate weighed), so ablation tables compare real effort.
 //
-// The marginals come from one gain vector: one Gains sweep at the
-// start, then patchGains after every Add and Remove, through the
-// inverted index (Greedy prepares the residual machinery for it, which
-// a residual search would build next anyway). A swap that keeps its
+// The marginals come from one gain vector: the clean-state gains at
+// the start (rootGains: a copy of the root vector the instance keeps
+// across moves, or one Gains sweep that becomes it), then patchGains
+// after every Add and Remove, through the inverted index (Greedy
+// prepares the residual machinery for it, which a residual search
+// would build next anyway). A swap that keeps its
 // candidate restores the vector saved before the Remove instead of
 // patching the Add back. Picks, the first-of-equals tie rule and
 // Visited are those of a Marginal call per candidate weighed.
@@ -288,7 +290,7 @@ func Greedy(in *HitInstance) Result {
 	in.prepare()
 	in.sc.greedy = slices.Grow(in.sc.greedy[:0], 2*m)[:2*m]
 	g, saved := in.sc.greedy[:m], in.sc.greedy[m:]
-	in.Gains(g)
+	in.rootGains(g)
 	chosen := make([]bool, m)
 	sel := make([]int, 0, k)
 	failed := 0

@@ -142,7 +142,7 @@ type searchRun struct {
 	marginals int64 // the final-level scans' Marginal calls, summed once every worker exited
 	adds      int64 // the workers' Add calls (children entered, prefix replays), summed likewise
 	patches   int64 // the workers' patchGains calls, summed likewise
-	refills   int64 // the workers' full Gains passes, summed likewise
+	refills   int64 // the workers' gain-vector refills (Gains passes, root copies), summed likewise
 
 	exhausted atomic.Bool // budget drained: stop, result inexact
 	done      atomic.Bool // frontier drained: the first worker to prove it releases the rest
@@ -334,7 +334,7 @@ type stealWorker struct {
 	marginals int64   // Marginal calls made by scanLast
 	adds      int64   // Add calls made by runTask and adopt
 	patches   int64   // patchGains calls made by runTask
-	refills   int64   // Gains calls made by runTask
+	refills   int64   // gain vectors runTask refilled: a Gains pass, or at the root a copy of the root vector
 }
 
 // newStealWorker sizes the worker's deque up front: it runs before any
@@ -483,7 +483,8 @@ func (w *stealWorker) recycle(buf []int) {
 // Under the residual bound every node with two or more picks left has
 // its gain vector gv[depth]: a task whose node has none current (the
 // root, a stolen task off the worker's path) fills it with one Gains
-// pass, and each descent copies the node's vector and patches it for
+// pass — at the root, the clean state, rootGains copies the vector the
+// instance keeps across moves instead — and each descent copies the node's vector and patches it for
 // the chosen child (patchGains), so the CSR is swept once per such task
 // instead of once per node. At a node with q+1 picks left, child i has
 // failed + g[i] objects down, and nothing below it reports more than
@@ -502,7 +503,11 @@ func (w *stealWorker) runTask(t task) {
 	failed, loadSum, start := t.failed, t.loadSum, t.start
 	prefix, dup, m := w.ps.prefix, w.ps.dup, w.ps.m
 	if d := len(w.cur); w.gv != nil && !w.gvOK[d] {
-		w.in.Gains(w.gv[d])
+		if d == 0 {
+			w.in.rootGains(w.gv[0]) // the clean state: the kept root vector
+		} else {
+			w.in.Gains(w.gv[d])
+		}
 		w.gvOK[d], w.restLo[d] = true, math.MaxInt
 		w.refills++
 	}
