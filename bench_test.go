@@ -463,7 +463,7 @@ func BenchmarkWeightedWorstCase(b *testing.B) {
 
 // zoneConfinedPlacement places each object's r replicas inside one
 // random zone — the partition-heavy layout (objects live and die with
-// their zone) where the residual-load bound prunes deepest. Real
+// their zone) where the gain-vector bounds prune deepest. Real
 // clusters produce this shape whenever placement is zone-local.
 func zoneConfinedPlacement(b *testing.B, n, objects, r, zones int, seed int64) *placement.Placement {
 	b.Helper()
@@ -534,37 +534,21 @@ func BenchmarkDomainWorstCaseLarge(b *testing.B) {
 	}
 }
 
-// stealSkewInstance builds the starvation scenario for the parallel
-// drivers: a hub node hosts a replica of every hot object, so every
-// worthwhile attack includes candidate 0 and the whole search lives
-// inside the single first=0 top-level branch — the remaining branches
-// prune on sight. Top-level sharding hands that one branch to one
-// worker and starves the rest; work stealing splits its interior. Hot
-// objects pair the hub with a 30-node pool (the real combinatorial
-// search), cold objects pad the candidate list with instantly-pruned
-// branches. Built directly as a search.HitInstance (the node-level
-// adapter's layout: unit hits, loaded nodes by descending load) so the
-// benchmark can drive both parallel drivers on identical instances.
+// stealSkewInstance builds the work-stealing driver's scale scenario:
+// the node-level worst case of a random placement at n = 71, b = 700
+// (r = 3, s = 2) against K = 6 failures: the certify workload's node
+// model two failures deeper. About 107k states and 40 ms of serial
+// search on a 2-vCPU Xeon, so a second worker pays: the root's
+// continuations are big subtrees, and thieves split them. Built
+// directly as a search.HitInstance (the node-level adapter's layout:
+// unit hits, nodes by descending load) so the benchmark drives the
+// search core alone.
 func stealSkewInstance(b *testing.B) *search.HitInstance {
 	b.Helper()
-	const n, hot, cold, poolLo, poolHi, s, k = 240, 400, 200, 1, 20, 2, 5
-	rng := rand.New(rand.NewSource(11))
-	pl := placement.NewPlacement(n, 3)
-	for i := 0; i < hot; i++ {
-		a := poolLo + rng.Intn(poolHi-poolLo+1)
-		c := poolLo + rng.Intn(poolHi-poolLo+1)
-		for c == a {
-			c = poolLo + rng.Intn(poolHi-poolLo+1)
-		}
-		if err := pl.Add([]int{0, a, c}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < cold; i++ {
-		perm := rng.Perm(n - poolHi - 1)
-		if err := pl.Add([]int{poolHi + 1 + perm[0], poolHi + 1 + perm[1], poolHi + 1 + perm[2]}); err != nil {
-			b.Fatal(err)
-		}
+	const n, objects, s, k = 71, 700, 2, 6
+	pl, err := randplace.Generate(placement.Params{N: n, B: objects, R: 3, S: s, K: k}, 7)
+	if err != nil {
+		b.Fatal(err)
 	}
 	perNode := make([][]search.Hit, n)
 	for obj := 0; obj < pl.B(); obj++ {
@@ -577,18 +561,19 @@ func stealSkewInstance(b *testing.B) *search.HitInstance {
 	return in
 }
 
-// BenchmarkStealSkew runs the work-stealing driver on the
-// skewed-survivor instance at 8 workers, with the one-worker run (the
-// "serial" row) as the scale reference. A driver that only shards
-// top-level branches degenerates to one busy worker here, since one
-// branch dominates; stealing splits that branch's interior across all
-// 8, so on a multi-core host an expected ≥2x and up to ~8x. On a
-// single-core runner the two times coincide and the benchmark instead
-// pins the scheduler's overhead (steal ns/op must stay at serial's) and
-// its exactness: damage equality is asserted every run, and the
-// visited-states metrics are deterministic (the greedy seed is optimal,
-// so the incumbent never moves and pruning is schedule-independent —
-// steal matches serial exactly) and tracked by make bench-check.
+// BenchmarkStealSkew runs the work-stealing driver on the K = 6 node
+// search at 8 workers, with the one-worker run (the "serial" row) as
+// the scale reference. The name is kept from the skewed-survivor
+// instance it replaced, whose search the gain-vector bounds cut to a
+// few hundred states, so that it timed the scheduler's overhead rather
+// than stealing. On a multi-core host the steal row is expected ≥ 1.5x
+// faster at 2 workers and more at 8; on a single-core runner the two
+// times coincide and the benchmark instead pins the scheduler's
+// overhead and its exactness: damage equality is asserted every run,
+// and the visited-states metrics are deterministic (the greedy seed is
+// optimal, so the incumbent never moves and pruning is
+// schedule-independent — steal matches serial exactly) and tracked by
+// make bench-check.
 func BenchmarkStealSkew(b *testing.B) {
 	probe := stealSkewInstance(b)
 	seed := search.Greedy(probe)
@@ -688,16 +673,17 @@ func BenchmarkDomainWorstCaseDeep(b *testing.B) {
 	})
 }
 
-// BenchmarkBoundAblation measures the residual-load pruning bound
+// BenchmarkBoundAblation measures the gain-vector bounds (BoundResidual)
 // against the static replica-counting baseline (the -bound switch) on
 // two instance families over the 500-rack topology:
 //
 //   - partition: zone-confined objects with s = 1, where failed racks
-//     kill whole object groups and the residual discount collapses the
-//     search — the case the bound exists for;
-//   - uniform: a flat random placement, where deaths are rare along
-//     search paths and the two bounds must coincide (the regression
-//     guard: residual may cost nothing here).
+//     kill whole object groups, so the gains of the racks left fall
+//     with every pick and the node-entry prune leaves most nodes before
+//     a child is charged;
+//   - uniform: a flat random placement at s = 2, where deaths are rare
+//     along search paths, so the static bound barely prunes and the
+//     gain-vector bounds carry the search.
 //
 // Damage equality between the bounds is asserted; visited-states is the
 // hardware-independent metric BENCH.json tracks.

@@ -49,8 +49,8 @@
 // for the shared state budget.
 //
 // The -bound flag is the pruning ablation switch: "residual" (default)
-// prunes branch-and-bound with the residual-load bound, "static" with
-// the replica-counting bound only. Both return identical results;
+// prunes branch-and-bound with the gain-vector bounds on top of the
+// replica-counting bound, "static" with the replica-counting bound only. Both return identical results;
 // residual visits no more states (often far fewer — see -stats, which
 // prints per-search diagnostics: bound, visited states, budget,
 // exactness).

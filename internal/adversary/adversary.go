@@ -9,7 +9,7 @@
 // DomainGreedyAtWith, DomainWorstCaseAtWith) and the constrained
 // k-nodes-in-≤d-domains pair — is a thin adapter over the one generic
 // search core in internal/search; see that package (and this package's
-// README) for the shared drivers, the residual-load pruning bound, and
+// README) for the shared drivers, the gain-vector pruning bounds, and
 // the budget semantics:
 //
 //   - Exhaustive: enumerate all C(n, k) subsets. Reference oracle for
@@ -18,9 +18,10 @@
 //     search. Fast; yields a lower bound on the damage (upper bound on
 //     availability).
 //   - WorstCase: branch-and-bound over candidates ordered by load, seeded
-//     with the greedy incumbent, pruned with the residual-load bound (or,
-//     under SearchOpts{Bound: search.BoundStatic}, the static
-//     replica-counting bound failed(K) <= ⌊(Σ_{nd∈K} load(nd)) / s⌋).
+//     with the greedy incumbent, pruned with the static
+//     replica-counting bound failed(K) <= ⌊(Σ_{nd∈K} load(nd)) / s⌋
+//     and the gain-vector bounds (under SearchOpts{Bound:
+//     search.BoundStatic}, the static bound alone).
 //     Exact when it completes within its state budget; otherwise it
 //     degrades gracefully and reports Exact = false. It runs on
 //     search.BranchAndBound, the one work-stealing driver, with
@@ -78,8 +79,8 @@ type SearchOpts struct {
 	// is worth ObjWeights[obj] (>= 0) and the adversary maximizes the
 	// total weight of the failed objects instead of their count —
 	// Result.Failed / DomainResult.Failed are then lost weight. The
-	// candidate ordering, the pruning bounds and the residual ledger all
-	// run in weight units (see internal/search), so an all-ones vector
+	// candidate ordering, the loads, gains and overlaps the pruning
+	// bounds read all run in weight units (see internal/search), so an all-ones vector
 	// reproduces the unweighted search byte for byte: same damage, same
 	// witness, same visited-state count. nil means unit weights. Derive
 	// per-object weights from a topology's node weights with

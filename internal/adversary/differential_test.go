@@ -319,7 +319,7 @@ func checkDiffWitness(t *testing.T, label, model string, c *diffCase, flat *topo
 }
 
 // TestDifferentialBoundAblation pins the -bound ablation switch across
-// all three attack modes: the residual-load bound returns exactly the
+// all three attack modes: the gain-vector bounds return exactly the
 // static bound's result — damage (== the exhaustive reference), witness,
 // exactness — while never visiting more states. Witness equality holds
 // because both modes walk the same tree with the same incumbent
@@ -406,7 +406,7 @@ func TestDifferentialBoundAblation(t *testing.T) {
 		}
 	}
 	if tighter == 0 {
-		t.Error("residual bound never pruned deeper than static on any engine — upkeep is likely broken")
+		t.Error("residual bound never pruned deeper than static on any engine — the gain-vector bounds are likely broken")
 	}
 }
 

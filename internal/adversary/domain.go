@@ -147,7 +147,7 @@ func DomainWorstCaseWith(pl *placement.Placement, topo *topology.Topology, s, d 
 
 // DomainWorstCaseAtWith runs branch-and-bound over the domains of the
 // given topology level, seeded with the greedy incumbent and pruned
-// with the shared residual-load bound — the one change needed to fail
+// with the shared bounds — the one change needed to fail
 // zones or regions instead of racks; the search itself is identical at
 // every level. Budget, workers and bound follow WorstCaseWith (the
 // drivers are shared).

@@ -71,7 +71,7 @@ type DomainCell struct {
 
 // DomainOpts scales the experiment. Zero values select the default
 // grid: constructible Combo placements on small Steiner orders, all
-// adversaries exact and serial with residual-load pruning.
+// adversaries exact and serial under the default (residual) bound.
 type DomainOpts struct {
 	Scenarios []DomainScenario
 	Budget    int64        // adversary search budget (0 = exact)

@@ -54,8 +54,8 @@ func ObjectWeights(pl *Placement, topo *topology.Topology) ([]int64, error) {
 
 // WeightOverflowError reports a per-object weight vector whose
 // weighted replica total r·Σw exceeds MaxInt64. Every weighted load
-// Σ C·w the search runs on — per candidate, prefix sums, the residual
-// ledger — is bounded by that total, so such a vector would wrap the
+// Σ C·w the search runs on — per candidate, prefix sums, gains and
+// overlaps — is bounded by that total, so such a vector would wrap the
 // int64 loads and silently mis-order the candidates.
 type WeightOverflowError struct {
 	R   int // replication factor of the placement

@@ -43,10 +43,8 @@ func TestCloneForMovesIsolation(t *testing.T) {
 	// Residual-pruned search on the parent after child moves: the
 	// machinery prepares on the parent's own (untouched) backing.
 	parent.Reset()
-	parent.EnableResidual()
 	seed := Greedy(parent)
 	parent.Reset()
-	parent.EnableResidual()
 	if got := BranchAndBound(parent, seed, NewBudget(0), 1, BoundResidual); got.Failed != base.Failed {
 		t.Fatalf("parent residual search after child moves: damage %d, want %d", got.Failed, base.Failed)
 	}

@@ -8,18 +8,17 @@ import (
 
 // This file is the one concrete instance every engine in the repository
 // searches on: aggregated (object, replica-count) hits in a flat CSR
-// layout, with incremental residual-load accounting for the
-// BoundResidual prune and duplicate-candidate detection for branch
-// collapse.
+// layout, with an inverted object → candidate index and an overlap
+// table for the gain-vector bounds, and duplicate-candidate detection
+// for branch collapse.
 //
 // Weighted damage: object weights w (given to Assign) switch the
 // instance from counting failed objects to summing their weights —
-// Add/Remove/Marginal report weight gained, and every quantity of the
-// residual ledger (loads, resid, deadSpent) is kept in weight units
-// (each hit contributes C·w instead of C). The bound algebra is
-// unchanged: a completion that newly fails objects of total weight W
-// spends at least s·W weighted replicas on them, so failed(K) <=
-// ⌊(Σ weighted loads)/s⌋ holds verbatim with "failed" read as lost
+// Add/Remove/Marginal report weight gained, and the loads are kept in
+// weight units (each hit contributes C·w instead of C). The bound
+// algebra is unchanged: a completion that newly fails objects of total
+// weight W spends at least s·W weighted replicas on them, so failed(K)
+// <= ⌊(Σ weighted loads)/s⌋ holds verbatim with "failed" read as lost
 // weight. With w ≡ 1 every number — damage, witness, visited states —
 // is identical to the unweighted instance; the weighted code paths are
 // separate methods so unweighted searches keep their exact pre-weights
@@ -58,30 +57,11 @@ type candHit struct {
 // (node or domain id) at every candidate position: Units translates a
 // selection back, Pos finds a unit, and moves keep both current.
 //
-// Once EnableResidual switches the upkeep on, the instance maintains,
-// alongside the failure counters, the per-candidate residual load
-// resid(c) = Σ_{(obj,C) ∈ hits(c), obj live} C — candidate c's
-// replicas restricted to live objects — and the aggregate quantities
-//
-//	deadSpent = Σ_{obj dead} cnt(obj)   (failed replicas of dead objects)
-//	residual  = Σ_{c} resid(c)          (all candidates — overcounting the
-//	                                     chosen ones is sound and keeps
-//	                                     Add/Remove free of chosen-set
-//	                                     bookkeeping)
-//	discount  = Σ_{c} (fullLoad(c) - resid(c))   (dead load, all candidates)
-//
-// incrementally: when an object's failed-replica count crosses S, every
-// candidate holding replicas of it (via the inverted index) sheds that
-// dead load from its residual, and symmetrically on the way back down.
-// The driver derives liveSpent — failed replicas of still-live objects
-// — as the chosen candidates' static load minus deadSpent (tracking the
-// dead side keeps the common live-hit path branch-cheap). Any
-// completion of the current selection then newly fails at most
-// ⌊(liveSpent + cap) / S⌋ objects, where cap is any upper bound on the
-// completion's hits to live objects: the driver uses min(static window,
-// residual) as the O(1) cap and TopResidual as the exact one, gated by
-// discount (the scan cannot recover more than the dead load, so it only
-// runs when that could flip the decision).
+// Beside the failure counters the instance keeps, once prepared, what
+// the gain-vector bounds read: the inverted object → candidate index
+// (patchGains walks it) and the overlap table (MaxOverlap). Both depend
+// on the runs only, never on the counters, so one copy serves every
+// state of a search and every worker's Clone.
 type HitInstance struct {
 	count int   // attack-set size K
 	s     int32 // failed replicas that kill an object
@@ -93,10 +73,8 @@ type HitInstance struct {
 	offs  []int32 // len = Len()+1
 	loads []int64 // static load per candidate
 
-	// The residual machinery: built once by prepare, then kept current
-	// by ApplyMove; shared by Clone.
-	full     []int64   // Σ C per candidate: residual at a clean state
-	fullSum  int64     // Σ full
+	// The gain-vector machinery: built once by prepare, then kept
+	// current by ApplyMove; shared by Clone.
 	objHits  []candHit // flat inverted CSR: object j owns objHits[objOffs[j]:objOffs[j+1]], ascending by candidate
 	objCands []int32   // C = 1 fast strip of objHits (candidate ids only)
 	objOffs  []int32   // len = numObjects+1
@@ -120,12 +98,8 @@ type HitInstance struct {
 	pos []int
 
 	// Mutable search state (fresh per Clone).
-	cnt       []int32 // failed replicas per object
-	track     bool    // residual upkeep enabled (see EnableResidual)
-	prepared  bool    // residual baselines, inverted index and overlap table built (lazy)
-	resid     []int64 // per-candidate load restricted to live objects
-	residAll  int64   // Σ resid over all candidates
-	deadSpent int64   // Σ cnt over dead objects (liveSpent = chosen load − deadSpent)
+	cnt      []int32 // failed replicas per object
+	prepared bool    // inverted index and overlap table built (lazy)
 
 	sc scratch // working memory: every Clone and CloneForMoves starts its own
 }
@@ -141,12 +115,11 @@ type scratch struct {
 	ovStamp   []int32   // overlapRow: the row generation that last touched ovAcc[j]
 	ovGen     int32     // overlapRow: the current row generation
 	ovRows    []int     // ApplyMove: the units whose overlap rows a swap left stale, then the rows to redo
-	top       []int64   // TopResidual: the rem largest residuals
 	greedy    []int64   // Greedy: its gain vector, and the copy a kept swap restores
-	gains     []int64   // backing of the driver's gain vectors and rest rows (see gainScratch)
-	gainRows  [][]int64 // gainScratch's per-depth views of gains: vectors, then rest rows
+	gains     []int64   // backing of the driver's gain vectors and bound rows (see gainScratch)
+	gainRows  [][]int64 // gainScratch's per-depth views of gains: vectors, rest rows, node rows
 	gainOK    []bool    // gainScratch's per-depth freshness flags
-	gainLo    []int     // gainScratch's per-depth rest-row coverage
+	gainLo    []int     // gainScratch's per-depth bound-row coverage
 	rotHits   []Hit     // ApplyMove: run rotation
 	rotObjs   []int32   // ApplyMove: the C = 1 strip rotation
 	unitLoads []int64   // Assign: weighted load per unit id
@@ -212,58 +185,43 @@ func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads []int64) {
 		}
 	}
 
-	// The residual machinery is built lazily, by the first Greedy or
+	// The gain-vector machinery is built lazily, by the first Greedy or
 	// residual search: Exhaustive enumeration and static-bound
 	// searches without a seed never pay for it.
 	in.ov = in.ov[:0]
-	in.deadSpent = 0
-	in.track = false
 	in.prepared = false
 	in.rootOK = false
 	in.w = nil
 }
 
 // setWeights switches the instance to weighted damage accounting:
-// object obj is worth w[obj] (>= 0), Add/Remove/Marginal report the
+// object obj is worth w[obj] (>= 0), and Add/Remove/Marginal report the
 // weight of the objects crossing the S threshold instead of their
-// count, and the residual ledger runs in weight units. Assign calls it
-// right after reinit (which reverts to unit weights), before the first
-// search on the new candidate set; the loads given to reinit must then
-// be the WEIGHTED candidate loads Σ C·w[obj] over each hit list — the
-// replica-counting bound divides that weighted spend by S, so plain
-// loads would prune unsoundly. A nil w reverts to unit weights.
+// count. Assign calls it right after reinit (which reverts to unit
+// weights), before the first search on the new candidate set; the loads
+// given to reinit must then be the WEIGHTED candidate loads Σ C·w[obj]
+// over each hit list — the replica-counting bound divides that weighted
+// spend by S, so plain loads would prune unsoundly. A nil w reverts to
+// unit weights.
 func (in *HitInstance) setWeights(w []int64) {
 	if w != nil && len(w) != len(in.cnt) {
 		panic(fmt.Sprintf("search: %d object weights for %d objects", len(w), len(in.cnt)))
 	}
 	if in.prepared {
-		panic("search: setWeights after the residual baselines were built; call it right after reinit")
+		panic("search: setWeights after the overlap table was built; call it right after reinit")
 	}
 	in.w = w
 }
 
-// prepare builds the residual machinery: per-candidate full loads (the
-// clean-state residuals), the inverted object → candidate index the
-// threshold-crossing walks and the gain patches use, and the overlap
-// table. It runs once per Assign: from then on ApplyMove keeps all of
-// it current, so later calls are no-ops. The instance must be clean
-// (Reset). BranchAndBound runs it on the caller's instance before
-// cloning, so every worker shares one index and one table.
+// prepare builds the gain-vector machinery: the inverted object →
+// candidate index the gain patches walk, and the overlap table. It runs
+// once per Assign: from then on ApplyMove keeps both current, so later
+// calls are no-ops. BranchAndBound runs it on the caller's instance
+// before cloning, so every worker shares one index and one table.
 func (in *HitInstance) prepare() {
 	if in.prepared {
 		return
 	}
-	m := in.Len()
-	in.full = in.full[:0]
-	in.fullSum = 0
-	for i := 0; i < m; i++ {
-		sum := weightedLoad(in.run(i), in.w)
-		in.full = append(in.full, sum)
-		in.fullSum += sum
-	}
-	in.resid = append(in.resid[:0], in.full...)
-	in.residAll = in.fullSum
-	in.deadSpent = 0
 	in.buildInverted()
 	in.buildOverlaps()
 	in.prepared = true
@@ -338,263 +296,62 @@ func (in *HitInstance) S() int { return int(in.s) }
 // final-level scan cut relies on.
 func (in *HitInstance) Load(i int) int64 { return in.loads[i] }
 
-// Add fails candidate i, returning the number of newly failed objects.
-// Objects crossing the S threshold shed their replicas from every
-// holder's residual via the inverted index (Remove walks the exact
-// inverse). The
-// residual upkeep touches only hits on dead objects and threshold
-// crossings, so the common live-hit path costs one predictable branch.
+// Add fails candidate i, returning the number of newly failed objects
+// (their total weight with object weights): one pass over run i's
+// threshold counters. Remove walks the exact inverse.
 func (in *HitInstance) Add(i int) int {
 	if in.w != nil {
 		return in.addW(i)
 	}
 	newly := 0
 	s := in.s
-	if !in.track {
-		// Upkeep off (greedy/exhaustive/static ablation): the bare
-		// threshold count, the pre-residual hot loop.
-		if in.objs != nil {
-			for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
-				in.cnt[obj]++
-				if in.cnt[obj] == s {
-					newly++
-				}
-			}
-		} else {
-			for _, h := range in.run(i) {
-				old := in.cnt[h.Obj]
-				nw := old + h.C
-				in.cnt[h.Obj] = nw
-				if old < s && nw >= s {
-					newly++
-				}
-			}
-		}
-		return newly
-	}
-	var dDead int64
 	if in.objs != nil {
-		cross := s - 1
 		for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
-			old := in.cnt[obj]
-			in.cnt[obj] = old + 1
-			if old >= cross {
-				if old == cross {
-					newly++
-					dDead += int64(old) + 1
-					in.objectDied(obj)
-				} else {
-					dDead++
-				}
-			}
-		}
-	} else {
-		for _, h := range in.run(i) {
-			old := in.cnt[h.Obj]
-			nw := old + h.C
-			in.cnt[h.Obj] = nw
-			if nw >= s {
-				if old < s {
-					newly++
-					dDead += int64(nw)
-					in.objectDied(h.Obj)
-				} else {
-					dDead += int64(h.C)
-				}
-			}
-		}
-	}
-	in.deadSpent += dDead
-	return newly
-}
-
-// addW is Add with object weights: the return value is the total weight of
-// the newly dead objects, and the dead-spent ledger counts each failed
-// replica of a dead object as C·w.
-func (in *HitInstance) addW(i int) int {
-	s := in.s
-	newly := 0
-	if !in.track {
-		for _, h := range in.run(i) {
-			old := in.cnt[h.Obj]
-			nw := old + h.C
-			in.cnt[h.Obj] = nw
-			if old < s && nw >= s {
-				newly += int(in.w[h.Obj])
+			in.cnt[obj]++
+			if in.cnt[obj] == s {
+				newly++
 			}
 		}
 		return newly
 	}
-	var dDead int64
 	for _, h := range in.run(i) {
 		old := in.cnt[h.Obj]
 		nw := old + h.C
 		in.cnt[h.Obj] = nw
-		if nw >= s {
-			w := in.w[h.Obj]
-			if old < s {
-				newly += int(w)
-				dDead += int64(nw) * w
-				in.objectDiedW(h.Obj)
-			} else {
-				dDead += int64(h.C) * w
-			}
+		if old < s && nw >= s {
+			newly++
 		}
 	}
-	in.deadSpent += dDead
+	return newly
+}
+
+// addW is Add with object weights: the return value is the total weight of
+// the newly dead objects.
+func (in *HitInstance) addW(i int) int {
+	s := in.s
+	newly := 0
+	for _, h := range in.run(i) {
+		old := in.cnt[h.Obj]
+		nw := old + h.C
+		in.cnt[h.Obj] = nw
+		if old < s && nw >= s {
+			newly += int(in.w[h.Obj])
+		}
+	}
 	return newly
 }
 
 // Remove reverts Add(i).
 func (in *HitInstance) Remove(i int) {
-	if in.w != nil {
-		in.removeW(i)
-		return
-	}
-	s := in.s
-	if !in.track {
-		if in.objs != nil {
-			for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
-				in.cnt[obj]--
-			}
-		} else {
-			for _, h := range in.run(i) {
-				in.cnt[h.Obj] -= h.C
-			}
-		}
-		return
-	}
-	var dDead int64
 	if in.objs != nil {
 		for _, obj := range in.objs[in.offs[i]:in.offs[i+1]] {
-			old := in.cnt[obj]
-			in.cnt[obj] = old - 1
-			if old >= s {
-				if old == s {
-					in.objectRevived(obj)
-					dDead -= int64(old)
-				} else {
-					dDead--
-				}
-			}
-		}
-	} else {
-		for _, h := range in.run(i) {
-			old := in.cnt[h.Obj]
-			nw := old - h.C
-			in.cnt[h.Obj] = nw
-			if old >= s {
-				if nw < s {
-					in.objectRevived(h.Obj)
-					dDead -= int64(old)
-				} else {
-					dDead -= int64(h.C)
-				}
-			}
-		}
-	}
-	in.deadSpent += dDead
-}
-
-// removeW reverts addW(i).
-func (in *HitInstance) removeW(i int) {
-	s := in.s
-	if !in.track {
-		for _, h := range in.run(i) {
-			in.cnt[h.Obj] -= h.C
+			in.cnt[obj]--
 		}
 		return
 	}
-	var dDead int64
 	for _, h := range in.run(i) {
-		old := in.cnt[h.Obj]
-		nw := old - h.C
-		in.cnt[h.Obj] = nw
-		if old >= s {
-			w := in.w[h.Obj]
-			if nw < s {
-				in.objectRevivedW(h.Obj)
-				dDead -= int64(old) * w
-			} else {
-				dDead -= int64(h.C) * w
-			}
-		}
+		in.cnt[h.Obj] -= h.C
 	}
-	in.deadSpent += dDead
-}
-
-// objectDied discounts every candidate's replicas of the newly dead
-// object: future hits on it are wasted, so they leave the residuals.
-func (in *HitInstance) objectDied(obj int32) {
-	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
-			in.resid[cand]--
-		}
-		in.residAll -= int64(in.objOffs[obj+1] - in.objOffs[obj])
-		return
-	}
-	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
-		in.resid[ch.Cand] -= int64(ch.C)
-		c += int64(ch.C)
-	}
-	in.residAll -= c
-}
-
-// objectRevived reverts objectDied.
-func (in *HitInstance) objectRevived(obj int32) {
-	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
-			in.resid[cand]++
-		}
-		in.residAll += int64(in.objOffs[obj+1] - in.objOffs[obj])
-		return
-	}
-	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
-		in.resid[ch.Cand] += int64(ch.C)
-		c += int64(ch.C)
-	}
-	in.residAll += c
-}
-
-// objectDiedW is objectDied in weight units: every hit on the dead
-// object leaves the residuals at its weighted size C·w.
-func (in *HitInstance) objectDiedW(obj int32) {
-	w := in.w[obj]
-	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
-			in.resid[cand] -= w
-		}
-		in.residAll -= w * int64(in.objOffs[obj+1]-in.objOffs[obj])
-		return
-	}
-	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
-		d := int64(ch.C) * w
-		in.resid[ch.Cand] -= d
-		c += d
-	}
-	in.residAll -= c
-}
-
-// objectRevivedW reverts objectDiedW.
-func (in *HitInstance) objectRevivedW(obj int32) {
-	w := in.w[obj]
-	if in.objCands != nil {
-		for _, cand := range in.objCands[in.objOffs[obj]:in.objOffs[obj+1]] {
-			in.resid[cand] += w
-		}
-		in.residAll += w * int64(in.objOffs[obj+1]-in.objOffs[obj])
-		return
-	}
-	var c int64
-	for _, ch := range in.objHits[in.objOffs[obj]:in.objOffs[obj+1]] {
-		d := int64(ch.C) * w
-		in.resid[ch.Cand] += d
-		c += d
-	}
-	in.residAll += c
 }
 
 // Marginal returns how many objects Add(i) would newly fail, without
@@ -639,76 +396,7 @@ func (in *HitInstance) marginalW(i int) int {
 // Reset restores the clean state: all objects live, no candidate chosen
 // (after Greedy left the counters dirty).
 func (in *HitInstance) Reset() {
-	for i := range in.cnt {
-		in.cnt[i] = 0
-	}
-	if in.prepared {
-		copy(in.resid, in.full)
-		in.residAll = in.fullSum
-		in.deadSpent = 0
-	}
-}
-
-// EnableResidual switches the incremental residual upkeep on. Because
-// the upkeep (threshold-crossing walks over the inverted index) costs
-// real work in Add/Remove, it is off until a BoundResidual search
-// starts: Greedy seeding, Exhaustive enumeration and static-bound
-// ablation runs all mutate at full speed. The instance must be clean
-// (Reset): the baselines prepare/Reset install are exactly the
-// clean-state invariants, so no recomputation is needed. The first
-// call after Assign builds the residual machinery (prepare), unless
-// Greedy already did. Assign switches the upkeep back off, and
-// ApplyMove suspends it until the next call, so Greedy seeding between
-// moves runs without it; the move itself keeps the baselines, the
-// inverted index and the overlap table current, so the call that
-// resumes it rebuilds nothing.
-func (in *HitInstance) EnableResidual() {
-	in.prepare()
-	in.track = true
-}
-
-// ResidualStats returns the residual-bound invariants (deadSpent,
-// residual, discount; see HitInstance): failed replicas of dead objects
-// (the caller derives liveSpent as the chosen static load minus this),
-// the candidates' load restricted to live objects, and the total dead
-// load discounted so far. Valid only while the upkeep is enabled.
-func (in *HitInstance) ResidualStats() (deadSpent, residual, discount int64) {
-	return in.deadSpent, in.residAll, in.fullSum - in.residAll
-}
-
-// TopResidual returns the sum of the rem largest residual loads among
-// candidates start..Len()-1 — the exact residual analogue of the static
-// top-rem window (never larger, since resid <= Load pointwise and
-// candidates are load-sorted). The DFS chooses candidates in ascending
-// index order, so every candidate >= start is unchosen and eligible.
-// Valid only while the upkeep is enabled, with 0 < rem <= Len()-start.
-func (in *HitInstance) TopResidual(start, rem int) int64 {
-	if cap(in.sc.top) < rem {
-		in.sc.top = make([]int64, rem)
-	}
-	top := in.sc.top[:rem] // ascending; top[0] is the smallest kept
-	copy(top, in.resid[start:start+rem])
-	for i := 1; i < rem; i++ {
-		for j := i; j > 0 && top[j] < top[j-1]; j-- {
-			top[j], top[j-1] = top[j-1], top[j]
-		}
-	}
-	var sum int64
-	for _, v := range top {
-		sum += v
-	}
-	for _, v := range in.resid[start+rem:] {
-		if v > top[0] {
-			sum += v - top[0]
-			j := 1
-			for j < rem && top[j] < v {
-				top[j-1] = top[j]
-				j++
-			}
-			top[j-1] = v
-		}
-	}
-	return sum
+	clear(in.cnt)
 }
 
 // Gains stores Marginal(j) in dst[j] for every candidate j, leaving
@@ -818,18 +506,18 @@ func (in *HitInstance) patchGains(i int, g []int64, removed bool) {
 
 // gainScratch lends the driver the instance's own gain vectors, Len()
 // entries each, one per search depth 0..depths-1, and as many rows for
-// the bounds derived from them (the driver's rest rows), plus per depth
-// a freshness flag, all false, and a rest-row coverage, all
-// math.MaxInt (no row). A search allocates none once the instance has
-// served a search as deep; Clone and CloneForMoves give each copy its
-// own.
-func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, rest [][]int64, restLo []int) {
+// each of the two bounds derived from them (the driver's rest and node
+// rows), plus per depth a freshness flag, all false, and a row
+// coverage, all math.MaxInt (no rows). A search allocates none once the
+// instance has served a search as deep; Clone and CloneForMoves give
+// each copy its own.
+func (in *HitInstance) gainScratch(depths int) (gv, rest, node [][]int64, ok []bool, lo []int) {
 	m, sc := in.Len(), &in.sc
-	if n := 2 * depths * m; cap(sc.gains) < n {
+	if n := 3 * depths * m; cap(sc.gains) < n {
 		sc.gains = make([]int64, n)
 	}
 	sc.gainRows = sc.gainRows[:0]
-	for d := 0; d < 2*depths; d++ {
+	for d := 0; d < 3*depths; d++ {
 		sc.gainRows = append(sc.gainRows, sc.gains[d*m:(d+1)*m])
 	}
 	if cap(sc.gainOK) < depths {
@@ -840,7 +528,8 @@ func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, rest []
 	for d := range sc.gainLo {
 		sc.gainLo[d] = math.MaxInt
 	}
-	return sc.gainRows[:depths], sc.gainOK, sc.gainRows[depths:], sc.gainLo
+	rows := sc.gainRows
+	return rows[:depths], rows[depths : 2*depths], rows[2*depths:], sc.gainOK, sc.gainLo
 }
 
 // MaxOverlap returns the largest total weight of objects that candidate
@@ -848,9 +537,11 @@ func (in *HitInstance) gainScratch(depths int) (gv [][]int64, ok []bool, rest []
 // Σ w(obj) over obj in both runs (objects counted once whatever their
 // replica counts). Failing i raises no later candidate's marginal gain
 // by more than their shared weight, which is what the gain-vector
-// bounds need. A read of the table buildOverlaps fills and ApplyMove
-// keeps current; valid once the residual machinery is prepared at
-// K >= 2.
+// bounds need. At s = 1 the whole table is 0: an object counts towards
+// a gain only while no replica of it has failed, so a pick only takes
+// objects away from the later gains, whatever C and the weights. A
+// read of the table buildOverlaps fills and ApplyMove keeps current;
+// valid once the instance is prepared at K >= 2.
 func (in *HitInstance) MaxOverlap(i int) int64 { return in.ov[i] }
 
 // buildOverlaps fills the overlap table, one overlapRow per candidate.
@@ -867,13 +558,16 @@ func (in *HitInstance) buildOverlaps() {
 }
 
 // overlapRow computes MaxOverlap(i) from the current runs and inverted
-// index: it walks run i's objects through the index (whose per-object
-// lists are in ascending candidate order, so only the tail past i is
-// read), summing the shared weight per later candidate. The sums live
-// in scratch stamped with a per-row generation, so a row costs
-// |run i|·r whatever the number of candidates, and ApplyMove can redo
-// single rows.
+// index: 0 at s = 1, else a walk of run i's objects through the index
+// (whose per-object lists are in ascending candidate order, so only the
+// tail past i is read), summing the shared weight per later candidate.
+// The sums live in scratch stamped with a per-row generation, so a row
+// costs |run i|·r whatever the number of candidates, and ApplyMove can
+// redo single rows.
 func (in *HitInstance) overlapRow(i int) int64 {
+	if in.s == 1 {
+		return 0
+	}
 	sc := &in.sc
 	if m := in.Len(); len(sc.ovAcc) < m {
 		sc.ovAcc, sc.ovStamp, sc.ovGen = make([]int64, m), make([]int32, m), 0
@@ -918,17 +612,16 @@ func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.ru
 // CloneForMoves returns an independent editor-and-searcher: unlike
 // Clone, every array a move patches — the CSR runs, offsets, loads, the
 // C = 1 fast strip, the unit ids and positions, and, once prepared, the
-// residual baselines, the inverted index and the overlap table, and the
-// root gain vector — is deep-copied, so ApplyMove on the clone never
-// touches the receiver and vice versa: the primitive a probing session
-// forks per worker. Only the per-object weight vector stays shared
-// (immutable between Assign calls). A prepared receiver gives a
-// prepared clone, which searches and moves without ever rebuilding,
-// and a kept root vector stays kept; an unprepared one gives a clone
-// that prepares on its own backing at its first Greedy or residual
-// search. The clone's Units and Pos follow its own moves, and its
-// scratch is its own. The receiver must be clean (Reset), as the clone
-// starts clean.
+// inverted index and the overlap table, and the root gain vector — is
+// deep-copied, so ApplyMove on the clone never touches the receiver and
+// vice versa: the primitive a probing session forks per worker. Only
+// the per-object weight vector stays shared (immutable between Assign
+// calls). A prepared receiver gives a prepared clone, which searches
+// and moves without ever rebuilding, and a kept root vector stays kept;
+// an unprepared one gives a clone that prepares on its own backing at
+// its first Greedy or residual search. The clone's Units and Pos follow
+// its own moves, and its scratch is its own. The receiver must be clean
+// (Reset), as the clone starts clean.
 func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp := *in
 	cp.hits = slices.Clone(in.hits)
@@ -937,43 +630,33 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp.loads = slices.Clone(in.loads)
 	cp.ids = slices.Clone(in.ids)
 	cp.pos = slices.Clone(in.pos)
-	cp.full = slices.Clone(in.full)
-	cp.resid = slices.Clone(in.full) // the clean-state residuals
-	cp.residAll, cp.deadSpent = in.fullSum, 0
 	cp.objHits = slices.Clone(in.objHits)
 	cp.objCands = slices.Clone(in.objCands)
 	cp.objOffs = slices.Clone(in.objOffs)
 	cp.ov = slices.Clone(in.ov)
 	cp.root = slices.Clone(in.root)
 	cp.cnt = make([]int32, len(in.cnt))
-	cp.track = false
 	cp.sc = scratch{}
 	cp.assertInvariants("CloneForMoves")
 	return &cp
 }
 
 // Clone returns an independent searcher over the same immutable
-// preprocessing: the CSR arrays, loads, duplicate flags, inverted index
-// and overlap table are shared (read-only during search), only the
-// mutable failure and residual state and the scratch are fresh — the
-// cheap way to stamp out per-worker instances for BranchAndBound, which
-// prepares the receiver first. The receiver must be clean (Reset), as
-// the clone starts clean.
+// preprocessing: the CSR arrays, loads, inverted index and overlap
+// table are shared (read-only during search), only the failure counters
+// and the scratch are fresh — the cheap way to stamp out per-worker
+// instances for BranchAndBound, which prepares the receiver first under
+// the residual bound. The receiver must be clean (Reset), as the clone
+// starts clean.
 func (in *HitInstance) Clone() *HitInstance {
 	cp := *in
 	cp.cnt = make([]int32, len(in.cnt))
-	if in.prepared {
-		// Share the immutable residual preprocessing; fresh state only.
-		cp.resid = append([]int64(nil), in.full...)
-		cp.residAll = in.fullSum
-		cp.deadSpent = 0
-	} else {
+	if !in.prepared {
 		// Unshare the lazily-built arrays: concurrent clones must not
 		// race on the receiver's backing capacity when they prepare.
-		cp.full, cp.resid, cp.objHits, cp.objCands, cp.ov = nil, nil, nil, nil, nil
+		cp.objHits, cp.objCands, cp.ov = nil, nil, nil
 		cp.objOffs = make([]int32, len(in.objOffs))
 	}
-	cp.track = false // each driver re-enables on its own copy
 	// Clones are searchers, not editors: unit ids stay with the receiver
 	// (see the ApplyMove contract), which translates the clones'
 	// selections.

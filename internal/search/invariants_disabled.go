@@ -30,6 +30,10 @@ func assertGainsFresh(*HitInstance, []int, []int64) {}
 // inlines away entirely.
 func assertChildSkipSound(*HitInstance, []int, int, int, int, int64) {}
 
+// assertNodePruneSound is a no-op in regular builds; runTask's call
+// inlines away entirely.
+func assertNodePruneSound(*HitInstance, []int, int, int, int, int64) {}
+
 // assertMaxOverlap is a no-op in regular builds; overlapRow's call
 // inlines away entirely.
 func (in *HitInstance) assertMaxOverlap(int, int64) {}

@@ -23,13 +23,10 @@ const InvariantsEnabled = true
 //	objs    (C = 1 strip) mirrors hits exactly when present
 //	loads   Σ C·w per run, non-increasing (canonical order), id-tied
 //	ids     pos inverts them
-//	full    equals loads entry-wise when prepared; fullSum = Σ full
-//	resid   the clean-state residuals when prepared: resid = full,
-//	        residAll = fullSum, deadSpent = 0
 //	index   inverted object → candidate CSR matches the forward runs
 //	        when prepared, the objCands strip present exactly with objs
-//	ov      every overlap-table entry equals a pairwise count when
-//	        prepared at K >= 2
+//	ov      every overlap-table entry equals a pairwise count (0 at
+//	        s = 1) when prepared at K >= 2
 //	cnt     clean (all zero) — moves are between-search operations
 //	root    every candidate's clean-state Marginal, when kept
 func (in *HitInstance) assertInvariants(context string) {
@@ -114,25 +111,8 @@ func (in *HitInstance) assertInvariants(context string) {
 		}
 	}
 
-	// Residual baselines, index and overlap table track the patched runs.
+	// The index and the overlap table track the patched runs.
 	if in.prepared {
-		if len(in.full) != m || len(in.resid) != m {
-			fail("len(full) = %d, len(resid) = %d, want %d", len(in.full), len(in.resid), m)
-		}
-		var fullSum int64
-		for i := 0; i < m; i++ {
-			if in.full[i] != in.loads[i] {
-				fail("candidate %d full %d != load %d", i, in.full[i], in.loads[i])
-			}
-			if in.resid[i] != in.full[i] {
-				fail("candidate %d clean residual %d != full %d", i, in.resid[i], in.full[i])
-			}
-			fullSum += in.full[i]
-		}
-		if in.fullSum != fullSum || in.residAll != fullSum || in.deadSpent != 0 {
-			fail("fullSum %d, residAll %d, deadSpent %d; want Σ full %d, Σ full, 0",
-				in.fullSum, in.residAll, in.deadSpent, fullSum)
-		}
 		in.assertInvertedFresh(fail)
 		want := m // one row per candidate, none below K = 2
 		if in.count < 2 {
@@ -146,8 +126,7 @@ func (in *HitInstance) assertInvariants(context string) {
 		}
 	}
 
-	// Moves are between-search operations: counters clean, residual
-	// upkeep suspended until the next EnableResidual.
+	// Moves are between-search operations: counters clean.
 	for obj, c := range in.cnt {
 		if c != 0 {
 			fail("counter for object %d is %d, want 0 (moves require clean state)", obj, c)
@@ -276,6 +255,20 @@ func assertChildSkipSound(in *HitInstance, prefix []int, cand, picks, failed int
 	}
 }
 
+// assertNodePruneSound checks a node the search leaves at entry, before
+// charging a child: with picks picks left among the candidates from
+// start on, no completion may reach the snapshot (a tie included, since
+// the leaves report ties). Like assertChildSkipSound it enumerates the
+// completions, cut only by their loads, so the check rests on none of
+// the gain, overlap or node bounds it audits. It panics naming the
+// prefix, and leaves the state as it found it.
+func assertNodePruneSound(in *HitInstance, prefix []int, start, picks, failed int, snap int64) {
+	if reaches(in, start, picks, snap-int64(failed)) {
+		panic(fmt.Sprintf("search: invariants at node %v: pruned at entry with %d picks left from candidate %d, reaches snapshot %d",
+			prefix, picks, start, snap))
+	}
+}
+
 // reaches reports whether some picks candidates from start on add at
 // least need failed objects (weight) to the current state, by
 // depth-first enumeration. A branch is cut once the loads of the next
@@ -305,11 +298,12 @@ func reaches(in *HitInstance, start, picks int, need int64) bool {
 
 // assertMaxOverlap audits overlap-table entry i against a brute-force
 // pairwise count: for every later candidate j, the weight of the
-// objects runs i and j share, found by merging the two sorted runs.
+// objects runs i and j share, found by merging the two sorted runs. At
+// s = 1 the entry must be 0 (see MaxOverlap).
 func (in *HitInstance) assertMaxOverlap(i int, got int64) {
 	var want int64
 	a := in.run(i)
-	for j := i + 1; j < in.Len(); j++ {
+	for j := i + 1; j < in.Len() && in.s > 1; j++ {
 		var ov int64
 		b := in.run(j)
 		for x, y := 0, 0; x < len(a) && y < len(b); {

@@ -30,8 +30,7 @@ func TestInvariantsEnabled(t *testing.T) {
 // a healthy instance, unprepared, then prepared with a kept root gain
 // vector: every ApplyMove (the move and its opposite) and CloneForMoves
 // runs the full audit — the second pass includes the patched index,
-// overlap table, residual baselines and root vector — and must stay
-// silent.
+// overlap table and root vector — and must stay silent.
 func TestAssertInvariantsPassesOnValidMoves(t *testing.T) {
 	for _, prepared := range []bool{false, true} {
 		in := moveReady(t)
@@ -64,8 +63,7 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 			in.hits[0], in.hits[1] = in.hits[1], in.hits[0]
 		}, "ascending"},
 		{"dirty counter", func(in *HitInstance) { in.cnt[1] = 1 }, "counter"},
-		// The residual machinery, audited once prepared.
-		{"stale residual", func(in *HitInstance) { in.prepare(); in.resid[1]-- }, "residual"},
+		// The gain-vector machinery, audited once prepared.
 		{"stale index count", func(in *HitInstance) { in.prepare(); in.objHits[0].C++ }, "inverted entry"},
 		{"stale index order", func(in *HitInstance) {
 			in.prepare()
@@ -192,7 +190,7 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 	})
 	t.Run("audit", func(t *testing.T) {
 		tail.Reset()
-		tail.EnableResidual()
+		tail.prepare()
 		if got := tail.MaxOverlap(0); got != 2 {
 			t.Fatalf("MaxOverlap(0) = %d, want 2", got)
 		}
@@ -206,13 +204,17 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 // first three, incumbent 1) the overlap of candidate 0 is understated
 // as 0, so the root skips child 0 on the bound 0 + 0 + 0 + 0 < 1, yet
 // {0, 1} fails object 0 and ties the incumbent, which the scan would
-// report. In "interior" (K = 3, incumbent 1) every overlap is
-// understated as 0, so the root, with two picks below each child,
-// skips child 0 on the bound 0 + 0 + 2·0 + 0 < 1, yet {0, 1, 2} fails
-// objects 0, 1 and 2. In "patch" (K = 3, incumbent 0) the vector of
-// node [0], marked current, claims one gain for candidate 3, whose only
-// object needs two replicas. All must panic, naming the node's prefix
-// and the candidate.
+// report. In "interior" (K = 3, incumbent 2) the overlap of candidate 0
+// is understated as 0, so the root, with two picks below each child,
+// skips child 0 on the bound 0 + 0 + 2·0 + 1 < 2, yet {0, 1, 2} fails
+// objects 0, 1 and 2; child 1's bound 0 + 2·1 + 0 keeps the root
+// itself. In "node" (K = 3, incumbent 1) every overlap is understated
+// as 0, so every child bound at the root is 0 and the node-entry prune
+// leaves the root on 0 < 1, with the same completion above it. In
+// "patch" (K = 3, incumbent 0) the vector of node [0], marked current,
+// claims one gain for candidate 3, whose only object needs two
+// replicas. All must panic, naming the node's prefix and the candidate
+// or the start.
 func TestChildSkipCatchesBadBound(t *testing.T) {
 	expectPanic := func(t *testing.T, want string, f func()) {
 		t.Helper()
@@ -247,13 +249,21 @@ func TestChildSkipCatchesBadBound(t *testing.T) {
 	t.Run("interior", func(t *testing.T) {
 		in := NewHitInstance(2, 4)
 		in.Assign(3, lists, nil, nil, true)
-		w := newSearchRun(in, Result{Failed: 1, Sel: []int{0, 1, 3}}, NewBudget(0), 1, BoundResidual).peers[0]
+		w := newSearchRun(in, Result{Failed: 2, Sel: []int{0, 1, 3}}, NewBudget(0), 1, BoundResidual).peers[0]
 		w.init()
 		if ov := in.MaxOverlap(0); ov != 1 {
 			t.Fatalf("MaxOverlap(0) = %d, want 1", ov)
 		}
-		in.ov = make([]int64, 4) // a private table understating candidates 0 and 1
+		in.ov = []int64{0, 1, 0, 0} // a private table understating candidate 0
 		expectPanic(t, "node []: skipped child 0 with 2 picks below it ", func() { w.runTask(task{}) })
+	})
+	t.Run("node", func(t *testing.T) {
+		in := NewHitInstance(2, 4)
+		in.Assign(3, lists, nil, nil, true)
+		w := newSearchRun(in, Result{Failed: 1, Sel: []int{0, 1, 3}}, NewBudget(0), 1, BoundResidual).peers[0]
+		w.init()
+		in.ov = make([]int64, 4) // a private table understating candidates 0 and 1
+		expectPanic(t, "node []: pruned at entry with 3 picks left from candidate 0,", func() { w.runTask(task{}) })
 	})
 	t.Run("patch", func(t *testing.T) {
 		in := NewHitInstance(2, 4)

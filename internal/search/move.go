@@ -17,11 +17,9 @@ import (
 // branch-and-bound invariant; ties by the unit ids Assign recorded, so
 // a moved instance stays byte-identical to a fresh Assign) by
 // adjacent-swap bubbling, carrying the unit ↔ position maps along.
-// Once the residual machinery is prepared, the move keeps all of it
+// Once the gain-vector machinery is prepared, the move keeps it
 // current too:
 //
-//   - the clean-state residual baselines (full, resid) move with the
-//     loads;
 //   - the inverted object → candidate index: the moved object's holder
 //     list loses or decrements the source's entry and gains or bumps
 //     the target's, and every adjacent swap relabels the two
@@ -30,7 +28,7 @@ import (
 //   - the overlap table: only the rows whose shared weights or
 //     later-candidate set changed are redone (overlapRow) — the two
 //     moved candidates, the candidates they crossed in the re-sort, and
-//     the holders of the moved object.
+//     the holders of the moved object. At s = 1 every row stays 0.
 //
 // Independently of preparation, a kept root gain vector (every
 // candidate's Marginal at the clean state, which Greedy's first vector
@@ -57,15 +55,13 @@ import (
 
 // ApplyMove transfers one replica of obj from candidate position from
 // to candidate position to, patching the CSR layout, the loads, a kept
-// root gain vector and — once prepared — the residual baselines, the
-// inverted index and the overlap table in place, and returns the two candidates' new
-// positions after the canonical re-sort. The from run must hold a hit
-// on obj; the to run gains one (aggregating onto an existing hit when
-// the candidate already covers obj, as whole-domain adapters do). The
-// instance must come from Assign with both units kept (Pos finds them),
-// and its counters must be clean (between searches). The residual
-// upkeep is suspended until the next EnableResidual, which finds
-// everything current.
+// root gain vector and — once prepared — the inverted index and the
+// overlap table in place, and returns the two candidates' new positions
+// after the canonical re-sort. The from run must hold a hit on obj; the
+// to run gains one (aggregating onto an existing hit when the candidate
+// already covers obj, as whole-domain adapters do). The instance must
+// come from Assign with both units kept (Pos finds them), and its
+// counters must be clean (between searches).
 func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	m := in.Len()
 	if obj < 0 || obj >= len(in.cnt) {
@@ -85,15 +81,6 @@ func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 	inserted := in.addReplica(obj, to, wd)
 	in.loads[from] -= wd
 	in.loads[to] += wd
-	if in.prepared {
-		// fullSum and residAll are unchanged; the counters are clean, so
-		// the residuals are the full loads.
-		in.full[from] -= wd
-		in.full[to] += wd
-		in.resid[from] -= wd
-		in.resid[to] += wd
-	}
-	in.track = false
 	// Restore the canonical order: from lost load and only ever sinks
 	// right, to gained load and only ever rises left. Each transposition
 	// keeps the other runs sorted, so two insertion passes suffice.
@@ -266,9 +253,7 @@ func (in *HitInstance) swapAdjacent(i int) {
 	}
 	if in.prepared {
 		shared := in.swapHolders(i)
-		in.full[i], in.full[i+1] = in.full[i+1], in.full[i]
-		in.resid[i], in.resid[i+1] = in.resid[i+1], in.resid[i]
-		if len(in.ov) > 0 {
+		if len(in.ov) > 0 && in.s > 1 { // at s = 1 every row is 0
 			down := in.ov[i]
 			in.ov[i], in.ov[i+1] = max(in.ov[i+1], shared), down
 			if shared >= down {

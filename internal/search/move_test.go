@@ -182,7 +182,7 @@ func TestApplyMoveMatchesRebuild(t *testing.T) {
 					fresh := mm.build()
 					tag := tc.name
 					assertSameLayout(t, tag, live, fresh)
-					if mv%3 == 0 { // search on some states: residual machinery gets built and re-patched
+					if mv%3 == 0 { // search on some states: index and overlap table get built and re-patched
 						searchBoth(t, tag, live, fresh)
 					}
 				}
@@ -193,7 +193,7 @@ func TestApplyMoveMatchesRebuild(t *testing.T) {
 
 // TestMoveRoundTripRestores checks that a move followed by the
 // opposite move is the identity on the full layout, unit ids included,
-// also after searches prepared the residual baselines.
+// also after searches prepared the inverted index and overlap table.
 func TestMoveRoundTripRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {

@@ -33,7 +33,8 @@ func pairOverlap(a, b []Hit, w []int64) int64 {
 // against their definitions and its effect on the scan. At random
 // partial states — C = 1, C > 1 and weighted — Gains equals one
 // Marginal call per candidate and MaxOverlap equals the brute-force
-// pairwise maximum over later candidates. On a flat-load, node-like
+// pairwise maximum over later candidates, or 0 at s = 1, where no gain
+// can rise (TestGainsNeverRiseAtS1). On a flat-load, node-like
 // instance (r = 3, s = 2, K = 4, loads within a replica or two of each
 // other, so the load cut rarely fires) the filter returns the
 // static-bound result and the pinned visited count with the pinned
@@ -63,9 +64,9 @@ func TestParentGainFilter(t *testing.T) {
 				}
 				in, lists = randWeightedInstance(rng, m, b, k1(m), s, w)
 			}
-			in.EnableResidual()
+			in.prepare()
 			want := make([]int64, m)
-			for i := 0; i < m; i++ {
+			for i := 0; i < m && s > 1; i++ {
 				for j := i + 1; j < m; j++ {
 					want[i] = max(want[i], pairOverlap(lists[i], lists[j], w))
 				}
@@ -115,7 +116,7 @@ func TestParentGainFilter(t *testing.T) {
 		in.Reset()
 
 		const (
-			pinnedVisited = 1681
+			pinnedVisited = 809
 			pinnedCalls   = 216
 		)
 		got, calls := countedRun(in, seed, NewBudget(0), 1, BoundResidual)
@@ -169,12 +170,15 @@ func flatInstance(rng *rand.Rand, m, b, s, k int, weighted bool) *HitInstance {
 
 // TestChildSkip pins the gain-vector search on TestParentGainFilter's
 // flat instance. The child skip at the root (three picks below it)
-// drops whole subtrees, so the search enters 1681 states where it
-// would enter 2024 without it; the skip with two picks left and the
-// scan filter keep the final-level Marginal calls as pinned there. The
-// reference is the same search with every overlap overstated past any
-// snapshot, which turns both skips and the scan filter off and keeps
-// the search exact: it enters 2024 states, makes one Add per state but
+// drops whole subtrees, and the node-entry prune leaves a node whose
+// own gains bound every child below the snapshot without charging one,
+// so the search enters 809 states where it would enter 2024 without
+// them (1681 with the child skip alone, which charged each child it
+// skipped); the skip with two picks left and the scan filter keep the
+// final-level Marginal calls as pinned there. The reference is the
+// same search with every overlap overstated past any snapshot, which
+// turns the prune, both skips and the scan filter off and keeps the
+// search exact: it enters 2024 states, makes one Add per state but
 // the root and the unfiltered scan's Marginal calls. Every descent into
 // a node with two or more picks left patches one vector, and a lone
 // worker sweeps the CSR once, at the root. Entering every task as a
@@ -189,7 +193,7 @@ func TestChildSkip(t *testing.T) {
 	in.Reset()
 
 	const (
-		pinnedVisited  = 1681
+		pinnedVisited  = 809
 		pinnedCalls    = 216
 		pinnedAdds     = 266
 		pinnedPatches  = 156
@@ -345,8 +349,8 @@ func handRun(in *HitInstance, seed Result, bound Bound, prep, each func(*stealWo
 }
 
 // FuzzGainPatch is patchGains' exactness oracle. Along a random walk
-// of Adds and Removes, two gain vectors equal a fresh Gains after every
-// step, on C = 1 strips, generic C, and weighted instances of both: the
+// of Adds and Removes, every Add returns what Marginal said for it, and
+// two gain vectors equal a fresh Gains after every step, on C = 1 strips, generic C, and weighted instances of both: the
 // one kept the way the search keeps it — the parent's vector copied and
 // patched after each Add, dropped on each Remove of the latest pick —
 // while the walk stays depth-first, and the one kept the way Greedy
@@ -383,7 +387,7 @@ func FuzzGainPatch(f *testing.F) {
 			in, lists = randomHitInstance(rng, m, min(3, m), b, s, k1(m), 1)
 			in.Assign(k1(m), lists, weights(), nil, true)
 		}
-		in.EnableResidual()
+		in.prepare()
 		want := make([]int64, m)
 		stack := [][]int64{make([]int64, m)}
 		in.Gains(stack[0])
@@ -410,7 +414,9 @@ func FuzzGainPatch(f *testing.F) {
 				for contains(chosen, c) {
 					c = (c + 1) % m
 				}
-				in.Add(c)
+				if mg, got := in.Marginal(c), in.Add(c); got != mg {
+					t.Fatalf("step %d, chosen %v: Add(%d) = %d, Marginal said %d", step, chosen, c, got, mg)
+				}
 				in.patchGains(c, walk, false)
 				if stack != nil {
 					g := append([]int64(nil), stack[len(stack)-1]...)
@@ -434,10 +440,12 @@ func FuzzGainPatch(f *testing.F) {
 
 // TestRestBound pins restBound against its definition: rest[j] is the
 // best sum over exactly q candidates j <= j_1 < ... < j_q of
-// g[j_x] + (q−x)·MaxOverlap(j_x), found here by enumerating every
-// q-subset in exact (big) arithmetic, and saturated at MaxInt64 — on
-// random gains and overlaps, small ones and ones near MaxInt64/2, where
-// the sums would wrap.
+// g[j_x] + (q−x)·MaxOverlap(j_x), and node[j] the same over exactly
+// q+1, found here by enumerating every subset in exact (big)
+// arithmetic, and saturated at MaxInt64 — on random gains and
+// overlaps, small ones and ones near MaxInt64/2, where the sums would
+// wrap. Both rows are checked from start on, wherever enough
+// candidates are left.
 func TestRestBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(191))
 	maxInt := new(big.Int).SetInt64(math.MaxInt64)
@@ -456,31 +464,41 @@ func TestRestBound(t *testing.T) {
 		for j := range g {
 			g[j], ov[j] = draw(), draw()
 		}
-		w := &stealWorker{ps: &searchRun{m: m}, in: &HitInstance{ov: ov}, col: make([]int64, q+1)}
-		rest := make([]int64, m)
-		w.restBound(g, rest, start, q)
-		for j := start + 1; j <= m-q; j++ {
-			best := new(big.Int)
+		w := &stealWorker{ps: &searchRun{m: m}, in: &HitInstance{ov: ov}, col: make([]int64, q+2)}
+		rest, node := make([]int64, m), make([]int64, m)
+		w.restBound(g, rest, node, start, q)
+		// best is B_n(j): the best n-pick sum from j on, saturated.
+		best := func(n, j int) int64 {
+			top := new(big.Int)
 			var pick func(from, x int, sum *big.Int)
 			pick = func(from, x int, sum *big.Int) {
-				if x == q {
-					if sum.Cmp(best) > 0 {
-						best.Set(sum)
+				if x == n {
+					if sum.Cmp(top) > 0 {
+						top.Set(sum)
 					}
 					return
 				}
-				for c := from; c <= m-(q-x); c++ {
-					term := new(big.Int).Mul(big.NewInt(int64(q-1-x)), big.NewInt(ov[c]))
+				for c := from; c <= m-(n-x); c++ {
+					term := new(big.Int).Mul(big.NewInt(int64(n-1-x)), big.NewInt(ov[c]))
 					term.Add(term, big.NewInt(g[c]))
 					pick(c+1, x+1, new(big.Int).Add(sum, term))
 				}
 			}
 			pick(j, 0, new(big.Int))
-			if best.Cmp(maxInt) > 0 {
-				best.Set(maxInt)
+			if top.Cmp(maxInt) > 0 {
+				top.Set(maxInt)
 			}
-			if rest[j] != best.Int64() {
-				t.Fatalf("trial %d (m=%d q=%d start=%d g=%v ov=%v): rest[%d] = %d, want %v", trial, m, q, start, g, ov, j, rest[j], best)
+			return top.Int64()
+		}
+		for j := start; j <= m-q; j++ {
+			if want := best(q, j); rest[j] != want {
+				t.Fatalf("trial %d (m=%d q=%d start=%d g=%v ov=%v): rest[%d] = %d, want %d", trial, m, q, start, g, ov, j, rest[j], want)
+			}
+			if j > m-q-1 {
+				continue
+			}
+			if want := best(q+1, j); node[j] != want {
+				t.Fatalf("trial %d (m=%d q=%d start=%d g=%v ov=%v): node[%d] = %d, want %d", trial, m, q, start, g, ov, j, node[j], want)
 			}
 		}
 	}
@@ -537,4 +555,47 @@ func FuzzInteriorSkip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGainsNeverRiseAtS1 pins the fact the zero overlap table rests on:
+// at s = 1 an object counts towards a candidate's Marginal only while
+// none of its replicas has failed, so a pick only takes objects away
+// from every gain. Along random Add walks — C = 1 strips, C > 1 and
+// weighted instances — no candidate's Marginal ever rises, and the
+// prepared table is all zero.
+func TestGainsNeverRiseAtS1(t *testing.T) {
+	rng := rand.New(rand.NewSource(197))
+	for trial := 0; trial < 90; trial++ {
+		m := 3 + rng.Intn(9)
+		b := 1 + rng.Intn(30)
+		var in *HitInstance
+		switch trial % 3 {
+		case 0: // C = 1 strip
+			in, _ = randomHitInstance(rng, m, min(3, m), b, 1, 2, 1)
+		case 1: // generic C
+			in, _ = randomHitInstance(rng, m, min(3, m), b, 1, 2, 3)
+		case 2: // weighted
+			w := make([]int64, b)
+			for obj := range w {
+				w[obj] = int64(rng.Intn(7))
+			}
+			in, _ = randWeightedInstance(rng, m, b, 2, 1, w)
+		}
+		in.prepare()
+		if slices.ContainsFunc(in.ov, func(v int64) bool { return v != 0 }) {
+			t.Fatalf("trial %d: overlap table %v at s = 1, want all zero", trial, in.ov)
+		}
+		prev, g := make([]int64, m), make([]int64, m)
+		in.Gains(prev)
+		for _, c := range rng.Perm(m) {
+			in.Add(c)
+			in.Gains(g)
+			for j := range g {
+				if g[j] > prev[j] {
+					t.Fatalf("trial %d: Marginal(%d) rose from %d to %d after Add(%d)", trial, j, prev[j], g[j], c)
+				}
+			}
+			prev, g = g, prev
+		}
+	}
 }

@@ -14,10 +14,10 @@
 //   - Greedy: marginal-gain selection plus single-swap local search. A
 //     valid attack, hence a lower bound on the damage.
 //   - BranchAndBound: depth-first search in candidate order, seeded
-//     with an incumbent and pruned by one or two admissible damage
-//     bounds selected by a Bound mode (see below). One work-stealing
-//     driver (steal.go) runs it at every worker count; one worker runs
-//     inline on the caller's goroutine.
+//     with an incumbent and pruned by admissible damage bounds selected
+//     by a Bound mode (see below). One work-stealing driver (steal.go)
+//     runs it at every worker count; one worker runs inline on the
+//     caller's goroutine.
 //
 // # Pruning bounds
 //
@@ -26,23 +26,13 @@
 //
 //	failed(K) <= ⌊(Σ_{c∈K} Load(c)) / S⌋
 //
-// The residual-load bound (BoundResidual, the default) additionally
-// discounts damage already done on the current path: replicas belonging
-// to objects that have crossed the S threshold are dead weight, so any
-// completion can newly fail at most
-//
-//	⌊(liveSpent + min(window, residual)) / S⌋
-//
-// objects, where liveSpent counts failed replicas of still-live objects,
-// window is the static top-rem load sum the static bound uses, and
-// residual counts the unchosen candidates' replicas on still-live
-// objects (see HitInstance). Because the chosen load decomposes as
-// liveSpent + deadSpent with deadSpent >= S·failed, this bound is never
-// weaker than the static one, so it is the only prune residual mode
-// runs; BoundStatic (the ablation switch) restricts pruning to the
-// static bound. Residual pruning is a strict refinement: on the same
-// instance it visits a subset of the states the static bound visits and
-// returns the identical result.
+// Every state entered runs it, in both modes. BoundStatic (the ablation
+// switch) prunes with it alone. BoundResidual, the default, adds the
+// gain-vector bounds below, which read each node's own marginal gains:
+// they only ever cut subtrees no leaf of which reaches the incumbent
+// snapshot, so on the same instance the residual mode visits a subset
+// of the states the static mode visits and returns the identical
+// result.
 //
 // The final-level scan (the last pick, one Marginal call per remaining
 // candidate) is cut in both modes: it stops at the first candidate
@@ -87,11 +77,25 @@
 // the lex tie rule are those of the unskipped search; a bound equal to
 // the snapshot is not skipped, since a leaf below may tie. With two
 // picks left the skipped children are exactly those whose scan would
-// stop at its first candidate, so the visited states are unchanged and
-// only the Add, prune, scan and Remove work goes; with more, the
-// child's subtree is never entered. The overlap terms are not bounded
-// by the admissible weights, so the bound saturates rather than wrap.
-// The gains themselves are delta-maintained: one vector per depth,
+// stop at its first candidate; with more, the child's subtree is never
+// entered.
+//
+// The node itself is bounded the same way, once, on entry: nothing
+// below P reports more than failed + B_{q+1}(start), the largest child
+// bound over the candidates start.. its loop has left, so when that is
+// below the snapshot the node returns before charging any child. It
+// evaluates the node with its own gains, charged as the one state its
+// entry already was, where the parent's child skip read the parent's
+// gains plus the overlaps; the test is strict, so the tie rule and
+// every witness stand.
+//
+// At S = 1 the overlap table is all zero: an object counts towards a
+// gain only while none of its replicas has failed, so a pick only takes
+// objects away from the later gains, and Marginal_{P+i}(j) <=
+// Marginal_P(j) at any C and any weights. Elsewhere the overlap terms
+// are not bounded by the admissible weights, so the bounds saturate
+// rather than wrap. The gains themselves are delta-maintained: one
+// vector per depth,
 // patched on each descent through the inverted index for the holders of
 // the chosen run's objects (see runTask and HitInstance.patchGains),
 // with one full Gains pass per task whose node has no current vector.
@@ -115,9 +119,11 @@ import (
 type Bound int
 
 const (
-	// BoundResidual prunes with both the static replica-counting bound
-	// and the residual-load bound (when the instance supports it). The
-	// default: never weaker than BoundStatic, identical results.
+	// BoundResidual prunes with the static replica-counting bound and
+	// the gain-vector bounds: the parent-gain scan filter, the child
+	// skip and the node-entry prune (see "Pruning bounds"). The default:
+	// never weaker than BoundStatic, identical results. The name is the
+	// -bound flag's, which goldens pin.
 	BoundResidual Bound = iota
 	// BoundStatic prunes with the static replica-counting bound only —
 	// the ablation baseline.
@@ -280,7 +286,7 @@ func Exhaustive(in *HitInstance) Result {
 // the start (rootGains: a copy of the root vector the instance keeps
 // across moves, or one Gains sweep that becomes it), then patchGains
 // after every Add and Remove, through the inverted index (Greedy
-// prepares the residual machinery for it, which a residual search
+// prepares the gain-vector machinery for it, which a residual search
 // would build next anyway). A swap that keeps its
 // candidate restores the vector saved before the Remove instead of
 // patching the Add back. Picks, the first-of-equals tie rule and
@@ -362,38 +368,14 @@ func Greedy(in *HitInstance) Result {
 	}
 }
 
-// prunable is the one copy of the bound algebra: it reports whether no
-// completion of the current state — failed objects down, the chosen
-// candidates carrying loadSum static load, rem picks left among
-// candidates start..Len()-1 with top-rem static window — can beat the
-// incumbent.
-//
-// Without residual it is the static replica-counting bound: any
-// completion adds at most the top rem remaining loads, and s failed
-// replicas are needed per failed object. With residual (in's upkeep
-// enabled), the residual-load bound: completions can only newly fail
-// objects that are still live, with future hits capped by the static
-// window, the candidates' live-object residual, and (when the dead-load
-// discount could flip the decision) the exact top-rem residual scan.
-// The residual form dominates the static one (loadSum = liveSpent +
-// deadSpent >= liveSpent + s·failed), so it is the only prune residual
-// mode needs.
-func prunable(in *HitInstance, residual bool, failed int, loadSum, window, s, incumbent int64, start, rem int) bool {
-	if !residual {
-		return (loadSum+window)/s <= incumbent
-	}
-	deadSpent, live, discount := in.ResidualStats()
-	liveSpent := loadSum - deadSpent
-	cheap := min(window, live)
-	f := int64(failed)
-	if f+(liveSpent+cheap)/s <= incumbent {
-		return true
-	}
-	if discount > 0 && f+(liveSpent+window-discount)/s <= incumbent &&
-		f+(liveSpent+in.TopResidual(start, rem))/s <= incumbent {
-		return true
-	}
-	return false
+// prunable is the static replica-counting bound, the one prune both
+// bound modes run on every state entered: it reports whether no
+// completion of the current state — the chosen candidates carrying
+// loadSum static load, the top-rem static window of the candidates
+// left — can beat the incumbent. Any completion adds at most the
+// window, and s failed replicas are needed per failed object.
+func prunable(loadSum, window, s, incumbent int64) bool {
+	return (loadSum+window)/s <= incumbent
 }
 
 // dupFlags precomputes the duplicate-candidate flags (dup[i]: candidate

@@ -124,8 +124,8 @@ func checkDriversAgree(t *testing.T, tag string, m, k, s int, members [][]int, w
 	}
 	in.Reset()
 
-	// Both bounds at one and four workers: dedup, the residual
-	// upkeep and the parent-gain filter all run on the HitInstance,
+	// Both bounds at one and four workers: dedup, the gain-vector
+	// bounds and the parent-gain filter all run on the HitInstance,
 	// and the four-worker runs search clones sharing its tables.
 	// The empty seed makes the search find the optimum itself
 	// rather than confirm a greedy seed that is often optimal.

@@ -252,7 +252,7 @@ func (ps *searchRun) enterRoot(w0 *stealWorker) (task, bool) {
 	if k == 0 {
 		return task{}, false
 	}
-	if prunable(w0.in, w0.residual, 0, 0, ps.prefix[k], ps.s, ps.bestScore.Load(), 0, k) {
+	if prunable(0, ps.prefix[k], ps.s, ps.bestScore.Load()) {
 		return task{}, false
 	}
 	return task{}, true
@@ -306,28 +306,29 @@ func lexLess(a, b []int) bool {
 // the applied prefix mirroring the instance's counters, its budget
 // lease and incumbent snapshot.
 type stealWorker struct {
-	ps       *searchRun
-	id       int
-	in       *HitInstance
-	residual bool // BoundResidual: in's residual upkeep is on
-	deq      deque
-	cur      []int
-	lease    int64
-	snap     int64
-	selBuf   []int
+	ps     *searchRun
+	id     int
+	in     *HitInstance
+	deq    deque
+	cur    []int
+	lease  int64
+	snap   int64
+	selBuf []int
 	// gv[d] holds every candidate's Marginal at the depth-d node of cur,
-	// for the nodes with two or more picks left (see runTask); nil without
-	// residual or below K = 2. gvOK[d] reports that gv[d] describes
+	// for the nodes with two or more picks left (see runTask); nil under
+	// BoundStatic or below K = 2. gvOK[d] reports that gv[d] describes
 	// cur[:d]: runTask's refill and each descent set it, and adopt clears
 	// it past the common prefix, the only depths whose node changes.
 	gv   [][]int64
 	gvOK []bool
 	// rest[d][j] bounds what the children of the depth-d node of cur can
-	// add with their picks from j on (restBound), for every j past
-	// restLo[d]; math.MaxInt marks no row. Writing gv[d] voids the row,
-	// and a resumed continuation, whose start only grows, reuses it. col
-	// is restBound's column scratch.
+	// add with their picks from j on, and node[d][j] what the node itself
+	// can add with its picks from j on (restBound), for every j from
+	// restLo[d] on; math.MaxInt marks no rows. Writing gv[d] voids them,
+	// and a resumed continuation, whose start only grows, reuses them.
+	// col is restBound's column scratch.
 	rest      [][]int64
+	node      [][]int64
 	restLo    []int
 	col       []int64
 	free      [][]int // recycled task.prefix buffers: one push per state entered, so allocation must not be
@@ -343,21 +344,14 @@ func newStealWorker(ps *searchRun, id int, in *HitInstance) *stealWorker {
 	return &stealWorker{ps: ps, id: id, in: in, deq: deque{tasks: make([]task, 0, ps.k)}}
 }
 
-// init switches on the worker's residual upkeep (the instance is clean
-// at driver entry) and takes its first incumbent snapshot. Extra
-// workers run it on their own goroutine, so their instances prepare in
-// parallel.
+// init lends the worker its gain vectors and bound rows under the
+// residual bound, and takes its first incumbent snapshot. Extra workers
+// run it on their own goroutine.
 func (w *stealWorker) init() {
 	k := w.ps.k
-	w.residual = w.ps.bound == BoundResidual
-	if w.residual {
-		w.in.EnableResidual()
-		if k >= 2 {
-			w.gv, w.gvOK, w.rest, w.restLo = w.in.gainScratch(k - 1)
-		}
-		if k >= 3 {
-			w.col = make([]int64, k)
-		}
+	if w.ps.bound == BoundResidual && k >= 2 {
+		w.gv, w.rest, w.node, w.gvOK, w.restLo = w.in.gainScratch(k - 1)
+		w.col = make([]int64, k+1)
 	}
 	paths := make([]int, 2*k)
 	w.cur, w.selBuf = paths[:0:k], paths[k:k]
@@ -484,19 +478,21 @@ func (w *stealWorker) recycle(buf []int) {
 // its gain vector gv[depth]: a task whose node has none current (the
 // root, a stolen task off the worker's path) fills it with one Gains
 // pass — at the root, the clean state, rootGains copies the vector the
-// instance keeps across moves instead — and each descent copies the node's vector and patches it for
-// the chosen child (patchGains), so the CSR is swept once per such task
-// instead of once per node. At a node with q+1 picks left, child i has
-// failed + g[i] objects down, and nothing below it reports more than
-// failed + g[i] + q·MaxOverlap(i) + rest[i+1] (restBound; see "Pruning
-// bounds" in search.go). A child whose bound is below the snapshot is
-// skipped after charge and before Add. With two picks left (q = 1)
-// these are exactly the children whose scan would stop at its first
-// candidate, so the visited states are unchanged and only the Add,
-// prune and Remove work goes; higher up the child's whole subtree goes
-// unvisited. Charging first keeps the budget and the tie rule: a bound
-// equal to the snapshot takes the normal path, since a leaf below may
-// tie.
+// instance keeps across moves instead — and each descent copies the
+// node's vector and patches it for the chosen child (patchGains), so
+// the CSR is swept once per such task instead of once per node. At a
+// node with q+1 picks left, child i has failed + g[i] objects down, and
+// nothing below it reports more than failed + g[i] + q·MaxOverlap(i) +
+// rest[i+1] (restBound; see "Pruning bounds" in search.go). The node
+// itself reports no more than failed + node[start], the largest of
+// those child bounds from start on: when that is below the snapshot the
+// task returns before charging a child, so the node costs the one
+// state its entry charged. Otherwise a child whose bound is below the
+// snapshot is skipped after charge and before Add: with two picks left
+// (q = 1) these are exactly the children whose scan would stop at its
+// first candidate, and higher up the child's whole subtree goes
+// unvisited. Both tests are strict, so a bound equal to the snapshot
+// takes the normal path, since a leaf below may tie.
 func (w *stealWorker) runTask(t task) {
 	w.adopt(t.prefix)
 	w.recycle(t.prefix)
@@ -523,8 +519,12 @@ func (w *stealWorker) runTask(t task) {
 			g, rest = w.gv[d], w.rest[d]
 			assertGainsFresh(w.in, w.cur, g)
 			if w.restLo[d] > start {
-				w.restBound(g, rest, start, q)
+				w.restBound(g, rest, w.node[d], start, q)
 				w.restLo[d] = start
+			}
+			if w.node[d][start] < w.snap-int64(failed) {
+				assertNodePruneSound(w.in, w.cur, start, rem, failed, w.snap)
+				return
 			}
 		}
 		// The node's own loop start (its entry point in the DFS): the
@@ -557,8 +557,7 @@ func (w *stealWorker) runTask(t task) {
 			cl := loadSum + w.in.Load(i)
 			crem := rem - 1
 			cstart := i + 1
-			window := prefix[cstart+crem] - prefix[cstart]
-			if w.pruneChild(cf, cl, window, cstart, crem, i) {
+			if w.pruneChild(cl, prefix[cstart+crem]-prefix[cstart], i) {
 				w.in.Remove(i)
 				continue
 			}
@@ -590,32 +589,39 @@ func (w *stealWorker) runTask(t task) {
 	}
 }
 
-// restBound fills rest[j], for every j past start, with B_q(j): a bound
-// on what q more picks from candidates j.. can add below a child of the
-// node whose gains are g. With rank weights — a pick followed by t−1
-// later picks raises each of their gains by at most its MaxOverlap —
+// restBound fills rest[j] with B_q(j) and node[j] with B_{q+1}(j), for
+// every j from start on: bounds on what q more picks from candidates
+// j.. can add below a child of the node whose gains are g, and on what
+// the node's own q+1 picks from j on can add. With rank weights — a
+// pick followed by t−1 later picks raises each of their gains by at
+// most its MaxOverlap —
 //
 //	B_t(j) = max(B_t(j+1), g[j] + (t−1)·MaxOverlap(j) + B_{t−1}(j+1)),  B_0 = 0,
 //
-// over exactly t picks (see "Pruning bounds" in search.go). At q = 1 it
-// is the suffix maximum of g, which scanLast reads too. Above, the
-// columns run from m−1 down, each t from 1 up, and the sums saturate:
-// the overlap terms are not bounded by r·Σw. O(q·m) per node.
-func (w *stealWorker) restBound(g, rest []int64, start, q int) {
+// over exactly t picks (see "Pruning bounds" in search.go). So
+// B_{q+1}(j) is the largest child bound g[i] + q·MaxOverlap(i) +
+// B_q(i+1) over i >= j, and B_1 the suffix maximum of g, which
+// scanLast reads too. The columns run from m−1 down, each t from 1 up,
+// and the sums saturate: the overlap terms are not bounded by r·Σw.
+// O(q·m) per node.
+func (w *stealWorker) restBound(g, rest, node []int64, start, q int) {
 	m := w.ps.m
-	if q == 1 { // every two-picks-left node: the common case, with no overlap reads
-		var hi int64
-		for j := m - 1; j > start; j-- {
-			hi = max(hi, g[j])
-			rest[j] = hi
+	if q == 1 { // every two-picks-left node: the common case, unrolled
+		ov, g, rest, node := w.in.ov[:m], g[:m], rest[:m], node[:m]
+		b1, b2 := g[m-1], int64(0) // B_1(j+1) and B_2(j+1) entering column j
+		rest[m-1] = b1
+		for j := m - 2; j >= start; j-- {
+			b2 = max(b2, satAdd(g[j]+b1, ov[j]))
+			b1 = max(b1, g[j])
+			rest[j], node[j] = b1, b2
 		}
 		return
 	}
 	col := w.col // col[t]: B_t(j+1) entering column j, B_t(j) leaving it
-	for j := m - 1; j > start; j-- {
+	for j := m - 1; j >= start; j-- {
 		ov := w.in.MaxOverlap(j)
 		var acc, below int64 // (t−1)·ov and B_{t−1}(j+1)
-		for t := 1; t <= min(q, m-j); t++ {
+		for t := 1; t <= min(q+1, m-j); t++ {
 			v := satAdd(satAdd(g[j], acc), below)
 			below = col[t]
 			if t < m-j { // B_t(j+1) exists: j+1..m-1 holds t candidates
@@ -624,7 +630,7 @@ func (w *stealWorker) restBound(g, rest []int64, start, q int) {
 			col[t] = v
 			acc = satAdd(acc, ov)
 		}
-		rest[j] = col[q] // read only where q <= m-j
+		rest[j], node[j] = col[q], col[q+1] // read only where q, q+1 <= m-j
 	}
 }
 
@@ -679,20 +685,21 @@ func (w *stealWorker) charge() bool {
 	return true
 }
 
-// pruneChild decides whether the just-entered child (cur + next, cf
-// failed, cl chosen load) can be cut. The snapshot bound is admissible,
-// so anything it prunes outright is safe; the subtle case is a bound
-// that exactly ties the snapshot — such a subtree cannot improve the
-// damage but may hold an equal-damage selection that lex-precedes the
-// incumbent, which the reduction would have returned. Those subtrees
-// survive unless the incumbent is still the seed (ties never displace
-// it) or no leaf below can lex-precede the incumbent.
-func (w *stealWorker) pruneChild(cf int, cl, window int64, cstart, crem, next int) bool {
+// pruneChild decides whether the just-entered child (cur + next, cl
+// chosen load, window the top static loads its picks could add) can be
+// cut by the static bound. The bound is admissible, so anything it
+// prunes outright is safe; the subtle case is a bound that exactly ties
+// the snapshot — such a subtree cannot improve the damage but may hold
+// an equal-damage selection that lex-precedes the incumbent, which the
+// reduction would have returned. Those subtrees survive unless the
+// incumbent is still the seed (ties never displace it) or no leaf below
+// can lex-precede the incumbent.
+func (w *stealWorker) pruneChild(cl, window int64, next int) bool {
 	s := w.ps.s
-	if !prunable(w.in, w.residual, cf, cl, window, s, w.snap, cstart, crem) {
+	if !prunable(cl, window, s, w.snap) {
 		return false
 	}
-	if prunable(w.in, w.residual, cf, cl, window, s, w.snap-1, cstart, crem) {
+	if prunable(cl, window, s, w.snap-1) {
 		return true // strictly below the snapshot: no tie possible
 	}
 	sel := w.ps.bestSel.Load()

@@ -236,7 +236,7 @@ func TestSetWeightsContract(t *testing.T) {
 	if got := in.Marginal(0); got != 5 {
 		t.Errorf("weighted Marginal = %d, want 5", got)
 	}
-	in.EnableResidual()
+	in.prepare()
 	mustPanic("setWeights after prepare", func() { in.setWeights([]int64{1, 1, 1}) })
 	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
 	if got := in.Marginal(0); got != 1 {
