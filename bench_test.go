@@ -577,7 +577,6 @@ func stealSkewInstance(b *testing.B) *search.HitInstance {
 func BenchmarkStealSkew(b *testing.B) {
 	probe := stealSkewInstance(b)
 	seed := search.Greedy(probe)
-	probe.Reset()
 	serial := search.BranchAndBound(probe, seed, search.NewBudget(0), 1, search.BoundResidual)
 	b.Run("serial", func(b *testing.B) {
 		var visited int64

@@ -129,20 +129,27 @@ func checkObjWeights(w []int64, pl *placement.Placement) error {
 	return placement.CheckWeightTotal(w, pl.R)
 }
 
+// checkNodeQuery validates a node-level query — the one check the
+// engines and the session share: the placement, then 1 <= s <= r,
+// then 1 <= k < n, then the object weights.
+func checkNodeQuery(pl *placement.Placement, s, k int, w []int64) error {
+	if err := pl.Validate(); err != nil {
+		return err
+	}
+	if s < 1 || s > pl.R {
+		return fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
+	}
+	if k < 1 || k >= pl.N {
+		return fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
+	}
+	return checkObjWeights(w, pl)
+}
+
 // newInstance validates a node-level query and assigns its instance:
 // every node is a unit, loaded nodes first, padded with empty ones up
 // to k (k < n guarantees enough exist).
 func newInstance(pl *placement.Placement, s, k int, w []int64) (*search.HitInstance, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if k < 1 || k >= pl.N {
-		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
-	}
-	if err := checkObjWeights(w, pl); err != nil {
+	if err := checkNodeQuery(pl, s, k, w); err != nil {
 		return nil, err
 	}
 	in := search.NewHitInstance(s, pl.B())

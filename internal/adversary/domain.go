@@ -48,11 +48,17 @@ type DomainResult struct {
 // Avail returns b - Failed for the placement the result was computed on.
 func (r DomainResult) Avail(b int) int { return b - r.Failed }
 
-// collapseTo validates the topology and projects it to the requested
-// attack level: the flat depth-1 view every engine instance is built
-// from. The leaf level of any depth is already flat for the leaf-only
-// accessors, so it avoids the copy.
-func collapseTo(pl *placement.Placement, topo *topology.Topology, level int) (*topology.Topology, error) {
+// checkDomainQuery validates a domain-level query — the one check the
+// whole-domain engines, the session and the constrained engine share —
+// and projects the topology to the attack level: the flat depth-1 view
+// every engine instance is built from (the leaf level of any depth is
+// already flat for the leaf-only accessors, so it avoids the copy). In
+// order: the placement, the topology and the level, then 1 <= s <= r,
+// then 1 <= d <= domains at the level, then the object weights.
+func checkDomainQuery(pl *placement.Placement, topo *topology.Topology, level, s, d int, w []int64) (*topology.Topology, error) {
+	if err := pl.Validate(); err != nil {
+		return nil, err
+	}
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,10 +69,24 @@ func collapseTo(pl *placement.Placement, topo *topology.Topology, level int) (*t
 	if err != nil {
 		return nil, fmt.Errorf("adversary: %w", err)
 	}
-	if l == topo.Levels()-1 {
-		return topo, nil
+	if l != topo.Levels()-1 {
+		if topo, err = topo.Collapse(l); err != nil {
+			return nil, err
+		}
 	}
-	return topo.Collapse(l)
+	if s < 1 || s > pl.R {
+		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
+	}
+	// Unlike the node-level k < n, d = NumDomains is allowed: "every
+	// domain fails" is a well-defined (if grim) query, and the placement
+	// side (SpreadAcrossDomains) accepts it too.
+	if nd := topo.NumDomains(); d < 1 || d > nd {
+		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, nd)
+	}
+	if err := checkObjWeights(w, pl); err != nil {
+		return nil, err
+	}
+	return topo, nil
 }
 
 // newDomInstance validates a whole-domain query and assigns its
@@ -74,24 +94,9 @@ func collapseTo(pl *placement.Placement, topo *topology.Topology, level int) (*t
 // padded with empty ones up to d. It returns the collapsed topology the
 // result's node union is read from.
 func newDomInstance(pl *placement.Placement, topo *topology.Topology, level, s, d int, w []int64) (*search.HitInstance, *topology.Topology, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, nil, err
-	}
-	topo, err := collapseTo(pl, topo, level)
+	topo, err := checkDomainQuery(pl, topo, level, s, d, w)
 	if err != nil {
 		return nil, nil, err
-	}
-	if s < 1 || s > pl.R {
-		return nil, nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if err := checkObjWeights(w, pl); err != nil {
-		return nil, nil, err
-	}
-	// Unlike the node-level k < n, d = NumDomains is allowed: "every
-	// domain fails" is a well-defined (if grim) query, and the placement
-	// side (SpreadAcrossDomains) accepts it too.
-	if nd := topo.NumDomains(); d < 1 || d > nd {
-		return nil, nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, nd)
 	}
 	byDomain, _ := placement.DomainHits(pl, topo)
 	in := search.NewHitInstance(s, pl.B())
@@ -172,24 +177,12 @@ type constrainedShared struct {
 }
 
 func newConstrainedShared(pl *placement.Placement, topo *topology.Topology, level, s, k, d int, w []int64) (*constrainedShared, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := collapseTo(pl, topo, level)
+	topo, err := checkDomainQuery(pl, topo, level, s, d, w)
 	if err != nil {
 		return nil, err
 	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
 	if k < 1 || k >= pl.N {
 		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
-	}
-	if d < 1 || d > topo.NumDomains() {
-		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, topo.NumDomains())
-	}
-	if err := checkObjWeights(w, pl); err != nil {
-		return nil, err
 	}
 	return &constrainedShared{pl: pl, topo: topo, s: s, k: k, d: d, w: w, nodeHits: nodeHits(pl)}, nil
 }

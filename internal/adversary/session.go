@@ -129,16 +129,7 @@ func (st *SessionStats) add(o SessionStats) {
 // threshold s, searched per opts. The session copies pl and owns its
 // copy; drive it with Move/Evaluate.
 func NewNodeSession(pl *placement.Placement, s, k int, opts SearchOpts) (*Session, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if k < 1 || k >= pl.N {
-		return nil, fmt.Errorf("adversary: k = %d must satisfy 1 <= k < n = %d", k, pl.N)
-	}
-	if err := checkObjWeights(opts.ObjWeights, pl); err != nil {
+	if err := checkNodeQuery(pl, s, k, opts.ObjWeights); err != nil {
 		return nil, err
 	}
 	se := &Session{s: s, k: k, opts: opts, pl: pl.Clone(),
@@ -152,20 +143,8 @@ func NewNodeSession(pl *placement.Placement, s, k int, opts SearchOpts) (*Sessio
 // adversary (DomainWorstCaseAtWith) at the given topology level:
 // d whole-domain failures per evaluation.
 func NewDomainSession(pl *placement.Placement, topo *topology.Topology, level, s, d int, opts SearchOpts) (*Session, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	flat, err := collapseTo(pl, topo, level)
+	flat, err := checkDomainQuery(pl, topo, level, s, d, opts.ObjWeights)
 	if err != nil {
-		return nil, err
-	}
-	if s < 1 || s > pl.R {
-		return nil, fmt.Errorf("adversary: s = %d must satisfy 1 <= s <= r = %d", s, pl.R)
-	}
-	if d < 1 || d > flat.NumDomains() {
-		return nil, fmt.Errorf("adversary: d = %d must satisfy 1 <= d <= domains = %d", d, flat.NumDomains())
-	}
-	if err := checkObjWeights(opts.ObjWeights, pl); err != nil {
 		return nil, err
 	}
 	se := &Session{s: s, k: d, topo: flat, opts: opts, pl: pl.Clone(),

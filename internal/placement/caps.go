@@ -87,6 +87,9 @@ const checkCapsMaxSteps = 4 << 20
 // or a search-budget exhaustion on adversarial instances (see
 // checkCapsMaxSteps) — never plain infeasibility.
 func CheckCaps(topo *topology.Topology, loads []int, caps [][]int) ([]int, *CapCert, error) {
+	if err := topo.Validate(); err != nil {
+		return nil, nil, err
+	}
 	n := topo.N
 	if len(loads) != n {
 		return nil, nil, fmt.Errorf("placement: %d loads for %d nodes", len(loads), n)

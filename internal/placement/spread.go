@@ -67,6 +67,9 @@ func DomainSpread(pl *Placement, topo *topology.Topology) (SpreadStats, error) {
 	if err := pl.Validate(); err != nil {
 		return SpreadStats{}, err
 	}
+	if err := topo.Validate(); err != nil {
+		return SpreadStats{}, err
+	}
 	if topo.N != pl.N {
 		return SpreadStats{}, fmt.Errorf("placement: topology covers %d nodes, placement has %d", topo.N, pl.N)
 	}
@@ -217,6 +220,9 @@ func SpreadAcrossDomainsWith(pl *Placement, topo *topology.Topology, s, d int, o
 	if err := pl.Validate(); err != nil {
 		return nil, nil, err
 	}
+	if err := topo.Validate(); err != nil {
+		return nil, nil, err
+	}
 	if topo.N != pl.N {
 		return nil, nil, fmt.Errorf("placement: topology covers %d nodes, placement has %d", topo.N, pl.N)
 	}
@@ -230,65 +236,56 @@ func SpreadAcrossDomainsWith(pl *Placement, topo *topology.Topology, s, d int, o
 		return nil, nil, fmt.Errorf("placement: %d caps for %d leaf domains", len(opts.Caps), topo.NumDomains())
 	}
 
+	// Under caps, CheckCaps decides feasibility up front: a certificate
+	// means NO relabeling can fit, so the error names it; otherwise its
+	// witness assignment always competes, and every heuristic candidate
+	// that happens to fit the caps competes too (the identity among
+	// them, preserving never-worse when it fits).
+	var capTree [][]int64
+	var nodeLoads, assign []int
+	var capErr error
+	if levelCaps := mergedLevelCaps(topo, opts.Caps); levelCaps != nil {
+		capTree, nodeLoads = capTreeInt64(topo, levelCaps), pl.NodeLoads()
+		var cert *CapCert
+		if assign, cert, capErr = CheckCaps(topo, nodeLoads, levelCaps); cert != nil {
+			return nil, nil, fmt.Errorf("placement: no relabeling satisfies the domain caps: %s", cert)
+		}
+	}
+	var candidates [][]int
+	add := func(mapping []int, ok bool) {
+		if ok {
+			candidates = append(candidates, mapping)
+		}
+	}
+	fits := func(mapping []int) bool {
+		return capTree == nil || mappingRespectsCaps(mapping, nodeLoads, topo, capTree)
+	}
 	identity := make([]int, pl.N)
 	for i := range identity {
 		identity[i] = i
 	}
-	var candidates [][]int
-	identityIdx := -1
-	add := func(mapping []int, ok bool) {
-		if ok && mapping != nil {
-			candidates = append(candidates, mapping)
+	add(identity, fits(identity))
+	identityIdx := len(candidates) - 1 // -1 when the identity breaks a cap
+	leaf := topo.Levels() - 1
+	for _, greedy := range []bool{false, true} {
+		m, _ := hierMapping(pl, topo, leaf, greedy, nil) // uncapped: always ok
+		add(m, fits(m))
+	}
+	if leaf > 0 || capTree != nil {
+		for _, greedy := range []bool{false, true} {
+			add(hierMapping(pl, topo, 0, greedy, capTree))
 		}
 	}
-	levelCaps := mergedLevelCaps(topo, opts.Caps)
-	if levelCaps == nil {
-		identityIdx = 0
-		add(identity, true)
-		add(stripedMapping(pl, topo), true)
-		add(conflictGreedyMapping(pl, topo), true)
-		if topo.Levels() > 1 {
-			add(hierMapping(pl, topo, false, nil))
-			add(hierMapping(pl, topo, true, nil))
+	if assign != nil {
+		add(assignMapping(topo, assign), true)
+	}
+	if len(candidates) == 0 {
+		// Only reachable under caps, when CheckCaps exhausted its search
+		// budget (capErr != nil) and no heuristic candidate fits either.
+		if capErr != nil {
+			return nil, nil, capErr
 		}
-	} else {
-		// CheckCaps decides feasibility up front: a certificate means NO
-		// relabeling can fit, so the error names it; otherwise its
-		// witness assignment always competes, and every heuristic
-		// candidate that happens to fit the caps competes too (the
-		// identity among them, preserving never-worse when it fits).
-		capTree := capTreeInt64(topo, levelCaps)
-		nodeLoads := pl.NodeLoads()
-		assign, cert, capErr := CheckCaps(topo, nodeLoads, levelCaps)
-		if cert != nil {
-			return nil, nil, fmt.Errorf("placement: no relabeling satisfies the domain caps: %s", cert)
-		}
-		fits := func(mapping []int) bool {
-			return mapping != nil && mappingRespectsCaps(mapping, nodeLoads, topo, capTree)
-		}
-		if fits(identity) {
-			identityIdx = 0
-			add(identity, true)
-		}
-		if m := stripedMapping(pl, topo); fits(m) {
-			add(m, true)
-		}
-		if m := conflictGreedyMapping(pl, topo); fits(m) {
-			add(m, true)
-		}
-		add(hierMapping(pl, topo, false, capTree))
-		add(hierMapping(pl, topo, true, capTree))
-		if assign != nil {
-			add(assignMapping(topo, assign), true)
-		}
-		if len(candidates) == 0 {
-			// Only reachable when CheckCaps exhausted its search budget
-			// (capErr != nil) and no heuristic candidate fits either.
-			if capErr != nil {
-				return nil, nil, capErr
-			}
-			return nil, nil, fmt.Errorf("placement: no relabeling satisfies the domain caps")
-		}
+		return nil, nil, fmt.Errorf("placement: no relabeling satisfies the domain caps")
 	}
 
 	// Candidates are scored by weighted damage when asked (per-object
@@ -471,17 +468,22 @@ func lessVec(a, b []int) bool {
 	return false
 }
 
-// hierMapping assigns abstract node ids to physical nodes one level at
-// a time: ids are distributed over the top-level domains first (striped
-// round-robin, or conflict-minimizing greedy when greedy is set), then
-// recursively within each subtree, so each object's replicas separate
-// at the coarsest level before the finer ones. capTree, when non-nil,
+// hierMapping assigns abstract node ids, heaviest first, to physical
+// nodes one level at a time from level start down: ids are distributed
+// over the domains of level start first — striped round-robin, so
+// consecutive (and typically co-hosting) ids land in different domains,
+// or, when greedy is set, each to the domain currently holding the
+// fewest replicas of its objects (ties: most free slots, then lowest
+// index) — then recursively within each subtree, so each object's
+// replicas separate at the coarsest level before the finer ones. From
+// the leaf level it is the flat striped or conflict-greedy mapping over
+// the leaf domains; from level 0 the top-down one. capTree, when non-nil,
 // bounds the replica load each domain's subtree may receive at EVERY
 // level (unlimitedCap = no cap; a subtree's effective budget is the
 // minimum of its own cap and its children's summed budgets); an
 // infeasible distribution reports ok = false and the candidate is
 // dropped.
-func hierMapping(pl *Placement, topo *topology.Topology, greedy bool, capTree [][]int64) ([]int, bool) {
+func hierMapping(pl *Placement, topo *topology.Topology, start int, greedy bool, capTree [][]int64) ([]int, bool) {
 	loads := pl.NodeLoads()
 	numLevels := topo.Levels()
 	// children[level][di] lists the level+1 domains nested in di.
@@ -604,86 +606,14 @@ func hierMapping(pl *Placement, topo *topology.Topology, greedy bool, capTree []
 		}
 		return true
 	}
-	top := make([]int, len(topo.Tree[0]))
+	top := make([]int, len(topo.Tree[start]))
 	for i := range top {
 		top[i] = i
 	}
-	if !assign(0, top, nodesByLoad(pl)) {
+	if !assign(start, top, nodesByLoad(pl)) {
 		return nil, false
 	}
 	return mapping, true
-}
-
-// stripedMapping deals abstract node ids across domains round-robin in
-// descending load order, so consecutive (and typically co-hosting)
-// abstract nodes land in different domains.
-func stripedMapping(pl *Placement, topo *topology.Topology) []int {
-	order := nodesByLoad(pl)
-	// Physical slots per domain, lowest node ids first.
-	slots := make([][]int, topo.NumDomains())
-	for di, dom := range topo.Leaves() {
-		slots[di] = append([]int(nil), dom.Nodes...)
-		sort.Ints(slots[di])
-	}
-	mapping := make([]int, pl.N)
-	di := 0
-	for _, abstract := range order {
-		for len(slots[di]) == 0 {
-			di = (di + 1) % len(slots)
-		}
-		mapping[abstract] = slots[di][0]
-		slots[di] = slots[di][1:]
-		di = (di + 1) % len(slots)
-	}
-	return mapping
-}
-
-// conflictGreedyMapping assigns abstract nodes (heaviest first) to the
-// domain currently holding the fewest replicas of the objects the node
-// hosts, breaking ties toward the domain with the most free slots and
-// then the lowest index. This directly minimizes co-location of each
-// object's replicas.
-func conflictGreedyMapping(pl *Placement, topo *topology.Topology) []int {
-	order := nodesByLoad(pl)
-	objsOf := make([][]int32, pl.N)
-	var buf []int
-	for obj := 0; obj < pl.B(); obj++ {
-		buf = pl.Objects[obj].Members(buf[:0])
-		for _, nd := range buf {
-			objsOf[nd] = append(objsOf[nd], int32(obj))
-		}
-	}
-	nd := topo.NumDomains()
-	slots := make([][]int, nd)
-	for di, dom := range topo.Leaves() {
-		slots[di] = append([]int(nil), dom.Nodes...)
-		sort.Ints(slots[di])
-	}
-	// placed[obj*nd + di] = replicas of obj already assigned to domain di.
-	placed := make([]int32, pl.B()*nd)
-	mapping := make([]int, pl.N)
-	for _, abstract := range order {
-		bestDi, bestConflict, bestFree := -1, int64(1)<<62, -1
-		for di := 0; di < nd; di++ {
-			free := len(slots[di])
-			if free == 0 {
-				continue
-			}
-			var conflict int64
-			for _, obj := range objsOf[abstract] {
-				conflict += int64(placed[int(obj)*nd+di])
-			}
-			if conflict < bestConflict || (conflict == bestConflict && free > bestFree) {
-				bestDi, bestConflict, bestFree = di, conflict, free
-			}
-		}
-		mapping[abstract] = slots[bestDi][0]
-		slots[bestDi] = slots[bestDi][1:]
-		for _, obj := range objsOf[abstract] {
-			placed[int(obj)*nd+bestDi]++
-		}
-	}
-	return mapping
 }
 
 // nodesByLoad returns abstract node ids by descending replica load,

@@ -5,6 +5,8 @@ package placement_test
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
@@ -526,5 +528,66 @@ func TestSpreadSessionMatchesOneShotEvaluator(t *testing.T) {
 					lv.level, res.Failed, want, mapping)
 			}
 		}
+	}
+}
+
+// TestSpreadLiteralTopology pins that the spread pass validates the
+// topology it is handed. Topology exports N and Tree, so a caller can
+// build one as a literal, whose node → domain index nothing has derived
+// yet: DomainSpread, SpreadAcrossDomainsWith (with and without caps)
+// and CheckCaps must give on such a literal what they give on its
+// NewTree-built twin, and return an error, not panic, on a malformed
+// one.
+func TestSpreadLiteralTopology(t *testing.T) {
+	racks := func(last []int) *topology.Topology {
+		return &topology.Topology{N: 6, Tree: [][]topology.Domain{{
+			{Name: "rack0", Parent: -1, Nodes: []int{0, 1, 2}},
+			{Name: "rack1", Parent: -1, Nodes: last},
+		}}}
+	}
+	built, err := topology.NewTree(6, racks([]int{3, 4, 5}).Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := placement.NewPlacement(6, 2)
+	for _, obj := range [][]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {0, 3}} {
+		if err := pl.Add(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := placement.DomainSpread(pl, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := placement.DomainSpread(pl, racks([]int{3, 4, 5})); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("DomainSpread on the literal: %+v, %v; on NewTree's: %+v", got, err, want)
+	}
+	for _, opts := range []placement.SpreadOpts{{}, {Caps: []int{6, 6}}} {
+		_, wantMap, err := placement.SpreadAcrossDomainsWith(pl, built, 2, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := placement.SpreadAcrossDomainsWith(pl, racks([]int{3, 4, 5}), 2, 1, opts); err != nil || !slices.Equal(got, wantMap) {
+			t.Errorf("caps %v: spread on the literal mapped %v (%v); on NewTree's %v", opts.Caps, got, err, wantMap)
+		}
+	}
+	caps := [][]int{{6, 6}}
+	wantAssign, _, err := placement.CheckCaps(built, pl.NodeLoads(), caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := placement.CheckCaps(racks([]int{3, 4, 5}), pl.NodeLoads(), caps); err != nil || !slices.Equal(got, wantAssign) {
+		t.Errorf("CheckCaps on the literal: %v (%v); on NewTree's: %v", got, err, wantAssign)
+	}
+
+	// Node 5 in no rack.
+	if _, err := placement.DomainSpread(pl, racks([]int{3, 4})); err == nil {
+		t.Error("DomainSpread accepted a topology leaving node 5 out")
+	}
+	if _, _, err := placement.SpreadAcrossDomainsWith(pl, racks([]int{3, 4}), 2, 1, placement.SpreadOpts{}); err == nil {
+		t.Error("SpreadAcrossDomainsWith accepted a topology leaving node 5 out")
+	}
+	if _, _, err := placement.CheckCaps(racks([]int{3, 4}), pl.NodeLoads(), caps); err == nil {
+		t.Error("CheckCaps accepted a topology leaving node 5 out")
 	}
 }

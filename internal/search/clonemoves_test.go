@@ -40,11 +40,9 @@ func TestCloneForMovesIsolation(t *testing.T) {
 	if got := Exhaustive(parent); got.Failed != base.Failed {
 		t.Fatalf("child moves changed the parent: damage %d, want %d", got.Failed, base.Failed)
 	}
-	// Residual-pruned search on the parent after child moves: the
-	// machinery prepares on the parent's own (untouched) backing.
-	parent.Reset()
+	// Residual-pruned search on the parent after child moves: it reads
+	// the parent's own (untouched) index, overlap table and root vector.
 	seed := Greedy(parent)
-	parent.Reset()
 	if got := BranchAndBound(parent, seed, NewBudget(0), 1, BoundResidual); got.Failed != base.Failed {
 		t.Fatalf("parent residual search after child moves: damage %d, want %d", got.Failed, base.Failed)
 	}
@@ -57,7 +55,6 @@ func TestCloneForMovesIsolation(t *testing.T) {
 		t.Fatalf("clone damage %d, want %d", childBase.Failed, base.Failed)
 	}
 	parent2.ApplyMove(0, 0, 3)
-	child2.Reset()
 	if got := Exhaustive(child2); got.Failed != base.Failed {
 		t.Fatalf("parent moves changed the clone: damage %d, want %d", got.Failed, base.Failed)
 	}
@@ -70,7 +67,6 @@ func TestCloneForMovesIsolation(t *testing.T) {
 func TestCloneForMovesRoundTrip(t *testing.T) {
 	parent := cloneMovesFixture(t)
 	base := Exhaustive(parent)
-	parent.Reset()
 
 	child := parent.CloneForMoves()
 	// Moving object 7 from unit 4 (load 2 → 1, sinks to the end) to

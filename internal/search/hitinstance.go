@@ -8,9 +8,9 @@ import (
 
 // This file is the one concrete instance every engine in the repository
 // searches on: aggregated (object, replica-count) hits in a flat CSR
-// layout, with an inverted object → candidate index and an overlap
-// table for the gain-vector bounds, and duplicate-candidate detection
-// for branch collapse.
+// layout, with an inverted object → candidate index, an overlap table
+// and a root gain vector for the gain-vector bounds, and
+// duplicate-candidate detection for branch collapse.
 //
 // Weighted damage: object weights w (given to Assign) switch the
 // instance from counting failed objects to summing their weights —
@@ -57,11 +57,13 @@ type candHit struct {
 // (node or domain id) at every candidate position: Units translates a
 // selection back, Pos finds a unit, and moves keep both current.
 //
-// Beside the failure counters the instance keeps, once prepared, what
-// the gain-vector bounds read: the inverted object → candidate index
-// (patchGains walks it) and the overlap table (MaxOverlap). Both depend
-// on the runs only, never on the counters, so one copy serves every
-// state of a search and every worker's Clone.
+// Beside the failure counters the instance keeps what the gain-vector
+// bounds read: the inverted object → candidate index (patchGains walks
+// it), the overlap table (MaxOverlap) and the root gain vector. All
+// three depend on the runs only, never on the counters, so one copy
+// serves every state of a search and every worker's Clone. Assign
+// builds them and ApplyMove keeps them current, and every driver leaves
+// the counters clean: between searches the instance has one state.
 type HitInstance struct {
 	count int   // attack-set size K
 	s     int32 // failed replicas that kill an object
@@ -73,19 +75,13 @@ type HitInstance struct {
 	offs  []int32 // len = Len()+1
 	loads []int64 // static load per candidate
 
-	// The gain-vector machinery: built once by prepare, then kept
-	// current by ApplyMove; shared by Clone.
+	// The gain-vector machinery: built by Assign, kept current by
+	// ApplyMove, shared by Clone.
 	objHits  []candHit // flat inverted CSR: object j owns objHits[objOffs[j]:objOffs[j+1]], ascending by candidate
 	objCands []int32   // C = 1 fast strip of objHits (candidate ids only)
 	objOffs  []int32   // len = numObjects+1
 	ov       []int64   // the overlap table (see MaxOverlap); empty below K = 2
-
-	// The root gain vector: every candidate's Marginal at the clean state,
-	// kept by the first clean-state Gains (rootGains) and then by
-	// ApplyMove; valid while rootOK. Copied by CloneForMoves, never
-	// shared by Clone.
-	root   []int64
-	rootOK bool
+	root     []int64   // the root gain vector: every candidate's Marginal at the clean state
 
 	// Weighted damage (nil = unit weights). Immutable between
 	// Assign calls, shared by Clone.
@@ -98,8 +94,7 @@ type HitInstance struct {
 	pos []int
 
 	// Mutable search state (fresh per Clone).
-	cnt      []int32 // failed replicas per object
-	prepared bool    // inverted index and overlap table built (lazy)
+	cnt []int32 // failed replicas per object
 
 	sc scratch // working memory: every Clone and CloneForMoves starts its own
 }
@@ -110,7 +105,7 @@ type HitInstance struct {
 // concurrently with the receiver, and a slice they shared would be
 // written from two goroutines.
 type scratch struct {
-	cursor    []int32   // prepare: the inverted-index fill
+	cursor    []int32   // buildInverted: the inverted-index fill
 	ovAcc     []int64   // overlapRow: shared weight per later candidate
 	ovStamp   []int32   // overlapRow: the row generation that last touched ovAcc[j]
 	ovGen     int32     // overlapRow: the current row generation
@@ -141,28 +136,36 @@ func NewHitInstance(s, numObjects int) *HitInstance {
 }
 
 // reinit reconfigures the instance in place for a new search — k picks
-// among the given candidates — reusing prior allocations: the layout
-// half of Assign, which callers use instead. hitLists[i] must be sorted
-// by ascending object id with at most one entry per object; loads must
-// be non-increasing with loads[i] = Σ C over hitLists[i] (zero-load
+// among the given candidates, object obj worth w[obj] (nil: unit
+// weights) — reusing prior allocations: the layout half of Assign,
+// which callers use instead. hitLists[i] must be sorted by ascending
+// object id with at most one entry per object; loads must be
+// non-increasing with loads[i] = Σ C·w[obj] over hitLists[i] (zero-load
 // padding candidates carry empty lists): the replica-counting bound
-// assumes the first rem remaining candidates carry the most load, so
-// BranchAndBound verifies the order and panics rather than return a
-// wrong optimum. k must lie in 0..len(hitLists) and loads must match
-// hitLists one to one; reinit panics otherwise, since no driver can
-// choose more candidates than there are. The failure counters are
-// expected clean (drivers leave them balanced; call Reset after
-// Greedy) and are not touched, so a caller sharing one instance across
-// sub-searches keeps one object-counter array. Unit identities are
-// Assign's to set.
-func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads []int64) {
+// divides that weighted spend by S and assumes the first rem remaining
+// candidates carry the most load, so BranchAndBound verifies the order
+// and panics rather than return a wrong optimum. k must lie in
+// 0..len(hitLists), loads must match hitLists one to one and w the
+// objects; reinit panics otherwise, since no driver can choose more
+// candidates than there are. With weights, Add/Remove/Marginal report
+// the weight of the objects crossing the S threshold instead of their
+// count. reinit builds everything a search reads: the CSR runs, the
+// inverted index, the overlap table and the root gain vector, one Gains
+// sweep at the clean state. The failure counters must be clean (every
+// driver leaves them so) and are not touched, so a caller sharing one
+// instance across sub-searches keeps one object-counter array. Unit
+// identities are Assign's to set.
+func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads, w []int64) {
 	if len(loads) != len(hitLists) {
 		panic(fmt.Sprintf("search: %d loads for %d candidates", len(loads), len(hitLists)))
 	}
 	if k < 0 || k > len(hitLists) {
 		panic(fmt.Sprintf("search: %d picks among %d candidates", k, len(hitLists)))
 	}
-	in.count = k
+	if w != nil && len(w) != len(in.cnt) {
+		panic(fmt.Sprintf("search: %d object weights for %d objects", len(w), len(in.cnt)))
+	}
+	in.count, in.w = k, w
 
 	in.offs = append(in.offs[:0], 0)
 	in.hits = in.hits[:0]
@@ -185,46 +188,10 @@ func (in *HitInstance) reinit(k int, hitLists [][]Hit, loads []int64) {
 		}
 	}
 
-	// The gain-vector machinery is built lazily, by the first Greedy or
-	// residual search: Exhaustive enumeration and static-bound
-	// searches without a seed never pay for it.
-	in.ov = in.ov[:0]
-	in.prepared = false
-	in.rootOK = false
-	in.w = nil
-}
-
-// setWeights switches the instance to weighted damage accounting:
-// object obj is worth w[obj] (>= 0), and Add/Remove/Marginal report the
-// weight of the objects crossing the S threshold instead of their
-// count. Assign calls it right after reinit (which reverts to unit
-// weights), before the first search on the new candidate set; the loads
-// given to reinit must then be the WEIGHTED candidate loads Σ C·w[obj]
-// over each hit list — the replica-counting bound divides that weighted
-// spend by S, so plain loads would prune unsoundly. A nil w reverts to
-// unit weights.
-func (in *HitInstance) setWeights(w []int64) {
-	if w != nil && len(w) != len(in.cnt) {
-		panic(fmt.Sprintf("search: %d object weights for %d objects", len(w), len(in.cnt)))
-	}
-	if in.prepared {
-		panic("search: setWeights after the overlap table was built; call it right after reinit")
-	}
-	in.w = w
-}
-
-// prepare builds the gain-vector machinery: the inverted object →
-// candidate index the gain patches walk, and the overlap table. It runs
-// once per Assign: from then on ApplyMove keeps both current, so later
-// calls are no-ops. BranchAndBound runs it on the caller's instance
-// before cloning, so every worker shares one index and one table.
-func (in *HitInstance) prepare() {
-	if in.prepared {
-		return
-	}
 	in.buildInverted()
 	in.buildOverlaps()
-	in.prepared = true
+	in.root = slices.Grow(in.root[:0], in.Len())[:in.Len()]
+	in.Gains(in.root)
 }
 
 // buildInverted (re)derives the object → candidate index from the
@@ -393,38 +360,16 @@ func (in *HitInstance) marginalW(i int) int {
 	return gain
 }
 
-// Reset restores the clean state: all objects live, no candidate chosen
-// (after Greedy left the counters dirty).
-func (in *HitInstance) Reset() {
-	clear(in.cnt)
-}
-
 // Gains stores Marginal(j) in dst[j] for every candidate j, leaving
 // the state untouched: one sweep over the contiguous CSR runs. The
 // search runs it once per task whose node has no current gain vector
-// (a stolen task off the worker's path; the root reads rootGains) and
-// keeps the vector current with patchGains from there. dst must have
-// room for Len() entries. Valid in any state.
+// (a stolen task off the worker's path; the root copies the root
+// vector) and keeps the vector current with patchGains from there. dst
+// must have room for Len() entries. Valid in any state.
 func (in *HitInstance) Gains(dst []int64) {
 	for j := range in.Len() {
 		dst[j] = int64(in.Marginal(j))
 	}
-}
-
-// rootGains stores the clean-state gains in dst, like Gains on a clean
-// instance: a copy of the kept root vector when there is one, else one
-// Gains sweep, which becomes the root vector. ApplyMove keeps that
-// vector current, so a chain of moves and searches sweeps the CSR at
-// the clean state once per Assign. The instance must be clean (Reset),
-// and dst must have room for Len() entries.
-func (in *HitInstance) rootGains(dst []int64) {
-	if in.rootOK {
-		copy(dst, in.root)
-		return
-	}
-	in.Gains(dst)
-	in.root = append(in.root[:0], dst[:in.Len()]...)
-	in.rootOK = true
 }
 
 // patchGains turns g, every candidate's Marginal at the state before
@@ -439,7 +384,6 @@ func (in *HitInstance) rootGains(dst []int64) {
 // costs one compare. About |run i|·r work instead of Gains' sweep over
 // the whole CSR. With removed set it is the same patch for Remove(i),
 // which moves the same counters back down (Greedy's swap phase). Valid
-// once the instance is prepared (the inverted index is built), and
 // only as the step right after Add(i) or Remove(i).
 func (in *HitInstance) patchGains(i int, g []int64, removed bool) {
 	s := in.s
@@ -541,7 +485,7 @@ func (in *HitInstance) gainScratch(depths int) (gv, rest, node [][]int64, ok []b
 // a gain only while no replica of it has failed, so a pick only takes
 // objects away from the later gains, whatever C and the weights. A
 // read of the table buildOverlaps fills and ApplyMove keeps current;
-// valid once the instance is prepared at K >= 2.
+// valid at K >= 2.
 func (in *HitInstance) MaxOverlap(i int) int64 { return in.ov[i] }
 
 // buildOverlaps fills the overlap table, one overlapRow per candidate.
@@ -611,17 +555,14 @@ func (in *HitInstance) DupOfPrev(i int) bool { return runsEqual(in.run(i), in.ru
 
 // CloneForMoves returns an independent editor-and-searcher: unlike
 // Clone, every array a move patches — the CSR runs, offsets, loads, the
-// C = 1 fast strip, the unit ids and positions, and, once prepared, the
-// inverted index and the overlap table, and the root gain vector — is
-// deep-copied, so ApplyMove on the clone never touches the receiver and
-// vice versa: the primitive a probing session forks per worker. Only
-// the per-object weight vector stays shared (immutable between Assign
-// calls). A prepared receiver gives a prepared clone, which searches
-// and moves without ever rebuilding, and a kept root vector stays kept;
-// an unprepared one gives a clone that prepares on its own backing at
-// its first Greedy or residual search. The clone's Units and Pos follow
-// its own moves, and its scratch is its own. The receiver must be clean
-// (Reset), as the clone starts clean.
+// C = 1 fast strip, the unit ids and positions, the inverted index, the
+// overlap table and the root gain vector — is deep-copied, so ApplyMove
+// on the clone never touches the receiver and vice versa: the primitive
+// a probing session forks per worker. Only the per-object weight vector
+// stays shared (immutable between Assign calls). The clone searches and
+// moves without ever rebuilding; its Units and Pos follow its own
+// moves, and its scratch is its own. The receiver must be between
+// searches, as the clone starts clean.
 func (in *HitInstance) CloneForMoves() *HitInstance {
 	cp := *in
 	cp.hits = slices.Clone(in.hits)
@@ -642,27 +583,18 @@ func (in *HitInstance) CloneForMoves() *HitInstance {
 }
 
 // Clone returns an independent searcher over the same immutable
-// preprocessing: the CSR arrays, loads, inverted index and overlap
-// table are shared (read-only during search), only the failure counters
-// and the scratch are fresh — the cheap way to stamp out per-worker
-// instances for BranchAndBound, which prepares the receiver first under
-// the residual bound. The receiver must be clean (Reset), as the clone
-// starts clean.
+// preprocessing: the CSR arrays, loads, inverted index, overlap table
+// and root gain vector are shared (read-only during search), only the
+// failure counters and the scratch are fresh — the cheap way to stamp
+// out per-worker instances for BranchAndBound. The receiver must be
+// between searches, as the clone starts clean.
 func (in *HitInstance) Clone() *HitInstance {
 	cp := *in
 	cp.cnt = make([]int32, len(in.cnt))
-	if !in.prepared {
-		// Unshare the lazily-built arrays: concurrent clones must not
-		// race on the receiver's backing capacity when they prepare.
-		cp.objHits, cp.objCands, cp.ov = nil, nil, nil
-		cp.objOffs = make([]int32, len(in.objOffs))
-	}
 	// Clones are searchers, not editors: unit ids stay with the receiver
 	// (see the ApplyMove contract), which translates the clones'
 	// selections.
 	cp.ids, cp.pos = nil, nil
-	// The root vector follows the receiver's moves; a clone keeps none.
-	cp.root, cp.rootOK = nil, false
 	cp.sc = scratch{}
 	return &cp
 }

@@ -9,7 +9,7 @@ import "fmt"
 const InvariantsEnabled = true
 
 // assertInvariants validates the full CSR contract after a structural
-// mutation (ApplyMove, CloneForMoves). It recomputes every
+// mutation (Assign, ApplyMove, CloneForMoves). It recomputes every
 // derived quantity from the hit runs — the one source of truth — and
 // panics on the first divergence. O(nnz) per call, plus O(m·nnz) for
 // the overlap table: strictly a debug build; the !invariants stub
@@ -23,12 +23,12 @@ const InvariantsEnabled = true
 //	objs    (C = 1 strip) mirrors hits exactly when present
 //	loads   Σ C·w per run, non-increasing (canonical order), id-tied
 //	ids     pos inverts them
-//	index   inverted object → candidate CSR matches the forward runs
-//	        when prepared, the objCands strip present exactly with objs
+//	index   inverted object → candidate CSR matches the forward runs,
+//	        the objCands strip present exactly with objs
 //	ov      every overlap-table entry equals a pairwise count (0 at
-//	        s = 1) when prepared at K >= 2
+//	        s = 1), one per candidate at K >= 2, none below
 //	cnt     clean (all zero) — moves are between-search operations
-//	root    every candidate's clean-state Marginal, when kept
+//	root    every candidate's clean-state Marginal
 func (in *HitInstance) assertInvariants(context string) {
 	fail := func(format string, args ...any) {
 		panic(fmt.Sprintf("search: invariants after %s: %s", context, fmt.Sprintf(format, args...)))
@@ -112,18 +112,16 @@ func (in *HitInstance) assertInvariants(context string) {
 	}
 
 	// The index and the overlap table track the patched runs.
-	if in.prepared {
-		in.assertInvertedFresh(fail)
-		want := m // one row per candidate, none below K = 2
-		if in.count < 2 {
-			want = 0
-		}
-		if len(in.ov) != want {
-			fail("overlap table has %d rows at K = %d, want %d", len(in.ov), in.count, want)
-		}
-		for i, v := range in.ov {
-			in.assertMaxOverlap(i, v)
-		}
+	in.assertInvertedFresh(fail)
+	want := m // one row per candidate, none below K = 2
+	if in.count < 2 {
+		want = 0
+	}
+	if len(in.ov) != want {
+		fail("overlap table has %d rows at K = %d, want %d", len(in.ov), in.count, want)
+	}
+	for i, v := range in.ov {
+		in.assertMaxOverlap(i, v)
 	}
 
 	// Moves are between-search operations: counters clean.
@@ -133,16 +131,14 @@ func (in *HitInstance) assertInvariants(context string) {
 		}
 	}
 
-	// A kept root gain vector is a fresh Gains pass at the clean state,
+	// The root gain vector is a fresh Gains pass at the clean state,
 	// entry by entry (Marginal reads the clean counters: no allocation).
-	if in.rootOK {
-		if len(in.root) != m {
-			fail("root gain vector has %d entries, want %d", len(in.root), m)
-		}
-		for j, v := range in.root {
-			if g := int64(in.Marginal(j)); v != g {
-				fail("root gain vector has %d for candidate %d, clean-state Marginal %d", v, j, g)
-			}
+	if len(in.root) != m {
+		fail("root gain vector has %d entries, want %d", len(in.root), m)
+	}
+	for j, v := range in.root {
+		if g := int64(in.Marginal(j)); v != g {
+			fail("root gain vector has %d for candidate %d, clean-state Marginal %d", v, j, g)
 		}
 	}
 }

@@ -11,11 +11,10 @@ func TestInvariantsCompiledOut(t *testing.T) {
 		t.Fatal("InvariantsEnabled = true without the invariants tag")
 	}
 	in := NewHitInstance(1, 2)
-	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}, {{Obj: 1, C: 1}}}, []int64{1, 1})
-	in.loads[0] = 99              // corrupt: Σ C·w is 1
-	in.assertInvariants("test")   // must be a no-op
-	assertGainWithinLoad(0, 5, 1) // Marginal above Load: still a no-op
-	in.prepare()
+	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}, {{Obj: 1, C: 1}}}, []int64{1, 1}, nil)
+	in.loads[0] = 99                                  // corrupt: Σ C·w is 1
+	in.assertInvariants("test")                       // must be a no-op
+	assertGainWithinLoad(0, 5, 1)                     // Marginal above Load: still a no-op
 	assertSkipWithinBound(in, 0, 1, 0, 0)             // Marginal 1 above the bound 0: a no-op
 	assertTailWithinBound(in, 0, 1, []int64{0, 0}, 0) // likewise, from candidate 1 on
 	in.assertMaxOverlap(0, 7)                         // true overlap is 0: a no-op

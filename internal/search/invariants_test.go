@@ -27,21 +27,21 @@ func TestInvariantsEnabled(t *testing.T) {
 }
 
 // TestAssertInvariantsPassesOnValidMoves exercises the checked paths on
-// a healthy instance, unprepared, then prepared with a kept root gain
-// vector: every ApplyMove (the move and its opposite) and CloneForMoves
-// runs the full audit — the second pass includes the patched index,
-// overlap table and root vector — and must stay silent.
+// a healthy instance, fresh from Assign and again after a search: Assign,
+// every ApplyMove (the move and its opposite) and CloneForMoves run the
+// full audit — the patched index, overlap table and root vector
+// included — and must stay silent.
 func TestAssertInvariantsPassesOnValidMoves(t *testing.T) {
-	for _, prepared := range []bool{false, true} {
+	for _, searched := range []bool{false, true} {
 		in := moveReady(t)
-		if prepared {
-			Greedy(in) // prepares, and keeps the root vector
-			in.Reset()
+		if searched {
+			seed := Greedy(in)
+			BranchAndBound(in, seed, NewBudget(0), 2, BoundResidual)
 		}
 		from, to := in.ApplyMove(0, 0, 2)
 		cp := in.CloneForMoves()
-		if cp.Len() != in.Len() || cp.prepared != prepared {
-			t.Fatalf("clone Len %d != %d, or prepared %v != %v", cp.Len(), in.Len(), cp.prepared, prepared)
+		if cp.Len() != in.Len() {
+			t.Fatalf("clone Len %d != %d", cp.Len(), in.Len())
 		}
 		in.ApplyMove(0, to, from)
 		cp.ApplyMove(0, to, from)
@@ -63,16 +63,14 @@ func TestAssertInvariantsCatchesCorruption(t *testing.T) {
 			in.hits[0], in.hits[1] = in.hits[1], in.hits[0]
 		}, "ascending"},
 		{"dirty counter", func(in *HitInstance) { in.cnt[1] = 1 }, "counter"},
-		// The gain-vector machinery, audited once prepared.
-		{"stale index count", func(in *HitInstance) { in.prepare(); in.objHits[0].C++ }, "inverted entry"},
+		// The gain-vector machinery.
+		{"stale index count", func(in *HitInstance) { in.objHits[0].C++ }, "inverted entry"},
 		{"stale index order", func(in *HitInstance) {
-			in.prepare()
 			in.objHits[0], in.objHits[1] = in.objHits[1], in.objHits[0]
 			in.objCands[0], in.objCands[1] = in.objCands[1], in.objCands[0]
 		}, "ascending"},
-		{"stale overlap row", func(in *HitInstance) { in.prepare(); in.ov[1]++ }, "overlap table"},
-		// The root gain vector, audited once kept.
-		{"stale root vector", func(in *HitInstance) { Greedy(in); in.Reset(); in.root[2]++ }, "root gain vector"},
+		{"stale overlap row", func(in *HitInstance) { in.ov[1]++ }, "overlap table"},
+		{"stale root vector", func(in *HitInstance) { in.root[2]++ }, "root gain vector"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,7 +105,7 @@ func TestScanLastCatchesGainAboveLoad(t *testing.T) {
 	in.reinit(1, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
 		{{Obj: 2, C: 2}, {Obj: 3, C: 2}},
-	}, []int64{2, 1}) // candidate 1's true load is 4
+	}, []int64{2, 1}, nil) // candidate 1's true load is 4
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -171,13 +169,13 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 		{{Obj: 6, C: 1}, {Obj: 7, C: 1}},
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}},
 		{{Obj: 2, C: 1}, {Obj: 6, C: 1}},
-	}, []int64{3, 3, 2, 2, 2})
+	}, []int64{3, 3, 2, 2, 2}, nil)
 	tail := NewHitInstance(2, 9)
 	tail.reinit(2, [][]Hit{
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 2, C: 1}, {Obj: 8, C: 1}},
 		{{Obj: 3, C: 1}, {Obj: 4, C: 1}, {Obj: 6, C: 1}, {Obj: 7, C: 1}},
 		{{Obj: 0, C: 1}, {Obj: 1, C: 1}, {Obj: 5, C: 2}},
-	}, []int64{4, 4, 4})
+	}, []int64{4, 4, 4}, nil)
 	t.Run("skip", func(t *testing.T) {
 		expectPanic(t, "candidate 3 below parent candidate 1 ", func() {
 			scanBelow(skip, 0, []int{0, 1}, []int64{0, 0, 0, 0, 1}) // true parent gains at {0}: 0 0 0 2 1
@@ -189,8 +187,6 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 		})
 	})
 	t.Run("audit", func(t *testing.T) {
-		tail.Reset()
-		tail.prepare()
 		if got := tail.MaxOverlap(0); got != 2 {
 			t.Fatalf("MaxOverlap(0) = %d, want 2", got)
 		}
@@ -199,7 +195,7 @@ func TestParentFilterCatchesBadBound(t *testing.T) {
 }
 
 // TestChildSkipCatchesBadBound proves the gain-vector search's checks
-// are live, on runs driven from a hand-prepared worker at s = 2 over
+// are live, on runs driven from a hand-built worker at s = 2 over
 // the candidates {0 1}, {0 2}, {1 2} and {3}. In "overlap" (K = 2, the
 // first three, incumbent 1) the overlap of candidate 0 is understated
 // as 0, so the root skips child 0 on the bound 0 + 0 + 0 + 0 < 1, yet

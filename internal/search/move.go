@@ -17,8 +17,7 @@ import (
 // branch-and-bound invariant; ties by the unit ids Assign recorded, so
 // a moved instance stays byte-identical to a fresh Assign) by
 // adjacent-swap bubbling, carrying the unit ↔ position maps along.
-// Once the gain-vector machinery is prepared, the move keeps it
-// current too:
+// The move keeps the gain-vector machinery Assign built current too:
 //
 //   - the inverted object → candidate index: the moved object's holder
 //     list loses or decrements the source's entry and gains or bumps
@@ -28,18 +27,15 @@ import (
 //   - the overlap table: only the rows whose shared weights or
 //     later-candidate set changed are redone (overlapRow) — the two
 //     moved candidates, the candidates they crossed in the re-sort, and
-//     the holders of the moved object. At s = 1 every row stays 0.
+//     the holders of the moved object. At s = 1 every row stays 0;
+//   - the root gain vector (every candidate's Marginal at the clean
+//     state, which Greedy's first vector and the search's root task
+//     copy) moves in O(1): the source's entry loses the object's weight
+//     when its count there drops below S, the target's gains it when
+//     its count reaches S, and every adjacent swap swaps two entries.
 //
-// Independently of preparation, a kept root gain vector (every
-// candidate's Marginal at the clean state, which Greedy's first vector
-// and the search's root task read; see rootGains) moves in O(1): the
-// source's entry loses the object's weight when its count there drops
-// below S, the target's gains it when its count reaches S, and every
-// adjacent swap swaps two entries.
-//
-// So a prepared instance never rebuilds after its first search, and
-// the invariants build audits all of it against a fresh build after
-// every move. A move is undone by the opposite move: the re-sort is
+// So an instance never rebuilds after Assign, and the invariants build
+// audits all of it against a fresh build after every move. A move is undone by the opposite move: the re-sort is
 // canonical, so the round trip restores the layout byte for byte. The
 // warm-start side of the contract is WarmSeed: replay the previous
 // search's witness on the patched instance and seed the next
@@ -54,9 +50,8 @@ import (
 // editors of their own.
 
 // ApplyMove transfers one replica of obj from candidate position from
-// to candidate position to, patching the CSR layout, the loads, a kept
-// root gain vector and — once prepared — the inverted index and the
-// overlap table in place, and returns the two candidates' new positions
+// to candidate position to, patching the CSR layout, the loads, the
+// root gain vector, the inverted index and the overlap table in place, and returns the two candidates' new positions
 // after the canonical re-sort. The from run must hold a hit on obj; the
 // to run gains one (aggregating onto an existing hit when the candidate
 // already covers obj, as whole-domain adapters do). The instance must
@@ -98,7 +93,7 @@ func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 		}
 		to--
 	}
-	if in.prepared && len(in.ov) > 0 {
+	if len(in.ov) > 0 {
 		in.patchOverlaps(obj, from, to, excised || inserted)
 	}
 	in.assertInvariants("ApplyMove")
@@ -107,27 +102,22 @@ func (in *HitInstance) ApplyMove(obj, from, to int) (newFrom, newTo int) {
 
 // removeReplica drops one replica of obj (weight wd) from candidate
 // pos's run: decrement the aggregated count, or excise the hit entirely
-// when it was the last one (reported), in the runs and, once prepared,
-// in the object's holder list. A kept root vector loses wd at pos when
-// the count drops below S: failing pos alone no longer kills obj.
+// when it was the last one (reported), in the runs and in the object's
+// holder list. The root vector loses wd at pos when the count drops
+// below S: failing pos alone no longer kills obj.
 func (in *HitInstance) removeReplica(obj, pos int, wd int64) (excised bool) {
 	lo, hi := int(in.offs[pos]), int(in.offs[pos+1])
 	g := lo + findHit(in.hits[lo:hi], int32(obj))
 	if g >= hi || in.hits[g].Obj != int32(obj) {
 		panic(fmt.Sprintf("search: ApplyMove candidate %d holds no replica of object %d", pos, obj))
 	}
-	if in.rootOK && in.hits[g].C == in.s {
+	if in.hits[g].C == in.s {
 		in.root[pos] -= wd
 	}
-	x := -1 // the holder entry
-	if in.prepared {
-		x = in.holderAt(int32(obj), pos)
-	}
+	x := in.holderAt(int32(obj), pos)
 	if in.hits[g].C > 1 {
 		in.hits[g].C--
-		if x >= 0 {
-			in.objHits[x].C--
-		}
+		in.objHits[x].C--
 		return false
 	}
 	in.hits = slices.Delete(in.hits, g, g+1)
@@ -137,14 +127,12 @@ func (in *HitInstance) removeReplica(obj, pos int, wd int64) (excised bool) {
 	for i := pos + 1; i < len(in.offs); i++ {
 		in.offs[i]--
 	}
-	if x >= 0 {
-		in.objHits = slices.Delete(in.objHits, x, x+1)
-		if in.objCands != nil {
-			in.objCands = slices.Delete(in.objCands, x, x+1)
-		}
-		for j := obj + 1; j < len(in.objOffs); j++ {
-			in.objOffs[j]--
-		}
+	in.objHits = slices.Delete(in.objHits, x, x+1)
+	if in.objCands != nil {
+		in.objCands = slices.Delete(in.objCands, x, x+1)
+	}
+	for j := obj + 1; j < len(in.objOffs); j++ {
+		in.objOffs[j]--
 	}
 	return true
 }
@@ -152,31 +140,24 @@ func (in *HitInstance) removeReplica(obj, pos int, wd int64) (excised bool) {
 // addReplica adds one replica of obj (weight wd) to candidate pos's
 // run, inserting a fresh hit in object order (reported) or bumping the
 // existing aggregate (which drops the C = 1 fast strips: a count of 2
-// no longer fits them), in the runs and, once prepared, in the object's
-// holder list. A kept root vector gains wd at pos when the count
-// reaches S: failing pos alone now kills obj.
+// no longer fits them), in the runs and in the object's holder list.
+// The root vector gains wd at pos when the count reaches S: failing pos
+// alone now kills obj.
 func (in *HitInstance) addReplica(obj, pos int, wd int64) (inserted bool) {
 	lo, hi := int(in.offs[pos]), int(in.offs[pos+1])
 	g := lo + findHit(in.hits[lo:hi], int32(obj))
-	x := -1 // the holder entry, or where it goes
-	if in.prepared {
-		x = in.holderAt(int32(obj), pos)
-	}
+	x := in.holderAt(int32(obj), pos) // the holder entry, or where it goes
 	found := g < hi && in.hits[g].Obj == int32(obj)
-	if in.rootOK {
-		c := int32(1) // the count after the add
-		if found {
-			c += in.hits[g].C
-		}
-		if c == in.s {
-			in.root[pos] += wd
-		}
+	c := int32(1) // the count after the add
+	if found {
+		c += in.hits[g].C
+	}
+	if c == in.s {
+		in.root[pos] += wd
 	}
 	if found {
 		in.hits[g].C++
-		if x >= 0 {
-			in.objHits[x].C++
-		}
+		in.objHits[x].C++
 		in.objs, in.objCands = nil, nil // aggregated counts have outgrown the strips
 		return false
 	}
@@ -187,14 +168,12 @@ func (in *HitInstance) addReplica(obj, pos int, wd int64) (inserted bool) {
 	for i := pos + 1; i < len(in.offs); i++ {
 		in.offs[i]++
 	}
-	if x >= 0 {
-		in.objHits = slices.Insert(in.objHits, x, candHit{Cand: int32(pos), C: 1})
-		if in.objCands != nil {
-			in.objCands = slices.Insert(in.objCands, x, int32(pos))
-		}
-		for j := obj + 1; j < len(in.objOffs); j++ {
-			in.objOffs[j]++
-		}
+	in.objHits = slices.Insert(in.objHits, x, candHit{Cand: int32(pos), C: 1})
+	if in.objCands != nil {
+		in.objCands = slices.Insert(in.objCands, x, int32(pos))
+	}
+	for j := obj + 1; j < len(in.objOffs); j++ {
+		in.objOffs[j]++
 	}
 	return true
 }
@@ -237,8 +216,8 @@ func (in *HitInstance) sortsBefore(a, b int) bool {
 
 // swapAdjacent exchanges candidates i and i+1: rotate their two runs
 // within the flat CSR array, swap the per-candidate scalars and the
-// unit ↔ position maps, and, once prepared, relabel the two
-// candidates' holder entries and carry their overlap rows across.
+// unit ↔ position maps and the two root vector entries, relabel the
+// two candidates' holder entries, and carry their overlap rows across.
 //
 // The swap changes two rows' later-candidate sets only: the candidate
 // that moves up to i gains the other as a later candidate, so its row
@@ -248,17 +227,13 @@ func (in *HitInstance) sortsBefore(a, b int) bool {
 // move changed otherwise (see there) are redone anyway, so carrying
 // them across stale is harmless.
 func (in *HitInstance) swapAdjacent(i int) {
-	if in.rootOK {
-		in.root[i], in.root[i+1] = in.root[i+1], in.root[i]
-	}
-	if in.prepared {
-		shared := in.swapHolders(i)
-		if len(in.ov) > 0 && in.s > 1 { // at s = 1 every row is 0
-			down := in.ov[i]
-			in.ov[i], in.ov[i+1] = max(in.ov[i+1], shared), down
-			if shared >= down {
-				in.sc.ovRows = append(in.sc.ovRows, in.ids[i])
-			}
+	in.root[i], in.root[i+1] = in.root[i+1], in.root[i]
+	shared := in.swapHolders(i)
+	if len(in.ov) > 0 && in.s > 1 { // at s = 1 every row is 0
+		down := in.ov[i]
+		in.ov[i], in.ov[i+1] = max(in.ov[i+1], shared), down
+		if shared >= down {
+			in.sc.ovRows = append(in.sc.ovRows, in.ids[i])
 		}
 	}
 	a, b, c := int(in.offs[i]), int(in.offs[i+1]), int(in.offs[i+2])

@@ -137,7 +137,6 @@ func searchBoth(t *testing.T, tag string, moved, fresh *HitInstance) {
 	t.Helper()
 	run := func(in *HitInstance) Result {
 		seed := Greedy(in)
-		in.Reset()
 		return BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	}
 	got, want := run(moved), run(fresh)
@@ -156,10 +155,9 @@ func searchBoth(t *testing.T, tag string, moved, fresh *HitInstance) {
 }
 
 // TestApplyMoveMatchesRebuild drives random move chains through a live
-// instance — interleaved with full searches, so moves hit prepared,
-// residual-tracked state — and checks after every move that the
-// patched layout and its search results are byte-identical to a fresh
-// canonical rebuild.
+// instance — interleaved with full searches — and checks after every
+// move that the patched layout and its search results are
+// byte-identical to a fresh canonical rebuild.
 func TestApplyMoveMatchesRebuild(t *testing.T) {
 	cases := []struct {
 		name                string
@@ -182,7 +180,7 @@ func TestApplyMoveMatchesRebuild(t *testing.T) {
 					fresh := mm.build()
 					tag := tc.name
 					assertSameLayout(t, tag, live, fresh)
-					if mv%3 == 0 { // search on some states: index and overlap table get built and re-patched
+					if mv%3 == 0 { // search on some states of the chain
 						searchBoth(t, tag, live, fresh)
 					}
 				}
@@ -193,7 +191,7 @@ func TestApplyMoveMatchesRebuild(t *testing.T) {
 
 // TestMoveRoundTripRestores checks that a move followed by the
 // opposite move is the identity on the full layout, unit ids included,
-// also after searches prepared the inverted index and overlap table.
+// also after searches on the instance.
 func TestMoveRoundTripRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -201,7 +199,6 @@ func TestMoveRoundTripRestores(t *testing.T) {
 		live := mm.build()
 		if trial%3 == 0 {
 			seed := Greedy(live)
-			live.Reset()
 			BranchAndBound(live, seed, NewBudget(0), 1, BoundResidual)
 		}
 		snapshot := mm.build()
@@ -226,14 +223,12 @@ func TestRevalidate(t *testing.T) {
 	mm := randomModel(rng, 8, 30, 3, 2, 3, false, false)
 	in := mm.build()
 	seed := Greedy(in)
-	in.Reset()
 	res := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	if rv := Revalidate(in, res.Sel); rv != res.Failed {
 		t.Fatalf("Revalidate(witness) = %d, want the witness damage %d", rv, res.Failed)
 	}
 	// Counters clean: a second identical search reproduces the result.
 	seed2 := Greedy(in)
-	in.Reset()
 	res2 := BranchAndBound(in, seed2, NewBudget(0), 1, BoundResidual)
 	if res2.Failed != res.Failed || res2.Visited != res.Visited {
 		t.Fatalf("search after Revalidate diverged: (failed=%d visited=%d), want (failed=%d visited=%d)",
@@ -250,7 +245,6 @@ func TestWarmSeedReturnsWitnessVerbatim(t *testing.T) {
 	mm := randomModel(rng, 8, 30, 3, 2, 3, false, false)
 	in := mm.build()
 	seed := Greedy(in)
-	in.Reset()
 	opt := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	warm := BranchAndBound(in, Result{Failed: opt.Failed, Sel: opt.Sel}, NewBudget(0), 1, BoundResidual)
 	if warm.Failed != opt.Failed || !warm.Exact {

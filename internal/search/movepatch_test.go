@@ -8,19 +8,16 @@ import (
 	"testing"
 )
 
-// assertSamePrepared compares a moved, prepared instance with a fresh
-// Assign + prepare of the same runs: the layout (assertSameLayout), the
-// inverted index and the overlap table, which must be all zero at
-// s = 1 (see MaxOverlap). The C = 1 strips are conservative on the moved side (a
-// move that aggregates drops them for good), so the objCands strip is
-// compared only while the moved instance keeps one, and must come and
-// go with its objs strip.
-func assertSamePrepared(t *testing.T, tag string, got, want *HitInstance) {
+// assertSameTables compares a moved instance with a fresh Assign of the
+// same runs: the layout (assertSameLayout), the inverted index and the
+// overlap table, which must be all zero at s = 1 (see MaxOverlap). The
+// C = 1 strips are conservative on the moved side (a move that
+// aggregates drops them for good), so the objCands strip is compared
+// only while the moved instance keeps one, and must come and go with
+// its objs strip.
+func assertSameTables(t *testing.T, tag string, got, want *HitInstance) {
 	t.Helper()
 	assertSameLayout(t, tag, got, want)
-	if !got.prepared || !want.prepared {
-		t.Fatalf("%s: prepared %v, fresh prepared %v", tag, got.prepared, want.prepared)
-	}
 	if !slices.Equal(got.objOffs, want.objOffs) {
 		t.Fatalf("%s: objOffs %v, want %v", tag, got.objOffs, want.objOffs)
 	}
@@ -41,14 +38,11 @@ func assertSamePrepared(t *testing.T, tag string, got, want *HitInstance) {
 	}
 }
 
-// assertRootFresh requires the instance to keep a root gain vector
-// equal to a fresh Gains pass over want, the same runs built afresh at
-// the clean state.
+// assertRootFresh requires the instance's root gain vector to equal a
+// fresh Gains pass over want, the same runs built afresh at the clean
+// state.
 func assertRootFresh(t *testing.T, tag string, got, want *HitInstance) {
 	t.Helper()
-	if !got.rootOK {
-		t.Fatalf("%s: no root gain vector kept", tag)
-	}
 	g := make([]int64, want.Len())
 	want.Gains(g)
 	if !slices.Equal(got.root, g) {
@@ -57,13 +51,13 @@ func assertRootFresh(t *testing.T, tag string, got, want *HitInstance) {
 }
 
 // FuzzMovePatch is the oracle of ApplyMove's patches to the gain-vector
-// machinery and the root gain vector. A prepared instance keeping a
-// root vector walks random moves and reverts (of the latest unreverted
-// move); after every step its inverted index and overlap table (all
-// zero at s = 1) equal those of a fresh Assign + prepare of the same
-// runs, its root vector equals a fresh Gains pass, and a
-// greedy-seeded residual search on each returns the same Failed, Sel
-// and Visited. The instances are node-style C = 1 strips, aggregated
+// machinery and the root gain vector. An instance walks random moves
+// and reverts (of the latest unreverted move); after every step its
+// inverted index and overlap table (all zero at s = 1) equal those of a
+// fresh Assign of the same runs, its root vector equals a fresh Gains
+// pass, and a greedy-seeded residual search on each returns the same
+// Failed, Sel and Visited. Under the invariants tag every move also
+// audits the whole instance. The instances are node-style C = 1 strips, aggregated
 // (domain-style, moves may stack replicas), and weighted ones of both
 // (weights 0..3), at K = 1..4.
 func FuzzMovePatch(f *testing.F) {
@@ -85,8 +79,6 @@ func FuzzMovePatch(f *testing.F) {
 		s := 1 + rng.Intn(r)
 		mm := randomModel(rng, m, b, r, s, k, aggregate, weighted)
 		live := mm.build()
-		live.prepare()
-		live.rootGains(make([]int64, live.Len()))
 		type applied struct{ obj, fromID, toID int }
 		var undo []applied
 		if len(ops) > 48 {
@@ -105,8 +97,7 @@ func FuzzMovePatch(f *testing.F) {
 				undo = append(undo, applied{obj, fromID, toID})
 			}
 			fresh := mm.build()
-			fresh.prepare()
-			assertSamePrepared(t, "step", live, fresh)
+			assertSameTables(t, "step", live, fresh)
 			assertRootFresh(t, "step", live, fresh)
 			if step%2 == 0 || op&0x40 != 0 {
 				searchBoth(t, "step", live, fresh)
@@ -115,17 +106,16 @@ func FuzzMovePatch(f *testing.F) {
 	})
 }
 
-// TestRootVectorSearch pins that reading the kept root gain vector
-// changes no search: along random move chains on C = 1, aggregated and
-// weighted instances, a warm-seeded residual search (WarmSeed, then
-// BranchAndBound, seeded with the previous witness) on the instance
-// that keeps its root vector across the moves returns the same Failed,
-// Sel and Visited as the same search on a twin forced to sweep (its
-// vector dropped before every search), at 1 and 3 workers. At 3 workers
-// Visited is compared when the seed is already optimal: otherwise the
-// incumbent moves under a schedule-dependent snapshot, and the count
-// varies from run to run whichever vector is read. A CloneForMoves copy
-// carries the kept vector.
+// TestRootVectorSearch pins that reading the root gain vector the moves
+// patched changes no search: along random move chains on C = 1,
+// aggregated and weighted instances, a warm-seeded residual search
+// (WarmSeed, then BranchAndBound, seeded with the previous witness) on
+// the moved instance returns the same Failed, Sel and Visited as the
+// same search on a fresh Assign of the same runs, whose vector is one
+// Gains sweep, at 1 and 3 workers. At 3 workers Visited is compared
+// when the seed is already optimal: otherwise the incumbent moves under
+// a schedule-dependent snapshot, and the count varies from run to run
+// whichever vector is read. A CloneForMoves copy carries the vector.
 func TestRootVectorSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, kind := range []struct {
@@ -134,36 +124,32 @@ func TestRootVectorSearch(t *testing.T) {
 	}{{"C=1", false, false}, {"aggregated", true, false}, {"weighted", false, true}, {"aggregated-weighted", true, true}} {
 		for _, workers := range []int{1, 3} {
 			mm := randomModel(rng, 10, 40, 3, 2, 3, kind.aggregate, kind.weighted)
-			kept := mm.build()
-			swept := kept.CloneForMoves()
+			moved := mm.build()
 			var prev []int
 			for step := 0; step < 24; step++ {
 				if step > 0 {
 					obj, fromID, toID := mm.randomMove(rng, kind.aggregate)
-					kept.ApplyMove(obj, kept.Pos(fromID), kept.Pos(toID))
-					swept.ApplyMove(obj, swept.Pos(fromID), swept.Pos(toID))
+					moved.ApplyMove(obj, moved.Pos(fromID), moved.Pos(toID))
+				}
+				fresh := mm.build()
+				tag := fmt.Sprintf("%s/workers=%d step %d", kind.name, workers, step)
+				assertRootFresh(t, tag, moved, fresh)
+				if cp := moved.CloneForMoves(); !slices.Equal(cp.root, moved.root) {
+					t.Fatalf("%s: CloneForMoves did not carry the root vector", tag)
 				}
 				run := func(in *HitInstance) (Result, Result) {
 					seed, _ := WarmSeed(in, prev)
 					return seed, BranchAndBound(in, seed, NewBudget(0), workers, BoundResidual)
 				}
-				_, got := run(kept)
-				if !kept.rootOK {
-					t.Fatalf("%s/workers=%d step %d: the instance kept no root vector", kind.name, workers, step)
-				}
-				if cp := kept.CloneForMoves(); !cp.rootOK || !slices.Equal(cp.root, kept.root) {
-					t.Fatalf("%s/workers=%d step %d: CloneForMoves did not carry the root vector", kind.name, workers, step)
-				}
-				swept.rootOK = false
-				seed, want := run(swept)
-				tag := fmt.Sprintf("%s/workers=%d step %d", kind.name, workers, step)
+				_, got := run(moved)
+				seed, want := run(fresh)
 				if got.Failed != want.Failed || !slices.Equal(got.Sel, want.Sel) || got.Exact != want.Exact {
-					t.Fatalf("%s: kept vector (failed=%d sel=%v), swept (failed=%d sel=%v)", tag, got.Failed, got.Sel, want.Failed, want.Sel)
+					t.Fatalf("%s: moved (failed=%d sel=%v), fresh (failed=%d sel=%v)", tag, got.Failed, got.Sel, want.Failed, want.Sel)
 				}
 				if (workers == 1 || seed.Failed == want.Failed) && got.Visited != want.Visited {
-					t.Fatalf("%s: kept vector visited %d, swept %d", tag, got.Visited, want.Visited)
+					t.Fatalf("%s: moved visited %d, fresh %d", tag, got.Visited, want.Visited)
 				}
-				prev = kept.Units(slices.Clone(got.Sel))
+				prev = moved.Units(slices.Clone(got.Sel))
 			}
 		}
 	}
@@ -206,7 +192,6 @@ func TestCloneScratchNotAliased(t *testing.T) {
 		in := mm.build()
 		exercise := func(x *HitInstance, move bool) {
 			seed := Greedy(x)
-			x.Reset()
 			BranchAndBound(x, seed, NewBudget(0), 1, BoundResidual)
 			if move { // the heaviest candidate's first object onto the lightest
 				x.ApplyMove(int(x.hits[0].Obj), 0, x.Len()-1)

@@ -64,7 +64,6 @@ func TestParentGainFilter(t *testing.T) {
 				}
 				in, lists = randWeightedInstance(rng, m, b, k1(m), s, w)
 			}
-			in.prepare()
 			want := make([]int64, m)
 			for i := 0; i < m && s > 1; i++ {
 				for j := i + 1; j < m; j++ {
@@ -113,7 +112,6 @@ func TestParentGainFilter(t *testing.T) {
 		}
 		want := Exhaustive(in)
 		seed := Greedy(in)
-		in.Reset()
 
 		const (
 			pinnedVisited = 809
@@ -190,7 +188,6 @@ func TestChildSkip(t *testing.T) {
 	const m, b, s, k = 24, 120, 2, 4
 	in := flatInstance(rand.New(rand.NewSource(179)), m, b, s, k, false)
 	seed := Greedy(in)
-	in.Reset()
 
 	const (
 		pinnedVisited  = 809
@@ -262,7 +259,6 @@ func TestChildSkip(t *testing.T) {
 func TestChildSkipShallowerSteal(t *testing.T) {
 	const m, b, s, k = 24, 120, 2, 4
 	in := flatInstance(rand.New(rand.NewSource(179)), m, b, s, k, false)
-	in.Reset()
 	want := BranchAndBound(in, Result{}, NewBudget(0), 1, BoundResidual)
 	a := want.Sel[0]
 	if want.Sel[1] <= a+1 {
@@ -387,7 +383,6 @@ func FuzzGainPatch(f *testing.F) {
 			in, lists = randomHitInstance(rng, m, min(3, m), b, s, k1(m), 1)
 			in.Assign(k1(m), lists, weights(), nil, true)
 		}
-		in.prepare()
 		want := make([]int64, m)
 		stack := [][]int64{make([]int64, m)}
 		in.Gains(stack[0])
@@ -542,7 +537,6 @@ func FuzzInteriorSkip(f *testing.F) {
 		in.Assign(k, lists, w, nil, true)
 		ex := Exhaustive(in)
 		seedRes := Greedy(in)
-		in.Reset()
 		static := BranchAndBound(in, seedRes, NewBudget(0), 1, BoundStatic)
 		for _, workers := range []int{1, 3} {
 			res := BranchAndBound(in, seedRes, NewBudget(0), workers, BoundResidual)
@@ -562,7 +556,7 @@ func FuzzInteriorSkip(f *testing.F) {
 // none of its replicas has failed, so a pick only takes objects away
 // from every gain. Along random Add walks — C = 1 strips, C > 1 and
 // weighted instances — no candidate's Marginal ever rises, and the
-// prepared table is all zero.
+// table reinit builds is all zero.
 func TestGainsNeverRiseAtS1(t *testing.T) {
 	rng := rand.New(rand.NewSource(197))
 	for trial := 0; trial < 90; trial++ {
@@ -581,7 +575,6 @@ func TestGainsNeverRiseAtS1(t *testing.T) {
 			}
 			in, _ = randWeightedInstance(rng, m, b, 2, 1, w)
 		}
-		in.prepare()
 		if slices.ContainsFunc(in.ov, func(v int64) bool { return v != 0 }) {
 			t.Fatalf("trial %d: overlap table %v at s = 1, want all zero", trial, in.ov)
 		}

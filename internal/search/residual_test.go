@@ -53,7 +53,7 @@ func randomHitInstance(rng *rand.Rand, m, r, b, s, k, maxC int) (*HitInstance, [
 		ordLoads[i] = loads[raw]
 	}
 	in := NewHitInstance(s, b)
-	in.reinit(k, ordLists, ordLoads)
+	in.reinit(k, ordLists, ordLoads, nil)
 	return in, ordLists
 }
 
@@ -81,7 +81,6 @@ func TestResidualBoundEquivalence(t *testing.T) {
 
 		ex := Exhaustive(in)
 		seed := Greedy(in)
-		in.Reset()
 		static := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 		resid := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 
@@ -117,7 +116,6 @@ func TestResidualBoundUnderBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	in, _ := randomHitInstance(rng, 14, 3, 120, 2, 5, 1)
 	seed := Greedy(in)
-	in.Reset()
 	full := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	for _, bound := range []Bound{BoundStatic, BoundResidual} {
 		for _, limit := range []int64{1, 9, 40} {
@@ -189,7 +187,7 @@ func TestDuplicateCollapse(t *testing.T) {
 		}
 	}
 	hit := NewHitInstance(s, b)
-	hit.reinit(k, lists, loads)
+	hit.reinit(k, lists, loads, nil)
 	for i := 1; i < 2*groups; i++ {
 		wantDup := i%2 == 1 // the second member of each pair duplicates the first
 		if hit.DupOfPrev(i) != wantDup {
@@ -199,7 +197,6 @@ func TestDuplicateCollapse(t *testing.T) {
 
 	want := Exhaustive(hit).Failed
 	seed := Greedy(hit)
-	hit.Reset()
 	dedup, calls := countedRun(hit, seed, NewBudget(0), 1, BoundStatic)
 	if dedup.Failed != want || !dedup.Exact {
 		t.Fatalf("damage: dedup %d exact=%v, exhaustive %d", dedup.Failed, dedup.Exact, want)
@@ -231,7 +228,7 @@ func TestScanLastCut(t *testing.T) {
 	}
 	for _, k := range []int{1, 2} {
 		hit := NewHitInstance(s, b)
-		hit.reinit(k, lists, loads)
+		hit.reinit(k, lists, loads, nil)
 		want := Exhaustive(hit)
 		for _, bound := range []Bound{BoundResidual, BoundStatic} {
 			got, calls := countedRun(hit, Result{}, NewBudget(0), 1, bound)
@@ -249,7 +246,7 @@ func TestScanLastCut(t *testing.T) {
 	// reported, so the reducer can apply the lex tie-break: against a
 	// non-seed incumbent recorded as (5, {9}), the scan's tie {0} wins.
 	hit := NewHitInstance(s, b)
-	hit.reinit(1, lists, loads)
+	hit.reinit(1, lists, loads, nil)
 	ps := newSearchRun(hit, Result{Failed: 5, Sel: []int{9}}, NewBudget(0), 1, BoundStatic)
 	ps.bestIsSeed = false
 	w := ps.peers[0]
@@ -278,13 +275,11 @@ func TestReinitReuse(t *testing.T) {
 				loads[i] += int64(h.C)
 			}
 		}
-		scratch.reinit(k, lists, loads)
+		scratch.reinit(k, lists, loads, nil)
 
 		wantSeed := Greedy(fresh)
-		fresh.Reset()
 		want := BranchAndBound(fresh, wantSeed, NewBudget(0), 1, BoundResidual)
 		gotSeed := Greedy(scratch)
-		scratch.Reset()
 		got := BranchAndBound(scratch, gotSeed, NewBudget(0), 1, BoundResidual)
 		if got.Failed != want.Failed || got.Visited != want.Visited || !reflect.DeepEqual(got.Sel, want.Sel) {
 			t.Errorf("trial %d: reused scratch {failed %d visited %d sel %v} != fresh {failed %d visited %d sel %v}",
@@ -317,11 +312,11 @@ func TestReinitRejectsBadShape(t *testing.T) {
 					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
 				}
 			}()
-			NewHitInstance(1, 2).reinit(tc.k, lists, tc.loads)
+			NewHitInstance(1, 2).reinit(tc.k, lists, tc.loads, nil)
 		})
 	}
 	in := NewHitInstance(1, 2)
-	in.reinit(2, lists, []int64{1, 1}) // k == len: every candidate chosen
+	in.reinit(2, lists, []int64{1, 1}, nil) // k == len: every candidate chosen
 	if res := BranchAndBound(in, Result{}, NewBudget(0), 1, BoundResidual); res.Failed != 2 || !res.Exact {
 		t.Errorf("k = m: got (%d, exact=%v), want (2, exact)", res.Failed, res.Exact)
 	}
@@ -364,7 +359,6 @@ func FuzzBoundEquivalence(f *testing.F) {
 		}
 		ex := Exhaustive(in)
 		seedRes := Greedy(in)
-		in.Reset()
 		static := BranchAndBound(in, seedRes, NewBudget(0), 1, BoundStatic)
 		resid := BranchAndBound(in, seedRes, NewBudget(0), 1, BoundResidual)
 		if static.Failed != ex.Failed || resid.Failed != ex.Failed {

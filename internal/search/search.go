@@ -51,7 +51,7 @@
 //	Marginal_{P+i}(j) <= Marginal_P(j) + ov(i, j) <= gP[j] + maxOv(i)
 //
 // with gP the gains at P and maxOv(i) the largest overlap of run i
-// with a later run (MaxOverlap, a table built once per prepared
+// with a later run (MaxOverlap, a table built once per Assign
 // instance). A candidate whose bound is at most the scan's threshold
 // can neither beat the best gain nor reach the incumbent, so the scan
 // skips its Marginal call, and stops once the suffix maximum of gP puts
@@ -278,25 +278,21 @@ func Exhaustive(in *HitInstance) Result {
 // the set with single-swap local search. The result is a valid attack
 // (a lower bound on the worst case) but not guaranteed optimal. The
 // instance's failure counters must be clean on entry and are left
-// dirty; Reset before reuse. Visited reports the number of
-// marginal-damage evaluations (the unit of greedy work, one per
-// candidate weighed), so ablation tables compare real effort.
+// clean: Greedy removes its picks before it returns. Visited reports
+// the number of marginal-damage evaluations (the unit of greedy work,
+// one per candidate weighed), so ablation tables compare real effort.
 //
-// The marginals come from one gain vector: the clean-state gains at
-// the start (rootGains: a copy of the root vector the instance keeps
-// across moves, or one Gains sweep that becomes it), then patchGains
-// after every Add and Remove, through the inverted index (Greedy
-// prepares the gain-vector machinery for it, which a residual search
-// would build next anyway). A swap that keeps its
-// candidate restores the vector saved before the Remove instead of
-// patching the Add back. Picks, the first-of-equals tie rule and
-// Visited are those of a Marginal call per candidate weighed.
+// The marginals come from one gain vector: a copy of the root vector
+// at the start, then patchGains after every Add and Remove, through
+// the inverted index. A swap that keeps its candidate restores the
+// vector saved before the Remove instead of patching the Add back.
+// Picks, the first-of-equals tie rule and Visited are those of a
+// Marginal call per candidate weighed.
 func Greedy(in *HitInstance) Result {
 	m, k := in.Len(), in.K()
-	in.prepare()
 	in.sc.greedy = slices.Grow(in.sc.greedy[:0], 2*m)[:2*m]
 	g, saved := in.sc.greedy[:m], in.sc.greedy[m:]
-	in.rootGains(g)
+	copy(g, in.root)
 	chosen := make([]bool, m)
 	sel := make([]int, 0, k)
 	failed := 0
@@ -357,6 +353,9 @@ func Greedy(in *HitInstance) Result {
 			}
 			assertGainsFresh(in, sel, g)
 		}
+	}
+	for _, i := range sel {
+		in.Remove(i)
 	}
 	sorted := append([]int(nil), sel...)
 	sort.Ints(sorted)

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -21,6 +22,53 @@ func newCoverInstance(m, k, s int, members [][]int) *HitInstance {
 	in := NewHitInstance(s, len(members))
 	in.Assign(k, raw, nil, nil, true)
 	return in
+}
+
+// TestDriversLeaveInstanceClean pins the one between-search state every
+// driver returns the instance in: after Exhaustive, Greedy, a cold and a
+// warm WarmSeed, and BranchAndBound at 1 and 3 workers, with an
+// unlimited and an exhausted budget, on C = 1, aggregated and weighted
+// instances, every failure counter is 0 and the root gain vector equals
+// a fresh Gains pass, so the next search needs no reset.
+func TestDriversLeaveInstanceClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for _, kind := range []struct {
+		name                string
+		aggregate, weighted bool
+	}{{"C=1", false, false}, {"aggregated", true, false}, {"weighted", false, true}} {
+		for trial := 0; trial < 4; trial++ {
+			in := randomModel(rng, 9, 30, 3, 2, 3, kind.aggregate, kind.weighted).build()
+			check := func(driver string) {
+				t.Helper()
+				tag := fmt.Sprintf("%s trial %d: %s", kind.name, trial, driver)
+				if i := slices.IndexFunc(in.cnt, func(c int32) bool { return c != 0 }); i >= 0 {
+					t.Fatalf("%s left the counter of object %d at %d", tag, i, in.cnt[i])
+				}
+				g := make([]int64, in.Len())
+				in.Gains(g)
+				if !slices.Equal(in.root, g) {
+					t.Fatalf("%s: root gain vector %v, fresh Gains %v", tag, in.root, g)
+				}
+			}
+			ex := Exhaustive(in)
+			check("Exhaustive")
+			Greedy(in)
+			check("Greedy")
+			seed, _ := WarmSeed(in, nil)
+			check("cold WarmSeed")
+			WarmSeed(in, in.Units(slices.Clone(ex.Sel)))
+			check("warm WarmSeed")
+			for _, workers := range []int{1, 3} {
+				for _, limit := range []int64{0, 3} {
+					res := BranchAndBound(in, seed, NewBudget(limit), workers, BoundResidual)
+					if limit > 0 && res.Exact {
+						t.Fatalf("%s trial %d: a budget of %d states left the search exact", kind.name, trial, limit)
+					}
+					check(fmt.Sprintf("BranchAndBound(workers=%d, budget=%d)", workers, limit))
+				}
+			}
+		}
+	}
 }
 
 // bruteForce evaluates every K-subset from scratch, sharing no code with
@@ -122,7 +170,6 @@ func checkDriversAgree(t *testing.T, tag string, m, k, s int, members [][]int, w
 	if greedy.Failed > want {
 		t.Errorf("%s: Greedy %d exceeds optimum %d", tag, greedy.Failed, want)
 	}
-	in.Reset()
 
 	// Both bounds at one and four workers: dedup, the gain-vector
 	// bounds and the parent-gain filter all run on the HitInstance,
@@ -154,7 +201,6 @@ func TestBudgetSemantics(t *testing.T) {
 
 	in := mk()
 	seed := Greedy(in)
-	in.Reset()
 	full := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 	if !full.Exact {
 		t.Fatal("unbounded search not exact")
@@ -163,7 +209,6 @@ func TestBudgetSemantics(t *testing.T) {
 	for _, limit := range []int64{1, 7, 50} {
 		in := mk()
 		seed := Greedy(in)
-		in.Reset()
 		bud := NewBudget(limit)
 		res := BranchAndBound(in, seed, bud, 1, BoundResidual)
 		if res.Exact {

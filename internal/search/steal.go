@@ -155,15 +155,16 @@ type searchRun struct {
 }
 
 // BranchAndBound runs the depth-first search seeded with an incumbent
-// (conventionally search.WarmSeed's, on the same instance after Reset),
+// (conventionally search.WarmSeed's, on the same instance),
 // pruning with the given bound (BoundResidual, the default, or the
 // BoundStatic ablation baseline behind the -bound switch), over workers
 // work-stealing workers (see the top of this file).
 //
-// in is a ready (Reset) instance the caller already built — worker 0
-// searches it on the caller's goroutine, so seeding greedy on it first
-// costs no extra construction; it is returned clean (the applied prefix
-// fully unwound), so callers may reuse it across searches. workers is a
+// in is an instance the caller already built, its counters clean as
+// every driver leaves them — worker 0 searches it on the caller's
+// goroutine, so seeding greedy on it first costs no extra
+// construction; it is returned clean (the applied prefix fully
+// unwound), so callers may reuse it across searches. workers is a
 // resolved count, at least 1; each extra worker searches its own
 // in.Clone().
 //
@@ -181,8 +182,8 @@ func BranchAndBound(in *HitInstance, seed Result, bud *Budget, workers int, boun
 }
 
 // newSearchRun builds a run and its workers: worker 0 on in, the others
-// on its clones. Under the residual bound in is prepared first, so the
-// clones share its inverted index and overlap table.
+// on its clones, which share its inverted index, overlap table and root
+// gain vector.
 func newSearchRun(in *HitInstance, seed Result, bud *Budget, workers int, bound Bound) *searchRun {
 	if workers < 1 {
 		panic(fmt.Sprintf("search: BranchAndBound needs at least one worker, got %d", workers))
@@ -201,9 +202,6 @@ func newSearchRun(in *HitInstance, seed Result, bud *Budget, workers int, bound 
 		bestIsSeed: true,
 	}
 	ps.bestScore.Store(int64(seed.Failed))
-	if bound == BoundResidual {
-		in.prepare()
-	}
 	ps.peers[0] = newStealWorker(ps, 0, in)
 	for id := 1; id < workers; id++ {
 		ps.peers[id] = newStealWorker(ps, id, in.Clone())
@@ -477,9 +475,9 @@ func (w *stealWorker) recycle(buf []int) {
 // Under the residual bound every node with two or more picks left has
 // its gain vector gv[depth]: a task whose node has none current (the
 // root, a stolen task off the worker's path) fills it with one Gains
-// pass — at the root, the clean state, rootGains copies the vector the
-// instance keeps across moves instead — and each descent copies the
-// node's vector and patches it for the chosen child (patchGains), so
+// pass — at the root, the clean state, it copies the instance's root
+// vector instead — and each descent copies the node's vector and
+// patches it for the chosen child (patchGains), so
 // the CSR is swept once per such task instead of once per node. At a
 // node with q+1 picks left, child i has failed + g[i] objects down, and
 // nothing below it reports more than failed + g[i] + q·MaxOverlap(i) +
@@ -500,7 +498,7 @@ func (w *stealWorker) runTask(t task) {
 	prefix, dup, m := w.ps.prefix, w.ps.dup, w.ps.m
 	if d := len(w.cur); w.gv != nil && !w.gvOK[d] {
 		if d == 0 {
-			w.in.rootGains(w.gv[0]) // the clean state: the kept root vector
+			copy(w.gv[0], w.in.root) // the clean state
 		} else {
 			w.in.Gains(w.gv[d])
 		}

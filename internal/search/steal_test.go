@@ -50,7 +50,6 @@ func TestStealMatchesSerial(t *testing.T) {
 			k := 1 + rng.Intn(m-1)
 			in := newCoverInstance(m, k, s, randomMembers(rng, m, r, b))
 			seed := Greedy(in)
-			in.Reset()
 			check(t, trial, in, seed, BoundStatic)
 		}
 	})
@@ -66,7 +65,6 @@ func TestStealMatchesSerial(t *testing.T) {
 			k := 1 + rng.Intn(m-1)
 			in, _ := randomHitInstance(rng, m, r, b, s, k, maxC)
 			seed := Greedy(in)
-			in.Reset()
 			check(t, trial, in, seed, BoundResidual)
 		}
 	})
@@ -84,7 +82,6 @@ func TestStealMatchesSerial(t *testing.T) {
 			}
 			in, _ := randWeightedInstance(rng, m, b, k, s, w)
 			seed := Greedy(in)
-			in.Reset()
 			check(t, trial, in, seed, BoundResidual)
 		}
 	})
@@ -98,7 +95,6 @@ func TestStealMatchesSerial(t *testing.T) {
 			// the lex-first selection is a weak seed the search must
 			// overtake, moving the incumbent mid-run.
 			seed := Greedy(in)
-			in.Reset()
 			check(t, trial, in, seed, bound)
 			weak := make([]int, in.K())
 			for i := range weak {
@@ -116,7 +112,6 @@ func TestStealMatchesSerial(t *testing.T) {
 			in := flatInstance(rng, m, b, 2, k, trial%2 == 1)
 			bound := []Bound{BoundResidual, BoundStatic}[trial/2%2]
 			seed := Greedy(in)
-			in.Reset()
 			check(t, trial, in, seed, bound)
 			weak := make([]int, k)
 			for i := range weak {
@@ -133,7 +128,6 @@ func TestStealMatchesSerial(t *testing.T) {
 			k := 4 + rng.Intn(2)
 			in := flatInstance(rng, m, b, 2, k, trial%2 == 1)
 			seed := Greedy(in)
-			in.Reset()
 			check(t, 120+trial, in, seed, BoundResidual)
 			ref := BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 			if _, got := stolenRun(in, seed, BoundResidual); !reflect.DeepEqual(got, ref) {
@@ -195,7 +189,6 @@ func TestStealLeaseAccounting(t *testing.T) {
 	// identical at any worker count.
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
-	in.Reset()
 	exact := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 
 	// Every run leaves in clean, so each one searches it afresh.
@@ -252,7 +245,6 @@ func TestStealStress(t *testing.T) {
 
 	in := newCoverInstance(m, k, s, members)
 	seed := Greedy(in)
-	in.Reset()
 	exact := BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 
 	const workers = 32 // far more than cores: steal scans and idle spins collide constantly

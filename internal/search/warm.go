@@ -33,8 +33,8 @@ import (
 // is set (a later ApplyMove may load any unit), otherwise only as many
 // as k needs. The instance remembers which unit sits at which position
 // (Units, Pos) and keeps that current across moves. Like reinit it
-// expects clean counters and panics unless 0 <= k <= len(ids); in
-// steady state it allocates nothing.
+// builds every table a search reads, expects clean counters and panics
+// unless 0 <= k <= len(ids); in steady state it allocates nothing.
 func (in *HitInstance) Assign(k int, byID [][]Hit, w []int64, ids []int, keepIdle bool) {
 	in.ids = in.ids[:0]
 	if ids == nil {
@@ -70,8 +70,8 @@ func (in *HitInstance) Assign(k int, byID [][]Hit, w []int64, ids []int, keepIdl
 		sc.lists = append(sc.lists, byID[u])
 		sc.listLoads = append(sc.listLoads, sc.unitLoads[u])
 	}
-	in.reinit(k, sc.lists, sc.listLoads)
-	in.setWeights(w)
+	in.reinit(k, sc.lists, sc.listLoads, w)
+	in.assertInvariants("Assign")
 }
 
 // Units maps a selection of candidate positions to unit ids in place
@@ -123,7 +123,6 @@ func CanonicalOrder[L ~int | ~int64](ids []int, loads []L) {
 // start. in is left clean.
 func WarmSeed(in *HitInstance, prev []int) (seed Result, warm bool) {
 	seed = Greedy(in)
-	in.Reset()
 	if prev == nil {
 		return seed, false
 	}

@@ -3,6 +3,7 @@ package search
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -49,8 +50,7 @@ func randWeightedInstance(rng *rand.Rand, m, numObjects, k, s int, w []int64) (*
 		loads[i] = wload(raw[c])
 	}
 	in := NewHitInstance(s, numObjects)
-	in.reinit(k, lists, loads)
-	in.setWeights(w)
+	in.reinit(k, lists, loads, w)
 	return in, lists
 }
 
@@ -123,7 +123,6 @@ func TestWeightedDifferential(t *testing.T) {
 			t.Fatalf("trial %d: Exhaustive weighted damage %d, oracle %d", trial, ex.Failed, want)
 		}
 		gr := Greedy(in)
-		in.Reset()
 		if gr.Failed > want {
 			t.Fatalf("trial %d: Greedy weighted damage %d exceeds oracle %d", trial, gr.Failed, want)
 		}
@@ -131,10 +130,8 @@ func TestWeightedDifferential(t *testing.T) {
 		if !res.Exact || res.Failed != want {
 			t.Fatalf("trial %d: residual B&B %+v, oracle %d", trial, res, want)
 		}
-		in.reinit(k, lists, loadsOf(in))
-		in.setWeights(w)
+		in.reinit(k, lists, loadsOf(in), w)
 		gr2 := Greedy(in)
-		in.Reset()
 		stat := BranchAndBound(in, gr2, NewBudget(0), 1, BoundStatic)
 		if !stat.Exact || stat.Failed != want {
 			t.Fatalf("trial %d: static B&B %+v, oracle %d", trial, stat, want)
@@ -185,15 +182,13 @@ func TestUnitWeightsByteIdentical(t *testing.T) {
 		}
 		runs := []run{
 			{"exhaustive", func(in *HitInstance) Result { return Exhaustive(in) }},
-			{"greedy", func(in *HitInstance) Result { r := Greedy(in); in.Reset(); return r }},
+			{"greedy", func(in *HitInstance) Result { return Greedy(in) }},
 			{"bnb-residual", func(in *HitInstance) Result {
 				seed := Greedy(in)
-				in.Reset()
 				return BranchAndBound(in, seed, NewBudget(0), 1, BoundResidual)
 			}},
 			{"bnb-static", func(in *HitInstance) Result {
 				seed := Greedy(in)
-				in.Reset()
 				return BranchAndBound(in, seed, NewBudget(0), 1, BoundStatic)
 			}},
 		}
@@ -217,29 +212,27 @@ func TestUnitWeightsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSetWeightsContract pins the misuse guards: weight vectors must
-// match the object count and precede the residual preparation, and
-// reinit reverts to unit weights.
-func TestSetWeightsContract(t *testing.T) {
+// TestReinitWeightsContract pins reinit's weights contract: a weight
+// vector must match the object count (the panic names both numbers),
+// the root gain vector reinit builds is weighted, and a reinit without
+// weights reverts to unit weights.
+func TestReinitWeightsContract(t *testing.T) {
 	in := NewHitInstance(1, 3)
-	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
-	mustPanic := func(name string, f func()) {
+	lists := [][]Hit{{{Obj: 0, C: 1}}}
+	func() {
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+			if msg, _ := recover().(string); !strings.Contains(msg, "1 object weights for 3 objects") {
+				t.Errorf("short weights: panic %q, want one naming both counts", msg)
 			}
 		}()
-		f()
+		in.reinit(1, lists, []int64{1}, []int64{1})
+	}()
+	in.reinit(1, lists, []int64{5}, []int64{5, 1, 1})
+	if got := in.Marginal(0); got != 5 || in.root[0] != 5 {
+		t.Errorf("weighted Marginal = %d, root gain %d, want 5 and 5", got, in.root[0])
 	}
-	mustPanic("short weights", func() { in.setWeights([]int64{1}) })
-	in.setWeights([]int64{5, 1, 1})
-	if got := in.Marginal(0); got != 5 {
-		t.Errorf("weighted Marginal = %d, want 5", got)
-	}
-	in.prepare()
-	mustPanic("setWeights after prepare", func() { in.setWeights([]int64{1, 1, 1}) })
-	in.reinit(1, [][]Hit{{{Obj: 0, C: 1}}}, []int64{1})
-	if got := in.Marginal(0); got != 1 {
-		t.Errorf("reinit did not revert to unit weights: Marginal = %d", got)
+	in.reinit(1, lists, []int64{1}, nil)
+	if got := in.Marginal(0); got != 1 || in.root[0] != 1 {
+		t.Errorf("reinit did not revert to unit weights: Marginal = %d, root gain %d", got, in.root[0])
 	}
 }
