@@ -128,21 +128,8 @@ func applyCapsSpec(topo *topology.Topology, spec string) error {
 		if err != nil || c < 1 {
 			return fmt.Errorf("caps: bad cap in %q (want an integer >= 1)", tok)
 		}
-		found := false
-		for level := range topo.Tree {
-			for di := range topo.Tree[level] {
-				if topo.Tree[level][di].Name != name {
-					continue
-				}
-				if found {
-					return fmt.Errorf("caps: domain name %q is ambiguous across levels", name)
-				}
-				topo.Tree[level][di].Cap = c
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("caps: no domain named %q", name)
+		if err := topo.SetCap(name, c); err != nil {
+			return fmt.Errorf("caps: %w", err)
 		}
 	}
 	return nil

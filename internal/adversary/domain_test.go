@@ -1,7 +1,10 @@
 package adversary
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/combin"
@@ -353,5 +356,76 @@ func TestDomainVsNodeAdversary(t *testing.T) {
 	if dom.Failed > many.Failed {
 		t.Errorf("constrained rack attack %d beats free %d-node attack %d",
 			dom.Failed, nodesCovered, many.Failed)
+	}
+}
+
+// TestSharedTopologyConcurrentEngines runs the zone-level adversary, the
+// spread pass and CheckCaps concurrently on one topology. Each validates
+// the topology it is handed; validation indexes the tree once and then
+// only reads it, so the race detector stays quiet and every concurrent
+// result equals the serial one.
+func TestSharedTopologyConcurrentEngines(t *testing.T) {
+	topo, err := topology.UniformHierarchy(12, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _, _, err := placement.BuildDefaultCombo(12, 3, 2, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := [][]int{{-1, -1}, {9, 9, 9, 9}}
+	run := func() (DomainResult, []int, []int, error) {
+		res, err := DomainWorstCaseAtWith(pl, topo, 0, 2, 1, SearchOpts{})
+		if err != nil {
+			return res, nil, nil, err
+		}
+		_, mapping, err := placement.SpreadAcrossDomainsWith(pl, topo, 2, 1, placement.SpreadOpts{})
+		if err != nil {
+			return res, nil, nil, err
+		}
+		assign, _, err := placement.CheckCaps(topo, pl.NodeLoads(), caps)
+		return res, mapping, assign, err
+	}
+	wantRes, wantMap, wantAssign, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*rounds)
+	for i := 0; i < rounds; i++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			res, err := DomainWorstCaseAtWith(pl, topo, 0, 2, 1, SearchOpts{})
+			if err == nil && res.Failed != wantRes.Failed {
+				err = fmt.Errorf("zone adversary failed %d, serial %d", res.Failed, wantRes.Failed)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			_, mapping, err := placement.SpreadAcrossDomainsWith(pl, topo, 2, 1, placement.SpreadOpts{})
+			if err == nil && !slices.Equal(mapping, wantMap) {
+				err = fmt.Errorf("spread mapped %v, serial %v", mapping, wantMap)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			assign, _, err := placement.CheckCaps(topo, pl.NodeLoads(), caps)
+			if err == nil && !slices.Equal(assign, wantAssign) {
+				err = fmt.Errorf("CheckCaps assigned %v, serial %v", assign, wantAssign)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -77,7 +77,6 @@ type Cluster struct {
 	units   []placement.Unit
 	lambdas []int     // current λ_x
 	pools   [][][]int // free replica sets per x
-	specErr error
 
 	// Random strategy state.
 	loadCap int

@@ -1,6 +1,6 @@
 // Package combin provides the combinatorial substrate used throughout the
 // repository: exact and log-space binomial coefficients, numerically stable
-// binomial tail probabilities, k-subset enumeration and (un)ranking, and
+// binomial tail probabilities, lexicographic k-subset enumeration, and
 // dense bitsets with fast intersection counting.
 //
 // Every quantity in the paper's analysis (capacities of t-packings,
@@ -125,35 +125,6 @@ func LogBinomial(n, k int) float64 {
 	return a - b - c
 }
 
-// Multinomial returns n! / (k1! k2! ... km!) for the parts ks, which must
-// sum to n. It returns ErrOverflow if the value exceeds int64.
-func Multinomial(n int, ks ...int) (int64, error) {
-	sum := 0
-	for _, k := range ks {
-		if k < 0 {
-			return 0, errors.New("combin: negative part")
-		}
-		sum += k
-	}
-	if sum != n {
-		return 0, errors.New("combin: parts do not sum to n")
-	}
-	var result int64 = 1
-	remaining := n
-	for _, k := range ks {
-		c, err := Binomial(remaining, k)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 && result > math.MaxInt64/c {
-			return 0, ErrOverflow
-		}
-		result *= c
-		remaining -= k
-	}
-	return result, nil
-}
-
 func gcd64(a, b int64) int64 {
 	if a < 0 {
 		a = -a
@@ -168,46 +139,6 @@ func gcd64(a, b int64) int64 {
 		return 1
 	}
 	return a
-}
-
-// GCD returns the greatest common divisor of a and b, with GCD(0, 0) = 0.
-func GCD(a, b int) int {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// LCM returns the least common multiple of a and b, with LCM(x, 0) = 0.
-// It returns ErrOverflow if the value exceeds int64 range when computed
-// in int; parameters are expected to be small multiplicities.
-func LCM(a, b int) (int, error) {
-	if a == 0 || b == 0 {
-		return 0, nil
-	}
-	g := GCD(a, b)
-	q := a / g
-	if q != 0 && abs(b) > math.MaxInt/abs(q) {
-		return 0, ErrOverflow
-	}
-	l := q * b
-	if l < 0 {
-		l = -l
-	}
-	return l, nil
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // CeilDiv returns ceil(a / b) for b > 0.

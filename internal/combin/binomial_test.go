@@ -126,46 +126,6 @@ func TestLogBinomialOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMultinomial(t *testing.T) {
-	got, err := Multinomial(10, 3, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4200 {
-		t.Errorf("Multinomial(10; 3,3,4) = %d, want 4200", got)
-	}
-	if _, err := Multinomial(9, 3, 3, 4); err == nil {
-		t.Error("Multinomial with mismatched sum: want error")
-	}
-	if _, err := Multinomial(2, 3, -1); err == nil {
-		t.Error("Multinomial with negative part: want error")
-	}
-}
-
-func TestGCDLCM(t *testing.T) {
-	tests := []struct {
-		a, b, gcd, lcm int
-	}{
-		{12, 18, 6, 36},
-		{7, 13, 1, 91},
-		{0, 5, 5, 0},
-		{0, 0, 0, 0},
-		{-4, 6, 2, 12},
-	}
-	for _, tt := range tests {
-		if g := GCD(tt.a, tt.b); g != tt.gcd {
-			t.Errorf("GCD(%d, %d) = %d, want %d", tt.a, tt.b, g, tt.gcd)
-		}
-		l, err := LCM(tt.a, tt.b)
-		if err != nil {
-			t.Fatalf("LCM(%d, %d): %v", tt.a, tt.b, err)
-		}
-		if l != tt.lcm {
-			t.Errorf("LCM(%d, %d) = %d, want %d", tt.a, tt.b, l, tt.lcm)
-		}
-	}
-}
-
 func TestCeilFloorDiv(t *testing.T) {
 	tests := []struct {
 		a, b, ceil, floor int64

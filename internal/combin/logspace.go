@@ -16,24 +16,6 @@ func LogSumExp(a, b float64) float64 {
 	return a + math.Log1p(math.Exp(b-a))
 }
 
-// LogSumExpSlice returns ln(sum exp(xs[i])) computed stably.
-func LogSumExpSlice(xs []float64) float64 {
-	maxVal := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxVal {
-			maxVal = x
-		}
-	}
-	if math.IsInf(maxVal, -1) {
-		return maxVal
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Exp(x - maxVal)
-	}
-	return maxVal + math.Log(sum)
-}
-
 // LogBinomPMF returns ln P(X = x) for X ~ Binomial(n, p), where the success
 // probability is supplied in log space as logP = ln p and log1mP = ln(1-p).
 // Supplying both logs avoids catastrophic cancellation when p is extreme.

@@ -43,18 +43,6 @@ func TestLogSumExpCommutative(t *testing.T) {
 	}
 }
 
-func TestLogSumExpSlice(t *testing.T) {
-	xs := []float64{math.Log(1), math.Log(2), math.Log(3), math.Log(4)}
-	got := LogSumExpSlice(xs)
-	want := math.Log(10)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("LogSumExpSlice = %g, want %g", got, want)
-	}
-	if !math.IsInf(LogSumExpSlice(nil), -1) {
-		t.Error("LogSumExpSlice(nil): want -Inf")
-	}
-}
-
 // directBinomTail computes P(X >= f) by direct summation in linear space,
 // usable for small n as a reference implementation.
 func directBinomTail(n, f int, p float64) float64 {

@@ -53,79 +53,3 @@ func ForEachSubset(n, k int, fn func(s []int) bool) {
 		}
 	}
 }
-
-// SubsetRank returns the lexicographic rank (0-based) of the strictly
-// increasing k-subset s of {0, ..., n-1}.
-func SubsetRank(n int, s []int) int64 {
-	k := len(s)
-	var rank int64
-	prev := -1
-	for i, si := range s {
-		for v := prev + 1; v < si; v++ {
-			rank += Choose(n-v-1, k-i-1)
-		}
-		prev = si
-	}
-	return rank
-}
-
-// SubsetUnrank fills dst with the k-subset of {0, ..., n-1} that has the
-// given lexicographic rank, where k = len(dst). It reports false if rank is
-// out of range.
-func SubsetUnrank(n int, rank int64, dst []int) bool {
-	k := len(dst)
-	total := Choose(n, k)
-	if rank < 0 || rank >= total {
-		return false
-	}
-	v := 0
-	for i := 0; i < k; i++ {
-		for {
-			c := Choose(n-v-1, k-i-1)
-			if rank < c {
-				dst[i] = v
-				v++
-				break
-			}
-			rank -= c
-			v++
-		}
-	}
-	return true
-}
-
-// Permutations invokes fn for every permutation of {0, ..., n-1} using
-// Heap's algorithm. The slice passed to fn is reused between calls.
-// Iteration stops early if fn returns false.
-func Permutations(n int, fn func(p []int) bool) {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	if n == 0 {
-		fn(p)
-		return
-	}
-	c := make([]int, n)
-	if !fn(p) {
-		return
-	}
-	i := 0
-	for i < n {
-		if c[i] < i {
-			if i%2 == 0 {
-				p[0], p[i] = p[i], p[0]
-			} else {
-				p[c[i]], p[i] = p[i], p[c[i]]
-			}
-			if !fn(p) {
-				return
-			}
-			c[i]++
-			i = 0
-		} else {
-			c[i] = 0
-			i++
-		}
-	}
-}

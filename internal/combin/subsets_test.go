@@ -3,11 +3,13 @@ package combin
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
+// TestForEachSubsetCountsAndOrder checks that ForEachSubset visits all
+// C(n, k) subsets in strictly increasing lex order: the constrained
+// engine's lex-rank tie rule rests on that order.
 func TestForEachSubsetCountsAndOrder(t *testing.T) {
-	for n := 0; n <= 10; n++ {
+	for n := 0; n <= 12; n++ {
 		for k := 0; k <= n; k++ {
 			var count int64
 			var prev []int
@@ -66,19 +68,19 @@ func TestForEachSubsetInvalidK(t *testing.T) {
 	}
 }
 
+// TestSubsetRankUnrankRoundTrip checks that the i-th subset ForEachSubset
+// visits is the subset of lex rank i, against an independent
+// combinatorial-number-system rank and unrank: the constrained engine
+// counts visits as lex ranks for its tie rule.
 func TestSubsetRankUnrankRoundTrip(t *testing.T) {
 	n, k := 12, 4
 	var rank int64
 	ForEachSubset(n, k, func(s []int) bool {
-		if got := SubsetRank(n, s); got != rank {
-			t.Fatalf("SubsetRank(%v) = %d, want %d", s, got, rank)
+		if got := lexRank(n, s); got != rank {
+			t.Fatalf("lexRank(%v) = %d, want %d", s, got, rank)
 		}
-		dst := make([]int, k)
-		if !SubsetUnrank(n, rank, dst) {
-			t.Fatalf("SubsetUnrank(%d) failed", rank)
-		}
-		if !reflect.DeepEqual(dst, s) {
-			t.Fatalf("SubsetUnrank(%d) = %v, want %v", rank, dst, s)
+		if dst := lexUnrank(n, k, rank); !reflect.DeepEqual(dst, s) {
+			t.Fatalf("lexUnrank(%d) = %v, want %v", rank, dst, s)
 		}
 		rank++
 		return true
@@ -88,34 +90,39 @@ func TestSubsetRankUnrankRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSubsetUnrankOutOfRange(t *testing.T) {
-	dst := make([]int, 3)
-	if SubsetUnrank(5, -1, dst) {
-		t.Error("SubsetUnrank with negative rank should fail")
+// lexRank is the lex rank of the increasing k-subset s of {0, ..., n-1}:
+// for each position, count the subsets that agree on the prefix and put a
+// smaller element there.
+func lexRank(n int, s []int) int64 {
+	k := len(s)
+	var r int64
+	lo := 0
+	for i, x := range s {
+		for v := lo; v < x; v++ {
+			r += Choose(n-1-v, k-1-i)
+		}
+		lo = x + 1
 	}
-	if SubsetUnrank(5, Choose(5, 3), dst) {
-		t.Error("SubsetUnrank past the last rank should fail")
-	}
+	return r
 }
 
-func TestSubsetRankUnrankProperty(t *testing.T) {
-	f := func(seed uint32) bool {
-		n := 5 + int(seed%20)
-		k := 1 + int(seed/20)%5
-		if k > n {
-			k = n
+// lexUnrank is the inverse of lexRank.
+func lexUnrank(n, k int, r int64) []int {
+	dst := make([]int, 0, k)
+	v := 0
+	for i := 0; i < k; i++ {
+		for {
+			c := Choose(n-1-v, k-1-i)
+			if r < c {
+				break
+			}
+			r -= c
+			v++
 		}
-		total := Choose(n, k)
-		rank := int64(seed) % total
-		dst := make([]int, k)
-		if !SubsetUnrank(n, rank, dst) {
-			return false
-		}
-		return SubsetRank(n, dst) == rank
+		dst = append(dst, v)
+		v++
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	return dst
 }
 
 func TestFirstNextSubset(t *testing.T) {
@@ -133,39 +140,5 @@ func TestFirstNextSubset(t *testing.T) {
 	}
 	if FirstSubset(2, make([]int, 3)) {
 		t.Error("FirstSubset(2, len 3) should fail")
-	}
-}
-
-func TestPermutationsCount(t *testing.T) {
-	want := []int64{1, 1, 2, 6, 24, 120, 720}
-	for n := 0; n <= 6; n++ {
-		seen := make(map[string]bool)
-		count := 0
-		Permutations(n, func(p []int) bool {
-			count++
-			key := ""
-			for _, v := range p {
-				key += string(rune('a' + v))
-			}
-			seen[key] = true
-			return true
-		})
-		if int64(count) != want[n] {
-			t.Errorf("Permutations(%d): %d calls, want %d", n, count, want[n])
-		}
-		if int64(len(seen)) != want[n] {
-			t.Errorf("Permutations(%d): %d distinct, want %d", n, len(seen), want[n])
-		}
-	}
-}
-
-func TestPermutationsEarlyStop(t *testing.T) {
-	count := 0
-	Permutations(5, func(p []int) bool {
-		count++
-		return count < 7
-	})
-	if count != 7 {
-		t.Errorf("early stop after %d permutations, want 7", count)
 	}
 }

@@ -244,8 +244,9 @@ type Controller struct {
 	inv invariantState
 }
 
-// New builds a controller owning pl (a private clone is taken) and
-// journals the initial checkpoint.
+// New builds a controller owning private copies of pl and cfg.Topo (the
+// topology rebuilt from its spec, as Load rebuilds it) and journals the
+// initial checkpoint.
 func New(pl *placement.Placement, cfg Config) (*Controller, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("controller: Config.Topo is required")
@@ -262,19 +263,29 @@ func New(pl *placement.Placement, cfg Config) (*Controller, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Topo.N != pl.N {
-		return nil, fmt.Errorf("controller: topology covers %d nodes, placement has %d", cfg.Topo.N, pl.N)
+	if err := cfg.Topo.Validate(); err != nil {
+		return nil, err
 	}
-	level, err := cfg.Topo.ResolveLevel(cfg.Level)
+	// The controller's own topology comes through the spec, as Load's
+	// does: mutations never write the caller's, and a reload numbers
+	// the domains the same way.
+	topo, err := topology.ParseSpec(cfg.Topo.N, cfg.Topo.Spec())
 	if err != nil {
 		return nil, err
 	}
-	sess, err := adversary.NewDomainSession(pl, cfg.Topo, level, cfg.S, cfg.DFail, cfg.Opts.Search)
+	if topo.N != pl.N {
+		return nil, fmt.Errorf("controller: topology covers %d nodes, placement has %d", topo.N, pl.N)
+	}
+	level, err := topo.ResolveLevel(cfg.Level)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := adversary.NewDomainSession(pl, topo, level, cfg.S, cfg.DFail, cfg.Opts.Search)
 	if err != nil {
 		return nil, err
 	}
 	c := &Controller{
-		topo:     cfg.Topo,
+		topo:     topo,
 		level:    level,
 		s:        cfg.S,
 		dfail:    cfg.DFail,
@@ -473,7 +484,7 @@ func (c *Controller) Recover() (*StepReport, error) {
 
 // applyMutation folds one mutation into the cluster model. It fails —
 // leaving every piece of state untouched — on out-of-range nodes or
-// unknown domains.
+// unknown or ambiguous domains.
 func (c *Controller) applyMutation(mut Mutation) error {
 	checkNode := func(nd int) error {
 		if nd < 0 || nd >= c.pl.N {
@@ -512,17 +523,8 @@ func (c *Controller) applyMutation(mut Mutation) error {
 		}
 		c.topo.Weights[mut.Node] = mut.Weight
 	case MutCap:
-		found := false
-		for l := range c.topo.Tree {
-			for d := range c.topo.Tree[l] {
-				if c.topo.Tree[l][d].Name == mut.Domain {
-					c.topo.Tree[l][d].Cap = mut.Cap
-					found = true
-				}
-			}
-		}
-		if !found {
-			return fmt.Errorf("controller: no domain named %q at any level", mut.Domain)
+		if err := c.topo.SetCap(mut.Domain, mut.Cap); err != nil {
+			return fmt.Errorf("controller: %w", err)
 		}
 	default:
 		return fmt.Errorf("controller: unknown mutation kind %q", mut.Kind)

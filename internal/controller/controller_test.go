@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -454,6 +455,113 @@ func TestControllerMutationErrors(t *testing.T) {
 	}
 	if got := c.Applied(); got != 0 {
 		t.Fatalf("failed mutations consumed stream position: applied = %d", got)
+	}
+}
+
+// TestControllerAmbiguousCapRejected: a cap naming a domain at two
+// levels fails, and the controller state is left untouched.
+func TestControllerAmbiguousCapRejected(t *testing.T) {
+	topo, err := topology.ParseSpec(8, "x@x:0-1;y@x:2-3;r2@z:4-5;r3@z:6-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := ringPlacement(t, 8, 3, 12)
+	c, err := New(pl, Config{
+		Topo: topo, Level: topology.Leaf, S: 2, DFail: 1, MaxMoves: 2,
+		Actuator: NewMemActuator(pl), Opts: testOpts(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Checkpoint()
+	if _, err := c.Apply(Mutation{Kind: MutCap, Domain: "x", Cap: 3}); err == nil {
+		t.Fatal("cap on a name used at two levels accepted")
+	}
+	if after := c.Checkpoint(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected cap changed the state:\n%+v\nwant\n%+v", after, before)
+	}
+}
+
+// TestNewLeavesCallerTopology: mutations change the controller's own
+// topology, never the one its caller handed to New.
+func TestNewLeavesCallerTopology(t *testing.T) {
+	topo, err := topology.Uniform(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := topo.Spec()
+	pl := ringPlacement(t, 8, 3, 12)
+	c, err := New(pl, Config{
+		Topo: topo, Level: topology.Leaf, S: 2, DFail: 1, MaxMoves: 2,
+		Actuator: NewMemActuator(pl), Opts: testOpts(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Mutation{{Kind: MutWeight, Node: 3, Weight: 5}, {Kind: MutCap, Domain: "rack1", Cap: 5}} {
+		if _, err := c.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := topo.Spec(); got != want || topo.Weights != nil {
+		t.Fatalf("caller's topology became %q (weights %v), want %q", got, topo.Weights, want)
+	}
+}
+
+// TestNewMatchesLoadDomainOrder: on a tree whose first leaf sits under
+// its second zone, the spec round trip renumbers the zones. New takes
+// its topology through the spec as Load does, so a controller and its
+// reload from the initial checkpoint report identical steps.
+func TestNewMatchesLoadDomainOrder(t *testing.T) {
+	leaf := func(name string, zone int, nodes ...int) topology.Domain {
+		return topology.Domain{Name: name, Parent: zone, Nodes: nodes}
+	}
+	topo, err := topology.NewTree(8, [][]topology.Domain{
+		{{Name: "za", Parent: -1}, {Name: "zb", Parent: -1}},
+		{leaf("r0", 1, 0, 1), leaf("r1", 0, 2, 3), leaf("r2", 1, 4, 5), leaf("r3", 0, 6, 7)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := ringPlacement(t, 8, 3, 12)
+	dir := t.TempDir()
+	direct, err := New(pl, Config{
+		Topo: topo, Level: 0, S: 2, DFail: 1, MaxMoves: 2,
+		Actuator: NewMemActuator(pl), Journal: filepath.Join(dir, "a.json"), Opts: testOpts(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := direct.Checkpoint().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "b.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := Load(filepath.Join(dir, "b.json"), NewMemActuator(pl), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := []Mutation{
+		{Kind: MutDrain, Node: 0},
+		{Kind: MutCap, Domain: "zb", Cap: 16},
+		{Kind: MutDrain, Node: 6},
+		{Kind: MutCap, Domain: "r1", Cap: 5},
+		{Kind: MutRestore, Node: 0},
+	}
+	for _, m := range script {
+		want, err := direct.Apply(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reloaded.Apply(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: reloaded step %+v, direct %+v", m, got, want)
+		}
 	}
 }
 

@@ -30,7 +30,8 @@ const (
 	// first — but the availability invariant stays in object counts.
 	MutWeight MutationKind = "weight"
 	// MutCap changes a named domain's replica cap at any tree level
-	// (0 lifts the cap). A tightened cap makes the controller shed
+	// (0 lifts the cap); a name used at two levels is rejected, as
+	// topology.SetCap rejects it. A tightened cap makes the controller shed
 	// replicas from the over-cap subtree, never-degrade permitting.
 	MutCap MutationKind = "cap"
 )

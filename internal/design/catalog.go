@@ -131,18 +131,6 @@ func BuildSteiner(t, v, k int) (*Packing, error) {
 	}
 }
 
-// KnownSteinerOrders returns, in increasing order, all orders v in
-// [minV, maxV] for which a t-(v, k, 1) system is known to exist.
-func KnownSteinerOrders(t, k, minV, maxV int) []int {
-	var out []int
-	for v := minV; v <= maxV; v++ {
-		if SteinerExists(t, v, k) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // BestKnownOrder returns the largest v <= maxV for which a t-(v, k, 1)
 // system is known to exist.
 func BestKnownOrder(t, k, maxV int) (int, bool) {

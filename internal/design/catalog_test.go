@@ -1,6 +1,7 @@
 package design
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -172,16 +173,17 @@ func TestBestConstructibleOrder(t *testing.T) {
 	}
 }
 
+// TestKnownSteinerOrders checks the STS spectrum v ≡ 1, 3 (mod 6)
+// through SteinerExists over 7..22.
 func TestKnownSteinerOrders(t *testing.T) {
-	got := KnownSteinerOrders(2, 3, 7, 22)
-	want := []int{7, 9, 13, 15, 19, 21}
-	if len(got) != len(want) {
-		t.Fatalf("KnownSteinerOrders = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("KnownSteinerOrders = %v, want %v", got, want)
+	var got []int
+	for v := 7; v <= 22; v++ {
+		if SteinerExists(2, v, 3) {
+			got = append(got, v)
 		}
+	}
+	if want := []int{7, 9, 13, 15, 19, 21}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("STS orders in 7..22 = %v, want %v", got, want)
 	}
 }
 

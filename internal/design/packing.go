@@ -31,17 +31,6 @@ type Packing struct {
 	Blocks [][]int // the blocks
 }
 
-// Clone returns a deep copy of p.
-func (p *Packing) Clone() *Packing {
-	blocks := make([][]int, len(p.Blocks))
-	for i, b := range p.Blocks {
-		nb := make([]int, len(b))
-		copy(nb, b)
-		blocks[i] = nb
-	}
-	return &Packing{V: p.V, K: p.K, T: p.T, Lambda: p.Lambda, Blocks: blocks}
-}
-
 // MaxBlocks returns the packing bound of Lemma 1:
 // floor(Lambda * C(V, T) / C(K, T)), the largest number of blocks any
 // t-(V, K, Lambda) packing can have.
@@ -208,18 +197,4 @@ func decodeSubsetKey(key uint64, t int) []int {
 func sortBlock(b []int) []int {
 	sort.Ints(b)
 	return b
-}
-
-// relabel returns a copy of the packing with points renamed by perm
-// (point i becomes perm[i]) and blocks re-sorted. It is used by tests to
-// check isomorphism-invariance of the validators.
-func (p *Packing) relabel(perm []int) *Packing {
-	out := p.Clone()
-	for _, b := range out.Blocks {
-		for i := range b {
-			b[i] = perm[b[i]]
-		}
-		sortBlock(b)
-	}
-	return out
 }

@@ -151,3 +151,28 @@ func TestEncodeDecodeSubsetKey(t *testing.T) {
 		}
 	}
 }
+
+// Clone returns a deep copy of p.
+func (p *Packing) Clone() *Packing {
+	blocks := make([][]int, len(p.Blocks))
+	for i, b := range p.Blocks {
+		nb := make([]int, len(b))
+		copy(nb, b)
+		blocks[i] = nb
+	}
+	return &Packing{V: p.V, K: p.K, T: p.T, Lambda: p.Lambda, Blocks: blocks}
+}
+
+// relabel returns a copy of the packing with points renamed by perm
+// (point i becomes perm[i]) and blocks re-sorted, for checking that the
+// validators are invariant under isomorphism.
+func (p *Packing) relabel(perm []int) *Packing {
+	out := p.Clone()
+	for _, b := range out.Blocks {
+		for i := range b {
+			b[i] = perm[b[i]]
+		}
+		sortBlock(b)
+	}
+	return out
+}

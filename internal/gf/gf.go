@@ -134,17 +134,6 @@ func (f *Field) Pow(a int, e int) int {
 	return f.exp[idx]
 }
 
-// Generator returns a generator of the multiplicative group.
-func (f *Field) Generator() int { return f.gen }
-
-// Element validates that a names an element of the field.
-func (f *Field) Element(a int) error {
-	if a < 0 || a >= f.Q {
-		return fmt.Errorf("gf: %d out of range for GF(%d)", a, f.Q)
-	}
-	return nil
-}
-
 // buildTables finds a multiplicative generator and fills the exp/log
 // tables. Multiplication during table construction uses polynomial
 // arithmetic directly.

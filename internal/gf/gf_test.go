@@ -155,7 +155,7 @@ func TestGeneratorOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%d): %v", q, err)
 		}
-		g := f.Generator()
+		g := f.gen
 		seen := make(map[int]bool, q-1)
 		cur := 1
 		for i := 0; i < q-1; i++ {
@@ -211,22 +211,6 @@ func TestPowEdgeCases(t *testing.T) {
 		}
 	}()
 	f.Pow(2, -1)
-}
-
-func TestElementValidation(t *testing.T) {
-	f, err := New(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Element(6); err != nil {
-		t.Errorf("Element(6): %v", err)
-	}
-	if err := f.Element(7); err == nil {
-		t.Error("Element(7): want error")
-	}
-	if err := f.Element(-1); err == nil {
-		t.Error("Element(-1): want error")
-	}
 }
 
 func TestFrobeniusIsAdditive(t *testing.T) {

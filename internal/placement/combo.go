@@ -113,128 +113,32 @@ func failedFloor(mult, failNum, failDen, overflowValue int64) int64 {
 // placing b objects under k failures, via the dynamic program of
 // Sec. III-B1 (Eqns. 5–7). units must supply one Unit per x in 0..s-1.
 // It returns the optimal spec together with lbav(s-1, b), which is always
-// >= 0 (the DP's base case clamps at zero).
+// >= 0 (the DP's base case clamps at zero, and every layer can take
+// d = 0).
 //
 // The DP runs in O(s·b·d_max) time where d_max is the largest multiple of
 // μ_x needed to cover b alone — O(s·b) treating capacities as constants,
 // as the paper states.
 func OptimizeCombo(b, k, s int, units []Unit) (ComboSpec, int64, error) {
-	if s < 1 {
-		return ComboSpec{}, 0, fmt.Errorf("placement: s = %d must be positive", s)
-	}
-	if len(units) != s {
-		return ComboSpec{}, 0, fmt.Errorf("placement: need %d units (one per x), got %d", s, len(units))
-	}
-	for x, u := range units {
-		if u.X != x {
-			return ComboSpec{}, 0, fmt.Errorf("placement: units[%d].X = %d, want %d", x, u.X, x)
-		}
-		if err := u.Validate(); err != nil {
-			return ComboSpec{}, 0, err
-		}
+	if err := checkComboUnits(s, units); err != nil {
+		return ComboSpec{}, 0, err
 	}
 	if b < 0 {
 		return ComboSpec{}, 0, fmt.Errorf("placement: b = %d negative", b)
 	}
-
-	// failPerMu[x] = ⌊d·μ_x·C(k,x+1)/C(s,x+1)⌋ is computed on the fly;
-	// precompute the numerator factor μ_x·C(k,x+1) and denominator C(s,x+1).
-	type xconst struct {
-		capPerMu int64
-		failNum  int64 // μ_x·C(k, x+1)
-		failDen  int64 // C(s, x+1)
-	}
-	consts := make([]xconst, s)
-	for x, u := range units {
-		t := x + 1
-		consts[x] = xconst{
-			capPerMu: u.CapPerMu,
-			failNum:  failNumOf(u.Mu, k, t),
-			failDen:  combin.Choose(s, t),
-		}
-	}
-
-	// lbav(0, b′) per Eqn. 6, in closed form.
-	base := func(bPrime int64) int64 {
-		if bPrime <= 0 {
-			return 0
-		}
-		copies := combin.CeilDiv(bPrime, consts[0].capPerMu) // λ_0/μ_0
-		failed := failedFloor(copies, consts[0].failNum, consts[0].failDen, bPrime)
-		v := bPrime - failed
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	// copiesFor0 returns the λ_0/μ_0 implied by Eqn. 6 for bPrime objects.
-	copiesFor0 := func(bPrime int64) int64 {
-		if bPrime <= 0 {
-			return 0
-		}
-		return combin.CeilDiv(bPrime, consts[0].capPerMu)
-	}
-
-	if s == 1 {
-		lambda0 := copiesFor0(int64(b)) * int64(units[0].Mu)
-		spec := ComboSpec{Lambdas: []int{int(lambda0)}, Units: append([]Unit(nil), units...)}
-		return spec, base(int64(b)), nil
-	}
-
-	// Layered DP over x′ = 1..s-1; prev[bPrime] = lbav(x′-1, bPrime).
-	prev := make([]int64, b+1)
-	for bPrime := 0; bPrime <= b; bPrime++ {
-		prev[bPrime] = base(int64(bPrime))
-	}
-	// choice[x′][bPrime] records the optimal d (λ_{x′} = d·μ_{x′}).
 	choice := make([][]int32, s)
-	cur := make([]int64, b+1)
-	for x := 1; x < s; x++ {
-		choice[x] = make([]int32, b+1)
-		cc := consts[x]
-		for bPrime := 0; bPrime <= b; bPrime++ {
-			bestVal := int64(-1 << 62)
-			bestD := int32(0)
-			dMax := combin.CeilDiv(int64(bPrime), cc.capPerMu)
-			for d := int64(0); d <= dMax; d++ {
-				placed := d * cc.capPerMu
-				contribution := placed
-				if int64(bPrime) < placed {
-					contribution = int64(bPrime)
-				}
-				contribution -= failedFloor(d, cc.failNum, cc.failDen, int64(bPrime)+placed)
-				rest := int64(bPrime) - placed
-				var below int64
-				if rest > 0 {
-					below = prev[rest]
-				}
-				if v := contribution + below; v > bestVal {
-					bestVal = v
-					bestD = int32(d)
-				}
-			}
-			cur[bPrime] = bestVal
-			choice[x][bPrime] = bestD
-		}
-		prev, cur = cur, prev
-	}
-	best := prev[b]
+	best := comboDP(b, k, s, units, choice)[b]
 
-	// Reconstruct ⟨λx⟩ by walking the recorded choices back down.
+	// Reconstruct ⟨λx⟩ by walking the recorded choices back down; what
+	// is left goes to x = 0, whose λ_0/μ_0 Eqn. 6 fixes.
 	lambdas := make([]int, s)
 	remaining := int64(b)
 	for x := s - 1; x >= 1; x-- {
-		var d int64
-		if remaining > 0 {
-			d = int64(choice[x][remaining])
-		}
+		d := int64(choice[x][remaining])
 		lambdas[x] = int(d) * units[x].Mu
-		remaining -= d * consts[x].capPerMu
-		if remaining < 0 {
-			remaining = 0
-		}
+		remaining = max(remaining-d*units[x].CapPerMu, 0)
 	}
-	lambdas[0] = int(copiesFor0(remaining)) * units[0].Mu
+	lambdas[0] = int(combin.CeilDiv(remaining, units[0].CapPerMu)) * units[0].Mu
 
 	spec := ComboSpec{Lambdas: lambdas, Units: append([]Unit(nil), units...)}
 	return spec, best, nil
@@ -246,63 +150,78 @@ func OptimizeCombo(b, k, s int, units []Unit) (ComboSpec, int64, error) {
 // table row needs the bound at many values of b. Only the bound values
 // are produced (no ⟨λx⟩ reconstruction).
 func ComboBoundSweep(bMax, k, s int, units []Unit) ([]int64, error) {
-	if s < 1 || len(units) != s {
-		return nil, fmt.Errorf("placement: need %d units, got %d", s, len(units))
-	}
-	for x, u := range units {
-		if u.X != x {
-			return nil, fmt.Errorf("placement: units[%d].X = %d, want %d", x, u.X, x)
-		}
-		if err := u.Validate(); err != nil {
-			return nil, err
-		}
+	if err := checkComboUnits(s, units); err != nil {
+		return nil, err
 	}
 	if bMax < 0 {
 		return nil, fmt.Errorf("placement: bMax = %d negative", bMax)
 	}
+	return comboDP(bMax, k, s, units, nil), nil
+}
+
+// checkComboUnits validates the units the Combo DP reads: one per x in
+// 0..s-1, units[x] describing x.
+func checkComboUnits(s int, units []Unit) error {
+	if s < 1 {
+		return fmt.Errorf("placement: s = %d must be positive", s)
+	}
+	if len(units) != s {
+		return fmt.Errorf("placement: need %d units (one per x), got %d", s, len(units))
+	}
+	for x, u := range units {
+		if u.X != x {
+			return fmt.Errorf("placement: units[%d].X = %d, want %d", x, u.X, x)
+		}
+		if err := u.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// comboDP returns lbav(s-1, b′) for every b′ = 0..bMax. Layer 0 is
+// Eqn. 6 in closed form, clamped at zero; layer x >= 1 (Eqn. 7) takes
+// the best d = λ_x/μ_x copies of unit x, its d = 0 term being
+// lbav(x-1, b′). When choice is non-nil (length s), choice[x][b′]
+// records the smallest optimal d of each layer x >= 1.
+func comboDP(bMax, k, s int, units []Unit, choice [][]int32) []int64 {
 	prev := make([]int64, bMax+1)
 	cap0 := units[0].CapPerMu
 	failNum0 := failNumOf(units[0].Mu, k, 1)
 	failDen0 := combin.Choose(s, 1)
 	for bPrime := int64(1); bPrime <= int64(bMax); bPrime++ {
-		copies := combin.CeilDiv(bPrime, cap0)
-		v := bPrime - failedFloor(copies, failNum0, failDen0, bPrime)
-		if v < 0 {
-			v = 0
-		}
-		prev[bPrime] = v
+		copies := combin.CeilDiv(bPrime, cap0) // λ_0/μ_0
+		prev[bPrime] = max(bPrime-failedFloor(copies, failNum0, failDen0, bPrime), 0)
 	}
 	cur := make([]int64, bMax+1)
 	for x := 1; x < s; x++ {
-		u := units[x]
-		t := x + 1
-		capX := u.CapPerMu
-		failNum := failNumOf(u.Mu, k, t)
-		failDen := combin.Choose(s, t)
+		capX := units[x].CapPerMu
+		failNum := failNumOf(units[x].Mu, k, x+1)
+		failDen := combin.Choose(s, x+1)
+		if choice != nil {
+			choice[x] = make([]int32, bMax+1)
+		}
 		for bPrime := 0; bPrime <= bMax; bPrime++ {
-			best := prev[bPrime] // d = 0
+			best, bestD := prev[bPrime], int64(0) // d = 0
 			dMax := combin.CeilDiv(int64(bPrime), capX)
 			for d := int64(1); d <= dMax; d++ {
 				placed := d * capX
-				contribution := placed
-				if int64(bPrime) < placed {
-					contribution = int64(bPrime)
+				v := min(int64(bPrime), placed) - failedFloor(d, failNum, failDen, int64(bPrime)+placed)
+				if rest := int64(bPrime) - placed; rest > 0 {
+					v += prev[rest]
 				}
-				contribution -= failedFloor(d, failNum, failDen, int64(bPrime)+placed)
-				rest := int64(bPrime) - placed
-				var below int64
-				if rest > 0 {
-					below = prev[rest]
-				}
-				if v := contribution + below; v > best {
-					best = v
+				if v > best {
+					best, bestD = v, d
 				}
 			}
 			cur[bPrime] = best
+			if choice != nil {
+				choice[x][bPrime] = int32(bestD)
+			}
 		}
 		prev, cur = cur, prev
 	}
-	return prev, nil
+	return prev
 }
 
 // DefaultUnits derives catalog-backed units for each x in 0..s-1 on n

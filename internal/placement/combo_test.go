@@ -181,27 +181,74 @@ func TestOptimizeComboReconstructionConsistent(t *testing.T) {
 	}
 }
 
+// TestComboBoundSweepMatchesOptimize pins the two entry points of the
+// one Combo DP to each other: the sweep's bound at every b ≤ 2500 equals
+// OptimizeCombo's at s = 1..4, and in the overflow regime, where
+// μ·C(k, x+1) exceeds int64, OptimizeCombo's bound stays ≥ 0, equals the
+// sweep's, and its ⟨λx⟩ reproduces it through Lemma 3.
 func TestComboBoundSweepMatchesOptimize(t *testing.T) {
-	units := paperUnits71R3(t, 3)
-	for _, k := range []int{3, 5, 7} {
-		sweep, err := ComboBoundSweep(2500, k, 3, units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range []int{0, 1, 23, 600, 1200, 2400, 2500} {
-			_, want, err := OptimizeCombo(b, k, 3, units)
+	const bMax = 2500
+	type row struct {
+		s     int
+		units []Unit
+		ks    []int
+	}
+	rows := []row{
+		{1, paperUnits71R3(t, 1), []int{1, 3}},
+		{2, paperUnits71R3(t, 2), []int{2, 5}},
+		{3, paperUnits71R3(t, 3), []int{3, 5, 7}},
+	}
+	units4, err := DefaultUnits(71, 4, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, row{4, units4, []int{4, 6}})
+	for _, r := range rows {
+		for _, k := range r.ks {
+			sweep, err := ComboBoundSweep(bMax, k, r.s, r.units)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sweep[b] != want {
-				t.Errorf("k=%d b=%d: sweep = %d, optimize = %d", k, b, sweep[b], want)
+			for b := 0; b <= bMax; b++ {
+				_, want, err := OptimizeCombo(b, k, r.s, r.units)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sweep[b] != want {
+					t.Fatalf("s=%d k=%d b=%d: sweep = %d, optimize = %d", r.s, k, b, sweep[b], want)
+				}
 			}
 		}
 	}
+
+	// C(4e6, 3) and C(5e9, 2) overflow int64; k = 4 is the in-range
+	// reference.
+	units := []Unit{{X: 0, Mu: 1, CapPerMu: 23}, {X: 1, Mu: 1, CapPerMu: 30}, {X: 2, Mu: 1, CapPerMu: 40}}
+	const b = 100
+	for _, c := range []struct {
+		k    int
+		want int64
+	}{{4, 94}, {4_000_000, 0}, {5_000_000_000, 0}} {
+		spec, bound, err := OptimizeCombo(b, c.k, 3, units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := ComboBoundSweep(b, c.k, 3, units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound != c.want || sweep[b] != bound {
+			t.Errorf("k=%d: optimize = %d (λ = %v), sweep = %d, want %d", c.k, bound, spec.Lambdas, sweep[b], c.want)
+		}
+		if got := LBAvailCombo(b, c.k, 3, spec.Lambdas); got != bound {
+			t.Errorf("k=%d: Lemma 3 on reconstructed λ %v = %d, DP bound = %d", c.k, spec.Lambdas, got, bound)
+		}
+	}
+
 	if _, err := ComboBoundSweep(10, 3, 0, nil); err == nil {
 		t.Error("s = 0 accepted")
 	}
-	if _, err := ComboBoundSweep(-1, 3, 3, units); err == nil {
+	if _, err := ComboBoundSweep(-1, 3, 3, paperUnits71R3(t, 3)); err == nil {
 		t.Error("negative bMax accepted")
 	}
 }

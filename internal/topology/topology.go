@@ -10,9 +10,9 @@
 // regions), Tree[Levels()-1] the leaves (racks). Every leaf domain owns
 // a disjoint set of nodes covering [0, n); every domain below the top
 // level nests in exactly one parent on the level above, and an interior
-// domain's node set is the union of its children's (derived, kept
-// up to date by validation). A depth-1 tree is the flat racks-only
-// topology; depth 2 is the zone→rack hierarchy.
+// domain's node set is the union of its children's (derived once, when
+// the topology is first validated). A depth-1 tree is the flat
+// racks-only topology; depth 2 is the zone→rack hierarchy.
 //
 // Three consumers feed off the tree:
 //
@@ -70,9 +70,11 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/combin"
 )
@@ -86,8 +88,8 @@ const Leaf = -1
 // Domain is one named failure domain at some level of a Topology: a set
 // of nodes that fail together. Parent indexes the level above (-1 at
 // the top level). Leaf domains list their nodes; an interior domain's
-// Nodes is the derived union of its children's, (re)computed by
-// validation. Cap, when positive, bounds the total replicas the
+// Nodes is the derived union of its children's, computed once when the
+// topology is indexed. Cap, when positive, bounds the total replicas the
 // domain's whole subtree may hold (0, the zero value, means unlimited)
 // — the per-domain capacity constraint enforced by package placement's
 // CheckCaps and SpreadAcrossDomainsWith.
@@ -104,12 +106,20 @@ type Domain struct {
 // assigns each node an integer weight >= 1 (heterogeneous clusters: a
 // hot node serves more traffic than a cold one); nil means every node
 // weighs 1.
+//
+// The first Validate (NewTree runs it) indexes the tree: from then on
+// N, the domain names, the parents and the leaf node lists are fixed,
+// and only the annotations — Weights and the domains' Caps — may still
+// change. Every later Validate re-checks those and writes nothing, so
+// engines may share one validated topology across goroutines.
 type Topology struct {
 	N       int
 	Tree    [][]Domain
 	Weights []int
 
-	domainOf []int // node -> leaf domain index
+	indexOnce sync.Once
+	indexErr  error
+	domainOf  []int // node -> leaf domain index
 }
 
 // NewTree builds and validates a topology from explicit levels. Every
@@ -120,7 +130,7 @@ type Topology struct {
 // be filled in — validation derives them from the leaves.
 func NewTree(n int, tree [][]Domain) (*Topology, error) {
 	t := &Topology{N: n, Tree: tree}
-	if err := t.index(); err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -140,8 +150,8 @@ func New(n int, domains []Domain, zones []string) (*Topology, error) {
 	return NewTree(n, [][]Domain{top, domains})
 }
 
-// index (re)builds the node→domain map and the derived interior node
-// sets, validating all invariants.
+// index builds the node→domain map and the derived interior node sets,
+// validating the tree's structural invariants.
 func (t *Topology) index() error {
 	if t.N < 1 {
 		return fmt.Errorf("topology: n = %d must be positive", t.N)
@@ -161,9 +171,6 @@ func (t *Topology) index() error {
 			if strings.ContainsAny(d.Name, ":;,@-*= \t\n") {
 				return fmt.Errorf("topology: domain name %q contains reserved characters", d.Name)
 			}
-			if d.Cap < 0 {
-				return fmt.Errorf("topology: domain %q cap %d must be >= 0 (0 = unlimited)", d.Name, d.Cap)
-			}
 			if names[d.Name] {
 				return fmt.Errorf("topology: duplicate domain name %q at level %d", d.Name, level)
 			}
@@ -179,10 +186,7 @@ func (t *Topology) index() error {
 		}
 	}
 	leaves := t.Tree[len(t.Tree)-1]
-	t.domainOf = make([]int, t.N)
-	for i := range t.domainOf {
-		t.domainOf[i] = -1
-	}
+	t.domainOf = slices.Repeat([]int{-1}, t.N)
 	for di, d := range leaves {
 		if len(d.Nodes) == 0 {
 			return fmt.Errorf("topology: domain %q is empty", d.Name)
@@ -201,16 +205,6 @@ func (t *Topology) index() error {
 	for nd, di := range t.domainOf {
 		if di == -1 {
 			return fmt.Errorf("topology: node %d not in any domain", nd)
-		}
-	}
-	if t.Weights != nil {
-		if len(t.Weights) != t.N {
-			return fmt.Errorf("topology: %d node weights for %d nodes", len(t.Weights), t.N)
-		}
-		for nd, w := range t.Weights {
-			if w < 1 {
-				return fmt.Errorf("topology: node %d weight %d must be >= 1", nd, w)
-			}
 		}
 	}
 	// Derive interior node sets bottom-up and insist every interior
@@ -234,10 +228,56 @@ func (t *Topology) index() error {
 	return nil
 }
 
-// Validate re-checks every invariant (useful after manual mutation of
-// the exported fields), refreshes the node→domain index, and recomputes
-// the derived interior node sets.
-func (t *Topology) Validate() error { return t.index() }
+// Validate indexes the tree on its first call (see Topology), then
+// checks the annotations callers may still set: the node weights (one
+// per node, each >= 1) and the domain caps (each >= 0).
+func (t *Topology) Validate() error {
+	t.indexOnce.Do(func() { t.indexErr = t.index() })
+	if t.indexErr != nil {
+		return t.indexErr
+	}
+	if t.Weights != nil && len(t.Weights) != t.N {
+		return fmt.Errorf("topology: %d node weights for %d nodes", len(t.Weights), t.N)
+	}
+	for nd, w := range t.Weights {
+		if w < 1 {
+			return fmt.Errorf("topology: node %d weight %d must be >= 1", nd, w)
+		}
+	}
+	for _, doms := range t.Tree {
+		for _, d := range doms {
+			if d.Cap < 0 {
+				return fmt.Errorf("topology: domain %q cap %d must be >= 0 (0 = unlimited)", d.Name, d.Cap)
+			}
+		}
+	}
+	return nil
+}
+
+// SetCap sets the replica cap of the one domain named name, at whatever
+// level it sits (0 = unlimited). It fails, changing nothing, when no
+// domain or domains at two levels carry the name, or when cap < 0.
+func (t *Topology) SetCap(name string, cap int) error {
+	if cap < 0 {
+		return fmt.Errorf("topology: domain %q cap %d must be >= 0 (0 = unlimited)", name, cap)
+	}
+	var found *Domain
+	for level := range t.Tree {
+		for di := range t.Tree[level] {
+			if d := &t.Tree[level][di]; d.Name == name {
+				if found != nil {
+					return fmt.Errorf("topology: domain name %q is ambiguous across levels", name)
+				}
+				found = d
+			}
+		}
+	}
+	if found == nil {
+		return fmt.Errorf("topology: no domain named %q", name)
+	}
+	found.Cap = cap
+	return nil
+}
 
 // levelWord is the display name given to whole levels and to the
 // top-level domains of UniformTree topologies, by distance from the

@@ -198,3 +198,31 @@ func TestLevelCaps(t *testing.T) {
 		}
 	}
 }
+
+// TestSetCap: SetCap caps the one domain carrying a name, at any level,
+// and changes nothing when the name is unknown, used at two levels, or
+// the cap is negative.
+func TestSetCap(t *testing.T) {
+	topo, err := ParseSpec(8, "x@x:0-1;y@x:2-3;r2@z:4-5;r3@z:6-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.SetCap("z", 5); err != nil || topo.Tree[0][1].Cap != 5 {
+		t.Fatalf("SetCap(z, 5): %v, zone z cap %d", err, topo.Tree[0][1].Cap)
+	}
+	if err := topo.SetCap("r3", 2); err != nil || topo.Tree[1][3].Cap != 2 {
+		t.Fatalf("SetCap(r3, 2): %v, rack r3 cap %d", err, topo.Tree[1][3].Cap)
+	}
+	want := topo.Spec()
+	for _, c := range []struct {
+		name string
+		cap  int
+	}{{"x", 3}, {"nope", 3}, {"y", -1}} {
+		if err := topo.SetCap(c.name, c.cap); err == nil {
+			t.Errorf("SetCap(%s, %d) accepted", c.name, c.cap)
+		}
+	}
+	if got := topo.Spec(); got != want {
+		t.Errorf("rejected SetCap calls changed the topology: %q, want %q", got, want)
+	}
+}
